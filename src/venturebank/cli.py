@@ -84,11 +84,11 @@ def load_config(path: str) -> dict:
 def scenario_from_config(data: dict, seed_override: int | None) -> ScenarioConfig:
     section = dict(data.get("scenario", {}))
     spread = section.pop("spread", None)
-    if spread is not None:
-        section["spread"] = SpreadParams(**spread)
     if seed_override is not None:
         section["seed"] = seed_override
     try:
+        if spread is not None:
+            section["spread"] = SpreadParams(**spread)
         return ScenarioConfig(**section)
     except TypeError as exc:
         raise ConfigError(f"bad scenario field: {exc}") from exc

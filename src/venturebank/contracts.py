@@ -218,13 +218,11 @@ def resolve_trigger(
         equity_valuation = event.payload if event.payload is not None else Decimal("0")
         lien = None
         if clawback is not None:
-            lien = ClawbackLien(
-                contract_id=contract.contract_id,
-                base=money(max(payout - equity_valuation, Decimal("0"))),
-                fraction=clawback.fraction,
+            lien = create_clawback(
+                contract.contract_id,
+                max(payout - equity_valuation, Decimal("0")),
+                clawback,
                 origin_year=event.year,
-                option=clawback.option,
-                audit_flagged=(clawback.option == "C"),
             )
         nxt = replace(
             contract,
@@ -295,12 +293,16 @@ def detach(contract: DinContract) -> DinContract:
 
 
 def annual_premium(contract: DinContract, rate) -> Decimal:
-    """Premium due this year: rate on the insured value.  Active notes only."""
+    """Premium due this year: rate on the insured value.  Active notes only.
+
+    Rounded once, as money(rate * principal * coverage); rounding the
+    insured value first moves some premiums by one unit when coverage < 1.
+    """
     if contract.state is not DinState.ACTIVE:
         raise StateTransitionError(
             f"premium due only on active notes, not {contract.state.value}"
         )
-    return money(Decimal(str(rate)) * contract.insured_value)
+    return money(Decimal(str(rate)) * contract.principal * contract.coverage)
 
 
 def extend_term(contract: DinContract, new_term_years: int) -> DinContract:

@@ -73,10 +73,6 @@ class PackagingError(VentureBankError):
     """A portfolio package violates the public/retained fraction rule."""
 
 
-class MissingSectorError(VentureBankError):
-    """A sector appearing in the portfolio has no TAM/SAM entry."""
-
-
 class ConfigError(VentureBankError):
     """A config document failed to parse or validate."""
 

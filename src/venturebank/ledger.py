@@ -213,14 +213,6 @@ def write_investment_loan(
     )
 
 
-def available_short_term(ledger: Ledger, fraction=Decimal("0.25")) -> Decimal:
-    """Short-horizon lending headroom: a fixed cut of current deposits."""
-    deposits = -ledger.balance(Account.DEPOSITS)  # liability, credit-normal
-    if deposits <= 0:
-        return Decimal("0")
-    return money(deposits * Decimal(str(fraction)))
-
-
 def carrying_cost(amount, from_year: int, to_year: int, rate) -> Decimal:
     """Interest foregone on capital parked from one year to another."""
     if to_year < from_year:

@@ -5,7 +5,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import random
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
@@ -18,7 +17,6 @@ from .errors import (
     DoubleLinkError,
     DuplicateIdError,
     InvalidParameterError,
-    MissingSectorError,
     PackagingError,
 )
 from .money import money
@@ -27,7 +25,6 @@ PRIMARY = "primary"
 SECONDARY = "secondary"
 
 MAX_PUBLIC_FRACTION = Decimal("0.70")
-OBLIGOR_CAP_SHARE = Decimal("0.10")
 DEFAULT_SIGNIFICANCE = 0.05
 
 
@@ -293,88 +290,6 @@ def audit_representativeness(
         threshold=threshold,
         flagged=p < threshold,
     )
-
-
-def _pearson(xs, ys) -> float:
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
-    if var_x == 0.0 or var_y == 0.0:
-        return float("nan")  # constant series: correlation undefined
-    return cov / math.sqrt(var_x * var_y)
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    pairs: dict
-    disclosed: float
-    flagged: bool
-
-
-def correlation_disclosure(series_by_sector: dict, disclosed: float) -> CorrelationReport:
-    """Pairwise correlation of sector outcome series against the disclosed level."""
-    sectors = sorted(series_by_sector)
-    if len(sectors) < 2:
-        raise InvalidParameterError("correlation needs at least two sectors")
-    lengths = {len(series_by_sector[s]) for s in sectors}
-    if len(lengths) != 1:
-        raise InvalidParameterError("sector series must have equal length")
-
-    pairs: dict[tuple[str, str], float] = {}
-    flagged = False
-    for i, a in enumerate(sectors):
-        for b in sectors[i + 1 :]:
-            r = _pearson(
-                [float(v) for v in series_by_sector[a]],
-                [float(v) for v in series_by_sector[b]],
-            )
-            pairs[(a, b)] = r
-            if not math.isnan(r) and r > disclosed:
-                flagged = True
-    return CorrelationReport(pairs=pairs, disclosed=disclosed, flagged=flagged)
-
-
-@dataclass(frozen=True)
-class SectorExposure:
-    sector: str
-    invested: Decimal
-    tam_multiple: Decimal
-    sam_multiple: Decimal
-
-
-def sector_concentration(holdings, tam_sam: dict) -> dict:
-    """Per-sector invested totals as multiples of TAM and SAM.
-
-    holdings: iterable of (sector, amount).  Every sector present must have
-    a (tam, sam) row or the audit cannot run.
-    """
-    invested: dict[str, Decimal] = {}
-    for sector, amount in holdings:
-        invested[sector] = invested.get(sector, Decimal("0")) + money(amount)
-
-    out: dict[str, SectorExposure] = {}
-    for sector in sorted(invested):
-        if sector not in tam_sam:
-            raise MissingSectorError(f"no TAM/SAM entry for sector {sector!r}")
-        tam, sam = (Decimal(str(v)) for v in tam_sam[sector])
-        if tam <= 0 or sam <= 0:
-            raise InvalidParameterError(f"TAM/SAM for {sector!r} must be > 0")
-        out[sector] = SectorExposure(
-            sector=sector,
-            invested=invested[sector],
-            tam_multiple=money(invested[sector] / tam),
-            sam_multiple=money(invested[sector] / sam),
-        )
-    return out
-
-
-def obligor_limit_flags(exposures: dict, bank_capital) -> list[str]:
-    """Obligors drawing more than 10% of bank capital, for supervisory review."""
-    cap = money(bank_capital) * OBLIGOR_CAP_SHARE
-    return sorted(name for name, amount in exposures.items() if money(amount) > cap)
 
 
 def export_records(registry: Registry) -> str:

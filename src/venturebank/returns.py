@@ -1,11 +1,10 @@
-"""Venture fund return distributions and per-fund cash-flow timelines.
+"""Venture fund return distributions.
 
 The reference shape is a right-skewed set of ten-year fund multiples:
 roughly three quarters of funds finish below 1.0 and a short upper tail
 clears 3.0. synthesize_distribution builds such a set deterministically
 from a seed; rescale_to_target shifts it to any portfolio mean without
-reordering the funds; expand_timeline turns one fund into the loan,
-premium, and terminal events a scenario consumes.
+reordering the funds.
 
 Multiples are Decimal at scale 9 so downstream cash flows stay exact.
 """
@@ -22,13 +21,6 @@ from .money import money, ZERO
 
 FAILURE = "failure"
 SURVIVOR = "survivor"
-
-# Timeline event kinds
-LOAN_OUT = "loan_out"
-DEPOSIT_IN = "deposit_in"
-PREMIUM_DUE = "premium_due"
-WRITEOFF = "writeoff"
-EXIT = "exit"
 
 
 @dataclass(frozen=True)
@@ -100,23 +92,6 @@ class ReturnDistribution:
         for o in self.outcomes:
             lines.append(f"{o.fund_id},{o.ten_year_multiple},{o.classification}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class TimelineEvent:
-    kind: str
-    year: int
-    fund_id: str
-    amount: Decimal
-
-
-@dataclass(frozen=True)
-class CashFlowTimeline:
-    fund_id: str
-    events: tuple[TimelineEvent, ...]
-
-    def of_kind(self, kind: str) -> list[TimelineEvent]:
-        return [e for e in self.events if e.kind == kind]
 
 
 def synthesize_distribution(seed: int, n_funds: int = 50,
@@ -192,38 +167,6 @@ def rescale_to_target(dist: ReturnDistribution, target_mean) -> ReturnDistributi
         for o, value in zip(dist.outcomes, shifted)
     )
     return replace(dist, outcomes=new_outcomes, target_mean=target)
-
-
-def expand_timeline(outcome: FundOutcome, loan_amount, failure_year: int = 5,
-                    exit_year: int = 10) -> CashFlowTimeline:
-    """Expand one fund into its scenario events.
-
-    Year 0 writes the loan and the matching created deposit. Premiums fall
-    due annually in advance, labeled by due year: a failing fund pays years
-    1 through failure_year and is written off at failure_year with recovery
-    equal to multiple times loan; a surviving fund pays years 1 through
-    exit_year and exits at exit_year with proceeds multiple times loan.
-    """
-    loan = money(loan_amount)
-    if loan <= ZERO:
-        raise InvalidParameterError(f"loan_amount must be > 0, got {loan}")
-    if not 0 < failure_year < exit_year:
-        raise InvalidParameterError(
-            f"need 0 < failure_year < exit_year, got {failure_year}, {exit_year}")
-
-    events: list[TimelineEvent] = [
-        TimelineEvent(LOAN_OUT, 0, outcome.fund_id, loan),
-        TimelineEvent(DEPOSIT_IN, 0, outcome.fund_id, loan),
-    ]
-    last_premium_year = failure_year if outcome.classification == FAILURE else exit_year
-    for year in range(1, last_premium_year + 1):
-        events.append(TimelineEvent(PREMIUM_DUE, year, outcome.fund_id, loan))
-    terminal_value = money(outcome.ten_year_multiple * loan)
-    if outcome.classification == FAILURE:
-        events.append(TimelineEvent(WRITEOFF, failure_year, outcome.fund_id, terminal_value))
-    else:
-        events.append(TimelineEvent(EXIT, exit_year, outcome.fund_id, terminal_value))
-    return CashFlowTimeline(fund_id=outcome.fund_id, events=tuple(events))
 
 
 def _classified(fund_id: str, multiple: Decimal, threshold: Decimal) -> FundOutcome:

@@ -1,4 +1,4 @@
-"""Scenario engine: full portfolio runs wiring return timelines through
+"""Scenario engine: full portfolio runs wiring fund outcomes through
 note lifecycles and both sets of books, plus the return-sweep curves.
 
 Every reported number is an aggregate over the run's event log, so a
@@ -8,15 +8,32 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
+from typing import NamedTuple, get_type_hints
 
-from .contracts import ClawbackPolicy, ClawbackLien, create_clawback, settle_clawback
+from .contracts import (
+    BANKRUPTCY,
+    EXIT,
+    ClawbackPolicy,
+    DinContract,
+    DinState,
+    TriggerEvent,
+    annual_premium,
+    apply_trigger,
+    # Notes build their liens inside apply_trigger; the name stays bound here
+    # because the benchmark's layer tracer (perfbench/tracing.py) wraps
+    # venturebank.simulation.create_clawback.
+    create_clawback,
+    exit_equity_split,
+    settle_clawback,
+)
 from .errors import (
     InvalidParameterError,
-    LedgerBalanceError,
     LoanLimitError,
     SimulationError,
+    VentureBankError,
 )
 from .ledger import (
     Account,
@@ -57,6 +74,16 @@ REPORT_COLUMNS = (
 EVENT_COLUMNS = ("seq", "year", "kind", "fund_id", "amount", "detail")
 
 
+def _finite_decimal(name: str, value) -> Decimal:
+    try:
+        d = Decimal(str(value))
+        if d.is_finite():
+            return d
+    except ArithmeticError:
+        pass
+    raise InvalidParameterError(f"{name} must be a finite decimal, got {str(value)!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     reserve_fraction: Decimal = Decimal("0.05")
@@ -90,12 +117,14 @@ class ScenarioConfig:
             "moc",
             "initial_capital",
         ):
-            object.__setattr__(self, name, Decimal(str(getattr(self, name))))
+            object.__setattr__(self, name, _finite_decimal(name, getattr(self, name)))
         if self.target_classical_return is not None:
             object.__setattr__(
                 self,
                 "target_classical_return",
-                Decimal(str(self.target_classical_return)),
+                _finite_decimal(
+                    "target_classical_return", self.target_classical_return
+                ),
             )
         if not Decimal(0) < self.reserve_fraction <= 1:
             raise InvalidParameterError("reserve_fraction must be in (0, 1]")
@@ -154,6 +183,46 @@ class ScenarioConfig:
         return cls(**base)
 
 
+# Typed event details.  In events.csv a detail is one cell of key=value
+# pairs in field order, joined by "|".
+
+
+class DinBooked(NamedTuple):
+    tier1: Decimal
+    tier2: Decimal
+
+
+class BankruptcyPayout(NamedTuple):
+    equity_valuation: Decimal
+    multiple: Decimal
+
+
+class LienCreated(NamedTuple):
+    fraction: Decimal
+    origin: int
+
+
+class ExitProceeds(NamedTuple):
+    face: Decimal
+    uw_share: Decimal
+    bank_share: Decimal
+
+
+class LienSettled(NamedTuple):
+    fraction: Decimal
+
+
+EventDetail = DinBooked | BankruptcyPayout | LienCreated | ExitProceeds | LienSettled
+
+EVENT_DETAILS = {
+    "din_booked": DinBooked,
+    "bankruptcy_payout": BankruptcyPayout,
+    "lien_created": LienCreated,
+    "exit_proceeds": ExitProceeds,
+    "lien_settled": LienSettled,
+}
+
+
 @dataclass(frozen=True)
 class Event:
     seq: int
@@ -161,14 +230,14 @@ class Event:
     kind: str
     fund_id: str
     amount: Decimal
-    detail: str = ""
+    detail: EventDetail | None = None
 
 
 class _EventLog:
     def __init__(self) -> None:
         self._events: list[Event] = []
 
-    def add(self, year: int, kind: str, fund_id: str, amount, detail: str = "") -> None:
+    def add(self, year: int, kind: str, fund_id: str, amount, detail=None) -> None:
         self._events.append(
             Event(len(self._events), year, kind, fund_id, money(amount), detail)
         )
@@ -177,24 +246,66 @@ class _EventLog:
         return tuple(self._events)
 
 
+# The CSV cell template of each record type, and for each kind that
+# carries a detail: its record, a regex with one group per field, and the
+# field types, which parse those groups.
+_DETAIL_FORMATS = {
+    record: "|".join(f"{name}={{}}" for name in record._fields)
+    for record in EVENT_DETAILS.values()
+}
+_DETAIL_READERS = {
+    kind: (
+        record,
+        re.compile(r"\|".join(f"{name}=([^|]*)" for name in record._fields)),
+        tuple(get_type_hints(record).values()),
+    )
+    for kind, record in EVENT_DETAILS.items()
+}
+
+
 def events_to_csv(events) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(EVENT_COLUMNS)
     for e in events:
-        w.writerow([e.seq, e.year, e.kind, e.fund_id, str(e.amount), e.detail])
+        d = e.detail
+        detail = "" if d is None else _DETAIL_FORMATS[type(d)].format(*d)
+        w.writerow([e.seq, e.year, e.kind, e.fund_id, str(e.amount), detail])
     return buf.getvalue()
 
 
+def _parse_detail(kind: str, text: str) -> EventDetail:
+    if kind not in _DETAIL_READERS:
+        raise ValueError(f"{kind} carries no detail, got {text!r}")
+    record, pattern, types = _DETAIL_READERS[kind]
+    match = pattern.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{kind} detail {text!r} does not have the keys {record._fields}")
+    return record(*[parse(value) for parse, value in zip(types, match.groups())])
+
+
 def events_from_csv(text: str) -> tuple[Event, ...]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != EVENT_COLUMNS:
+    """Parse events.csv.  A malformed row raises InvalidParameterError
+    naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != list(EVENT_COLUMNS):
         raise InvalidParameterError("not an event-log CSV")
     out = []
-    for row in rows[1:]:
-        out.append(
-            Event(int(row[0]), int(row[1]), row[2], row[3], Decimal(row[4]), row[5])
-        )
+    for row in reader:
+        try:
+            if len(row) != len(EVENT_COLUMNS):
+                raise ValueError(f"expected {len(EVENT_COLUMNS)} columns, got {len(row)}")
+            seq, year, kind, fund_id, amount, detail = row
+            out.append(
+                Event(int(seq), int(year), kind, fund_id, Decimal(amount),
+                      _parse_detail(kind, detail)
+                      if detail or kind in _DETAIL_READERS else None)
+            )
+        except (ValueError, ArithmeticError) as exc:
+            reason = exc if isinstance(exc, ValueError) else "a value is not a decimal"
+            raise InvalidParameterError(
+                f"event log line {reader.line_num}: {reason}"
+            ) from exc
     return tuple(out)
 
 
@@ -235,12 +346,11 @@ class SimulationReport:
 class _RunState:
     config: ScenarioConfig
     distribution: ReturnDistribution
-    faces: list[Decimal]
+    notes: list[DinContract]  # one per fund, in distribution order
     bank: Ledger
     underwriter: Ledger
     capital: CapitalAccount
     log: _EventLog
-    liens: list[ClawbackLien]
     booked: Decimal
 
 
@@ -250,6 +360,14 @@ def _loan_faces(config: ScenarioConfig) -> list[Decimal]:
     faces = [per] * (config.n_funds - 1)
     faces.append(total - per * (config.n_funds - 1))
     return faces
+
+
+def _mirror(state: _RunState, year: int, memo: str, debit: Account,
+            credit: Account, amount: Decimal) -> None:
+    """Post a bank-underwriter flow: the bank debits `debit` and credits
+    `credit`, and the underwriter books the same amount the other way."""
+    state.bank.post(year, memo, [dr(debit, amount), cr(credit, amount)])
+    state.underwriter.post(year, memo, [dr(credit, amount), cr(debit, amount)])
 
 
 def _initialize(config: ScenarioConfig) -> _RunState:
@@ -291,7 +409,7 @@ def _initialize(config: ScenarioConfig) -> _RunState:
             postings.append(dr(Account.TIER2_INSURED, t2_part))
         postings.append(cr(Account.EQUITY_HOLDINGS, booked))
         bank.post(0, "insured-asset capital recognition", postings)
-        log.add(0, "din_booked", "", booked, f"tier1={t1_part}|tier2={t2_part}")
+        log.add(0, "din_booked", "", booked, DinBooked(t1_part, t2_part))
 
     if total_loans > capital.lending_limit:
         raise SimulationError(
@@ -301,12 +419,22 @@ def _initialize(config: ScenarioConfig) -> _RunState:
             account="loans",
         )
 
+    notes = []
     for outcome, face in zip(dist.outcomes, faces):
         try:
             write_investment_loan(bank, capital, face, year=0, memo=f"loan {outcome.fund_id}")
         except LoanLimitError as exc:
             raise SimulationError(str(exc), year=0, account="loans") from exc
         log.add(0, "loan_issued", outcome.fund_id, face)
+        notes.append(
+            DinContract(
+                outcome.fund_id,
+                face,
+                coverage=config.coverage,
+                equity_fraction=config.equity_fraction,
+                term_years=config.horizon,
+            )
+        )
 
     drawdown = money(total_loans * Decimal("0.5"))
     if drawdown > 0:
@@ -320,40 +448,29 @@ def _initialize(config: ScenarioConfig) -> _RunState:
     return _RunState(
         config=config,
         distribution=dist,
-        faces=faces,
+        notes=notes,
         bank=bank,
         underwriter=underwriter,
         capital=capital,
         log=log,
-        liens=[],
         booked=booked,
     )
 
 
-def _premium_years(config: ScenarioConfig, classification: str) -> int:
-    return config.failure_year if classification == FAILURE else config.exit_year
-
-
 def _run_years(state: _RunState) -> None:
+    """Collect premiums on every active note each year, then fire the
+    bankruptcy and exit triggers in their years."""
     config = state.config
     policy = config.clawback_policy()
+    premiums = [annual_premium(note, config.premium_rate) for note in state.notes]
 
     for year in range(1, config.horizon + 1):
-        for outcome, face in zip(state.distribution.outcomes, state.faces):
-            if year <= _premium_years(config, outcome.classification):
-                premium = money(config.premium_rate * face * config.coverage)
+        for note, premium in zip(state.notes, premiums):
+            if note.state is DinState.ACTIVE:
                 if premium > 0:
-                    state.bank.post(
-                        year,
-                        f"premium {outcome.fund_id}",
-                        [dr(Account.PREMIUMS_PAID, premium), cr(Account.CASH, premium)],
-                    )
-                    state.underwriter.post(
-                        year,
-                        f"premium {outcome.fund_id}",
-                        [dr(Account.CASH, premium), cr(Account.PREMIUMS_PAID, premium)],
-                    )
-                state.log.add(year, "premium_paid", outcome.fund_id, premium)
+                    _mirror(state, year, f"premium {note.contract_id}",
+                            Account.PREMIUMS_PAID, Account.CASH, premium)
+                state.log.add(year, "premium_paid", note.contract_id, premium)
 
         if year == config.failure_year:
             _settle_failures(state, year, policy)
@@ -363,99 +480,86 @@ def _run_years(state: _RunState) -> None:
 
 def _settle_failures(state: _RunState, year: int, policy: ClawbackPolicy | None) -> None:
     config = state.config
-    for outcome, face in zip(state.distribution.outcomes, state.faces):
+    notes = state.notes
+    for i, outcome in enumerate(state.distribution.outcomes):
         if outcome.classification != FAILURE:
             continue
-        payout = money(face * config.coverage)
+        note = notes[i]
+        fund, face = note.contract_id, note.principal
         if config.salvage_mode == "zero":
             equity_valuation = Decimal("0")
         else:
             equity_valuation = money(outcome.ten_year_multiple * face)
 
-        state.bank.post(
-            year,
-            f"note payout {outcome.fund_id}",
-            [dr(Account.CASH, payout), cr(Account.PAYOUTS_RECEIVED, payout)],
+        notes[i], settlement = apply_trigger(
+            note,
+            TriggerEvent(BANKRUPTCY, year, payload=equity_valuation),
+            clawback=policy,
         )
-        state.underwriter.post(
-            year,
-            f"note payout {outcome.fund_id}",
-            [dr(Account.PAYOUTS_RECEIVED, payout), cr(Account.CASH, payout)],
-        )
+        payout = settlement.cash_to_bank
+        _mirror(state, year, f"note payout {fund}",
+                Account.CASH, Account.PAYOUTS_RECEIVED, payout)
         state.log.add(
-            year, "bankruptcy_payout", outcome.fund_id, payout,
-            f"equity_valuation={equity_valuation}|multiple={outcome.ten_year_multiple}",
+            year, "bankruptcy_payout", fund, payout,
+            BankruptcyPayout(equity_valuation, outcome.ten_year_multiple),
         )
 
         state.bank.post(
             year,
-            f"write off {outcome.fund_id}",
+            f"write off {fund}",
             [dr(Account.PAYOUTS_RECEIVED, face), cr(Account.LOANS, face)],
         )
-        state.log.add(year, "loan_written_off", outcome.fund_id, face)
+        state.log.add(year, "loan_written_off", fund, face)
 
         if equity_valuation > 0:
             state.underwriter.post(
                 year,
-                f"salvage equity {outcome.fund_id}",
+                f"salvage equity {fund}",
                 [
                     dr(Account.EQUITY_HOLDINGS, equity_valuation),
                     cr(Account.PAYOUTS_RECEIVED, equity_valuation),
                 ],
             )
-            state.log.add(year, "equity_accepted", outcome.fund_id, equity_valuation)
+            state.log.add(year, "equity_accepted", fund, equity_valuation)
 
-        if policy is not None:
-            base = money(max(payout - equity_valuation, Decimal("0")))
-            lien = create_clawback(outcome.fund_id, base, policy, origin_year=year)
-            state.liens.append(lien)
-            obligation = money(lien.fraction * base)
+        lien = settlement.lien
+        if lien is not None:
+            obligation = money(lien.fraction * lien.base)
             if obligation > 0:
-                state.bank.post(
-                    year,
-                    f"clawback lien {outcome.fund_id}",
-                    [
-                        dr(Account.PAYOUTS_RECEIVED, obligation),
-                        cr(Account.LIEN_OBLIGATIONS, obligation),
-                    ],
-                )
-                state.underwriter.post(
-                    year,
-                    f"clawback lien {outcome.fund_id}",
-                    [
-                        dr(Account.LIEN_OBLIGATIONS, obligation),
-                        cr(Account.PAYOUTS_RECEIVED, obligation),
-                    ],
-                )
+                _mirror(state, year, f"clawback lien {fund}",
+                        Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS, obligation)
             state.log.add(
-                year, "lien_created", outcome.fund_id, base,
-                f"fraction={lien.fraction}|origin={year}",
+                year, "lien_created", fund, lien.base,
+                LienCreated(lien.fraction, lien.origin_year),
             )
 
 
 def _settle_exits(state: _RunState, year: int) -> None:
-    config = state.config
-    for outcome, face in zip(state.distribution.outcomes, state.faces):
+    notes = state.notes
+    for i, outcome in enumerate(state.distribution.outcomes):
         if outcome.classification == FAILURE:
             continue
+        note = notes[i]
+        fund, face = note.contract_id, note.principal
+        notes[i], _ = apply_trigger(note, TriggerEvent(EXIT, year))
         proceeds = money(outcome.ten_year_multiple * face)
-        insured = money(proceeds * config.coverage)
-        uw_share = money(insured * config.equity_fraction)
-        bank_share = insured - uw_share
+        uw_share, bank_share = exit_equity_split(
+            proceeds, note.coverage, note.equity_fraction
+        )
 
         postings = [dr(Account.CASH, face + bank_share), cr(Account.LOANS, face)]
         if bank_share > 0:
             postings.append(cr(Account.EQUITY_HOLDINGS, bank_share))
-        state.bank.post(year, f"exit {outcome.fund_id}", postings)
+        state.bank.post(year, f"exit {fund}", postings)
         if uw_share > 0:
             state.underwriter.post(
                 year,
-                f"exit {outcome.fund_id}",
+                f"exit {fund}",
                 [dr(Account.CASH, uw_share), cr(Account.EQUITY_HOLDINGS, uw_share)],
             )
         state.log.add(
-            year, "exit_proceeds", outcome.fund_id, proceeds,
-            f"face={face}|uw_share={uw_share}|bank_share={bank_share}",
+            year, "exit_proceeds", fund, proceeds,
+            ExitProceeds(face, uw_share, bank_share),
         )
 
 
@@ -468,70 +572,34 @@ def portfolio_closeout(state: _RunState, year: int | None = None) -> SimulationR
     config = state.config
     closeout_year = config.exit_year if year is None else year
 
-    for lien in state.liens:
+    for lien in (lien for note in state.notes for lien in note.liens):
         try:
             amount, settled = settle_clawback(
                 lien, closeout_year, config.bank_rate, verdict=config.audit_verdict
             )
-        except Exception as exc:
+        except VentureBankError as exc:
             raise SimulationError(
                 str(exc), year=closeout_year, account="lien_obligations"
             ) from exc
-        booked_obligation = money(lien.fraction * lien.base)
-        delta = amount - booked_obligation
+        fund = lien.contract_id
+        delta = amount - money(lien.fraction * lien.base)
         if delta > 0:  # accrued interest joins the obligation
-            state.bank.post(
-                closeout_year,
-                f"lien interest {lien.contract_id}",
-                [
-                    dr(Account.PAYOUTS_RECEIVED, delta),
-                    cr(Account.LIEN_OBLIGATIONS, delta),
-                ],
-            )
-            state.underwriter.post(
-                closeout_year,
-                f"lien interest {lien.contract_id}",
-                [
-                    dr(Account.LIEN_OBLIGATIONS, delta),
-                    cr(Account.PAYOUTS_RECEIVED, delta),
-                ],
-            )
+            _mirror(state, closeout_year, f"lien interest {fund}",
+                    Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS, delta)
         elif delta < 0:  # option-B verdict released part of the pending base
-            state.bank.post(
-                closeout_year,
-                f"lien release {lien.contract_id}",
-                [
-                    dr(Account.LIEN_OBLIGATIONS, -delta),
-                    cr(Account.PAYOUTS_RECEIVED, -delta),
-                ],
-            )
-            state.underwriter.post(
-                closeout_year,
-                f"lien release {lien.contract_id}",
-                [
-                    dr(Account.PAYOUTS_RECEIVED, -delta),
-                    cr(Account.LIEN_OBLIGATIONS, -delta),
-                ],
-            )
+            _mirror(state, closeout_year, f"lien release {fund}",
+                    Account.LIEN_OBLIGATIONS, Account.PAYOUTS_RECEIVED, -delta)
         if amount > 0:
-            state.bank.post(
-                closeout_year,
-                f"lien settled {lien.contract_id}",
-                [dr(Account.LIEN_OBLIGATIONS, amount), cr(Account.CASH, amount)],
-            )
-            state.underwriter.post(
-                closeout_year,
-                f"lien settled {lien.contract_id}",
-                [dr(Account.CASH, amount), cr(Account.LIEN_OBLIGATIONS, amount)],
-            )
+            _mirror(state, closeout_year, f"lien settled {fund}",
+                    Account.LIEN_OBLIGATIONS, Account.CASH, amount)
         state.log.add(
-            closeout_year, "lien_settled", lien.contract_id, amount,
-            f"fraction={settled.fraction}",
+            closeout_year, "lien_settled", fund, amount, LienSettled(settled.fraction)
         )
 
-    for e in [e for e in state.log.events() if e.kind == "bankruptcy_payout"]:
-        parts = dict(p.split("=", 1) for p in e.detail.split("|"))
-        parked = e.amount - Decimal(parts["equity_valuation"])
+    for e in state.log.events():
+        if e.kind != "bankruptcy_payout":
+            continue
+        parked = e.amount - e.detail.equity_valuation
         if parked > 0 and closeout_year > e.year:
             cost = carrying_cost(parked, e.year, closeout_year, config.bank_rate)
             if cost > 0:
@@ -584,9 +652,8 @@ def replay(events, config: ScenarioConfig) -> dict:
         elif e.kind == "carrying_cost":
             carrying += e.amount
         elif e.kind == "exit_proceeds":
-            parts = dict(p.split("=", 1) for p in e.detail.split("|"))
-            uw_exit += Decimal(parts["uw_share"])
-            bank_exit += Decimal(parts["bank_share"])
+            uw_exit += e.detail.uw_share
+            bank_exit += e.detail.bank_share
 
     outlay = (payouts - salvage) + carrying - clawed
     if config.exit_equity_mode == "investment_offset":
@@ -631,8 +698,7 @@ def _classical_mean(events, config: ScenarioConfig) -> float:
         elif e.kind == "exit_proceeds":
             terminal[e.fund_id] = e.amount
         elif e.kind == "bankruptcy_payout":
-            parts = dict(p.split("=", 1) for p in e.detail.split("|"))
-            terminal[e.fund_id] = money(Decimal(parts["multiple"]) * faces[e.fund_id])
+            terminal[e.fund_id] = money(e.detail.multiple * faces[e.fund_id])
     if not faces:
         return 0.0
     total = sum((terminal.get(f, Decimal("0")) for f in faces), Decimal("0"))
@@ -712,6 +778,6 @@ def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
                 points.append(
                     SweepPoint(name, target, float(value))
                 )
-            except Exception as exc:
+            except VentureBankError as exc:
                 failures.append(SweepFailure(name, target, str(exc)))
     return SweepResult(points=tuple(points), failures=tuple(failures))

@@ -125,6 +125,23 @@ class TestSimulate:
         assert "schema_version" in err["error"]
         assert not os.path.exists(tmp_path / "report.csv")
 
+    @pytest.mark.parametrize(
+        "scenario, kind",
+        [
+            ({"spread": {"bogus": 1}}, "ConfigError"),
+            ({"premium_rate": "abc"}, "InvalidParameterError"),
+        ],
+    )
+    def test_bad_field_is_one_json_line(self, tmp_path, capsys, scenario, kind):
+        cfg = write_config(tmp_path, {"schema_version": 1, "scenario": scenario})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert set(err) == {"error", "kind"}
+        assert err["kind"] == kind
+        assert not os.path.exists(tmp_path / "report.csv")
+
     def test_domain_error_surfaces_coordinates(self, tmp_path, capsys):
         cfg = self.config(tmp_path, coverage="0")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1

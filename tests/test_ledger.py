@@ -16,7 +16,6 @@ from venturebank.ledger import (
     Ledger,
     Posting,
     Transaction,
-    available_short_term,
     book_din_to_capital,
     carrying_cost,
     cr,
@@ -199,15 +198,6 @@ class TestLoanLimit:
 
 
 class TestShortTermAndCarry:
-    def test_quarter_of_deposits(self):
-        led = Ledger("bank")
-        led.post(0, "loans", [dr(Account.LOANS, "80"), cr(Account.DEPOSITS, "80")])
-        led.post(0, "burn", [dr(Account.DEPOSITS, "40"), cr(Account.CASH, "40")])
-        assert available_short_term(led) == Decimal("10.000000000")
-
-    def test_no_deposits_no_headroom(self):
-        assert available_short_term(Ledger("bank")) == 0
-
     def test_carrying_cost_matches_loop_oracle(self):
         cost = carrying_cost("1.2", 5, 10, "0.03")
         grown = compound_interest(Decimal("1.2"), Decimal("0.03"), 5)

@@ -1,5 +1,4 @@
 """Cross-reference integrity, packaging rules, and portfolio audits."""
-import math
 import random
 from decimal import Decimal
 
@@ -11,7 +10,6 @@ from venturebank.errors import (
     DoubleLinkError,
     DuplicateIdError,
     InvalidParameterError,
-    MissingSectorError,
     PackagingError,
 )
 from venturebank.registry import (
@@ -22,12 +20,9 @@ from venturebank.registry import (
     audit_attachment,
     audit_representativeness,
     build_package,
-    correlation_disclosure,
     export_records,
     import_records,
     make_terms_digest,
-    obligor_limit_flags,
-    sector_concentration,
 )
 
 
@@ -266,79 +261,6 @@ class TestRepresentativeness:
         assert a.splitlines()[0] == (
             "package_id,n_package,n_portfolio,statistic,p_value,threshold,flagged"
         )
-
-
-class TestCorrelation:
-    def test_identical_series_fully_correlated(self):
-        series = {"a": [1.0, 2.0, 3.0, 4.0], "b": [1.0, 2.0, 3.0, 4.0]}
-        report = correlation_disclosure(series, disclosed=0.95)
-        assert report.pairs[("a", "b")] == pytest.approx(1.0)
-        assert report.flagged
-
-    def test_independent_series_near_zero(self):
-        rng = random.Random(12)
-        series = {
-            "a": [rng.gauss(0, 1) for _ in range(4000)],
-            "b": [rng.gauss(0, 1) for _ in range(4000)],
-        }
-        report = correlation_disclosure(series, disclosed=0.2)
-        assert abs(report.pairs[("a", "b")]) < 0.05
-        assert not report.flagged
-
-    def test_exceeding_disclosure_flagged(self):
-        rng = random.Random(5)
-        base = [rng.gauss(0, 1) for _ in range(500)]
-        series = {
-            "a": base,
-            "b": [x + rng.gauss(0, 0.3) for x in base],  # realized ~0.95
-        }
-        report = correlation_disclosure(series, disclosed=0.2)
-        assert report.pairs[("a", "b")] > 0.8
-        assert report.flagged
-
-    def test_constant_series_undefined_not_error(self):
-        series = {"a": [2.0, 2.0, 2.0], "b": [1.0, 2.0, 3.0]}
-        report = correlation_disclosure(series, disclosed=0.1)
-        assert math.isnan(report.pairs[("a", "b")])
-        assert not report.flagged
-
-    def test_needs_two_sectors(self):
-        with pytest.raises(InvalidParameterError):
-            correlation_disclosure({"a": [1.0, 2.0]}, disclosed=0.5)
-
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            correlation_disclosure({"a": [1.0], "b": [1.0, 2.0]}, disclosed=0.5)
-
-
-class TestConcentration:
-    def test_direct_ratio(self):
-        out = sector_concentration([("fintech", "10")], {"fintech": ("100", "40")})
-        assert out["fintech"].tam_multiple == Decimal("0.1")
-        assert out["fintech"].sam_multiple == Decimal("0.25")
-
-    def test_crowded_sector_multiple(self):
-        holdings = [("narrow", "100")] * 3
-        out = sector_concentration(holdings, {"narrow": ("1000", "100")})
-        assert out["narrow"].invested == Decimal("300")
-        assert out["narrow"].sam_multiple == Decimal("3.0")
-
-    def test_empty_portfolio_empty_disclosure(self):
-        assert sector_concentration([], {"x": ("1", "1")}) == {}
-
-    def test_missing_sector_entry(self):
-        with pytest.raises(MissingSectorError):
-            sector_concentration([("ghost", "5")], {"fintech": ("100", "40")})
-
-
-class TestObligorLimit:
-    def test_flags_over_ten_percent(self):
-        exposures = {"acme": "4.8", "zephyr": "4.6", "tiny": "0.5"}
-        flagged = obligor_limit_flags(exposures, bank_capital="47")
-        assert flagged == ["acme"]  # 4.7 is the line; only acme crosses it
-
-    def test_boundary_not_flagged(self):
-        assert obligor_limit_flags({"edge": "4.7"}, bank_capital="47") == []
 
 
 class TestExportImport:

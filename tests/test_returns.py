@@ -1,4 +1,4 @@
-"""Return model tests: shape, rescaling, timelines."""
+"""Return model tests: shape and rescaling."""
 
 import random
 from decimal import Decimal
@@ -7,21 +7,14 @@ import pytest
 
 from venturebank.errors import InfeasibleTargetError, InvalidParameterError
 from venturebank.returns import (
-    EXIT,
     FAILURE,
-    LOAN_OUT,
-    DEPOSIT_IN,
-    PREMIUM_DUE,
     SURVIVOR,
-    WRITEOFF,
-    FundOutcome,
     SpreadParams,
-    expand_timeline,
     rescale_to_target,
     synthesize_distribution,
 )
 
-from oracles import count_events, rank_correlation, streaming_mean
+from oracles import rank_correlation, streaming_mean
 
 
 class TestSynthesize:
@@ -61,6 +54,13 @@ class TestSynthesize:
         for o in dist.outcomes:
             expected = FAILURE if o.ten_year_multiple < Decimal("1") else SURVIVOR
             assert o.classification == expected
+
+    def test_failure_count_matches_classification(self):
+        dist = synthesize_distribution(seed=4)
+        failures = sum(1 for o in dist.outcomes if o.classification == FAILURE)
+        survivors = sum(1 for o in dist.outcomes if o.classification == SURVIVOR)
+        assert failures == dist.failure_count()
+        assert failures + survivors == 50
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -130,51 +130,3 @@ class TestRescale:
             target = Decimal(str(round(rng.uniform(0.0, 5.0), 3)))
             scaled = rescale_to_target(dist, target)
             assert abs(scaled.mean() - target) < Decimal("0.000001")
-
-
-class TestTimeline:
-    def test_failure_example(self):
-        fund = FundOutcome("f001", Decimal("0.4"), FAILURE)
-        tl = expand_timeline(fund, loan_amount=2)
-        writeoffs = tl.of_kind(WRITEOFF)
-        assert len(writeoffs) == 1
-        assert writeoffs[0].year == 5
-        assert writeoffs[0].amount == Decimal("0.8")
-        premium_years = [e.year for e in tl.of_kind(PREMIUM_DUE)]
-        assert premium_years == [1, 2, 3, 4, 5]
-        assert tl.of_kind(EXIT) == []
-
-    def test_survivor_events(self):
-        fund = FundOutcome("f002", Decimal("2.5"), SURVIVOR)
-        tl = expand_timeline(fund, loan_amount="1.5")
-        exits = tl.of_kind(EXIT)
-        assert len(exits) == 1
-        assert exits[0].year == 10
-        assert exits[0].amount == Decimal("3.75")
-        assert [e.year for e in tl.of_kind(PREMIUM_DUE)] == list(range(1, 11))
-        assert tl.of_kind(WRITEOFF) == []
-
-    def test_event_count_oracle_full_distribution(self):
-        dist = synthesize_distribution(seed=4)
-        failures = survivors = 0
-        for o in dist.outcomes:
-            tl = expand_timeline(o, loan_amount=1)
-            assert count_events(tl.events, LOAN_OUT) == 1
-            assert count_events(tl.events, DEPOSIT_IN) == 1
-            assert tl.events[0].year == 0
-            w = count_events(tl.events, WRITEOFF)
-            x = count_events(tl.events, EXIT)
-            assert (w, x) in ((1, 0), (0, 1))
-            expected_premiums = 5 if w else 10
-            assert count_events(tl.events, PREMIUM_DUE) == expected_premiums
-            failures += w
-            survivors += x
-        assert failures == dist.failure_count()
-        assert failures + survivors == 50
-
-    def test_validation(self):
-        fund = FundOutcome("f0", Decimal("1.2"), SURVIVOR)
-        with pytest.raises(InvalidParameterError):
-            expand_timeline(fund, loan_amount=0)
-        with pytest.raises(InvalidParameterError):
-            expand_timeline(fund, loan_amount=1, failure_year=10, exit_year=5)

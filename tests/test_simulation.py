@@ -6,6 +6,7 @@ import pytest
 from venturebank.errors import InvalidParameterError, SimulationError
 from venturebank.ledger import Account
 from venturebank.returns import FAILURE
+from venturebank import simulation
 from venturebank.simulation import (
     ScenarioConfig,
     events_from_csv,
@@ -118,14 +119,69 @@ class TestBooksAndEvents:
         payouts = sum((e.amount for e in r.events if e.kind == "bankruptcy_payout"), Decimal(0))
         premiums = sum((e.amount for e in r.events if e.kind == "premium_paid"), Decimal(0))
         clawed = sum((e.amount for e in r.events if e.kind == "lien_settled"), Decimal(0))
-        bank_exit = Decimal(0)
-        for e in r.events:
-            if e.kind == "exit_proceeds":
-                parts = dict(p.split("=", 1) for p in e.detail.split("|"))
-                bank_exit += Decimal(parts["bank_share"])
+        bank_exit = sum(
+            (e.detail.bank_share for e in r.events if e.kind == "exit_proceeds"),
+            Decimal(0),
+        )
         gains = payouts - premiums + bank_exit - clawed
         c = cfg.initial_capital
         assert r.bank_10y_return == pytest.approx(float((c + gains) / c), abs=1e-12)
+
+
+class TestEventLogParsing:
+    GOOD_ROWS = (
+        "0,0,capital_injection,,1.000000000,",
+        "1,0,din_booked,,1.000000000,tier1=0.1|tier2=0.9",
+    )
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "2,0,loan_issued,f000,1.000000000",  # five columns
+            "2,0,loan_issued,f000,1.000000000,,extra",  # seven columns
+            "x,0,loan_issued,f000,1.000000000,",  # seq not an integer
+            "2,1.5,loan_issued,f000,1.000000000,",  # year not an integer
+            "2,0,loan_issued,f000,abc,",  # amount not a decimal
+            "2,0,loan_issued,f000,1.000000000,face=1",  # kind carries no detail
+            "2,5,lien_settled,f000,1.000000000,",  # detail missing
+            "2,5,lien_settled,f000,1.000000000,share=0.77",  # wrong key
+            "2,5,lien_created,f000,1,origin=5|fraction=0.77",  # keys out of order
+            "2,5,lien_created,f000,1,fraction=0.77|origin=five",  # bad int value
+            "2,5,exit_proceeds,f000,1,face=1|uw_share=x|bank_share=1",  # bad decimal
+        ],
+    )
+    def test_malformed_row_names_its_line(self, row):
+        text = "\n".join((",".join(simulation.EVENT_COLUMNS),) + self.GOOD_ROWS + (row,))
+        with pytest.raises(InvalidParameterError, match="line 4"):
+            events_from_csv(text + "\n")
+
+    def test_good_rows_parse_to_typed_details(self):
+        text = "\n".join((",".join(simulation.EVENT_COLUMNS),) + self.GOOD_ROWS)
+        injection, booked = events_from_csv(text + "\n")
+        assert injection.detail is None
+        assert booked.detail == simulation.DinBooked(Decimal("0.1"), Decimal("0.9"))
+
+
+class TestNoteLifecycle:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(clawback_option="C"),
+            dict(clawback_fraction="1.0", clawback_option="B", audit_verdict=True),
+            dict(salvage_mode="classical_multiple"),
+            dict(clawback_fraction="0"),
+        ],
+    )
+    def test_each_payout_attaches_exactly_one_lien(self, overrides):
+        cfg = ScenarioConfig.calibration(target_classical_return="1.31", **overrides)
+        r = run_scenario(cfg)
+        paid = [e.fund_id for e in r.events if e.kind == "bankruptcy_payout"]
+        exited = {e.fund_id for e in r.events if e.kind == "exit_proceeds"}
+        liens = [e.fund_id for e in r.events if e.kind == "lien_created"]
+        assert paid and exited
+        assert sorted(liens) == (sorted(paid) if cfg.clawback_policy() else [])
+        assert not exited & set(liens)
 
 
 class TestCloseout:
@@ -217,6 +273,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError):
             ScenarioConfig(clawback_fraction="0.77", clawback_option="B")
 
+    @pytest.mark.parametrize("field", ["premium_rate", "target_classical_return"])
+    @pytest.mark.parametrize("value", ["abc", "NaN", "-Infinity"])
+    def test_non_finite_decimal_rejected(self, field, value):
+        with pytest.raises(InvalidParameterError, match=f"{field} must be a finite decimal"):
+            ScenarioConfig(**{field: value})
+
     def test_fraction_domains(self):
         with pytest.raises(InvalidParameterError):
             ScenarioConfig(clawback_fraction="0.5")
@@ -250,6 +312,21 @@ class TestSweep:
         assert res.failures
         assert all(f.classical_return == Decimal("-1.0") for f in res.failures)
         assert res.curve("din_10y")[0][0] == Decimal("1.0")
+
+    def test_non_finite_targets_become_rows_naming_the_rule(self):
+        res = sweep_classical_return(ScenarioConfig.calibration(), ["NaN", "Infinity"])
+        assert not res.points
+        assert len(res.failures) == 12
+        for f in res.failures:
+            assert "target_classical_return must be a finite decimal" in f.message
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(config):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(simulation, "run_scenario", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            sweep_classical_return(ScenarioConfig.calibration(), self.GRID[:1])
 
     def test_underwriter_profit_nondecreasing_under_defaults(self):
         res = sweep_classical_return(ScenarioConfig(), self.GRID)
