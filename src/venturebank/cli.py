@@ -16,6 +16,7 @@ import tempfile
 from decimal import Decimal
 
 from .errors import ConfigError, VentureBankError
+from .money import in_money_context
 from .multipliers import KrakenParams, classical_multiplier, kraken_multiplier
 from .registry import (
     ForwardPeriod,
@@ -34,6 +35,9 @@ from .simulation import (
 )
 
 SCHEMA_VERSION = 1
+
+# Most points a sweep grid may have; each point runs one scenario per curve.
+MAX_SWEEP_POINTS = 1000
 
 DEFAULT_KRAKEN_GRID = {
     "reserve_fractions": ["0.05", "0.025"],
@@ -81,8 +85,26 @@ def load_config(path: str) -> dict:
     return data
 
 
+def _section(data: dict, name: str) -> dict:
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    return section
+
+
+def _config_decimal(name: str, value, finite: bool = True) -> Decimal:
+    try:
+        d = Decimal(str(value))
+        if d.is_finite() or not finite:
+            return d
+    except ArithmeticError:
+        pass
+    kind = "finite decimal" if finite else "decimal"
+    raise ConfigError(f"{name} must be a {kind}, got {str(value)!r}")
+
+
 def scenario_from_config(data: dict, seed_override: int | None) -> ScenarioConfig:
-    section = dict(data.get("scenario", {}))
+    section = dict(_section(data, "scenario"))
     spread = section.pop("spread", None)
     if seed_override is not None:
         section["seed"] = seed_override
@@ -96,28 +118,32 @@ def scenario_from_config(data: dict, seed_override: int | None) -> ScenarioConfi
 
 def cmd_kraken(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
     grid = dict(DEFAULT_KRAKEN_GRID)
-    grid.update(data.get("kraken", {}))
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["reserve_fraction", "depth", "iteration_limit", "classical", "multiplier"]
-    )
-    for rf in grid["reserve_fractions"]:
-        for depth in grid["depths"]:
-            params = KrakenParams(
+    grid.update(_section(data, "kraken"))
+    try:
+        rows = [
+            (rf, depth, KrakenParams(
                 reserve_fraction=float(rf),
                 iteration_limit=int(grid["iteration_limit"]),
                 depth=int(depth),
                 insurance_price=float(grid["insurance_price"]),
                 origination=float(grid["origination"]),
                 tranche_insured=float(grid["tranche_insured"]),
-            )
-            value = kraken_multiplier(params)
-            base = classical_multiplier(
-                params.reserve_fraction, params.iteration_limit
-            )
-            w.writerow([rf, depth, grid["iteration_limit"], f"{base:.9f}", f"{value:.9f}"])
+            ))
+            for rf in grid["reserve_fractions"]
+            for depth in grid["depths"]
+        ]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad kraken field: {exc}") from exc
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(
+        ["reserve_fraction", "depth", "iteration_limit", "classical", "multiplier"]
+    )
+    for rf, depth, params in rows:
+        value = kraken_multiplier(params)
+        base = classical_multiplier(params.reserve_fraction, params.iteration_limit)
+        w.writerow([rf, depth, grid["iteration_limit"], f"{base:.9f}", f"{value:.9f}"])
 
     path = os.path.join(out_dir, "kraken_curves.csv")
     _atomic_write(path, buf.getvalue())
@@ -135,14 +161,32 @@ def cmd_simulate(data: dict, out_dir: str, seed_override: int | None) -> list[st
 
 
 def _sweep_grid(section: dict) -> list[Decimal]:
+    too_many = f"a sweep grid may have at most {MAX_SWEEP_POINTS} points"
     if "grid" in section:
-        return [Decimal(str(v)) for v in section["grid"]]
+        values = section["grid"]
+        if not isinstance(values, list):
+            raise ConfigError("sweep grid must be a JSON array")
+        if len(values) > MAX_SWEEP_POINTS:
+            raise ConfigError(too_many)
+        # A non-finite point is priced like any other and fails per curve.
+        return [_config_decimal("sweep grid point", v, finite=False) for v in values]
     if {"start", "stop", "step"} <= set(section):
-        start = Decimal(str(section["start"]))
-        stop = Decimal(str(section["stop"]))
-        step = Decimal(str(section["step"]))
+        start, stop, step = (
+            _config_decimal(f"sweep {name}", section[name])
+            for name in ("start", "stop", "step")
+        )
         if step <= 0:
             raise ConfigError("sweep step must be > 0")
+        try:
+            count = (stop - start) / step + 1
+            # A step lost to rounding next to start or stop never advances.
+            stalls = stop + step == stop or start + step == start
+        except ArithmeticError as exc:  # past the decimal exponent range
+            raise ConfigError("sweep start/stop/step are out of range") from exc
+        if count > MAX_SWEEP_POINTS:
+            raise ConfigError(too_many)
+        if stalls:
+            raise ConfigError("sweep step is below the precision of start/stop")
         grid = []
         t = start
         while t <= stop:
@@ -154,7 +198,7 @@ def _sweep_grid(section: dict) -> list[Decimal]:
 
 def cmd_sweep(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
     config = scenario_from_config(data, seed_override)
-    grid = _sweep_grid(data.get("sweep", {}))
+    grid = _sweep_grid(_section(data, "sweep"))
     result = sweep_classical_return(config, grid)
 
     curves_path = os.path.join(out_dir, "curves.csv")
@@ -170,23 +214,44 @@ def cmd_sweep(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
     return [curves_path, failures_path]
 
 
-def _package_rule(section: dict):
+def _package_args(section: dict) -> dict:
+    """The build_package arguments an audit package section declares."""
     kind = section.get("rule")
-    if kind == "forward_period":
-        return ForwardPeriod(
-            from_year=int(section["from_year"]),
-            to_year=int(section["to_year"]) if "to_year" in section else None,
+    try:
+        if kind == "forward_period":
+            rule = ForwardPeriod(
+                from_year=int(section["from_year"]),
+                to_year=int(section["to_year"]) if "to_year" in section else None,
+            )
+        elif kind == "random_n":
+            rule = RandomN(n=int(section["n"]), seed=int(section["seed"]))
+        else:
+            raise ConfigError("package rule must be forward_period or random_n")
+        return dict(
+            underwriter_id=section["underwriter_id"],
+            rule=rule,
+            public_fraction=_config_decimal(
+                "public_fraction", section.get("public_fraction", "0.5")
+            ),
+            package_id=section.get("package_id", "pkg"),
         )
-    if kind == "random_n":
-        return RandomN(n=int(section["n"]), seed=int(section["seed"]))
-    raise ConfigError("package rule must be forward_period or random_n")
+    except KeyError as exc:
+        raise ConfigError(f"audit package needs {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad audit package field: {exc}") from exc
 
 
 def cmd_audit(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
-    section = data.get("audit", {})
+    section = _section(data, "audit")
     registry_path = section.get("registry_path")
-    if not registry_path:
+    if not registry_path or not isinstance(registry_path, str):
         raise ConfigError("audit section needs registry_path")
+    package_section = _section(section, "package")
+    package_args = _package_args(package_section) if package_section else None
+    try:
+        threshold = float(section.get("significance", 0.05))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad audit significance: {exc}") from exc
     try:
         with open(registry_path, encoding="utf-8") as handle:
             registry = import_records(handle.read())
@@ -204,19 +269,9 @@ def cmd_audit(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
     _atomic_write(path, buf.getvalue())
     written.append(path)
 
-    package_section = section.get("package")
-    if package_section:
-        package = build_package(
-            registry,
-            underwriter_id=package_section["underwriter_id"],
-            rule=_package_rule(package_section),
-            public_fraction=package_section.get("public_fraction", "0.5"),
-            package_id=package_section.get("package_id", "pkg"),
-        )
-        report = audit_representativeness(
-            package, registry,
-            threshold=float(section.get("significance", 0.05)),
-        )
+    if package_args is not None:
+        package = build_package(registry, **package_args)
+        report = audit_representativeness(package, registry, threshold=threshold)
         path = os.path.join(out_dir, "representativeness.csv")
         _atomic_write(path, report.to_csv())
         written.append(path)
@@ -246,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@in_money_context
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -189,13 +189,6 @@ def book_din_to_capital(
     )
 
 
-def release_din_capital(account: CapitalAccount) -> tuple[CapitalAccount, Decimal]:
-    """Unwind all insured-asset capital (portfolio close).  Returns the
-    stripped account and the amount released."""
-    released = account.tier1_insured + account.tier2_insured
-    return replace(account, tier1_insured=Decimal("0"), tier2_insured=Decimal("0")), released
-
-
 def write_investment_loan(
     ledger: Ledger, account: CapitalAccount, amount, year: int, memo: str = "investment loan"
 ) -> Transaction:

@@ -4,11 +4,49 @@ All currency and limit arithmetic in this package runs on Decimal with an
 explicit scale of 9 fractional digits. Binary floats are allowed only inside
 the money-multiplier evaluators, which are pure ratios. Converting a float
 into money goes through str() so the value seen is the value stored.
+
+Results never depend on the caller's decimal context: the helpers here
+compute in DECIMAL_CONTEXT, and the package's entry points are wrapped in
+in_money_context, which runs them inside localcontext(DECIMAL_CONTEXT).
 """
 
-from decimal import Decimal, ROUND_HALF_EVEN, ROUND_FLOOR
+import functools
+from decimal import (
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+    ROUND_FLOOR,
+    ROUND_HALF_EVEN,
+    localcontext,
+)
 
 MONEY_SCALE = Decimal("0.000000001")  # 9 fractional digits
+
+# Every field is spelled out: a Context() field left unset is copied from
+# the process-wide, mutable decimal.DefaultContext.  The helpers below pass
+# it explicitly, which only raises its signal flags; no result reads them.
+DECIMAL_CONTEXT = Context(
+    prec=28,
+    rounding=ROUND_HALF_EVEN,
+    Emin=-999999,
+    Emax=999999,
+    capitals=1,
+    clamp=0,
+    flags=[],
+    traps=[InvalidOperation, DivisionByZero, Overflow],
+)
+
+
+def in_money_context(fn):
+    """Run `fn` inside DECIMAL_CONTEXT, whatever the caller's context is."""
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        with localcontext(DECIMAL_CONTEXT):
+            return fn(*args, **kwargs)
+    return pinned
+
 
 ZERO = Decimal(0)
 ONE = Decimal(1)
@@ -22,7 +60,7 @@ def money(value) -> Decimal:
         d = Decimal(str(value))
     else:
         d = Decimal(value)
-    return d.quantize(MONEY_SCALE, rounding=ROUND_HALF_EVEN)
+    return d.quantize(MONEY_SCALE, rounding=ROUND_HALF_EVEN, context=DECIMAL_CONTEXT)
 
 
 def money_floor(value) -> Decimal:
@@ -30,7 +68,7 @@ def money_floor(value) -> Decimal:
     booking can never exceed the cap it was computed from."""
     if not isinstance(value, Decimal):
         value = Decimal(str(value))
-    return value.quantize(MONEY_SCALE, rounding=ROUND_FLOOR)
+    return value.quantize(MONEY_SCALE, rounding=ROUND_FLOOR, context=DECIMAL_CONTEXT)
 
 
 def compound(principal, rate, periods: int) -> Decimal:
@@ -41,8 +79,9 @@ def compound(principal, rate, periods: int) -> Decimal:
         principal = Decimal(str(principal))
     if not isinstance(rate, Decimal):
         rate = Decimal(str(rate))
-    growth = (ONE + rate) ** periods
-    return money(principal * growth)
+    ctx = DECIMAL_CONTEXT
+    growth = ctx.power(ctx.add(ONE, rate), periods)
+    return money(ctx.multiply(principal, growth))
 
 
 def fmt(value: Decimal) -> str:

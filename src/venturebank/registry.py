@@ -18,6 +18,8 @@ from .errors import (
     DuplicateIdError,
     InvalidParameterError,
     PackagingError,
+    RegistryError,
+    VentureBankError,
 )
 from .money import money
 
@@ -203,6 +205,8 @@ def build_package(
         hi = rule.to_year if rule.to_year is not None else 10**9
         chosen = [r for r in candidates if rule.from_year <= r.vintage_year <= hi]
     else:
+        if rule.n < 0:
+            raise PackagingError(f"random_n needs n >= 0, got {rule.n}")
         if rule.n > len(candidates):
             raise PackagingError(
                 f"asked for {rule.n} notes, only {len(candidates)} available"
@@ -324,27 +328,42 @@ def export_records(registry: Registry) -> str:
 
 
 def import_records(text: str) -> Registry:
+    """Rebuild a registry from export_records' JSONL.  A line that is not a
+    JSON object or lacks a field raises RegistryError naming the line."""
     registry = Registry()
     deferred_links: list[tuple[str, str]] = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        raw = json.loads(line)
-        record = RegistryRecord(
-            din_id=raw["din_id"],
-            kind=raw["kind"],
-            underwriter_id=raw["underwriter_id"],
-            bank_id=raw["bank_id"],
-            investment_id=raw["investment_id"],
-            principal=raw["principal"],
-            sector=raw["sector"],
-            vintage_year=raw["vintage_year"],
-            terms_digest=raw.get("terms_digest", ""),
-            attached=raw.get("attached", True),
-            status=DinState(raw.get("status", "active")),
-            counterpart_ref=None,
-            expected_multiple=raw.get("expected_multiple"),
-        )
+        try:
+            raw = json.loads(line)
+            if not isinstance(raw, dict):
+                raise TypeError("not a JSON object")
+            record = RegistryRecord(
+                din_id=raw["din_id"],
+                kind=raw["kind"],
+                underwriter_id=raw["underwriter_id"],
+                bank_id=raw["bank_id"],
+                investment_id=raw["investment_id"],
+                principal=raw["principal"],
+                sector=raw["sector"],
+                vintage_year=raw["vintage_year"],
+                terms_digest=raw.get("terms_digest", ""),
+                attached=raw.get("attached", True),
+                status=DinState(raw.get("status", "active")),
+                counterpart_ref=None,
+                expected_multiple=raw.get("expected_multiple"),
+            )
+        except VentureBankError:
+            raise
+        except json.JSONDecodeError as exc:
+            raise RegistryError(
+                f"registry line {number}: invalid JSON, {exc.msg} (column {exc.colno})"
+            ) from exc
+        except KeyError as exc:
+            raise RegistryError(f"registry line {number}: missing field {exc}") from exc
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise RegistryError(f"registry line {number}: {exc}") from exc
         registry.register(record)
         ref = raw.get("counterpart_ref")
         if ref is not None and raw["kind"] == PRIMARY:

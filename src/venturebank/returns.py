@@ -11,7 +11,8 @@ Multiples are Decimal at scale 9 so downstream cash flows stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 
 import numpy as np
@@ -41,6 +42,12 @@ class SpreadParams:
     survivor_shape: float = 2.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise InvalidParameterError(
+                    f"{f.name} must be a finite number, got {value!r}")
         if not 0.0 < self.loser_fraction < 1.0:
             raise InvalidParameterError(
                 f"loser_fraction must be in (0, 1), got {self.loser_fraction}")

@@ -43,10 +43,9 @@ from .ledger import (
     carrying_cost,
     cr,
     dr,
-    release_din_capital,
     write_investment_loan,
 )
-from .money import fmt, money
+from .money import fmt, in_money_context, money
 from .multipliers import capital_limits
 from .returns import (
     FAILURE,
@@ -106,26 +105,18 @@ class ScenarioConfig:
     audit_verdict: bool | None = None
     spread: SpreadParams = field(default_factory=SpreadParams)
 
+    @in_money_context
     def __post_init__(self) -> None:
-        for name in (
-            "reserve_fraction",
-            "premium_rate",
-            "equity_fraction",
-            "coverage",
-            "clawback_fraction",
-            "bank_rate",
-            "moc",
-            "initial_capital",
-        ):
-            object.__setattr__(self, name, _finite_decimal(name, getattr(self, name)))
+        for name in ("n_funds", "seed", "failure_year", "exit_year", "horizon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        names = ["reserve_fraction", "premium_rate", "equity_fraction", "coverage",
+                 "clawback_fraction", "bank_rate", "moc", "initial_capital"]
         if self.target_classical_return is not None:
-            object.__setattr__(
-                self,
-                "target_classical_return",
-                _finite_decimal(
-                    "target_classical_return", self.target_classical_return
-                ),
-            )
+            names.append("target_classical_return")
+        for name in names:
+            object.__setattr__(self, name, _finite_decimal(name, getattr(self, name)))
         if not Decimal(0) < self.reserve_fraction <= 1:
             raise InvalidParameterError("reserve_fraction must be in (0, 1]")
         for name in ("premium_rate", "equity_fraction", "coverage"):
@@ -142,8 +133,10 @@ class ScenarioConfig:
             raise InvalidParameterError("option B carries the full base, not 0.77")
         if self.bank_rate < 0:
             raise InvalidParameterError("bank_rate must be >= 0")
-        if self.n_funds < 1:
-            raise InvalidParameterError("n_funds must be >= 1")
+        if self.n_funds < 2:
+            raise InvalidParameterError("n_funds must be >= 2")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be >= 0")
         if not 1 <= self.failure_year < self.exit_year:
             raise InvalidParameterError("need 1 <= failure_year < exit_year")
         if not self.exit_year <= self.horizon <= 15:
@@ -152,6 +145,14 @@ class ScenarioConfig:
             raise InvalidParameterError("initial_capital must be > 0")
         if self.moc <= 0:
             raise InvalidParameterError("moc must be > 0")
+        if self.salvage_mode not in SALVAGE_MODES:
+            raise InvalidParameterError(f"salvage_mode must be one of {SALVAGE_MODES}")
+        if self.exit_equity_mode not in EXIT_EQUITY_MODES:
+            raise InvalidParameterError(
+                f"exit_equity_mode must be one of {EXIT_EQUITY_MODES}")
+        if self.audit_verdict not in (None, True, False):
+            raise InvalidParameterError("audit_verdict must be true, false or null")
+        self.spread.validate()
         limits = capital_limits(self.initial_capital, self.reserve_fraction)
         if money(self.moc * self.initial_capital) > limits.max_loan_limit:
             raise InvalidParameterError(
@@ -347,9 +348,6 @@ class _RunState:
     config: ScenarioConfig
     distribution: ReturnDistribution
     notes: list[DinContract]  # one per fund, in distribution order
-    bank: Ledger
-    underwriter: Ledger
-    capital: CapitalAccount
     log: _EventLog
     booked: Decimal
 
@@ -362,14 +360,6 @@ def _loan_faces(config: ScenarioConfig) -> list[Decimal]:
     return faces
 
 
-def _mirror(state: _RunState, year: int, memo: str, debit: Account,
-            credit: Account, amount: Decimal) -> None:
-    """Post a bank-underwriter flow: the bank debits `debit` and credits
-    `credit`, and the underwriter books the same amount the other way."""
-    state.bank.post(year, memo, [dr(debit, amount), cr(credit, amount)])
-    state.underwriter.post(year, memo, [dr(credit, amount), cr(debit, amount)])
-
-
 def _initialize(config: ScenarioConfig) -> _RunState:
     dist = synthesize_distribution(
         seed=config.seed, n_funds=config.n_funds, spread=config.spread
@@ -377,15 +367,8 @@ def _initialize(config: ScenarioConfig) -> _RunState:
     if config.target_classical_return is not None:
         dist = rescale_to_target(dist, config.target_classical_return)
 
-    bank = Ledger("bank")
-    underwriter = Ledger("underwriter")
     log = _EventLog()
-    capital = CapitalAccount(
-        tier1_core=config.initial_capital, reserve_fraction=config.reserve_fraction
-    )
-
     c = config.initial_capital
-    bank.post(0, "paid-in capital", [dr(Account.CASH, c), cr(Account.TIER1_CORE, c)])
     log.add(0, "capital_injection", "", c)
 
     faces = _loan_faces(config)
@@ -394,22 +377,13 @@ def _initialize(config: ScenarioConfig) -> _RunState:
 
     # Insured-note value stands in as capital first, widening the loan
     # ceiling before the book is written.
-    capital, booked, _ = book_din_to_capital(capital, insured_value)
+    capital, booked, _ = book_din_to_capital(
+        CapitalAccount(tier1_core=c, reserve_fraction=config.reserve_fraction),
+        insured_value,
+    )
     if booked > 0:
-        before = CapitalAccount(
-            tier1_core=config.initial_capital,
-            reserve_fraction=config.reserve_fraction,
-        )
-        t1_part = capital.tier1_insured - before.tier1_insured
-        t2_part = capital.tier2_insured - before.tier2_insured
-        postings = []
-        if t1_part > 0:
-            postings.append(dr(Account.TIER1_INSURED, t1_part))
-        if t2_part > 0:
-            postings.append(dr(Account.TIER2_INSURED, t2_part))
-        postings.append(cr(Account.EQUITY_HOLDINGS, booked))
-        bank.post(0, "insured-asset capital recognition", postings)
-        log.add(0, "din_booked", "", booked, DinBooked(t1_part, t2_part))
+        log.add(0, "din_booked", "", booked,
+                DinBooked(capital.tier1_insured, capital.tier2_insured))
 
     if total_loans > capital.lending_limit:
         raise SimulationError(
@@ -421,10 +395,6 @@ def _initialize(config: ScenarioConfig) -> _RunState:
 
     notes = []
     for outcome, face in zip(dist.outcomes, faces):
-        try:
-            write_investment_loan(bank, capital, face, year=0, memo=f"loan {outcome.fund_id}")
-        except LoanLimitError as exc:
-            raise SimulationError(str(exc), year=0, account="loans") from exc
         log.add(0, "loan_issued", outcome.fund_id, face)
         notes.append(
             DinContract(
@@ -438,22 +408,10 @@ def _initialize(config: ScenarioConfig) -> _RunState:
 
     drawdown = money(total_loans * Decimal("0.5"))
     if drawdown > 0:
-        bank.post(
-            0,
-            "investor drawdowns",
-            [dr(Account.DEPOSITS, drawdown), cr(Account.CASH, drawdown)],
-        )
         log.add(0, "deposit_drawdown", "", drawdown)
 
     return _RunState(
-        config=config,
-        distribution=dist,
-        notes=notes,
-        bank=bank,
-        underwriter=underwriter,
-        capital=capital,
-        log=log,
-        booked=booked,
+        config=config, distribution=dist, notes=notes, log=log, booked=booked
     )
 
 
@@ -467,9 +425,6 @@ def _run_years(state: _RunState) -> None:
     for year in range(1, config.horizon + 1):
         for note, premium in zip(state.notes, premiums):
             if note.state is DinState.ACTIVE:
-                if premium > 0:
-                    _mirror(state, year, f"premium {note.contract_id}",
-                            Account.PREMIUMS_PAID, Account.CASH, premium)
                 state.log.add(year, "premium_paid", note.contract_id, premium)
 
         if year == config.failure_year:
@@ -496,38 +451,16 @@ def _settle_failures(state: _RunState, year: int, policy: ClawbackPolicy | None)
             TriggerEvent(BANKRUPTCY, year, payload=equity_valuation),
             clawback=policy,
         )
-        payout = settlement.cash_to_bank
-        _mirror(state, year, f"note payout {fund}",
-                Account.CASH, Account.PAYOUTS_RECEIVED, payout)
         state.log.add(
-            year, "bankruptcy_payout", fund, payout,
+            year, "bankruptcy_payout", fund, settlement.cash_to_bank,
             BankruptcyPayout(equity_valuation, outcome.ten_year_multiple),
         )
-
-        state.bank.post(
-            year,
-            f"write off {fund}",
-            [dr(Account.PAYOUTS_RECEIVED, face), cr(Account.LOANS, face)],
-        )
         state.log.add(year, "loan_written_off", fund, face)
-
         if equity_valuation > 0:
-            state.underwriter.post(
-                year,
-                f"salvage equity {fund}",
-                [
-                    dr(Account.EQUITY_HOLDINGS, equity_valuation),
-                    cr(Account.PAYOUTS_RECEIVED, equity_valuation),
-                ],
-            )
             state.log.add(year, "equity_accepted", fund, equity_valuation)
 
         lien = settlement.lien
         if lien is not None:
-            obligation = money(lien.fraction * lien.base)
-            if obligation > 0:
-                _mirror(state, year, f"clawback lien {fund}",
-                        Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS, obligation)
             state.log.add(
                 year, "lien_created", fund, lien.base,
                 LienCreated(lien.fraction, lien.origin_year),
@@ -540,37 +473,25 @@ def _settle_exits(state: _RunState, year: int) -> None:
         if outcome.classification == FAILURE:
             continue
         note = notes[i]
-        fund, face = note.contract_id, note.principal
         notes[i], _ = apply_trigger(note, TriggerEvent(EXIT, year))
-        proceeds = money(outcome.ten_year_multiple * face)
+        proceeds = money(outcome.ten_year_multiple * note.principal)
         uw_share, bank_share = exit_equity_split(
             proceeds, note.coverage, note.equity_fraction
         )
-
-        postings = [dr(Account.CASH, face + bank_share), cr(Account.LOANS, face)]
-        if bank_share > 0:
-            postings.append(cr(Account.EQUITY_HOLDINGS, bank_share))
-        state.bank.post(year, f"exit {fund}", postings)
-        if uw_share > 0:
-            state.underwriter.post(
-                year,
-                f"exit {fund}",
-                [dr(Account.CASH, uw_share), cr(Account.EQUITY_HOLDINGS, uw_share)],
-            )
         state.log.add(
-            year, "exit_proceeds", fund, proceeds,
-            ExitProceeds(face, uw_share, bank_share),
+            year, "exit_proceeds", note.contract_id, proceeds,
+            ExitProceeds(note.principal, uw_share, bank_share),
         )
 
 
-def portfolio_closeout(state: _RunState, year: int | None = None) -> SimulationReport:
-    """Settle every lien, release the capital booking, and close the books.
+def portfolio_closeout(state: _RunState) -> None:
+    """Settle every lien and release the capital booking at the exit year.
 
     Payouts have been parked since failure_year; their carrying cost to the
     closeout year is charged to the underwriter as event-log entries.
     """
     config = state.config
-    closeout_year = config.exit_year if year is None else year
+    closeout_year = config.exit_year
 
     for lien in (lien for note in state.notes for lien in note.liens):
         try:
@@ -581,19 +502,9 @@ def portfolio_closeout(state: _RunState, year: int | None = None) -> SimulationR
             raise SimulationError(
                 str(exc), year=closeout_year, account="lien_obligations"
             ) from exc
-        fund = lien.contract_id
-        delta = amount - money(lien.fraction * lien.base)
-        if delta > 0:  # accrued interest joins the obligation
-            _mirror(state, closeout_year, f"lien interest {fund}",
-                    Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS, delta)
-        elif delta < 0:  # option-B verdict released part of the pending base
-            _mirror(state, closeout_year, f"lien release {fund}",
-                    Account.LIEN_OBLIGATIONS, Account.PAYOUTS_RECEIVED, -delta)
-        if amount > 0:
-            _mirror(state, closeout_year, f"lien settled {fund}",
-                    Account.LIEN_OBLIGATIONS, Account.CASH, amount)
         state.log.add(
-            closeout_year, "lien_settled", fund, amount, LienSettled(settled.fraction)
+            closeout_year, "lien_settled", lien.contract_id, amount,
+            LienSettled(settled.fraction),
         )
 
     for e in state.log.events():
@@ -606,26 +517,100 @@ def portfolio_closeout(state: _RunState, year: int | None = None) -> SimulationR
                 state.log.add(closeout_year, "carrying_cost", e.fund_id, cost)
 
     if state.booked > 0:
-        acct = state.capital
-        postings = [dr(Account.EQUITY_HOLDINGS, state.booked)]
-        if acct.tier1_insured > 0:
-            postings.append(cr(Account.TIER1_INSURED, acct.tier1_insured))
-        if acct.tier2_insured > 0:
-            postings.append(cr(Account.TIER2_INSURED, acct.tier2_insured))
-        state.bank.post(closeout_year, "capital booking unwound", postings)
-        state.capital, released = release_din_capital(acct)
-        state.log.add(closeout_year, "din_released", "", released)
-
-    figures = replay(state.log.events(), config)
-    return SimulationReport(
-        config=config,
-        events=state.log.events(),
-        bank_ledger=state.bank,
-        underwriter_ledger=state.underwriter,
-        **figures,
-    )
+        state.log.add(closeout_year, "din_released", "", state.booked)
 
 
+def post_books(events, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
+    """Derive the bank's and the underwriter's books from an event log.
+
+    The log is folded in order with one posting rule per event kind, so
+    a serialized log rebuilds both journals exactly.
+    """
+    bank = Ledger("bank")
+    underwriter = Ledger("underwriter")
+    capital = None
+    obligations: dict[str, Decimal] = {}  # lien obligation per fund
+
+    def post(ledger: Ledger, year: int, memo: str, debit: Account,
+             credit: Account, amount: Decimal) -> None:
+        ledger.post(year, memo, [dr(debit, amount), cr(credit, amount)])
+
+    def mirror(year: int, memo: str, debit: Account, credit: Account,
+               amount: Decimal) -> None:
+        """The bank debits `debit` and credits `credit`; the underwriter
+        books the same amount the other way."""
+        post(bank, year, memo, debit, credit, amount)
+        post(underwriter, year, memo, credit, debit, amount)
+
+    for e in events:
+        year, kind, fund, amount = e.year, e.kind, e.fund_id, e.amount
+        if kind == "premium_paid":
+            if amount > 0:
+                mirror(year, f"premium {fund}", Account.PREMIUMS_PAID, Account.CASH, amount)
+        elif kind == "capital_injection":
+            post(bank, year, "paid-in capital", Account.CASH, Account.TIER1_CORE, amount)
+            capital = CapitalAccount(tier1_core=amount,
+                                     reserve_fraction=config.reserve_fraction)
+        elif kind == "din_booked":
+            t1, t2 = e.detail
+            capital = replace(capital, tier1_insured=t1, tier2_insured=t2)
+            postings = [dr(Account.TIER1_INSURED, t1)] if t1 > 0 else []
+            if t2 > 0:
+                postings.append(dr(Account.TIER2_INSURED, t2))
+            postings.append(cr(Account.EQUITY_HOLDINGS, amount))
+            bank.post(year, "insured-asset capital recognition", postings)
+        elif kind == "din_released":
+            postings = [dr(Account.EQUITY_HOLDINGS, amount)]
+            if capital.tier1_insured > 0:
+                postings.append(cr(Account.TIER1_INSURED, capital.tier1_insured))
+            if capital.tier2_insured > 0:
+                postings.append(cr(Account.TIER2_INSURED, capital.tier2_insured))
+            bank.post(year, "capital booking unwound", postings)
+        elif kind == "loan_issued":
+            try:
+                write_investment_loan(bank, capital, amount, year=year, memo=f"loan {fund}")
+            except LoanLimitError as exc:
+                raise SimulationError(str(exc), year=year, account="loans") from exc
+        elif kind == "deposit_drawdown":
+            post(bank, year, "investor drawdowns", Account.DEPOSITS, Account.CASH, amount)
+        elif kind == "bankruptcy_payout":
+            mirror(year, f"note payout {fund}", Account.CASH, Account.PAYOUTS_RECEIVED, amount)
+        elif kind == "loan_written_off":
+            post(bank, year, f"write off {fund}",
+                 Account.PAYOUTS_RECEIVED, Account.LOANS, amount)
+        elif kind == "equity_accepted":
+            post(underwriter, year, f"salvage equity {fund}",
+                 Account.EQUITY_HOLDINGS, Account.PAYOUTS_RECEIVED, amount)
+        elif kind == "lien_created":
+            obligation = obligations[fund] = money(e.detail.fraction * amount)
+            if obligation > 0:
+                mirror(year, f"clawback lien {fund}",
+                       Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS, obligation)
+        elif kind == "exit_proceeds":
+            face, uw_share, bank_share = e.detail
+            postings = [dr(Account.CASH, face + bank_share), cr(Account.LOANS, face)]
+            if bank_share > 0:
+                postings.append(cr(Account.EQUITY_HOLDINGS, bank_share))
+            bank.post(year, f"exit {fund}", postings)
+            if uw_share > 0:
+                post(underwriter, year, f"exit {fund}",
+                     Account.CASH, Account.EQUITY_HOLDINGS, uw_share)
+        elif kind == "lien_settled":
+            delta = amount - obligations[fund]
+            if delta > 0:  # accrued interest joins the obligation
+                mirror(year, f"lien interest {fund}",
+                       Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS, delta)
+            elif delta < 0:  # option-B verdict released part of the pending base
+                mirror(year, f"lien release {fund}",
+                       Account.LIEN_OBLIGATIONS, Account.PAYOUTS_RECEIVED, -delta)
+            if amount > 0:
+                mirror(year, f"lien settled {fund}",
+                       Account.LIEN_OBLIGATIONS, Account.CASH, amount)
+        # carrying_cost is the underwriter's foregone interest: it posts nothing.
+    return bank, underwriter
+
+
+@in_money_context
 def replay(events, config: ScenarioConfig) -> dict:
     """Aggregate an event log back into the report figures.
 
@@ -705,10 +690,20 @@ def _classical_mean(events, config: ScenarioConfig) -> float:
     return float(total / sum(faces.values(), Decimal("0")))
 
 
+@in_money_context
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
     state = _initialize(config)
     _run_years(state)
-    return portfolio_closeout(state)
+    portfolio_closeout(state)
+    events = state.log.events()
+    bank, underwriter = post_books(events, config)
+    return SimulationReport(
+        config=config,
+        events=events,
+        bank_ledger=bank,
+        underwriter_ledger=underwriter,
+        **replay(events, config),
+    )
 
 
 @dataclass(frozen=True)
@@ -758,6 +753,7 @@ SWEEP_CURVES = (
 )
 
 
+@in_money_context
 def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
     """Rerun the scenario over a grid of portfolio returns, one row per
     (curve, grid point).  Point failures are recorded, not fatal."""

@@ -7,7 +7,8 @@ from decimal import Decimal
 
 import pytest
 
-from venturebank.cli import main
+from venturebank.cli import MAX_SWEEP_POINTS, _sweep_grid, main
+from venturebank.errors import ConfigError
 from venturebank.registry import Registry, RegistryRecord, export_records, make_terms_digest
 from oracles import is_nondecreasing, kraken_brute_force
 
@@ -26,6 +27,15 @@ def read_rows(path):
 def sha(path):
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
+
+
+def error_line(capsys) -> dict:
+    """The one {"error", "kind"} JSON line a failed command leaves on stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "kind"}
+    return err
 
 
 class TestKraken:
@@ -72,6 +82,22 @@ class TestKraken:
         oracle = kraken_brute_force(0.05, 40, 2, insurance_price=0.01,
                                     origination=1.0, tranche_insured=0.6)
         assert float(row[4]) == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "kraken",
+        [
+            {"reserve_fractions": ["abc"]},
+            {"depths": ["x"]},
+            {"depths": 3},
+            {"iteration_limit": "many"},
+            [0.05],
+        ],
+    )
+    def test_bad_grid_is_one_json_line(self, tmp_path, capsys, kraken):
+        cfg = write_config(tmp_path, {"schema_version": 1, "kraken": kraken})
+        assert main(["kraken", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert error_line(capsys)["kind"] == "ConfigError"
+        assert not os.path.exists(tmp_path / "kraken_curves.csv")
 
 
 class TestSimulate:
@@ -130,16 +156,21 @@ class TestSimulate:
         [
             ({"spread": {"bogus": 1}}, "ConfigError"),
             ({"premium_rate": "abc"}, "InvalidParameterError"),
+            ({"spread": {"loser_fraction": "abc"}}, "InvalidParameterError"),
+            ({"spread": {"survivor_max": 1e999}}, "InvalidParameterError"),
+            ({"seed": "x"}, "InvalidParameterError"),
+            ({"seed": -1}, "InvalidParameterError"),
+            ({"horizon": 10.0}, "InvalidParameterError"),
+            ({"n_funds": 1}, "InvalidParameterError"),
+            ({"salvage_mode": "bogus"}, "InvalidParameterError"),
+            ({"audit_verdict": "yes"}, "InvalidParameterError"),
+            ([1, 2], "ConfigError"),
         ],
     )
     def test_bad_field_is_one_json_line(self, tmp_path, capsys, scenario, kind):
         cfg = write_config(tmp_path, {"schema_version": 1, "scenario": scenario})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert set(err) == {"error", "kind"}
-        assert err["kind"] == kind
+        assert error_line(capsys)["kind"] == kind
         assert not os.path.exists(tmp_path / "report.csv")
 
     def test_domain_error_surfaces_coordinates(self, tmp_path, capsys):
@@ -196,6 +227,32 @@ class TestSweep:
         rows = read_rows(tmp_path / "curves.csv")
         targets = sorted({row[1] for row in rows[1:]})
         assert targets == ["1.0", "1.1", "1.2"]
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"grid": ["abc"]},
+            {"grid": "1.0"},
+            {"grid": ["1.0"] * (MAX_SWEEP_POINTS + 1)},
+            {"start": "abc", "stop": "1.2", "step": "0.1"},
+            {"start": "1.0", "stop": "Infinity", "step": "0.1"},
+            {"start": "0", "stop": "1000", "step": "0.5"},
+            {"start": "1e30", "stop": "1000000000000000000000000000001", "step": "0.01"},
+            {"start": "1", "stop": "9e999999", "step": "1e-999999"},
+            ["1.0"],
+        ],
+    )
+    def test_bad_grid_is_one_json_line(self, tmp_path, capsys, sweep):
+        cfg = write_config(tmp_path, {"schema_version": 1, "scenario": {}, "sweep": sweep})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert error_line(capsys)["kind"] == "ConfigError"
+        assert not os.path.exists(tmp_path / "curves.csv")
+
+    def test_grid_cap_is_checked_on_the_point_count(self):
+        full = {"start": "1", "stop": str(MAX_SWEEP_POINTS), "step": "1"}
+        assert len(_sweep_grid(full)) == MAX_SWEEP_POINTS
+        with pytest.raises(ConfigError, match="at most"):
+            _sweep_grid(dict(full, stop=str(MAX_SWEEP_POINTS + 1)))
 
 
 class TestAudit:
@@ -267,6 +324,41 @@ class TestAudit:
         manifest = write_config(tmp_path, {"schema_version": 1, "audit": {}})
         assert main(["audit", "--config", manifest, "--out", str(tmp_path)]) == 1
         assert json.loads(capsys.readouterr().err)["kind"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "package, kind",
+        [
+            ({"rule": "random_n", "n": 4, "seed": 3}, "ConfigError"),
+            ({"rule": "random_n", "n": "x", "seed": 3, "underwriter_id": "uw1"},
+             "ConfigError"),
+            ({"rule": "forward_period", "underwriter_id": "uw1"}, "ConfigError"),
+            ({"rule": "random_n", "n": 4, "seed": 3, "underwriter_id": "uw1",
+              "public_fraction": "abc"}, "ConfigError"),
+            ({"rule": "random_n", "n": -1, "seed": 3, "underwriter_id": "uw1"},
+             "PackagingError"),
+        ],
+    )
+    def test_bad_package_is_one_json_line(self, tmp_path, capsys, package, kind):
+        manifest = write_config(
+            tmp_path,
+            {"schema_version": 1,
+             "audit": {"registry_path": self.registry_file(tmp_path), "package": package}},
+        )
+        assert main(["audit", "--config", manifest, "--out", str(tmp_path)]) == 1
+        assert error_line(capsys)["kind"] == kind
+        assert not os.path.exists(tmp_path / "representativeness.csv")
+
+    @pytest.mark.parametrize("line", ['{"din_id": "a"', '{"din_id": "a"}', "[1]"])
+    def test_malformed_registry_is_one_json_line(self, tmp_path, capsys, line):
+        path = tmp_path / "registry.jsonl"
+        path.write_text(line + "\n")
+        manifest = write_config(
+            tmp_path, {"schema_version": 1, "audit": {"registry_path": str(path)}}
+        )
+        assert main(["audit", "--config", manifest, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "RegistryError"
+        assert "registry line 1" in err["error"]
 
 
 class TestParser:

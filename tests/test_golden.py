@@ -7,7 +7,8 @@ configs together reach every event kind that carries a detail and every
 settlement branch: premium rounding below full coverage, no clawback
 rider, option B with both verdicts (lien interest and lien release),
 option C, salvaged failures with investment-offset exits, and a horizon
-that runs past the exit year.
+that runs past the exit year.  Both journals must also rebuild exactly
+from the run's saved events.csv through ``post_books``.
 
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the digests of
 the current code.
@@ -18,7 +19,9 @@ import pytest
 
 from venturebank.simulation import (
     ScenarioConfig,
+    events_from_csv,
     events_to_csv,
+    post_books,
     run_scenario,
     sweep_classical_return,
 )
@@ -143,6 +146,16 @@ def curves_digest() -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_digests(name):
     assert digests(CASES[name]()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_books_rebuild_from_saved_log(name):
+    config = CASES[name]()
+    report = run_scenario(config)
+    saved = events_from_csv(events_to_csv(report.events))
+    bank, underwriter = post_books(saved, config)
+    assert journal(bank) == journal(report.bank_ledger)
+    assert journal(underwriter) == journal(report.underwriter_ledger)
 
 
 def test_sweep_curves_match_golden_digest():

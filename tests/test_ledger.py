@@ -20,7 +20,6 @@ from venturebank.ledger import (
     carrying_cost,
     cr,
     dr,
-    release_din_capital,
     write_investment_loan,
 )
 from venturebank.multipliers import capital_limits
@@ -152,12 +151,6 @@ class TestCapitalAccount:
         again, booked, unbooked = book_din_to_capital(acct, "5")
         assert booked == 0 and unbooked == Decimal("5")
         assert again == acct
-
-    def test_release_strips_insured_capital(self):
-        acct, booked, _ = book_din_to_capital(CapitalAccount(tier1_core="1"), "10")
-        stripped, released = release_din_capital(acct)
-        assert released == booked
-        assert stripped.reserves_total == stripped.tier1_core
 
 
 class TestLoanLimit:

@@ -11,6 +11,7 @@ from venturebank.errors import (
     DuplicateIdError,
     InvalidParameterError,
     PackagingError,
+    RegistryError,
 )
 from venturebank.registry import (
     ForwardPeriod,
@@ -275,3 +276,16 @@ class TestExportImport:
         clone = import_records(text)
         assert clone.snapshot() == registry.snapshot()
         assert export_records(clone) == text
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"din_id": "a"', "invalid JSON"),
+            ('{"din_id": "a"}', "missing field 'kind'"),
+            ("[1]", "not a JSON object"),
+        ],
+    )
+    def test_malformed_line_is_named(self, line, reason):
+        text = export_records(ramped_registry(2)) + line + "\n"
+        with pytest.raises(RegistryError, match=f"registry line 3: {reason}"):
+            import_records(text)

@@ -1,5 +1,5 @@
 """Scenario runs: report identities, determinism, replay, and sweep shapes."""
-from decimal import Decimal
+from decimal import Decimal, getcontext, localcontext
 
 import pytest
 
@@ -11,6 +11,7 @@ from venturebank.simulation import (
     ScenarioConfig,
     events_from_csv,
     events_to_csv,
+    post_books,
     replay,
     run_scenario,
     sweep_classical_return,
@@ -255,6 +256,41 @@ class TestCloseout:
         assert count_events(r.events, "lien_created") == 0
         assert count_events(r.events, "lien_settled") == 0
         assert r.bank_ledger.balance(Account.LIEN_OBLIGATIONS) == 0
+
+
+class TestBookKeeper:
+    def test_loan_past_the_lending_limit_names_year_and_account(self):
+        log = [
+            simulation.Event(0, 0, "capital_injection", "", Decimal("1")),
+            simulation.Event(1, 0, "loan_issued", "f0", Decimal("21")),
+        ]
+        with pytest.raises(SimulationError) as err:
+            post_books(log, ScenarioConfig())
+        assert err.value.year == 0 and err.value.account == "loans"
+
+    def test_carrying_cost_posts_nothing(self):
+        cfg = ScenarioConfig.calibration(target_classical_return="1.31")
+        events = run_scenario(cfg).events
+        assert any(e.kind == "carrying_cost" for e in events)
+        kept = [e for e in events if e.kind != "carrying_cost"]
+        books, without = post_books(events, cfg), post_books(kept, cfg)
+        for ledger, bare in zip(books, without):
+            assert ledger.transactions == bare.transactions
+
+
+class TestDecimalContext:
+    def test_caller_precision_does_not_change_outputs(self):
+        cfg = ScenarioConfig.calibration(initial_capital="1000000")
+        expected = run_scenario(cfg)
+        with localcontext() as ctx:
+            ctx.prec = 12
+            report = run_scenario(ScenarioConfig.calibration(initial_capital="1000000"))
+            report_csv, events_csv = report.to_csv(), events_to_csv(report.events)
+            replayed = replay(events_from_csv(events_csv), cfg)
+            assert getcontext().prec == 12
+        assert report_csv == expected.to_csv()
+        assert events_csv == events_to_csv(expected.events)
+        assert replayed["underwriter_investment"] == expected.underwriter_investment
 
 
 class TestConfigValidation:
