@@ -11,7 +11,11 @@ from .errors import (
     LedgerBalanceError,
     LoanLimitError,
 )
-from .money import compound, money, money_floor
+from .money import DECIMAL_CONTEXT, compound, money, money_floor
+
+# money(0).  A one-sided posting keeps this object on its other side, so
+# that side needs no quantize.
+_NO_AMOUNT = Decimal("0E-9")
 
 
 class Account(enum.Enum):
@@ -30,24 +34,33 @@ class Account(enum.Enum):
 @dataclass(frozen=True)
 class Posting:
     account: Account
-    debit: Decimal = Decimal("0")
-    credit: Decimal = Decimal("0")
+    debit: Decimal = _NO_AMOUNT
+    credit: Decimal = _NO_AMOUNT
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "debit", money(self.debit))
-        object.__setattr__(self, "credit", money(self.credit))
-        if self.debit < 0 or self.credit < 0:
+        # The one place a posting amount is quantized.
+        debit, credit = self.debit, self.credit
+        if debit is not _NO_AMOUNT:
+            debit = money(debit)
+            object.__setattr__(self, "debit", debit)
+        if credit is not _NO_AMOUNT:
+            credit = money(credit)
+            object.__setattr__(self, "credit", credit)
+        if not isinstance(self.account, Account):
+            raise InvalidParameterError(
+                f"posting account must be an Account, got {self.account!r}")
+        if debit < 0 or credit < 0:
             raise InvalidParameterError("posting amounts must be >= 0")
-        if self.debit != 0 and self.credit != 0:
+        if debit != 0 and credit != 0:
             raise InvalidParameterError("posting must be one-sided")
 
 
 def dr(account: Account, amount) -> Posting:
-    return Posting(account, debit=money(amount))
+    return Posting(account, debit=amount)
 
 
 def cr(account: Account, amount) -> Posting:
-    return Posting(account, credit=money(amount))
+    return Posting(account, credit=amount)
 
 
 @dataclass(frozen=True)
@@ -57,9 +70,12 @@ class Transaction:
     postings: tuple[Posting, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "postings", tuple(self.postings))
-        debits = sum((p.debit for p in self.postings), Decimal("0"))
-        credits = sum((p.credit for p in self.postings), Decimal("0"))
+        postings = tuple(self.postings)
+        object.__setattr__(self, "postings", postings)
+        debits = credits = Decimal("0")
+        for p in postings:
+            debits += p.debit
+            credits += p.credit
         if debits != credits:
             raise LedgerBalanceError(
                 f"unbalanced transaction {self.memo!r}: "
@@ -69,14 +85,22 @@ class Transaction:
 
 class Ledger:
     """Append-only journal.  Balances are signed debit-minus-credit, so
-    asset accounts run positive and liability accounts negative."""
+    asset accounts run positive and liability accounts negative.
+
+    Each account's balance is kept as a running total, updated in
+    DECIMAL_CONTEXT by every accepted post, so reading one is O(1)."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._entries: list[Transaction] = []
+        self._totals = {account: Decimal("0") for account in Account}
 
     def post(self, year: int, memo: str, postings) -> Transaction:
         txn = Transaction(year=year, memo=memo, postings=tuple(postings))
+        totals = self._totals
+        add, subtract = DECIMAL_CONTEXT.add, DECIMAL_CONTEXT.subtract
+        for p in txn.postings:
+            totals[p.account] = add(totals[p.account], subtract(p.debit, p.credit))
         self._entries.append(txn)
         return txn
 
@@ -85,19 +109,10 @@ class Ledger:
         return tuple(self._entries)
 
     def balance(self, account: Account) -> Decimal:
-        total = Decimal("0")
-        for txn in self._entries:
-            for p in txn.postings:
-                if p.account is account:
-                    total += p.debit - p.credit
-        return total
+        return self._totals[account]
 
     def balances(self) -> dict[Account, Decimal]:
-        out = {account: Decimal("0") for account in Account}
-        for txn in self._entries:
-            for p in txn.postings:
-                out[p.account] += p.debit - p.credit
-        return out
+        return dict(self._totals)
 
     def trial_balance(self) -> Decimal:
         # zero by construction; kept as an audit hook

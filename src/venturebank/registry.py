@@ -19,7 +19,6 @@ from .errors import (
     InvalidParameterError,
     PackagingError,
     RegistryError,
-    VentureBankError,
 )
 from .money import money
 
@@ -354,8 +353,6 @@ def import_records(text: str) -> Registry:
                 counterpart_ref=None,
                 expected_multiple=raw.get("expected_multiple"),
             )
-        except VentureBankError:
-            raise
         except json.JSONDecodeError as exc:
             raise RegistryError(
                 f"registry line {number}: invalid JSON, {exc.msg} (column {exc.colno})"

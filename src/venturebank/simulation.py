@@ -72,6 +72,9 @@ REPORT_COLUMNS = (
 
 EVENT_COLUMNS = ("seq", "year", "kind", "fund_id", "amount", "detail")
 
+# Beyond this a portfolio is refused before anything is allocated for it.
+MAX_FUNDS = 100_000
+
 
 def _finite_decimal(name: str, value) -> Decimal:
     try:
@@ -133,8 +136,9 @@ class ScenarioConfig:
             raise InvalidParameterError("option B carries the full base, not 0.77")
         if self.bank_rate < 0:
             raise InvalidParameterError("bank_rate must be >= 0")
-        if self.n_funds < 2:
-            raise InvalidParameterError("n_funds must be >= 2")
+        if not 2 <= self.n_funds <= MAX_FUNDS:
+            raise InvalidParameterError(
+                f"n_funds must be >= 2 and <= {MAX_FUNDS}, got {self.n_funds}")
         if self.seed < 0:
             raise InvalidParameterError("seed must be >= 0")
         if not 1 <= self.failure_year < self.exit_year:
@@ -223,6 +227,23 @@ EVENT_DETAILS = {
     "lien_settled": LienSettled,
 }
 
+# Every kind the engine emits; events_from_csv refuses any other.
+EVENT_KINDS = (
+    "capital_injection",
+    "din_booked",
+    "loan_issued",
+    "deposit_drawdown",
+    "premium_paid",
+    "bankruptcy_payout",
+    "loan_written_off",
+    "equity_accepted",
+    "lien_created",
+    "exit_proceeds",
+    "lien_settled",
+    "carrying_cost",
+    "din_released",
+)
+
 
 @dataclass(frozen=True)
 class Event:
@@ -297,6 +318,8 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
             if len(row) != len(EVENT_COLUMNS):
                 raise ValueError(f"expected {len(EVENT_COLUMNS)} columns, got {len(row)}")
             seq, year, kind, fund_id, amount, detail = row
+            if kind not in EVENT_KINDS:
+                raise ValueError(f"unknown event kind {kind!r}")
             out.append(
                 Event(int(seq), int(year), kind, fund_id, Decimal(amount),
                       _parse_detail(kind, detail)
@@ -531,6 +554,12 @@ def post_books(events, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
     capital = None
     obligations: dict[str, Decimal] = {}  # lien obligation per fund
 
+    def capital_at(e: Event) -> CapitalAccount:
+        if capital is None:
+            raise SimulationError(f"{e.kind} before capital_injection",
+                                  year=e.year, account="tier1_core")
+        return capital
+
     def post(ledger: Ledger, year: int, memo: str, debit: Account,
              credit: Account, amount: Decimal) -> None:
         ledger.post(year, memo, [dr(debit, amount), cr(credit, amount)])
@@ -553,22 +582,24 @@ def post_books(events, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
                                      reserve_fraction=config.reserve_fraction)
         elif kind == "din_booked":
             t1, t2 = e.detail
-            capital = replace(capital, tier1_insured=t1, tier2_insured=t2)
+            capital = replace(capital_at(e), tier1_insured=t1, tier2_insured=t2)
             postings = [dr(Account.TIER1_INSURED, t1)] if t1 > 0 else []
             if t2 > 0:
                 postings.append(dr(Account.TIER2_INSURED, t2))
             postings.append(cr(Account.EQUITY_HOLDINGS, amount))
             bank.post(year, "insured-asset capital recognition", postings)
         elif kind == "din_released":
+            booking = capital_at(e)
             postings = [dr(Account.EQUITY_HOLDINGS, amount)]
-            if capital.tier1_insured > 0:
-                postings.append(cr(Account.TIER1_INSURED, capital.tier1_insured))
-            if capital.tier2_insured > 0:
-                postings.append(cr(Account.TIER2_INSURED, capital.tier2_insured))
+            if booking.tier1_insured > 0:
+                postings.append(cr(Account.TIER1_INSURED, booking.tier1_insured))
+            if booking.tier2_insured > 0:
+                postings.append(cr(Account.TIER2_INSURED, booking.tier2_insured))
             bank.post(year, "capital booking unwound", postings)
         elif kind == "loan_issued":
             try:
-                write_investment_loan(bank, capital, amount, year=year, memo=f"loan {fund}")
+                write_investment_loan(bank, capital_at(e), amount, year=year,
+                                      memo=f"loan {fund}")
             except LoanLimitError as exc:
                 raise SimulationError(str(exc), year=year, account="loans") from exc
         elif kind == "deposit_drawdown":
@@ -596,6 +627,9 @@ def post_books(events, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
                 post(underwriter, year, f"exit {fund}",
                      Account.CASH, Account.EQUITY_HOLDINGS, uw_share)
         elif kind == "lien_settled":
+            if fund not in obligations:
+                raise SimulationError(f"lien_settled for {fund!r} with no lien_created",
+                                      year=year, account="lien_obligations")
             delta = amount - obligations[fund]
             if delta > 0:  # accrued interest joins the obligation
                 mirror(year, f"lien interest {fund}",

@@ -29,6 +29,13 @@ def sha(path):
         return hashlib.sha256(handle.read()).hexdigest()
 
 
+# Well-formed JSON with every field, but a kind RegistryRecord refuses.
+TERTIARY_RECORD = json.dumps({
+    "din_id": "t", "kind": "tertiary", "underwriter_id": "uw1", "bank_id": "b",
+    "investment_id": "i", "principal": "1", "sector": "s", "vintage_year": 2024,
+})
+
+
 def error_line(capsys) -> dict:
     """The one {"error", "kind"} JSON line a failed command leaves on stderr."""
     lines = capsys.readouterr().err.splitlines()
@@ -165,6 +172,7 @@ class TestSimulate:
             ({"salvage_mode": "bogus"}, "InvalidParameterError"),
             ({"audit_verdict": "yes"}, "InvalidParameterError"),
             ([1, 2], "ConfigError"),
+            ({"n_funds": 10**12}, "InvalidParameterError"),
         ],
     )
     def test_bad_field_is_one_json_line(self, tmp_path, capsys, scenario, kind):
@@ -348,7 +356,8 @@ class TestAudit:
         assert error_line(capsys)["kind"] == kind
         assert not os.path.exists(tmp_path / "representativeness.csv")
 
-    @pytest.mark.parametrize("line", ['{"din_id": "a"', '{"din_id": "a"}', "[1]"])
+    @pytest.mark.parametrize("line", ['{"din_id": "a"', '{"din_id": "a"}', "[1]",
+                                      TERTIARY_RECORD])
     def test_malformed_registry_is_one_json_line(self, tmp_path, capsys, line):
         path = tmp_path / "registry.jsonl"
         path.write_text(line + "\n")

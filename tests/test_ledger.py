@@ -1,8 +1,10 @@
 """Journal integrity, capital caps, and loan-volume enforcement."""
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from venturebank.errors import (
     CapitalCapError,
@@ -22,11 +24,52 @@ from venturebank.ledger import (
     dr,
     write_investment_loan,
 )
+from venturebank.money import money
 from venturebank.multipliers import capital_limits
 from oracles import compound_interest
 
 
+# Every input type money() accepts, within the 28 digits it can quantize.
+MONEY_INPUTS = st.one_of(
+    st.integers(min_value=-10**15, max_value=10**15),
+    st.decimals(min_value=-10**15, max_value=10**15, allow_nan=False, allow_infinity=False),
+    st.decimals(min_value=-10**15, max_value=10**15, allow_nan=False,
+                allow_infinity=False).map(str),
+    st.floats(min_value=-1e15, max_value=1e15, allow_nan=False, allow_infinity=False),
+)
+
+
+def folded_balances(ledger):
+    """Balances recomputed from the whole journal: the running totals' oracle."""
+    out = {account: Decimal("0") for account in Account}
+    for txn in ledger.transactions:
+        for p in txn.postings:
+            out[p.account] += p.debit - p.credit
+    return out
+
+
 class TestPostings:
+    @given(MONEY_INPUTS)
+    def test_money_is_idempotent(self, value):
+        once = money(value)
+        assert str(money(once)) == str(once)
+
+    @pytest.mark.parametrize(
+        "amount", [7, "1.2345678905", "2.5e-9", 0.1, 1e-10, Decimal("2.0000000015"), 0]
+    )
+    def test_dr_cr_quantize_like_money(self, amount):
+        for posting, expected in (
+            (dr(Account.CASH, amount), Posting(Account.CASH, money(amount))),
+            (cr(Account.CASH, amount), Posting(Account.CASH, credit=money(amount))),
+        ):
+            assert posting == expected
+            assert (str(posting.debit), str(posting.credit)) == (
+                str(expected.debit), str(expected.credit))
+
+    def test_account_must_be_an_account(self):
+        with pytest.raises(InvalidParameterError):
+            Posting("cash", debit="1")
+
     def test_one_sided_only(self):
         with pytest.raises(InvalidParameterError):
             Posting(Account.CASH, debit="1", credit="1")
@@ -69,6 +112,51 @@ class TestLedger:
             led.post(year, "fuzz", [dr(a, amount), cr(b, amount)])
         assert led.trial_balance() == 0
         assert sum(led.balances().values(), Decimal("0")) == 0
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["balanced", "unbalanced", "loan"]),
+        st.sampled_from(list(Account)),
+        st.sampled_from(list(Account)),
+        st.decimals(min_value=-1, max_value=30, places=9),
+    ), max_size=25))
+    def test_running_balances_equal_a_fold_of_the_journal(self, ops):
+        capital = CapitalAccount(tier1_core="1")  # lends up to 20
+        led = Ledger("prop")
+        for kind, a, b, amount in ops:
+            before = (led.transactions, led.balances())
+            try:
+                if kind == "balanced":
+                    led.post(1, kind, [dr(a, amount), cr(b, amount)])
+                elif kind == "unbalanced":
+                    led.post(1, kind, [dr(a, amount), cr(b, amount + Decimal("1E-9"))])
+                else:
+                    write_investment_loan(led, capital, amount, year=1)
+            except (InvalidParameterError, LedgerBalanceError, LoanLimitError):
+                assert (led.transactions, led.balances()) == before
+            expected = folded_balances(led)
+            assert {acct: str(v) for acct, v in led.balances().items()} == {
+                acct: str(v) for acct, v in expected.items()}
+            assert all(led.balance(acct) == expected[acct] for acct in Account)
+            assert led.trial_balance() == 0
+
+    def test_caller_context_does_not_change_balances(self):
+        led = Ledger("bank")
+        with localcontext() as ctx:
+            ctx.prec = 3
+            for _ in range(2):
+                led.post(0, "loan", [dr(Account.LOANS, "1234.5"),
+                                     cr(Account.DEPOSITS, "1234.5")])
+        assert str(led.balance(Account.LOANS)) == "2469.000000000"
+        assert str(led.balances()[Account.DEPOSITS]) == "-2469.000000000"
+
+    def test_balances_returns_a_copy(self):
+        led = Ledger("bank")
+        led.post(0, "loan", [dr(Account.LOANS, "80"), cr(Account.DEPOSITS, "80")])
+        led.balances()[Account.LOANS] = Decimal("0")
+        del led.balances()[Account.CASH]
+        assert led.balance(Account.LOANS) == Decimal("80")
+        assert led.balances() == folded_balances(led)
 
     def test_append_only_snapshot(self):
         led = Ledger("bank")

@@ -283,6 +283,10 @@ class TestExportImport:
             ('{"din_id": "a"', "invalid JSON"),
             ('{"din_id": "a"}', "missing field 'kind'"),
             ("[1]", "not a JSON object"),
+            ('{"din_id": "t", "kind": "tertiary", "underwriter_id": "uw1", '
+             '"bank_id": "b", "investment_id": "i", "principal": "1", '
+             '"sector": "s", "vintage_year": 2024}',
+             "record kind must be primary/secondary"),
         ],
     )
     def test_malformed_line_is_named(self, line, reason):

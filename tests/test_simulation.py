@@ -149,6 +149,7 @@ class TestEventLogParsing:
             "2,5,lien_created,f000,1,origin=5|fraction=0.77",  # keys out of order
             "2,5,lien_created,f000,1,fraction=0.77|origin=five",  # bad int value
             "2,5,exit_proceeds,f000,1,face=1|uw_share=x|bank_share=1",  # bad decimal
+            "2,1,premium_payed,f000,0.050000000,",  # unknown kind
         ],
     )
     def test_malformed_row_names_its_line(self, row):
@@ -268,6 +269,25 @@ class TestBookKeeper:
             post_books(log, ScenarioConfig())
         assert err.value.year == 0 and err.value.account == "loans"
 
+    @pytest.mark.parametrize(
+        "first, account",
+        [
+            (simulation.Event(0, 0, "loan_issued", "f0", Decimal("1")), "tier1_core"),
+            (simulation.Event(0, 0, "din_booked", "", Decimal("1"),
+                              simulation.DinBooked(Decimal("0"), Decimal("1"))),
+             "tier1_core"),
+            (simulation.Event(0, 10, "din_released", "", Decimal("1")), "tier1_core"),
+            (simulation.Event(0, 10, "lien_settled", "f027", Decimal("1"),
+                              simulation.LienSettled(Decimal("0.77"))),
+             "lien_obligations"),
+        ],
+    )
+    def test_out_of_order_log_names_year_and_account(self, first, account):
+        later = simulation.Event(1, 0, "capital_injection", "", Decimal("1"))
+        with pytest.raises(SimulationError) as err:
+            post_books([first, later], ScenarioConfig())
+        assert (err.value.year, err.value.account) == (first.year, account)
+
     def test_carrying_cost_posts_nothing(self):
         cfg = ScenarioConfig.calibration(target_classical_return="1.31")
         events = run_scenario(cfg).events
@@ -314,6 +334,12 @@ class TestConfigValidation:
     def test_non_finite_decimal_rejected(self, field, value):
         with pytest.raises(InvalidParameterError, match=f"{field} must be a finite decimal"):
             ScenarioConfig(**{field: value})
+
+    def test_n_funds_is_capped(self):
+        ScenarioConfig(n_funds=simulation.MAX_FUNDS)
+        for n in (simulation.MAX_FUNDS + 1, 10**12):
+            with pytest.raises(InvalidParameterError, match="n_funds"):
+                ScenarioConfig(n_funds=n)
 
     def test_fraction_domains(self):
         with pytest.raises(InvalidParameterError):
