@@ -1,5 +1,7 @@
-"""Scenario engine: full portfolio runs wiring fund outcomes through
-note lifecycles and both sets of books, plus the return-sweep curves.
+"""Scenario engine: `simulate` drives every fund's note through its
+lifecycle and returns the run's event log; `post_books` derives both sets
+of books from a log and `replay` prices it.  `run_scenario` is the three
+in a row, and the return-sweep curves price each point with `replay`.
 
 Every reported number is an aggregate over the run's event log, so a
 serialized log replays to the identical report.
@@ -49,7 +51,6 @@ from .money import fmt, in_money_context, money
 from .multipliers import capital_limits
 from .returns import (
     FAILURE,
-    ReturnDistribution,
     SpreadParams,
     rescale_to_target,
     synthesize_distribution,
@@ -163,6 +164,13 @@ class ScenarioConfig:
                 f"moc {self.moc} exceeds the lending ceiling "
                 f"{limits.max_loan_limit} for this capital base"
             )
+        per, last = _loan_faces(self)
+        if per <= 0 or last <= 0:
+            raise InvalidParameterError(
+                f"moc * initial_capital / n_funds leaves a loan face <= 0 at "
+                f"9 decimal places (moc {self.moc}, initial_capital "
+                f"{self.initial_capital}, n_funds {self.n_funds})"
+            )
 
     def clawback_policy(self) -> ClawbackPolicy | None:
         """None when the notes are written without the clawback rider."""
@@ -253,19 +261,6 @@ class Event:
     fund_id: str
     amount: Decimal
     detail: EventDetail | None = None
-
-
-class _EventLog:
-    def __init__(self) -> None:
-        self._events: list[Event] = []
-
-    def add(self, year: int, kind: str, fund_id: str, amount, detail=None) -> None:
-        self._events.append(
-            Event(len(self._events), year, kind, fund_id, money(amount), detail)
-        )
-
-    def events(self) -> tuple[Event, ...]:
-        return tuple(self._events)
 
 
 # The CSV cell template of each record type, and for each kind that
@@ -366,35 +361,43 @@ class SimulationReport:
         return buf.getvalue()
 
 
-@dataclass
-class _RunState:
-    config: ScenarioConfig
-    distribution: ReturnDistribution
-    notes: list[DinContract]  # one per fund, in distribution order
-    log: _EventLog
-    booked: Decimal
-
-
-def _loan_faces(config: ScenarioConfig) -> list[Decimal]:
+def _loan_faces(config: ScenarioConfig) -> tuple[Decimal, Decimal]:
+    """The loan face of every fund but the last, and the last fund's face,
+    which takes the rounding remainder so the faces sum to the book."""
     total = money(config.moc * config.initial_capital)
     per = money(total / config.n_funds)
-    faces = [per] * (config.n_funds - 1)
-    faces.append(total - per * (config.n_funds - 1))
-    return faces
+    return per, total - per * (config.n_funds - 1)
 
 
-def _initialize(config: ScenarioConfig) -> _RunState:
+@in_money_context
+def simulate(config: ScenarioConfig) -> tuple[Event, ...]:
+    """Run one scenario and return its event log.
+
+    Year 0 injects capital, books the insured-note value and writes one
+    loan per fund.  Each year every active note pays its premium; then, in
+    distribution order, the failures settle at failure_year and the exits
+    at exit_year.  Closeout at exit_year settles the liens in note order,
+    charges the carrying cost of each parked payout, and releases the
+    capital booking.
+    """
+    events: list[Event] = []
+
+    def emit(year: int, kind: str, fund_id: str, amount, detail=None) -> Event:
+        event = Event(len(events), year, kind, fund_id, money(amount), detail)
+        events.append(event)
+        return event
+
     dist = synthesize_distribution(
         seed=config.seed, n_funds=config.n_funds, spread=config.spread
     )
     if config.target_classical_return is not None:
         dist = rescale_to_target(dist, config.target_classical_return)
 
-    log = _EventLog()
     c = config.initial_capital
-    log.add(0, "capital_injection", "", c)
+    emit(0, "capital_injection", "", c)
 
-    faces = _loan_faces(config)
+    per, last = _loan_faces(config)
+    faces = [per] * (config.n_funds - 1) + [last]
     total_loans = sum(faces, Decimal("0"))
     insured_value = money(total_loans * config.coverage)
 
@@ -405,8 +408,8 @@ def _initialize(config: ScenarioConfig) -> _RunState:
         insured_value,
     )
     if booked > 0:
-        log.add(0, "din_booked", "", booked,
-                DinBooked(capital.tier1_insured, capital.tier2_insured))
+        emit(0, "din_booked", "", booked,
+             DinBooked(capital.tier1_insured, capital.tier2_insured))
 
     if total_loans > capital.lending_limit:
         raise SimulationError(
@@ -416,9 +419,9 @@ def _initialize(config: ScenarioConfig) -> _RunState:
             account="loans",
         )
 
-    notes = []
+    notes = []  # one per fund, in distribution order
     for outcome, face in zip(dist.outcomes, faces):
-        log.add(0, "loan_issued", outcome.fund_id, face)
+        emit(0, "loan_issued", outcome.fund_id, face)
         notes.append(
             DinContract(
                 outcome.fund_id,
@@ -431,116 +434,83 @@ def _initialize(config: ScenarioConfig) -> _RunState:
 
     drawdown = money(total_loans * Decimal("0.5"))
     if drawdown > 0:
-        log.add(0, "deposit_drawdown", "", drawdown)
+        emit(0, "deposit_drawdown", "", drawdown)
 
-    return _RunState(
-        config=config, distribution=dist, notes=notes, log=log, booked=booked
-    )
-
-
-def _run_years(state: _RunState) -> None:
-    """Collect premiums on every active note each year, then fire the
-    bankruptcy and exit triggers in their years."""
-    config = state.config
     policy = config.clawback_policy()
-    premiums = [annual_premium(note, config.premium_rate) for note in state.notes]
-
+    premiums = [annual_premium(note, config.premium_rate) for note in notes]
+    payouts: list[Event] = []
+    liens = []
     for year in range(1, config.horizon + 1):
-        for note, premium in zip(state.notes, premiums):
+        for note, premium in zip(notes, premiums):
             if note.state is DinState.ACTIVE:
-                state.log.add(year, "premium_paid", note.contract_id, premium)
+                emit(year, "premium_paid", note.contract_id, premium)
 
         if year == config.failure_year:
-            _settle_failures(state, year, policy)
+            for i, outcome in enumerate(dist.outcomes):
+                if outcome.classification != FAILURE:
+                    continue
+                note = notes[i]
+                fund, face = note.contract_id, note.principal
+                if config.salvage_mode == "zero":
+                    equity_valuation = Decimal("0")
+                else:
+                    equity_valuation = money(outcome.ten_year_multiple * face)
+                notes[i], settlement = apply_trigger(
+                    note,
+                    TriggerEvent(BANKRUPTCY, year, payload=equity_valuation),
+                    clawback=policy,
+                )
+                payouts.append(emit(
+                    year, "bankruptcy_payout", fund, settlement.cash_to_bank,
+                    BankruptcyPayout(equity_valuation, outcome.ten_year_multiple),
+                ))
+                emit(year, "loan_written_off", fund, face)
+                if equity_valuation > 0:
+                    emit(year, "equity_accepted", fund, equity_valuation)
+                lien = settlement.lien
+                if lien is not None:
+                    liens.append(lien)
+                    emit(year, "lien_created", fund, lien.base,
+                         LienCreated(lien.fraction, lien.origin_year))
+
         if year == config.exit_year:
-            _settle_exits(state, year)
+            for i, outcome in enumerate(dist.outcomes):
+                if outcome.classification == FAILURE:
+                    continue
+                note = notes[i]
+                notes[i], _ = apply_trigger(note, TriggerEvent(EXIT, year))
+                proceeds = money(outcome.ten_year_multiple * note.principal)
+                uw_share, bank_share = exit_equity_split(
+                    proceeds, note.coverage, note.equity_fraction
+                )
+                emit(year, "exit_proceeds", note.contract_id, proceeds,
+                     ExitProceeds(note.principal, uw_share, bank_share))
 
-
-def _settle_failures(state: _RunState, year: int, policy: ClawbackPolicy | None) -> None:
-    config = state.config
-    notes = state.notes
-    for i, outcome in enumerate(state.distribution.outcomes):
-        if outcome.classification != FAILURE:
-            continue
-        note = notes[i]
-        fund, face = note.contract_id, note.principal
-        if config.salvage_mode == "zero":
-            equity_valuation = Decimal("0")
-        else:
-            equity_valuation = money(outcome.ten_year_multiple * face)
-
-        notes[i], settlement = apply_trigger(
-            note,
-            TriggerEvent(BANKRUPTCY, year, payload=equity_valuation),
-            clawback=policy,
-        )
-        state.log.add(
-            year, "bankruptcy_payout", fund, settlement.cash_to_bank,
-            BankruptcyPayout(equity_valuation, outcome.ten_year_multiple),
-        )
-        state.log.add(year, "loan_written_off", fund, face)
-        if equity_valuation > 0:
-            state.log.add(year, "equity_accepted", fund, equity_valuation)
-
-        lien = settlement.lien
-        if lien is not None:
-            state.log.add(
-                year, "lien_created", fund, lien.base,
-                LienCreated(lien.fraction, lien.origin_year),
-            )
-
-
-def _settle_exits(state: _RunState, year: int) -> None:
-    notes = state.notes
-    for i, outcome in enumerate(state.distribution.outcomes):
-        if outcome.classification == FAILURE:
-            continue
-        note = notes[i]
-        notes[i], _ = apply_trigger(note, TriggerEvent(EXIT, year))
-        proceeds = money(outcome.ten_year_multiple * note.principal)
-        uw_share, bank_share = exit_equity_split(
-            proceeds, note.coverage, note.equity_fraction
-        )
-        state.log.add(
-            year, "exit_proceeds", note.contract_id, proceeds,
-            ExitProceeds(note.principal, uw_share, bank_share),
-        )
-
-
-def portfolio_closeout(state: _RunState) -> None:
-    """Settle every lien and release the capital booking at the exit year.
-
-    Payouts have been parked since failure_year; their carrying cost to the
-    closeout year is charged to the underwriter as event-log entries.
-    """
-    config = state.config
-    closeout_year = config.exit_year
-
-    for lien in (lien for note in state.notes for lien in note.liens):
+    closeout = config.exit_year
+    for lien in liens:
         try:
             amount, settled = settle_clawback(
-                lien, closeout_year, config.bank_rate, verdict=config.audit_verdict
+                lien, closeout, config.bank_rate, verdict=config.audit_verdict
             )
         except VentureBankError as exc:
             raise SimulationError(
-                str(exc), year=closeout_year, account="lien_obligations"
+                str(exc), year=closeout, account="lien_obligations"
             ) from exc
-        state.log.add(
-            closeout_year, "lien_settled", lien.contract_id, amount,
-            LienSettled(settled.fraction),
-        )
+        emit(closeout, "lien_settled", lien.contract_id, amount,
+             LienSettled(settled.fraction))
 
-    for e in state.log.events():
-        if e.kind != "bankruptcy_payout":
-            continue
-        parked = e.amount - e.detail.equity_valuation
-        if parked > 0 and closeout_year > e.year:
-            cost = carrying_cost(parked, e.year, closeout_year, config.bank_rate)
+    # Payouts are parked from failure_year; their carrying cost to the
+    # closeout year is the underwriter's foregone interest.
+    for payout in payouts:
+        parked = payout.amount - payout.detail.equity_valuation
+        if parked > 0:
+            cost = carrying_cost(parked, payout.year, closeout, config.bank_rate)
             if cost > 0:
-                state.log.add(closeout_year, "carrying_cost", e.fund_id, cost)
+                emit(closeout, "carrying_cost", payout.fund_id, cost)
 
-    if state.booked > 0:
-        state.log.add(closeout_year, "din_released", "", state.booked)
+    if booked > 0:
+        emit(closeout, "din_released", "", booked)
+    return tuple(events)
 
 
 def post_books(events, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
@@ -646,10 +616,10 @@ def post_books(events, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
 
 @in_money_context
 def replay(events, config: ScenarioConfig) -> dict:
-    """Aggregate an event log back into the report figures.
+    """Aggregate an event log back into the report figures, in one pass.
 
-    This is the single pricing routine: run_scenario itself reports through
-    it, so a serialized log reproduces the report exactly.
+    This is the single pricing routine: run_scenario and the sweep both
+    report through it, so a serialized log reproduces the report exactly.
     """
     premiums = Decimal("0")
     payouts = Decimal("0")
@@ -658,19 +628,33 @@ def replay(events, config: ScenarioConfig) -> dict:
     carrying = Decimal("0")
     uw_exit = Decimal("0")
     bank_exit = Decimal("0")
+    faces: dict[str, Decimal] = {}  # loan face per fund
+    terminal = Decimal("0")  # every fund's value at its failure or exit
+
+    def face_of(e: Event) -> Decimal:
+        if e.fund_id not in faces:
+            raise SimulationError(f"{e.kind} for {e.fund_id!r} with no loan_issued",
+                                  year=e.year, account="loans")
+        return faces[e.fund_id]
 
     for e in events:
-        if e.kind == "premium_paid":
+        kind = e.kind
+        if kind == "premium_paid":
             premiums += e.amount
-        elif e.kind == "bankruptcy_payout":
+        elif kind == "loan_issued":
+            faces[e.fund_id] = e.amount
+        elif kind == "bankruptcy_payout":
             payouts += e.amount
-        elif e.kind == "equity_accepted":
+            terminal += money(e.detail.multiple * face_of(e))
+        elif kind == "equity_accepted":
             salvage += e.amount
-        elif e.kind == "lien_settled":
+        elif kind == "lien_settled":
             clawed += e.amount
-        elif e.kind == "carrying_cost":
+        elif kind == "carrying_cost":
             carrying += e.amount
-        elif e.kind == "exit_proceeds":
+        elif kind == "exit_proceeds":
+            face_of(e)
+            terminal += e.amount
             uw_exit += e.detail.uw_share
             bank_exit += e.detail.bank_share
 
@@ -694,7 +678,9 @@ def replay(events, config: ScenarioConfig) -> dict:
     bank_gains = payouts - premiums + bank_exit - clawed
     bank_ten_year = float((c + bank_gains) / c)
 
-    classical = _classical_mean(events, config)
+    # The capital-weighted mean fund multiple.
+    loans = sum(faces.values(), Decimal("0"))
+    classical = float(terminal / loans) if faces else 0.0
 
     return dict(
         classical_return=classical,
@@ -707,29 +693,10 @@ def replay(events, config: ScenarioConfig) -> dict:
     )
 
 
-def _classical_mean(events, config: ScenarioConfig) -> float:
-    """Capital-weighted mean fund multiple, recovered from the log alone."""
-    terminal: dict[str, Decimal] = {}
-    faces: dict[str, Decimal] = {}
-    for e in events:
-        if e.kind == "loan_issued":
-            faces[e.fund_id] = e.amount
-        elif e.kind == "exit_proceeds":
-            terminal[e.fund_id] = e.amount
-        elif e.kind == "bankruptcy_payout":
-            terminal[e.fund_id] = money(e.detail.multiple * faces[e.fund_id])
-    if not faces:
-        return 0.0
-    total = sum((terminal.get(f, Decimal("0")) for f in faces), Decimal("0"))
-    return float(total / sum(faces.values(), Decimal("0")))
-
-
 @in_money_context
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
-    state = _initialize(config)
-    _run_years(state)
-    portfolio_closeout(state)
-    events = state.log.events()
+    """simulate, then both books from the log, then replay's figures."""
+    events = simulate(config)
     bank, underwriter = post_books(events, config)
     return SimulationReport(
         config=config,
@@ -790,7 +757,8 @@ SWEEP_CURVES = (
 @in_money_context
 def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
     """Rerun the scenario over a grid of portfolio returns, one row per
-    (curve, grid point).  Point failures are recorded, not fatal."""
+    (curve, grid point).  Each point is priced from its event log alone;
+    no books are kept.  Point failures are recorded, not fatal."""
     targets = [Decimal(str(t)) for t in grid]
     if not targets:
         raise InvalidParameterError("sweep grid is empty")
@@ -803,11 +771,8 @@ def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
                 cfg = replace(
                     config, target_classical_return=target, **overrides
                 )
-                report = run_scenario(cfg)
-                value = getattr(report, attr)
-                points.append(
-                    SweepPoint(name, target, float(value))
-                )
+                value = replay(simulate(cfg), cfg)[attr]
+                points.append(SweepPoint(name, target, float(value)))
             except VentureBankError as exc:
                 failures.append(SweepFailure(name, target, str(exc)))
     return SweepResult(points=tuple(points), failures=tuple(failures))

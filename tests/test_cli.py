@@ -173,6 +173,7 @@ class TestSimulate:
             ({"audit_verdict": "yes"}, "InvalidParameterError"),
             ([1, 2], "ConfigError"),
             ({"n_funds": 10**12}, "InvalidParameterError"),
+            ({"moc": "0.000001", "n_funds": 10000}, "InvalidParameterError"),
         ],
     )
     def test_bad_field_is_one_json_line(self, tmp_path, capsys, scenario, kind):

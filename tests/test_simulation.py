@@ -1,7 +1,10 @@
 """Scenario runs: report identities, determinism, replay, and sweep shapes."""
+from dataclasses import replace
 from decimal import Decimal, getcontext, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from venturebank.errors import InvalidParameterError, SimulationError
 from venturebank.ledger import Account
@@ -14,6 +17,7 @@ from venturebank.simulation import (
     post_books,
     replay,
     run_scenario,
+    simulate,
     sweep_classical_return,
 )
 from oracles import count_events, is_nondecreasing, sign_scan_local_minimum
@@ -288,6 +292,18 @@ class TestBookKeeper:
             post_books([first, later], ScenarioConfig())
         assert (err.value.year, err.value.account) == (first.year, account)
 
+    @pytest.mark.parametrize(
+        "dropped, year",
+        [({"loan_issued"}, "failure_year"),
+         ({"loan_issued", "bankruptcy_payout"}, "exit_year")],
+    )
+    def test_replay_names_a_fund_with_no_loan(self, dropped, year):
+        cfg = ScenarioConfig.calibration(target_classical_return="1.31")
+        events = [e for e in simulate(cfg) if e.kind not in dropped]
+        with pytest.raises(SimulationError) as err:
+            replay(events, cfg)
+        assert (err.value.year, err.value.account) == (getattr(cfg, year), "loans")
+
     def test_carrying_cost_posts_nothing(self):
         cfg = ScenarioConfig.calibration(target_classical_return="1.31")
         events = run_scenario(cfg).events
@@ -307,9 +323,11 @@ class TestDecimalContext:
             report = run_scenario(ScenarioConfig.calibration(initial_capital="1000000"))
             report_csv, events_csv = report.to_csv(), events_to_csv(report.events)
             replayed = replay(events_from_csv(events_csv), cfg)
+            simulated_csv = events_to_csv(simulate(cfg))
             assert getcontext().prec == 12
         assert report_csv == expected.to_csv()
         assert events_csv == events_to_csv(expected.events)
+        assert simulated_csv == events_csv
         assert replayed["underwriter_investment"] == expected.underwriter_investment
 
 
@@ -340,6 +358,20 @@ class TestConfigValidation:
         for n in (simulation.MAX_FUNDS + 1, 10**12):
             with pytest.raises(InvalidParameterError, match="n_funds"):
                 ScenarioConfig(n_funds=n)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(moc="0.000001", n_funds=10000),  # every face rounds to 0
+            dict(initial_capital="0.000000017", n_funds=44, moc="43"),  # last face 0
+            dict(initial_capital="0.000000017", n_funds=44, moc="30"),  # last face < 0
+        ],
+    )
+    def test_zero_loan_face_rejected(self, fields):
+        with pytest.raises(InvalidParameterError,
+                           match="moc .*initial_capital .*n_funds") as err:
+            ScenarioConfig(**fields)
+        assert "loan face" in str(err.value)
 
     def test_fraction_domains(self):
         with pytest.raises(InvalidParameterError):
@@ -386,9 +418,61 @@ class TestSweep:
         def broken(config):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(simulation, "run_scenario", broken)
+        monkeypatch.setattr(simulation, "simulate", broken)
         with pytest.raises(RuntimeError, match="bug"):
             sweep_classical_return(ScenarioConfig.calibration(), self.GRID[:1])
+
+    def test_sweep_keeps_no_books(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("the sweep touched the books")
+
+        for name in ("post_books", "run_scenario", "Ledger", "SimulationReport"):
+            monkeypatch.setattr(simulation, name, broken)
+        res = sweep_classical_return(ScenarioConfig.calibration(), self.GRID[:2])
+        assert not res.failures
+        assert len(res.points) == 2 * len(simulation.SWEEP_CURVES)
+
+    def test_lending_limit_fails_points_without_books(self):
+        # At coverage 0.028 the booked notes widen the loan ceiling past
+        # 43X but not to 47X, so only the moc-override curves fit.
+        grid = [Decimal("0.9"), Decimal("1.31")]
+        res = sweep_classical_return(ScenarioConfig.calibration(coverage="0.028"), grid)
+        assert [(p.curve, p.classical_return) for p in res.points] == [
+            (curve, t) for t in grid for curve in ("bank_moc30", "bank_moc43")]
+        assert len(res.failures) == 4 * len(grid)
+        for f in res.failures:
+            assert "year=0" in f.message and "account=loans" in f.message
+
+    def test_zero_loan_face_points_are_failures(self):
+        # 47X of this capital splits into 44 positive faces; 30X and 43X
+        # leave the last fund a face below zero and of exactly zero.
+        cfg = ScenarioConfig.calibration(initial_capital="0.000000017", n_funds=44)
+        grid = [Decimal("0.9"), Decimal("1.31")]
+        res = sweep_classical_return(cfg, grid)
+        moc_curves = {"bank_moc30", "bank_moc43"}
+        assert {p.curve for p in res.points} == {
+            name for name, _, _ in simulation.SWEEP_CURVES} - moc_curves
+        assert sorted((f.curve, f.classical_return) for f in res.failures) == sorted(
+            (curve, t) for t in grid for curve in moc_curves)
+        for f in res.failures:
+            assert "loan face <= 0" in f.message
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ScenarioConfig(), ScenarioConfig(coverage="0.75")],
+        ids=["defaults", "coverage_075"],
+    )
+    def test_each_point_equals_its_full_run(self, cfg):
+        grid = [Decimal("0.9"), Decimal("1.31")]
+        res = sweep_classical_return(cfg, grid)
+        assert not res.failures
+        for name, overrides, attr in simulation.SWEEP_CURVES:
+            expected = [
+                (t, float(getattr(run_scenario(
+                    replace(cfg, target_classical_return=t, **overrides)), attr)))
+                for t in grid
+            ]
+            assert res.curve(name) == expected
 
     def test_underwriter_profit_nondecreasing_under_defaults(self):
         res = sweep_classical_return(ScenarioConfig(), self.GRID)
@@ -421,3 +505,50 @@ class TestSweep:
         )
         assert premiums == 0
         assert r.premium_earnings_10y > 0  # exit equity only
+
+
+# Valid clawback riders: (fraction, option, audit verdict).
+RIDERS = (
+    ("0", "A", None),
+    ("0.77", "A", None),
+    ("0.77", "C", None),
+    ("1.0", "B", True),
+    ("1.0", "B", False),
+)
+
+
+@st.composite
+def small_configs(draw):
+    fraction, option, verdict = draw(st.sampled_from(RIDERS))
+    horizon = draw(st.integers(min_value=2, max_value=15))
+    exit_year = draw(st.integers(min_value=2, max_value=horizon))
+    failure_year = draw(st.integers(min_value=1, max_value=exit_year - 1))
+    return ScenarioConfig(
+        n_funds=draw(st.integers(min_value=2, max_value=40)),
+        seed=draw(st.integers(min_value=0, max_value=10**6)),
+        coverage=draw(st.decimals(min_value="0.05", max_value="1", places=2)),
+        premium_rate=draw(st.decimals(min_value="0", max_value="0.2", places=3)),
+        clawback_fraction=fraction,
+        clawback_option=option,
+        audit_verdict=verdict,
+        salvage_mode=draw(st.sampled_from(simulation.SALVAGE_MODES)),
+        exit_equity_mode=draw(st.sampled_from(simulation.EXIT_EQUITY_MODES)),
+        target_classical_return=draw(st.sampled_from([None, "0.5", "1.31", "2.5"])),
+        failure_year=failure_year,
+        exit_year=exit_year,
+        horizon=horizon,
+    )
+
+
+class TestEngineProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(small_configs())
+    def test_saved_log_reproduces_report_and_books(self, cfg):
+        report = run_scenario(cfg)
+        events = events_from_csv(events_to_csv(simulate(cfg)))
+        assert events == report.events
+        figures = replay(events, cfg)
+        assert figures == {name: getattr(report, name) for name in figures}
+        bank, underwriter = post_books(events, cfg)
+        assert bank.transactions == report.bank_ledger.transactions
+        assert underwriter.transactions == report.underwriter_ledger.transactions
