@@ -181,13 +181,17 @@ def _require_live(contract: DinContract) -> None:
         )
 
 
-def record_trigger(contract: DinContract, event: TriggerEvent) -> DinContract:
-    """Move an active note into the triggered state, holding the event."""
+def _require_active(contract: DinContract) -> None:
     _require_live(contract)
     if contract.state is not DinState.ACTIVE:
         raise StateTransitionError(
             f"{contract.contract_id} already has a pending trigger"
         )
+
+
+def record_trigger(contract: DinContract, event: TriggerEvent) -> DinContract:
+    """Move an active note into the triggered state, holding the event."""
+    _require_active(contract)
     return replace(contract, state=DinState.TRIGGERED, pending=event)
 
 
@@ -206,8 +210,18 @@ def resolve_trigger(
     _require_live(contract)
     if contract.state is not DinState.TRIGGERED or contract.pending is None:
         raise StateTransitionError(f"{contract.contract_id} has no pending trigger")
-    event = contract.pending
+    return _resolve(contract, contract.pending, choice, clawback, seizure_fraction)
 
+
+def _resolve(
+    contract: DinContract,
+    event: TriggerEvent,
+    choice: Choice,
+    clawback: ClawbackPolicy | None,
+    seizure_fraction: Decimal,
+) -> tuple[DinContract, Settlement]:
+    """Settle `event` on a live note: the successor, in one replace, and
+    its settlement."""
     if event.kind in FORCED_TRIGGERS and choice.kind != "exercise":
         raise ForcedTriggerError(
             f"{event.kind} admits no {choice.kind}; payout is contractual"
@@ -280,10 +294,10 @@ def apply_trigger(
     clawback: ClawbackPolicy | None = None,
     seizure_fraction: Decimal = DEFAULT_SEIZURE_FRACTION,
 ) -> tuple[DinContract, Settlement]:
-    """record_trigger + resolve_trigger in one step."""
-    return resolve_trigger(
-        record_trigger(contract, event), choice, clawback, seizure_fraction
-    )
+    """record_trigger + resolve_trigger in one step, from the active note
+    straight to its successor."""
+    _require_active(contract)
+    return _resolve(contract, event, choice, clawback, seizure_fraction)
 
 
 def detach(contract: DinContract) -> DinContract:

@@ -1,7 +1,8 @@
 """Scenario engine: `simulate` drives every fund's note through its
 lifecycle and returns the run's event log; `post_books` derives both sets
-of books from a log and `replay` prices it.  `run_scenario` is the three
-in a row, and the return-sweep curves price each point with `replay`.
+of books from a log and `replay` prices it.  `run_scenario` is `simulate`
+then `replay`; its report derives the books from the log when they are
+first read.  The return-sweep curves price each point with `replay`.
 
 Every reported number is an aggregate over the run's event log, so a
 serialized log replays to the identical report.
@@ -9,6 +10,7 @@ serialized log replays to the identical report.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import re
 from dataclasses import dataclass, field, replace
@@ -48,6 +50,11 @@ from .ledger import (
     write_investment_loan,
 )
 from .money import fmt, in_money_context, money
+
+# Config validation checks the loan book against the engine's post-booking
+# lending limit (_opening_book), not this ceiling; the name stays bound
+# because the benchmark's layer tracer wraps
+# venturebank.simulation.capital_limits.
 from .multipliers import capital_limits
 from .returns import (
     FAILURE,
@@ -146,8 +153,10 @@ class ScenarioConfig:
             raise InvalidParameterError("need 1 <= failure_year < exit_year")
         if not self.exit_year <= self.horizon <= 15:
             raise InvalidParameterError("need exit_year <= horizon <= 15")
-        if self.initial_capital <= 0:
-            raise InvalidParameterError("initial_capital must be > 0")
+        if money(self.initial_capital) <= 0:
+            raise InvalidParameterError(
+                f"initial_capital must be > 0 at 9 decimal places, "
+                f"got {self.initial_capital:f}")
         if self.moc <= 0:
             raise InvalidParameterError("moc must be > 0")
         if self.salvage_mode not in SALVAGE_MODES:
@@ -158,11 +167,13 @@ class ScenarioConfig:
         if self.audit_verdict not in (None, True, False):
             raise InvalidParameterError("audit_verdict must be true, false or null")
         self.spread.validate()
-        limits = capital_limits(self.initial_capital, self.reserve_fraction)
-        if money(self.moc * self.initial_capital) > limits.max_loan_limit:
+        book, capital, _ = _opening_book(self)
+        if book > capital.lending_limit:
             raise InvalidParameterError(
-                f"moc {self.moc} exceeds the lending ceiling "
-                f"{limits.max_loan_limit} for this capital base"
+                f"moc {self.moc} puts a loan book of {book:f} past the lending "
+                f"limit {capital.lending_limit:f} that initial_capital "
+                f"{self.initial_capital:f} and the insured notes at coverage "
+                f"{self.coverage} allow"
             )
         per, last = _loan_faces(self)
         if per <= 0 or last <= 0:
@@ -328,8 +339,47 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
     return tuple(out)
 
 
+class _OnDemand(enum.Enum):
+    # An enum member, so that a pickled report's unread ledger is still
+    # ON_DEMAND when loaded.
+    ON_DEMAND = "on_demand"
+
+
+# A report ledger field's value until a read derives the ledger.
+ON_DEMAND = _OnDemand.ON_DEMAND
+
+
+class _Book:
+    """A SimulationReport ledger field.  The constructor's value is kept
+    as given, unless it is ON_DEMAND: then the first read of either ledger
+    derives every ON_DEMAND ledger of the report from its events, by one
+    post_books call, and keeps them."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            # No class-level value, so the dataclass field has no default.
+            raise AttributeError(self.name)
+        books = report.__dict__
+        if books[self.name] is ON_DEMAND:
+            bank, underwriter = post_books(report.events, report.config)
+            for name, ledger in (("bank_ledger", bank),
+                                 ("underwriter_ledger", underwriter)):
+                if books[name] is ON_DEMAND:
+                    books[name] = ledger
+        return books[self.name]
+
+    def __set__(self, report, value) -> None:
+        report.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class SimulationReport:
+    """One run's figures and event log.  The two ledgers are given to the
+    constructor, or ON_DEMAND: derived from the events on first read."""
+
     config: ScenarioConfig
     classical_return: float
     underwriter_investment: Decimal
@@ -339,8 +389,8 @@ class SimulationReport:
     din_yearly_return: float
     bank_10y_return: float
     events: tuple[Event, ...]
-    bank_ledger: Ledger
-    underwriter_ledger: Ledger
+    bank_ledger: Ledger = _Book()
+    underwriter_ledger: Ledger = _Book()
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -359,6 +409,21 @@ class SimulationReport:
             ]
         )
         return buf.getvalue()
+
+
+def _opening_book(config: ScenarioConfig) -> tuple[Decimal, CapitalAccount, Decimal]:
+    """Year 0 before any loan: the loan book moc * initial_capital, the
+    capital stack once the insured-note value on that book is booked as
+    capital, and the amount booked.  The booking widens the lending limit
+    the book must fit; config validation and simulate both take it from
+    here, so a config that validates is a book the engine can write."""
+    book = money(config.moc * config.initial_capital)
+    capital, booked, _ = book_din_to_capital(
+        CapitalAccount(tier1_core=config.initial_capital,
+                       reserve_fraction=config.reserve_fraction),
+        money(book * config.coverage),
+    )
+    return book, capital, booked
 
 
 def _loan_faces(config: ScenarioConfig) -> tuple[Decimal, Decimal]:
@@ -382,8 +447,10 @@ def simulate(config: ScenarioConfig) -> tuple[Event, ...]:
     """
     events: list[Event] = []
 
-    def emit(year: int, kind: str, fund_id: str, amount, detail=None) -> Event:
-        event = Event(len(events), year, kind, fund_id, money(amount), detail)
+    def emit(year: int, kind: str, fund_id: str, amount: Decimal,
+             detail=None) -> Event:
+        # Every amount arrives quantized to 9 places.
+        event = Event(len(events), year, kind, fund_id, amount, detail)
         events.append(event)
         return event
 
@@ -393,32 +460,18 @@ def simulate(config: ScenarioConfig) -> tuple[Event, ...]:
     if config.target_classical_return is not None:
         dist = rescale_to_target(dist, config.target_classical_return)
 
-    c = config.initial_capital
-    emit(0, "capital_injection", "", c)
-
-    per, last = _loan_faces(config)
-    faces = [per] * (config.n_funds - 1) + [last]
-    total_loans = sum(faces, Decimal("0"))
-    insured_value = money(total_loans * config.coverage)
+    emit(0, "capital_injection", "", money(config.initial_capital))
 
     # Insured-note value stands in as capital first, widening the loan
-    # ceiling before the book is written.
-    capital, booked, _ = book_din_to_capital(
-        CapitalAccount(tier1_core=c, reserve_fraction=config.reserve_fraction),
-        insured_value,
-    )
+    # ceiling before the book is written; config validation has checked
+    # that the book fits it.
+    total_loans, capital, booked = _opening_book(config)
     if booked > 0:
         emit(0, "din_booked", "", booked,
              DinBooked(capital.tier1_insured, capital.tier2_insured))
 
-    if total_loans > capital.lending_limit:
-        raise SimulationError(
-            f"loan book {total_loans} exceeds post-booking limit "
-            f"{capital.lending_limit}",
-            year=0,
-            account="loans",
-        )
-
+    per, last = _loan_faces(config)
+    faces = [per] * (config.n_funds - 1) + [last]
     notes = []  # one per fund, in distribution order
     for outcome, face in zip(dist.outcomes, faces):
         emit(0, "loan_issued", outcome.fund_id, face)
@@ -513,6 +566,7 @@ def simulate(config: ScenarioConfig) -> tuple[Event, ...]:
     return tuple(events)
 
 
+@in_money_context
 def post_books(events, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
     """Derive the bank's and the underwriter's books from an event log.
 
@@ -695,14 +749,13 @@ def replay(events, config: ScenarioConfig) -> dict:
 
 @in_money_context
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
-    """simulate, then both books from the log, then replay's figures."""
+    """simulate, then replay's figures; the books wait for a reader."""
     events = simulate(config)
-    bank, underwriter = post_books(events, config)
     return SimulationReport(
         config=config,
         events=events,
-        bank_ledger=bank,
-        underwriter_ledger=underwriter,
+        bank_ledger=ON_DEMAND,
+        underwriter_ledger=ON_DEMAND,
         **replay(events, config),
     )
 

@@ -7,10 +7,12 @@ from decimal import Decimal
 
 import pytest
 
+from venturebank import simulation
 from venturebank.cli import MAX_SWEEP_POINTS, _sweep_grid, main
 from venturebank.errors import ConfigError
 from venturebank.registry import Registry, RegistryRecord, export_records, make_terms_digest
 from oracles import is_nondecreasing, kraken_brute_force
+from test_golden import GOLDEN
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -174,6 +176,7 @@ class TestSimulate:
             ([1, 2], "ConfigError"),
             ({"n_funds": 10**12}, "InvalidParameterError"),
             ({"moc": "0.000001", "n_funds": 10000}, "InvalidParameterError"),
+            ({"coverage": "0"}, "InvalidParameterError"),
         ],
     )
     def test_bad_field_is_one_json_line(self, tmp_path, capsys, scenario, kind):
@@ -182,12 +185,27 @@ class TestSimulate:
         assert error_line(capsys)["kind"] == kind
         assert not os.path.exists(tmp_path / "report.csv")
 
+    def test_simulate_keeps_no_books(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulate touched the books")
+
+        for name in ("post_books", "Ledger"):
+            monkeypatch.setattr(simulation, name, broken)
+        # ScenarioConfig.calibration(target_classical_return="1.31").
+        cfg = self.config(tmp_path, salvage_mode="zero", exit_equity_mode="earnings",
+                          bank_rate="0.06", moc="47")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        golden = GOLDEN["calibration"]
+        for name in ("report.csv", "events.csv"):
+            assert sha(tmp_path / name) == golden[name]
+
     def test_domain_error_surfaces_coordinates(self, tmp_path, capsys):
-        cfg = self.config(tmp_path, coverage="0")
+        # An option-B lien cannot settle at closeout without an audit verdict.
+        cfg = self.config(tmp_path, clawback_fraction="1.0", clawback_option="B")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "SimulationError"
-        assert "year=0" in err["error"]
+        assert "year=10" in err["error"] and "account=lien_obligations" in err["error"]
         assert not os.path.exists(tmp_path / "report.csv")
 
 

@@ -1,9 +1,11 @@
 """Lifecycle state machine, settlements, and clawback liens."""
 import random
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
 
+from venturebank import contracts
 from venturebank.contracts import (
     BANKRUPTCY,
     EXERCISE,
@@ -210,6 +212,35 @@ class TestStateMachine:
         held = record_trigger(note(), TriggerEvent(PREMIUM_DEFAULT, year=3))
         with pytest.raises(StateTransitionError):
             record_trigger(held, TriggerEvent(EXIT, year=10))
+        with pytest.raises(StateTransitionError):
+            apply_trigger(held, TriggerEvent(EXIT, year=10))
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [(BANKRUPTCY, "1"), (EXIT, None), (PREMIUM_DEFAULT, None),
+         (OFFER_REFUSAL, "9"), (FAILURE_TO_INFORM, None)],
+    )
+    @pytest.mark.parametrize("choice", [EXERCISE, WAIVE, renegotiate_for("1")])
+    def test_one_step_equals_two_steps_in_one_replace(self, monkeypatch, kind,
+                                                       payload, choice):
+        ev = TriggerEvent(kind, year=5, payload=payload)
+        held = record_trigger(note(), ev)
+        if kind in (BANKRUPTCY, EXIT) and choice is not EXERCISE:
+            with pytest.raises(ForcedTriggerError):
+                resolve_trigger(held, choice, clawback=POLICY_A)
+            with pytest.raises(ForcedTriggerError):
+                apply_trigger(note(), ev, choice, clawback=POLICY_A)
+            return
+        two_steps = resolve_trigger(held, choice, clawback=POLICY_A)
+        active, built = note(), []
+
+        def counting_replace(*args, **kwargs):
+            built.append(args[0])
+            return replace(*args, **kwargs)
+
+        monkeypatch.setattr(contracts, "replace", counting_replace)
+        assert apply_trigger(active, ev, choice, clawback=POLICY_A) == two_steps
+        assert built == [active]
 
     def test_resolve_needs_pending_event(self):
         with pytest.raises(StateTransitionError):

@@ -1,4 +1,5 @@
 """Scenario runs: report identities, determinism, replay, and sweep shapes."""
+import pickle
 from dataclasses import replace
 from decimal import Decimal, getcontext, localcontext
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from venturebank.errors import InvalidParameterError, SimulationError
-from venturebank.ledger import Account
+from venturebank.ledger import Account, Ledger
+from venturebank.money import money
 from venturebank.returns import FAILURE
 from venturebank import simulation
 from venturebank.simulation import (
@@ -131,6 +133,56 @@ class TestBooksAndEvents:
         gains = payouts - premiums + bank_exit - clawed
         c = cfg.initial_capital
         assert r.bank_10y_return == pytest.approx(float((c + gains) / c), abs=1e-12)
+
+
+class TestBooksOnDemand:
+    CFG = ScenarioConfig.calibration(target_classical_return="1.31")
+
+    @pytest.fixture
+    def post_books_calls(self, monkeypatch):
+        calls = []
+
+        def counting(events, config):
+            calls.append(config)
+            return post_books(events, config)
+
+        monkeypatch.setattr(simulation, "post_books", counting)
+        return calls
+
+    def test_no_books_until_a_ledger_is_read(self, post_books_calls):
+        report = run_scenario(self.CFG)
+        report.to_csv(), events_to_csv(report.events)
+        assert post_books_calls == []
+        bank = report.bank_ledger
+        assert post_books_calls == [self.CFG]
+        underwriter = report.underwriter_ledger
+        assert report.bank_ledger is bank and report.underwriter_ledger is underwriter
+        assert post_books_calls == [self.CFG]
+        expected = post_books(report.events, self.CFG)
+        assert (bank.transactions, underwriter.transactions) == tuple(
+            ledger.transactions for ledger in expected)
+
+    def test_given_ledgers_come_back_unchanged(self, post_books_calls):
+        report = run_scenario(self.CFG)
+        bank = Ledger("given")
+        figures = {name: getattr(report, name) for name in replay(report.events, self.CFG)}
+        given = simulation.SimulationReport(
+            config=self.CFG, events=report.events, bank_ledger=bank,
+            underwriter_ledger=None, **figures)
+        assert given.bank_ledger is bank and given.underwriter_ledger is None
+        assert post_books_calls == []
+        half = simulation.SimulationReport(
+            config=self.CFG, events=report.events, bank_ledger=bank,
+            underwriter_ledger=simulation.ON_DEMAND, **figures)
+        assert half.underwriter_ledger.transactions == \
+            post_books(report.events, self.CFG)[1].transactions
+        assert half.bank_ledger is bank and len(post_books_calls) == 1
+
+    def test_unread_books_survive_pickling(self):
+        report = pickle.loads(pickle.dumps(run_scenario(self.CFG)))
+        bank, underwriter = post_books(report.events, self.CFG)
+        assert report.bank_ledger.transactions == bank.transactions
+        assert report.underwriter_ledger.transactions == underwriter.transactions
 
 
 class TestEventLogParsing:
@@ -324,11 +376,14 @@ class TestDecimalContext:
             report_csv, events_csv = report.to_csv(), events_to_csv(report.events)
             replayed = replay(events_from_csv(events_csv), cfg)
             simulated_csv = events_to_csv(simulate(cfg))
+            books = report.bank_ledger.balances(), report.underwriter_ledger.balances()
             assert getcontext().prec == 12
         assert report_csv == expected.to_csv()
         assert events_csv == events_to_csv(expected.events)
         assert simulated_csv == events_csv
         assert replayed["underwriter_investment"] == expected.underwriter_investment
+        assert books == (expected.bank_ledger.balances(),
+                         expected.underwriter_ledger.balances())
 
 
 class TestConfigValidation:
@@ -337,9 +392,10 @@ class TestConfigValidation:
             ScenarioConfig(moc="48")
 
     def test_uninsured_book_cannot_reach_47x(self):
-        with pytest.raises(SimulationError) as err:
-            run_scenario(ScenarioConfig(coverage="0", target_classical_return="1.31"))
-        assert "year=0" in str(err.value) and "loans" in str(err.value)
+        with pytest.raises(InvalidParameterError,
+                           match="moc 47 puts a loan book of 47.000000000 past the "
+                                 "lending limit 20.000000000"):
+            ScenarioConfig(coverage="0", target_classical_return="1.31")
 
     def test_clawback_option_consistency(self):
         with pytest.raises(InvalidParameterError):
@@ -372,6 +428,21 @@ class TestConfigValidation:
                            match="moc .*initial_capital .*n_funds") as err:
             ScenarioConfig(**fields)
         assert "loan face" in str(err.value)
+
+    def test_book_past_the_post_booking_limit_rejected(self):
+        # 47X of this capital fits the 47.06X ceiling of multipliers'
+        # capital_limits, but the floored insured slot leaves a limit of 44X.
+        with pytest.raises(InvalidParameterError,
+                           match=r"moc 47 puts a loan book of 0\.000000470 past the "
+                                 r"lending limit 0\.000000440 that initial_capital "
+                                 r"0\.00000001 and"):
+            ScenarioConfig.calibration(initial_capital="0.00000001", n_funds=45)
+
+    def test_capital_is_checked_after_rounding(self):
+        with pytest.raises(InvalidParameterError,
+                           match="initial_capital must be > 0 at 9 decimal places, "
+                                 "got 0.0000000002$"):
+            ScenarioConfig(initial_capital="0.0000000002")
 
     def test_fraction_domains(self):
         with pytest.raises(InvalidParameterError):
@@ -433,15 +504,18 @@ class TestSweep:
         assert len(res.points) == 2 * len(simulation.SWEEP_CURVES)
 
     def test_lending_limit_fails_points_without_books(self):
-        # At coverage 0.028 the booked notes widen the loan ceiling past
-        # 43X but not to 47X, so only the moc-override curves fit.
+        # At coverage 0.02 the booked notes widen the loan ceiling to 32X
+        # for a 30X book but only to 37.2X for a 43X book, so the base
+        # config validates and the bank_moc43 curve's configs do not.
         grid = [Decimal("0.9"), Decimal("1.31")]
-        res = sweep_classical_return(ScenarioConfig.calibration(coverage="0.028"), grid)
-        assert [(p.curve, p.classical_return) for p in res.points] == [
-            (curve, t) for t in grid for curve in ("bank_moc30", "bank_moc43")]
-        assert len(res.failures) == 4 * len(grid)
+        cfg = ScenarioConfig.calibration(coverage="0.02", moc="30")
+        res = sweep_classical_return(cfg, grid)
+        assert [(f.curve, f.classical_return) for f in res.failures] == [
+            ("bank_moc43", t) for t in grid]
+        assert len(res.points) == 5 * len(grid)
         for f in res.failures:
-            assert "year=0" in f.message and "account=loans" in f.message
+            assert "moc 43 puts a loan book of 43.000000000 past the lending limit " \
+                   "37.200000000" in f.message
 
     def test_zero_loan_face_points_are_failures(self):
         # 47X of this capital splits into 44 positive faces; 30X and 43X
@@ -540,12 +614,46 @@ def small_configs(draw):
     )
 
 
+@st.composite
+def capital_configs(draw):
+    """Any loan book and capital stack, valid or not: capital from 1E-9 to
+    1E+4, reserve fraction, coverage and moc across and past the limit."""
+    capital = draw(st.integers(1, 10**4)) * Decimal(10) ** draw(st.integers(-9, 0))
+    return dict(
+        initial_capital=capital,
+        reserve_fraction=draw(st.decimals(min_value="0.01", max_value="1", places=2)),
+        coverage=draw(st.decimals(min_value="0", max_value="1", places=3)),
+        moc=draw(st.decimals(min_value="0.5", max_value="60", places=1)),
+        n_funds=draw(st.integers(min_value=2, max_value=40)),
+        seed=draw(st.integers(min_value=0, max_value=10**6)),
+    )
+
+
 class TestEngineProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(capital_configs())
+    def test_a_valid_config_writes_its_whole_loan_book(self, fields):
+        try:
+            cfg = ScenarioConfig(**fields)
+        except InvalidParameterError:
+            return
+        events = simulate(cfg)
+        # post_books refuses a loan past the lending limit with a year-0
+        # SimulationError; a config that validates never reaches it.
+        bank, _ = post_books(events, cfg)
+        lent = sum(p.debit for txn in bank.transactions if txn.year == 0
+                   for p in txn.postings if p.account is Account.LOANS)
+        assert lent == money(cfg.moc * cfg.initial_capital)
+
     @settings(max_examples=40, deadline=None)
     @given(small_configs())
     def test_saved_log_reproduces_report_and_books(self, cfg):
         report = run_scenario(cfg)
-        events = events_from_csv(events_to_csv(simulate(cfg)))
+        simulated = simulate(cfg)
+        # Every amount is quantized at its source, as money() would.
+        assert [str(e.amount) for e in simulated] == [
+            str(money(e.amount)) for e in simulated]
+        events = events_from_csv(events_to_csv(simulated))
         assert events == report.events
         figures = replay(events, cfg)
         assert figures == {name: getattr(report, name) for name in figures}
