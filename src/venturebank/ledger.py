@@ -30,6 +30,11 @@ class Account(enum.Enum):
     LIEN_OBLIGATIONS = "lien_obligations"
     EQUITY_HOLDINGS = "equity_holdings"
 
+    # Members are singletons that compare by identity, so the C-level
+    # identity hash keys the running balances without Enum's Python-level
+    # __hash__; no output iterates a set of accounts.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Posting:

@@ -58,6 +58,7 @@ from .money import fmt, in_money_context, money
 from .multipliers import capital_limits
 from .returns import (
     FAILURE,
+    ReturnDistribution,
     SpreadParams,
     rescale_to_target,
     synthesize_distribution,
@@ -166,6 +167,10 @@ class ScenarioConfig:
                 f"exit_equity_mode must be one of {EXIT_EQUITY_MODES}")
         if self.audit_verdict not in (None, True, False):
             raise InvalidParameterError("audit_verdict must be true, false or null")
+        if self.clawback_fraction == Decimal("1.0") and self.audit_verdict is None:
+            raise InvalidParameterError(
+                "option B settles its liens by the audit_verdict, which must be "
+                "true or false, got null")
         self.spread.validate()
         book, capital, _ = _opening_book(self)
         if book > capital.lending_limit:
@@ -264,8 +269,7 @@ EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     seq: int
     year: int
     kind: str
@@ -445,6 +449,18 @@ def simulate(config: ScenarioConfig) -> tuple[Event, ...]:
     charges the carrying cost of each parked payout, and releases the
     capital booking.
     """
+    dist = synthesize_distribution(
+        seed=config.seed, n_funds=config.n_funds, spread=config.spread
+    )
+    if config.target_classical_return is not None:
+        dist = rescale_to_target(dist, config.target_classical_return)
+    return _simulate(config, dist)
+
+
+def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, ...]:
+    """simulate's engine, on a spread already synthesized and rescaled for
+    config.  The sweep calls it directly to share one spread between the
+    curves of a grid point."""
     events: list[Event] = []
 
     def emit(year: int, kind: str, fund_id: str, amount: Decimal,
@@ -453,12 +469,6 @@ def simulate(config: ScenarioConfig) -> tuple[Event, ...]:
         event = Event(len(events), year, kind, fund_id, amount, detail)
         events.append(event)
         return event
-
-    dist = synthesize_distribution(
-        seed=config.seed, n_funds=config.n_funds, spread=config.spread
-    )
-    if config.target_classical_return is not None:
-        dist = rescale_to_target(dist, config.target_classical_return)
 
     emit(0, "capital_injection", "", money(config.initial_capital))
 
@@ -811,21 +821,52 @@ SWEEP_CURVES = (
 def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
     """Rerun the scenario over a grid of portfolio returns, one row per
     (curve, grid point).  Each point is priced from its event log alone;
-    no books are kept.  Point failures are recorded, not fatal."""
+    no books are kept.  Point failures are recorded, not fatal.
+
+    No curve overrides the seed, n_funds or the spread, so one synthesized
+    spread serves the whole sweep, rescaled once per grid point.  Curves
+    whose configs compare equal share one run: the rows keep only floats
+    of replay's figures, which equal configs price equally."""
     targets = [Decimal(str(t)) for t in grid]
     if not targets:
         raise InvalidParameterError("sweep grid is empty")
 
+    synthesized = synthesize_distribution(
+        seed=config.seed, n_funds=config.n_funds, spread=config.spread
+    )
     points: list[SweepPoint] = []
     failures: list[SweepFailure] = []
     for target in targets:
+        # Rescaled at the first config that validates, so a target that
+        # fails validation never reaches rescale_to_target.
+        dist: ReturnDistribution | VentureBankError | None = None
+        runs: dict[ScenarioConfig, dict | VentureBankError] = {}
         for name, overrides, attr in SWEEP_CURVES:
             try:
                 cfg = replace(
                     config, target_classical_return=target, **overrides
                 )
-                value = replay(simulate(cfg), cfg)[attr]
-                points.append(SweepPoint(name, target, float(value)))
             except VentureBankError as exc:
                 failures.append(SweepFailure(name, target, str(exc)))
+                continue
+            if dist is None:
+                try:
+                    dist = rescale_to_target(synthesized, cfg.target_classical_return)
+                except VentureBankError as exc:
+                    dist = exc
+            if cfg not in runs:
+                runs[cfg] = dist if isinstance(dist, VentureBankError) else _priced(cfg, dist)
+            run = runs[cfg]
+            if isinstance(run, VentureBankError):
+                failures.append(SweepFailure(name, target, str(run)))
+            else:
+                points.append(SweepPoint(name, target, float(run[attr])))
     return SweepResult(points=tuple(points), failures=tuple(failures))
+
+
+def _priced(config: ScenarioConfig, dist: ReturnDistribution) -> dict | VentureBankError:
+    """replay's figures for one sweep run, or the error that stopped it."""
+    try:
+        return replay(_simulate(config, dist), config)
+    except VentureBankError as exc:
+        return exc

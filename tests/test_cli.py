@@ -7,9 +7,9 @@ from decimal import Decimal
 
 import pytest
 
-from venturebank import simulation
+from venturebank import cli, simulation
 from venturebank.cli import MAX_SWEEP_POINTS, _sweep_grid, main
-from venturebank.errors import ConfigError
+from venturebank.errors import ConfigError, SimulationError
 from venturebank.registry import Registry, RegistryRecord, export_records, make_terms_digest
 from oracles import is_nondecreasing, kraken_brute_force
 from test_golden import GOLDEN
@@ -177,6 +177,7 @@ class TestSimulate:
             ({"n_funds": 10**12}, "InvalidParameterError"),
             ({"moc": "0.000001", "n_funds": 10000}, "InvalidParameterError"),
             ({"coverage": "0"}, "InvalidParameterError"),
+            ({"clawback_fraction": "1.0", "clawback_option": "B"}, "InvalidParameterError"),
         ],
     )
     def test_bad_field_is_one_json_line(self, tmp_path, capsys, scenario, kind):
@@ -199,9 +200,12 @@ class TestSimulate:
         for name in ("report.csv", "events.csv"):
             assert sha(tmp_path / name) == golden[name]
 
-    def test_domain_error_surfaces_coordinates(self, tmp_path, capsys):
-        # An option-B lien cannot settle at closeout without an audit verdict.
-        cfg = self.config(tmp_path, clawback_fraction="1.0", clawback_option="B")
+    def test_domain_error_surfaces_coordinates(self, tmp_path, capsys, monkeypatch):
+        def failing(config):
+            raise SimulationError("lien cannot settle", year=10, account="lien_obligations")
+
+        monkeypatch.setattr(cli, "run_scenario", failing)
+        cfg = self.config(tmp_path)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "SimulationError"

@@ -158,6 +158,15 @@ class TestLedger:
         assert led.balance(Account.LOANS) == Decimal("80")
         assert led.balances() == folded_balances(led)
 
+    def test_accounts_hash_by_identity_and_key_the_balances(self):
+        assert all(hash(account) == object.__hash__(account) for account in Account)
+        led = Ledger("bank")
+        led.post(0, "loan", [dr(Account.LOANS, "80"), cr(Account.DEPOSITS, "80")])
+        balances = led.balances()
+        assert list(balances) == list(Account)
+        assert balances[Account("loans")] == Decimal("80")
+        assert balances[Account["DEPOSITS"]] == Decimal("-80")
+
     def test_append_only_snapshot(self):
         led = Ledger("bank")
         led.post(0, "a", [dr(Account.CASH, "1"), cr(Account.DEPOSITS, "1")])

@@ -1,5 +1,6 @@
 """Scenario runs: report identities, determinism, replay, and sweep shapes."""
 import pickle
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, getcontext, localcontext
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from venturebank.errors import InvalidParameterError, SimulationError
+from venturebank.errors import InvalidParameterError, SimulationError, VentureBankError
 from venturebank.ledger import Account, Ledger
 from venturebank.money import money
 from venturebank.returns import FAILURE
@@ -282,14 +283,12 @@ class TestCloseout:
             assert abs(settle.amount - expect) <= Decimal("0.000000001")
 
     def test_option_b_needs_verdict(self):
-        cfg = ScenarioConfig(
-            target_classical_return="1.31",
-            clawback_fraction="1.0",
-            clawback_option="B",
-        )
-        with pytest.raises(SimulationError) as err:
-            run_scenario(cfg)
-        assert "lien_obligations" in str(err.value)
+        with pytest.raises(InvalidParameterError, match="audit_verdict"):
+            ScenarioConfig(
+                target_classical_return="1.31",
+                clawback_fraction="1.0",
+                clawback_option="B",
+            )
 
     def test_option_b_verdicts_set_recovery(self):
         base = dict(target_classical_return="1.31", clawback_fraction="1.0",
@@ -486,12 +485,57 @@ class TestSweep:
             assert "target_classical_return must be a finite decimal" in f.message
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(config):
+        def broken(config, dist):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(simulation, "simulate", broken)
+        monkeypatch.setattr(simulation, "_simulate", broken)
         with pytest.raises(RuntimeError, match="bug"):
             sweep_classical_return(ScenarioConfig.calibration(), self.GRID[:1])
+
+    @pytest.mark.parametrize(
+        "cfg, runs",
+        [(ScenarioConfig.calibration(), 4),
+         (ScenarioConfig.calibration(clawback_fraction="0.770"), 4),
+         (ScenarioConfig.calibration(clawback_fraction="0.77", clawback_option="C"), 5)],
+        ids=["calibration", "clawback_0770", "option_c"],
+    )
+    def test_one_spread_and_one_run_per_distinct_config(self, monkeypatch, cfg, runs):
+        # On calibration bank_claw077 is the base config (also at 0.770,
+        # which compares equal to 0.77) and din_10y and din_net_profit
+        # share it; under option C bank_claw077 differs.
+        calls = Counter()
+        for name in ("synthesize_distribution", "rescale_to_target", "_simulate"):
+            def counted(*args, _name=name, _fn=getattr(simulation, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(simulation, name, counted)
+        res = sweep_classical_return(cfg, self.GRID[:3])
+        assert not res.failures
+        assert len(res.points) == 3 * len(simulation.SWEEP_CURVES)
+        assert calls == {"synthesize_distribution": 1, "rescale_to_target": 3,
+                         "_simulate": 3 * runs}
+
+    def test_points_and_failures_equal_one_run_per_curve(self):
+        # Points, validation failures (NaN, and bank_moc43 at coverage
+        # 0.02) and rescale failures (-1) in the order and text of a loop
+        # that runs every (target, curve) on its own.
+        cfg = ScenarioConfig.calibration(coverage="0.02", moc="30")
+        grid = ["1.31", "-1", "NaN", "0.9"]
+        points, failures = [], []
+        for text in grid:
+            target = Decimal(text)
+            for name, overrides, attr in simulation.SWEEP_CURVES:
+                try:
+                    c = replace(cfg, target_classical_return=target, **overrides)
+                    points.append((name, text, float(replay(simulate(c), c)[attr])))
+                except VentureBankError as exc:
+                    failures.append((name, text, str(exc)))
+        res = sweep_classical_return(cfg, grid)
+        assert [(p.curve, str(p.classical_return), p.value) for p in res.points] == points
+        assert [(f.curve, str(f.classical_return), f.message)
+                for f in res.failures] == failures
+        assert {text for _, text, _ in failures} == {"1.31", "-1", "NaN", "0.9"}
+        assert len(points) == 2 * 5
 
     def test_sweep_keeps_no_books(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -533,8 +577,9 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "cfg",
-        [ScenarioConfig(), ScenarioConfig(coverage="0.75")],
-        ids=["defaults", "coverage_075"],
+        [ScenarioConfig(), ScenarioConfig(coverage="0.75"), ScenarioConfig.calibration(),
+         ScenarioConfig(clawback_fraction="0.770")],
+        ids=["defaults", "coverage_075", "calibration", "clawback_0770"],
     )
     def test_each_point_equals_its_full_run(self, cfg):
         grid = [Decimal("0.9"), Decimal("1.31")]
