@@ -10,13 +10,14 @@ from .errors import (
     InvalidParameterError,
     MissingVerdictError,
     StateTransitionError,
-    TermCapError,
     TerminalStateError,
 )
 from .money import compound, money
 
 
 class DinState(enum.Enum):
+    # apply_trigger settles a trigger in one step and never enters
+    # TRIGGERED; registry records may carry it, and it counts as live.
     ACTIVE = "active"
     TRIGGERED = "triggered"
     PAID_OUT = "paid_out"
@@ -40,6 +41,7 @@ FAILURE_TO_INFORM = "failure_to_inform"
 # Bankruptcy and exit admit no waiver: the payout/transfer happens by contract.
 FORCED_TRIGGERS = frozenset({BANKRUPTCY, EXIT})
 
+# No note runs past this; ScenarioConfig bounds the horizon by it.
 TERM_CAP_YEARS = 15
 DEFAULT_SEIZURE_FRACTION = Decimal("1")
 
@@ -81,19 +83,10 @@ class Choice:
     """Underwriter's election when a trigger fires."""
 
     kind: str
-    payment: Decimal | None = None
 
 
 EXERCISE = Choice("exercise")
 WAIVE = Choice("waive")
-
-
-def renegotiate_for(payment) -> Choice:
-    """Keep the note alive in exchange for a one-off payment to the underwriter."""
-    amount = money(payment)
-    if amount < 0:
-        raise InvalidParameterError("renegotiation payment must be >= 0")
-    return Choice("renegotiate", amount)
 
 
 @dataclass(frozen=True)
@@ -107,13 +100,11 @@ class ClawbackPolicy:
 
     option: str = "A"
     fraction: Decimal = Decimal("0.77")
-    bank_rate: Decimal = Decimal("0.03")
 
     def __post_init__(self) -> None:
         if self.option not in ("A", "B", "C"):
             raise InvalidParameterError(f"unknown clawback option: {self.option!r}")
         object.__setattr__(self, "fraction", Decimal(str(self.fraction)))
-        object.__setattr__(self, "bank_rate", Decimal(str(self.bank_rate)))
         if self.option == "B" and self.fraction != Decimal("1"):
             raise InvalidParameterError("option B liens carry the full base until verdict")
         if not Decimal(0) <= self.fraction <= Decimal(1):
@@ -138,7 +129,6 @@ class Settlement:
     """Cash and equity movements produced by resolving one trigger."""
 
     cash_to_bank: Decimal = Decimal("0")
-    cash_to_underwriter: Decimal = Decimal("0")
     equity_to_underwriter: Decimal = Decimal("0")  # fraction of investor equity
     lien: ClawbackLien | None = None
 
@@ -149,9 +139,7 @@ class DinContract:
     principal: Decimal
     coverage: Decimal = Decimal("1")  # insured fraction of principal
     equity_fraction: Decimal = Decimal("0.5")
-    term_years: int = 10
     state: DinState = DinState.ACTIVE
-    pending: TriggerEvent | None = None
     liens: tuple[ClawbackLien, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -164,68 +152,38 @@ class DinContract:
             raise InvalidParameterError("coverage must be in [0, 1]")
         if not Decimal(0) <= self.equity_fraction <= Decimal(1):
             raise InvalidParameterError("equity_fraction must be in [0, 1]")
-        if not 1 <= self.term_years <= TERM_CAP_YEARS:
-            raise InvalidParameterError(
-                f"term_years must be in [1, {TERM_CAP_YEARS}]"
-            )
 
     @property
     def insured_value(self) -> Decimal:
         return money(self.principal * self.coverage)
 
 
-def _require_live(contract: DinContract) -> None:
-    if contract.state in TERMINAL_STATES:
-        raise TerminalStateError(
-            f"{contract.contract_id} is {contract.state.value}; no further transitions"
-        )
-
-
-def _require_active(contract: DinContract) -> None:
-    _require_live(contract)
-    if contract.state is not DinState.ACTIVE:
-        raise StateTransitionError(
-            f"{contract.contract_id} already has a pending trigger"
-        )
-
-
-def record_trigger(contract: DinContract, event: TriggerEvent) -> DinContract:
-    """Move an active note into the triggered state, holding the event."""
-    _require_active(contract)
-    return replace(contract, state=DinState.TRIGGERED, pending=event)
-
-
-def resolve_trigger(
-    contract: DinContract,
-    choice: Choice,
-    clawback: ClawbackPolicy | None = None,
-    seizure_fraction: Decimal = DEFAULT_SEIZURE_FRACTION,
-) -> tuple[DinContract, Settlement]:
-    """Resolve the pending trigger per the underwriter's choice.
-
-    Returns the successor contract and the settlement it produces.  A
-    clawback policy of None means the note was written without the lien
-    rider; bankruptcy payouts then leave no claim behind.
-    """
-    _require_live(contract)
-    if contract.state is not DinState.TRIGGERED or contract.pending is None:
-        raise StateTransitionError(f"{contract.contract_id} has no pending trigger")
-    return _resolve(contract, contract.pending, choice, clawback, seizure_fraction)
-
-
-def _resolve(
+def apply_trigger(
     contract: DinContract,
     event: TriggerEvent,
-    choice: Choice,
-    clawback: ClawbackPolicy | None,
-    seizure_fraction: Decimal,
+    choice: Choice = EXERCISE,
+    clawback: ClawbackPolicy | None = None,
 ) -> tuple[DinContract, Settlement]:
-    """Settle `event` on a live note: the successor, in one replace, and
-    its settlement."""
-    if event.kind in FORCED_TRIGGERS and choice.kind != "exercise":
-        raise ForcedTriggerError(
-            f"{event.kind} admits no {choice.kind}; payout is contractual"
+    """Settle `event` on an active note per the underwriter's choice.
+
+    Returns the successor contract, built in one replace, and the
+    settlement it produces.  A waived trigger leaves the note as it was.
+    A clawback policy of None means the note was written without the lien
+    rider; bankruptcy payouts then leave no claim behind.
+    """
+    if contract.state is not DinState.ACTIVE:
+        error = (TerminalStateError if contract.state in TERMINAL_STATES
+                 else StateTransitionError)
+        raise error(
+            f"{contract.contract_id} is {contract.state.value}; "
+            "only an active note takes a trigger"
         )
+    if choice.kind != "exercise":
+        if event.kind in FORCED_TRIGGERS:
+            raise ForcedTriggerError(
+                f"{event.kind} admits no {choice.kind}; payout is contractual"
+            )
+        return contract, Settlement()
 
     if event.kind == BANKRUPTCY:
         payout = contract.insured_value
@@ -241,7 +199,6 @@ def _resolve(
         nxt = replace(
             contract,
             state=DinState.PAID_OUT,
-            pending=None,
             liens=contract.liens + ((lien,) if lien else ()),
         )
         return nxt, Settlement(
@@ -251,59 +208,23 @@ def _resolve(
         )
 
     if event.kind == EXIT:
-        nxt = replace(contract, state=DinState.EXITED, pending=None)
-        return nxt, Settlement(
+        return replace(contract, state=DinState.EXITED), Settlement(
             equity_to_underwriter=contract.coverage * contract.equity_fraction
         )
 
-    if event.kind == PREMIUM_DEFAULT:
-        if choice.kind == "exercise":
-            nxt = replace(contract, state=DinState.CLOSED, pending=None)
-            return nxt, Settlement(equity_to_underwriter=Decimal("1"))
-        if choice.kind == "renegotiate":
-            nxt = replace(contract, state=DinState.ACTIVE, pending=None)
-            return nxt, Settlement(cash_to_underwriter=choice.payment or Decimal("0"))
-        nxt = replace(contract, state=DinState.ACTIVE, pending=None)
-        return nxt, Settlement()
-
+    closed = replace(contract, state=DinState.CLOSED)
     if event.kind == OFFER_REFUSAL:
-        if choice.kind == "exercise":
-            offer = event.payload if event.payload is not None else Decimal("0")
-            # Underwriter recovers the bank-side slice of the refused upside.
-            upside = max(offer - contract.insured_value, Decimal("0"))
-            nxt = replace(contract, state=DinState.CLOSED, pending=None)
-            return nxt, Settlement(
-                cash_to_bank=money((Decimal(1) - contract.equity_fraction) * upside),
-                equity_to_underwriter=Decimal("1"),
-            )
-        nxt = replace(contract, state=DinState.ACTIVE, pending=None)
-        return nxt, Settlement()
-
-    # FAILURE_TO_INFORM
-    if choice.kind == "exercise":
-        nxt = replace(contract, state=DinState.CLOSED, pending=None)
-        return nxt, Settlement(equity_to_underwriter=Decimal(str(seizure_fraction)))
-    nxt = replace(contract, state=DinState.ACTIVE, pending=None)
-    return nxt, Settlement()
-
-
-def apply_trigger(
-    contract: DinContract,
-    event: TriggerEvent,
-    choice: Choice = EXERCISE,
-    clawback: ClawbackPolicy | None = None,
-    seizure_fraction: Decimal = DEFAULT_SEIZURE_FRACTION,
-) -> tuple[DinContract, Settlement]:
-    """record_trigger + resolve_trigger in one step, from the active note
-    straight to its successor."""
-    _require_active(contract)
-    return _resolve(contract, event, choice, clawback, seizure_fraction)
-
-
-def detach(contract: DinContract) -> DinContract:
-    """Sever the note from its loan.  A detached note is void, not tradable."""
-    _require_live(contract)
-    return replace(contract, state=DinState.VOID, pending=None)
+        offer = event.payload if event.payload is not None else Decimal("0")
+        # Underwriter recovers the bank-side slice of the refused upside.
+        upside = max(offer - contract.insured_value, Decimal("0"))
+        return closed, Settlement(
+            cash_to_bank=money((Decimal(1) - contract.equity_fraction) * upside),
+            equity_to_underwriter=Decimal("1"),
+        )
+    if event.kind == FAILURE_TO_INFORM:
+        return closed, Settlement(equity_to_underwriter=DEFAULT_SEIZURE_FRACTION)
+    # PREMIUM_DEFAULT
+    return closed, Settlement(equity_to_underwriter=Decimal("1"))
 
 
 def annual_premium(contract: DinContract, rate) -> Decimal:
@@ -317,18 +238,6 @@ def annual_premium(contract: DinContract, rate) -> Decimal:
             f"premium due only on active notes, not {contract.state.value}"
         )
     return money(Decimal(str(rate)) * contract.principal * contract.coverage)
-
-
-def extend_term(contract: DinContract, new_term_years: int) -> DinContract:
-    if contract.state is not DinState.ACTIVE:
-        raise StateTransitionError("only active notes can be extended")
-    if new_term_years <= contract.term_years:
-        raise InvalidParameterError("extension must lengthen the term")
-    if new_term_years > TERM_CAP_YEARS:
-        raise TermCapError(
-            f"term capped at {TERM_CAP_YEARS} years, got {new_term_years}"
-        )
-    return replace(contract, term_years=new_term_years)
 
 
 def exit_equity_split(

@@ -26,15 +26,11 @@ class StateTransitionError(VentureBankError):
 
 
 class ForcedTriggerError(StateTransitionError):
-    """Waive or renegotiate attempted on a trigger that forces exercise."""
+    """Waive attempted on a trigger that forces exercise."""
 
 
 class TerminalStateError(StateTransitionError):
-    """A trigger or amendment arrived after the contract reached a terminal state."""
-
-
-class TermCapError(VentureBankError):
-    """A term extension would push the contract past the hard term cap."""
+    """A trigger arrived after the contract reached a terminal state."""
 
 
 class MissingVerdictError(VentureBankError):

@@ -22,6 +22,8 @@ from decimal import (
     localcontext,
 )
 
+from .errors import InvalidParameterError
+
 MONEY_SCALE = Decimal("0.000000001")  # 9 fractional digits
 
 # Every field is spelled out: a Context() field left unset is copied from
@@ -53,14 +55,23 @@ ONE = Decimal(1)
 
 
 def money(value) -> Decimal:
-    """Coerce int/str/float/Decimal to a money Decimal at the working scale."""
+    """Coerce int/str/float/Decimal to a money Decimal at the working scale.
+
+    The scale keeps 9 of the context's 28 digits after the point, so an
+    amount that rounds to 10**19 or more is refused as InvalidParameterError.
+    """
     if isinstance(value, Decimal):
         d = value
     elif isinstance(value, float):
         d = Decimal(str(value))
     else:
         d = Decimal(value)
-    return d.quantize(MONEY_SCALE, rounding=ROUND_HALF_EVEN, context=DECIMAL_CONTEXT)
+    try:
+        return d.quantize(MONEY_SCALE, rounding=ROUND_HALF_EVEN, context=DECIMAL_CONTEXT)
+    except InvalidOperation:
+        raise InvalidParameterError(
+            f"{d} is past the money scale of 19 digits before the point"
+        ) from None
 
 
 def money_floor(value) -> Decimal:

@@ -20,6 +20,7 @@ from typing import NamedTuple, get_type_hints
 from .contracts import (
     BANKRUPTCY,
     EXIT,
+    TERM_CAP_YEARS,
     ClawbackPolicy,
     DinContract,
     DinState,
@@ -89,10 +90,13 @@ def _finite_decimal(name: str, value) -> Decimal:
     try:
         d = Decimal(str(value))
         if d.is_finite():
+            money(d)  # refuses a value past the money scale
             return d
-    except ArithmeticError:
+    except (ArithmeticError, InvalidParameterError):
         pass
-    raise InvalidParameterError(f"{name} must be a finite decimal, got {str(value)!r}")
+    raise InvalidParameterError(
+        f"{name} must be a finite decimal of at most 19 digits before the "
+        f"point, got {str(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ class ScenarioConfig:
             object.__setattr__(self, name, _finite_decimal(name, getattr(self, name)))
         if not Decimal(0) < self.reserve_fraction <= 1:
             raise InvalidParameterError("reserve_fraction must be in (0, 1]")
-        for name in ("premium_rate", "equity_fraction", "coverage"):
+        for name in ("premium_rate", "equity_fraction", "coverage", "bank_rate"):
             v = getattr(self, name)
             if not Decimal(0) <= v <= 1:
                 raise InvalidParameterError(f"{name} must be in [0, 1]")
@@ -143,8 +147,6 @@ class ScenarioConfig:
             raise InvalidParameterError("full clawback runs through option B")
         if self.clawback_fraction == Decimal("0.77") and self.clawback_option == "B":
             raise InvalidParameterError("option B carries the full base, not 0.77")
-        if self.bank_rate < 0:
-            raise InvalidParameterError("bank_rate must be >= 0")
         if not 2 <= self.n_funds <= MAX_FUNDS:
             raise InvalidParameterError(
                 f"n_funds must be >= 2 and <= {MAX_FUNDS}, got {self.n_funds}")
@@ -152,8 +154,9 @@ class ScenarioConfig:
             raise InvalidParameterError("seed must be >= 0")
         if not 1 <= self.failure_year < self.exit_year:
             raise InvalidParameterError("need 1 <= failure_year < exit_year")
-        if not self.exit_year <= self.horizon <= 15:
-            raise InvalidParameterError("need exit_year <= horizon <= 15")
+        if not self.exit_year <= self.horizon <= TERM_CAP_YEARS:
+            raise InvalidParameterError(
+                f"need exit_year <= horizon <= {TERM_CAP_YEARS}")
         if money(self.initial_capital) <= 0:
             raise InvalidParameterError(
                 f"initial_capital must be > 0 at 9 decimal places, "
@@ -172,11 +175,18 @@ class ScenarioConfig:
                 "option B settles its liens by the audit_verdict, which must be "
                 "true or false, got null")
         self.spread.validate()
-        book, capital, _ = _opening_book(self)
-        if book > capital.lending_limit:
+        try:
+            book, capital, _ = _opening_book(self)
+            limit = capital.lending_limit
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(
+                f"moc {self.moc}, initial_capital {self.initial_capital} and "
+                f"reserve_fraction {self.reserve_fraction} give a capital "
+                f"stack past the money scale: {exc}") from None
+        if book > limit:
             raise InvalidParameterError(
                 f"moc {self.moc} puts a loan book of {book:f} past the lending "
-                f"limit {capital.lending_limit:f} that initial_capital "
+                f"limit {limit:f} that initial_capital "
                 f"{self.initial_capital:f} and the insured notes at coverage "
                 f"{self.coverage} allow"
             )
@@ -195,7 +205,6 @@ class ScenarioConfig:
         return ClawbackPolicy(
             option=self.clawback_option,
             fraction=self.clawback_fraction,
-            bank_rate=self.bank_rate,
         )
 
     @classmethod
@@ -491,7 +500,6 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
                 face,
                 coverage=config.coverage,
                 equity_fraction=config.equity_fraction,
-                term_years=config.horizon,
             )
         )
 

@@ -178,6 +178,19 @@ class TestSimulate:
             ({"moc": "0.000001", "n_funds": 10000}, "InvalidParameterError"),
             ({"coverage": "0"}, "InvalidParameterError"),
             ({"clawback_fraction": "1.0", "clawback_option": "B"}, "InvalidParameterError"),
+            # Finite decimals past the money scale of 19 digits before the point.
+            ({"target_classical_return": "1E+30"}, "InvalidParameterError"),
+            ({"target_classical_return": "-1E+30"}, "InvalidParameterError"),
+            ({"target_classical_return": "1E+19"}, "InvalidParameterError"),
+            ({"moc": "1E+30"}, "InvalidParameterError"),
+            ({"initial_capital": "1E+30"}, "InvalidParameterError"),
+            ({"bank_rate": "1E+30"}, "InvalidParameterError"),
+            ({"bank_rate": "2"}, "InvalidParameterError"),
+            ({"reserve_fraction": "1E-30"}, "InvalidParameterError"),
+            # Each field fits; an amount of the run does not.
+            ({"initial_capital": "1E+10", "target_classical_return": "1E+10"},
+             "InvalidParameterError"),
+            ({"spread": {"survivor_max": 1e300}}, "InvalidParameterError"),
         ],
     )
     def test_bad_field_is_one_json_line(self, tmp_path, capsys, scenario, kind):

@@ -4,6 +4,9 @@ from dataclasses import replace
 from decimal import Decimal
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from venturebank import contracts
 from venturebank.contracts import (
@@ -11,6 +14,7 @@ from venturebank.contracts import (
     EXERCISE,
     EXIT,
     FAILURE_TO_INFORM,
+    FORCED_TRIGGERS,
     OFFER_REFUSAL,
     PREMIUM_DEFAULT,
     TERMINAL_STATES,
@@ -19,16 +23,12 @@ from venturebank.contracts import (
     DinContract,
     DinState,
     LienResolution,
+    Settlement,
     TriggerEvent,
     annual_premium,
     apply_trigger,
     create_clawback,
-    detach,
     exit_equity_split,
-    extend_term,
-    record_trigger,
-    renegotiate_for,
-    resolve_trigger,
     settle_clawback,
 )
 from venturebank.errors import (
@@ -36,7 +36,6 @@ from venturebank.errors import (
     InvalidParameterError,
     MissingVerdictError,
     StateTransitionError,
-    TermCapError,
     TerminalStateError,
 )
 from oracles import compound_interest
@@ -87,11 +86,6 @@ class TestBankruptcy:
         with pytest.raises(ForcedTriggerError):
             apply_trigger(note(), ev, WAIVE)
 
-    def test_renegotiate_refused(self):
-        ev = TriggerEvent(BANKRUPTCY, year=5, payload="0.8")
-        with pytest.raises(ForcedTriggerError):
-            apply_trigger(note(), ev, renegotiate_for("1"))
-
     def test_option_c_flags_lien_for_audit(self):
         ev = TriggerEvent(BANKRUPTCY, year=5, payload="0")
         _, stl = apply_trigger(note(), ev, EXERCISE, clawback=POLICY_C)
@@ -123,19 +117,12 @@ class TestPremiumDefault:
         nxt, stl = apply_trigger(note(), TriggerEvent(PREMIUM_DEFAULT, year=3), EXERCISE)
         assert nxt.state is DinState.CLOSED
         assert stl.equity_to_underwriter == Decimal("1")
-        assert stl.cash_to_bank == 0 and stl.cash_to_underwriter == 0
+        assert stl.cash_to_bank == 0 and stl.lien is None
 
     def test_waive_restores_active(self):
         nxt, stl = apply_trigger(note(), TriggerEvent(PREMIUM_DEFAULT, year=3), WAIVE)
         assert nxt.state is DinState.ACTIVE
         assert stl == type(stl)()  # empty settlement
-
-    def test_renegotiation_payment_recorded(self):
-        nxt, stl = apply_trigger(
-            note(), TriggerEvent(PREMIUM_DEFAULT, year=3), renegotiate_for("0.25")
-        )
-        assert nxt.state is DinState.ACTIVE
-        assert stl.cash_to_underwriter == Decimal("0.250000000")
 
 
 class TestOfferRefusal:
@@ -165,15 +152,6 @@ class TestFailureToInform:
         assert nxt.state is DinState.CLOSED
         assert stl.equity_to_underwriter == Decimal("1")
 
-    def test_partial_seizure(self):
-        _, stl = apply_trigger(
-            note(),
-            TriggerEvent(FAILURE_TO_INFORM, year=4),
-            EXERCISE,
-            seizure_fraction="0.6",
-        )
-        assert stl.equity_to_underwriter == Decimal("0.6")
-
     def test_waive_restores_active(self):
         nxt, _ = apply_trigger(note(), TriggerEvent(FAILURE_TO_INFORM, year=4), WAIVE)
         assert nxt.state is DinState.ACTIVE
@@ -185,7 +163,7 @@ class TestStateMachine:
         paid, _ = apply_trigger(note(), ev, EXERCISE, clawback=POLICY_A)
         exited, _ = apply_trigger(note(), TriggerEvent(EXIT, year=10), EXERCISE)
         closed, _ = apply_trigger(note(), TriggerEvent(PREMIUM_DEFAULT, year=3), EXERCISE)
-        void = detach(note())
+        void = note(state=DinState.VOID)
         return [paid, exited, closed, void]
 
     def test_terminal_states_refuse_everything(self):
@@ -194,44 +172,31 @@ class TestStateMachine:
             assert dead.state in TERMINAL_STATES
             with pytest.raises(TerminalStateError):
                 apply_trigger(dead, ev, WAIVE)
-            with pytest.raises(TerminalStateError):
-                detach(dead)
             with pytest.raises(StateTransitionError):
                 annual_premium(dead, "0.05")
-            with pytest.raises(StateTransitionError):
-                extend_term(dead, 12)
-
-    def test_two_step_trigger_holds_event(self):
-        held = record_trigger(note(), TriggerEvent(PREMIUM_DEFAULT, year=3))
-        assert held.state is DinState.TRIGGERED
-        assert held.pending is not None
-        nxt, _ = resolve_trigger(held, WAIVE)
-        assert nxt.state is DinState.ACTIVE and nxt.pending is None
 
     def test_no_double_trigger(self):
-        held = record_trigger(note(), TriggerEvent(PREMIUM_DEFAULT, year=3))
-        with pytest.raises(StateTransitionError):
-            record_trigger(held, TriggerEvent(EXIT, year=10))
-        with pytest.raises(StateTransitionError):
+        # A registry record may hold a note in TRIGGERED; it takes no
+        # second trigger, and it is not terminal.
+        held = note(state=DinState.TRIGGERED)
+        with pytest.raises(StateTransitionError) as err:
             apply_trigger(held, TriggerEvent(EXIT, year=10))
+        assert not isinstance(err.value, TerminalStateError)
 
     @pytest.mark.parametrize(
         "kind, payload",
         [(BANKRUPTCY, "1"), (EXIT, None), (PREMIUM_DEFAULT, None),
          (OFFER_REFUSAL, "9"), (FAILURE_TO_INFORM, None)],
     )
-    @pytest.mark.parametrize("choice", [EXERCISE, WAIVE, renegotiate_for("1")])
-    def test_one_step_equals_two_steps_in_one_replace(self, monkeypatch, kind,
-                                                       payload, choice):
+    @pytest.mark.parametrize("choice", [EXERCISE, WAIVE])
+    def test_one_trigger_one_replace(self, monkeypatch, kind, payload, choice):
+        # An exercised trigger builds its successor in one replace; a
+        # waived one hands back the note it was given.
         ev = TriggerEvent(kind, year=5, payload=payload)
-        held = record_trigger(note(), ev)
-        if kind in (BANKRUPTCY, EXIT) and choice is not EXERCISE:
-            with pytest.raises(ForcedTriggerError):
-                resolve_trigger(held, choice, clawback=POLICY_A)
+        if kind in FORCED_TRIGGERS and choice is WAIVE:
             with pytest.raises(ForcedTriggerError):
                 apply_trigger(note(), ev, choice, clawback=POLICY_A)
             return
-        two_steps = resolve_trigger(held, choice, clawback=POLICY_A)
         active, built = note(), []
 
         def counting_replace(*args, **kwargs):
@@ -239,54 +204,77 @@ class TestStateMachine:
             return replace(*args, **kwargs)
 
         monkeypatch.setattr(contracts, "replace", counting_replace)
-        assert apply_trigger(active, ev, choice, clawback=POLICY_A) == two_steps
-        assert built == [active]
+        nxt, _ = apply_trigger(active, ev, choice, clawback=POLICY_A)
+        if choice is EXERCISE:
+            assert built == [active]
+        else:
+            assert built == [] and nxt is active
 
-    def test_resolve_needs_pending_event(self):
-        with pytest.raises(StateTransitionError):
-            resolve_trigger(note(), WAIVE)
 
-    def test_detach_voids_triggered_note(self):
-        held = record_trigger(note(), TriggerEvent(OFFER_REFUSAL, year=6, payload="9"))
-        assert detach(held).state is DinState.VOID
+class LifecycleMachine(RuleBasedStateMachine):
+    """One note under any sequence of triggers and choices, written with
+    or without the clawback rider."""
 
-    def test_random_sequences_preserve_lien_invariant(self):
-        # Whatever the event order, a paid-out note carries exactly one lien
-        # (when written with the rider) and terminal notes never move again.
-        rng = random.Random(4242)
-        kinds = [BANKRUPTCY, EXIT, PREMIUM_DEFAULT, OFFER_REFUSAL, FAILURE_TO_INFORM]
-        for trial in range(300):
-            c = note(contract_id=f"d{trial}")
-            for year in range(1, 11):
-                if c.state in TERMINAL_STATES:
-                    break
-                kind = rng.choice(kinds)
-                payload = str(rng.randint(0, 40)) if kind != PREMIUM_DEFAULT else None
-                if kind in (BANKRUPTCY, EXIT):
-                    choice = EXERCISE
-                else:
-                    choice = rng.choice([EXERCISE, WAIVE])
-                c, _ = apply_trigger(
-                    c, TriggerEvent(kind, year=year, payload=payload),
-                    choice, clawback=POLICY_A,
-                )
-            if c.state is DinState.PAID_OUT:
-                assert len(c.liens) == 1
-            else:
-                assert c.liens == ()
+    @initialize(
+        policy=st.sampled_from([None, POLICY_A, POLICY_B, POLICY_C]),
+        state=st.sampled_from([DinState.ACTIVE, DinState.TRIGGERED, DinState.VOID]),
+    )
+    def write_note(self, policy, state):
+        self.policy = policy
+        self.note = note(state=state)
+
+    @rule(
+        kind=st.sampled_from(
+            [BANKRUPTCY, EXIT, PREMIUM_DEFAULT, OFFER_REFUSAL, FAILURE_TO_INFORM]),
+        choice=st.sampled_from([EXERCISE, WAIVE]),
+        year=st.integers(min_value=1, max_value=15),
+        payload=st.integers(min_value=0, max_value=40),
+    )
+    def trigger(self, kind, choice, year, payload):
+        before = self.note
+        event = TriggerEvent(
+            kind, year, payload=None if kind == PREMIUM_DEFAULT else str(payload))
+        if before.state in TERMINAL_STATES:
+            with pytest.raises(TerminalStateError):
+                apply_trigger(before, event, choice, clawback=self.policy)
+            return
+        if before.state is not DinState.ACTIVE:
+            with pytest.raises(StateTransitionError):
+                apply_trigger(before, event, choice, clawback=self.policy)
+            return
+        if kind in FORCED_TRIGGERS and choice is WAIVE:
+            with pytest.raises(ForcedTriggerError):
+                apply_trigger(before, event, choice, clawback=self.policy)
+            return
+        self.note, settlement = apply_trigger(before, event, choice, clawback=self.policy)
+        if choice is WAIVE:
+            assert self.note is before and settlement == Settlement()
+            return
+        expected = {BANKRUPTCY: DinState.PAID_OUT, EXIT: DinState.EXITED}
+        assert self.note.state is expected.get(kind, DinState.CLOSED)
+        lien = settlement.lien
+        assert self.note.liens == ((lien,) if lien else ())
+        if lien is not None:
+            assert (lien.fraction, lien.origin_year) == (self.policy.fraction, year)
+            assert lien.audit_flagged == (self.policy.option == "C")
+
+    @invariant()
+    def one_lien_per_payout(self):
+        if self.note.state is DinState.PAID_OUT and self.policy is not None:
+            assert len(self.note.liens) == 1
+        else:
+            assert self.note.liens == ()
+
+
+LifecycleMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=10, deadline=None)
+TestLifecycleMachine = LifecycleMachine.TestCase
 
 
 class TestPremiumAndTerm:
     def test_premium_is_rate_on_insured_value(self):
         assert annual_premium(note(), "0.05") == Decimal("0.100000000")
         assert annual_premium(note(coverage="0.5"), "0.05") == Decimal("0.050000000")
-
-    def test_extension_up_to_cap(self):
-        assert extend_term(note(), 15).term_years == 15
-        with pytest.raises(TermCapError):
-            extend_term(note(), 16)
-        with pytest.raises(InvalidParameterError):
-            extend_term(note(), 10)  # not an extension
 
 
 class TestEquitySplit:
@@ -373,5 +361,3 @@ class TestValidation:
             note(coverage="1.5")
         with pytest.raises(InvalidParameterError):
             note(equity_fraction="-0.1")
-        with pytest.raises(InvalidParameterError):
-            note(term_years=20)

@@ -1,5 +1,6 @@
 """Scenario runs: report identities, determinism, replay, and sweep shapes."""
 import pickle
+import re
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, getcontext, localcontext
@@ -408,6 +409,31 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError, match=f"{field} must be a finite decimal"):
             ScenarioConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("target_classical_return", "1E+30"), ("target_classical_return", "-1E+30"),
+         ("target_classical_return", "1E+19"), ("moc", "1E+30"),
+         ("initial_capital", "1E+30"), ("bank_rate", "1E+30")],
+    )
+    def test_decimal_past_the_money_scale_rejected(self, field, value):
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"{field} must be a finite decimal of at "
+                                           f"most 19 digits before the point, got "
+                                           f"'{value}'")):
+            ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(moc="1E+10", initial_capital="1E+10"),  # the book itself
+         dict(initial_capital="1E+18"),  # 47X of it
+         dict(reserve_fraction="1E-30")],  # the lending limit
+    )
+    def test_capital_stack_past_the_money_scale_rejected(self, fields):
+        with pytest.raises(InvalidParameterError,
+                           match="moc .*initial_capital .*reserve_fraction .*past "
+                                 "the money scale"):
+            ScenarioConfig(**fields)
+
     def test_n_funds_is_capped(self):
         ScenarioConfig(n_funds=simulation.MAX_FUNDS)
         for n in (simulation.MAX_FUNDS + 1, 10**12):
@@ -448,6 +474,10 @@ class TestConfigValidation:
             ScenarioConfig(clawback_fraction="0.5")
         with pytest.raises(InvalidParameterError):
             ScenarioConfig(premium_rate="1.5")
+        ScenarioConfig(bank_rate="1")
+        for value in ("-0.01", "1.01"):
+            with pytest.raises(InvalidParameterError, match=r"bank_rate must be in \[0, 1\]"):
+                ScenarioConfig(bank_rate=value)
         with pytest.raises(InvalidParameterError):
             ScenarioConfig(horizon=16)
         with pytest.raises(InvalidParameterError):
@@ -483,6 +513,23 @@ class TestSweep:
         assert len(res.failures) == 12
         for f in res.failures:
             assert "target_classical_return must be a finite decimal" in f.message
+
+    def test_target_past_the_money_scale_is_a_row_on_every_curve(self):
+        res = sweep_classical_return(ScenarioConfig(), ["1E+30", "1"])
+        assert [f.curve for f in res.failures] == [
+            name for name, _, _ in simulation.SWEEP_CURVES]
+        for f in res.failures:
+            assert f.classical_return == Decimal("1E+30")
+            assert "target_classical_return must be a finite decimal" in f.message
+        assert {p.classical_return for p in res.points} == {Decimal("1")}
+
+    def test_run_past_the_money_scale_is_a_row_on_every_curve(self):
+        # Each field fits the money scale; the exit proceeds of the run do not.
+        res = sweep_classical_return(ScenarioConfig(initial_capital="1E+10"), ["1E+10"])
+        assert not res.points
+        assert len(res.failures) == len(simulation.SWEEP_CURVES)
+        for f in res.failures:
+            assert "is past the money scale" in f.message
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(config, dist):
