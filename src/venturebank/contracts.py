@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .errors import (
@@ -104,7 +104,7 @@ class ClawbackPolicy:
     def __post_init__(self) -> None:
         if self.option not in ("A", "B", "C"):
             raise InvalidParameterError(f"unknown clawback option: {self.option!r}")
-        object.__setattr__(self, "fraction", Decimal(str(self.fraction)))
+        object.__setattr__(self, "fraction", _decimal(self.fraction))
         if self.option == "B" and self.fraction != Decimal("1"):
             raise InvalidParameterError("option B liens carry the full base until verdict")
         if not Decimal(0) <= self.fraction <= Decimal(1):
@@ -144,8 +144,8 @@ class DinContract:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "principal", money(self.principal))
-        object.__setattr__(self, "coverage", Decimal(str(self.coverage)))
-        object.__setattr__(self, "equity_fraction", Decimal(str(self.equity_fraction)))
+        object.__setattr__(self, "coverage", _decimal(self.coverage))
+        object.__setattr__(self, "equity_fraction", _decimal(self.equity_fraction))
         if self.principal < 0:
             raise InvalidParameterError("principal must be >= 0")
         if not Decimal(0) <= self.coverage <= Decimal(1):
@@ -158,6 +158,20 @@ class DinContract:
         return money(self.principal * self.coverage)
 
 
+def _decimal(value) -> Decimal:
+    """Decimal(str(value)), which a Decimal already is, exponent and all."""
+    return value if isinstance(value, Decimal) else Decimal(str(value))
+
+
+def _successor(contract: DinContract, state: DinState,
+               liens: tuple[ClawbackLien, ...]) -> DinContract:
+    """replace(contract, state=state, liens=liens) without validating the
+    terms again: they are the predecessor's, which __post_init__ checked."""
+    nxt = object.__new__(DinContract)
+    nxt.__dict__.update(contract.__dict__, state=state, liens=liens)
+    return nxt
+
+
 def apply_trigger(
     contract: DinContract,
     event: TriggerEvent,
@@ -166,10 +180,11 @@ def apply_trigger(
 ) -> tuple[DinContract, Settlement]:
     """Settle `event` on an active note per the underwriter's choice.
 
-    Returns the successor contract, built in one replace, and the
-    settlement it produces.  A waived trigger leaves the note as it was.
-    A clawback policy of None means the note was written without the lien
-    rider; bankruptcy payouts then leave no claim behind.
+    Returns the successor contract, built from the note without checking
+    its terms again, and the settlement it produces.  A waived trigger
+    leaves the note as it was.  A clawback policy of None means the note
+    was written without the lien rider; bankruptcy payouts then leave no
+    claim behind.
     """
     if contract.state is not DinState.ACTIVE:
         error = (TerminalStateError if contract.state in TERMINAL_STATES
@@ -196,11 +211,8 @@ def apply_trigger(
                 clawback,
                 origin_year=event.year,
             )
-        nxt = replace(
-            contract,
-            state=DinState.PAID_OUT,
-            liens=contract.liens + ((lien,) if lien else ()),
-        )
+        nxt = _successor(contract, DinState.PAID_OUT,
+                         contract.liens + ((lien,) if lien else ()))
         return nxt, Settlement(
             cash_to_bank=payout,
             equity_to_underwriter=Decimal("1"),
@@ -208,11 +220,11 @@ def apply_trigger(
         )
 
     if event.kind == EXIT:
-        return replace(contract, state=DinState.EXITED), Settlement(
+        return _successor(contract, DinState.EXITED, contract.liens), Settlement(
             equity_to_underwriter=contract.coverage * contract.equity_fraction
         )
 
-    closed = replace(contract, state=DinState.CLOSED)
+    closed = _successor(contract, DinState.CLOSED, contract.liens)
     if event.kind == OFFER_REFUSAL:
         offer = event.payload if event.payload is not None else Decimal("0")
         # Underwriter recovers the bank-side slice of the refused upside.
@@ -237,7 +249,7 @@ def annual_premium(contract: DinContract, rate) -> Decimal:
         raise StateTransitionError(
             f"premium due only on active notes, not {contract.state.value}"
         )
-    return money(Decimal(str(rate)) * contract.principal * contract.coverage)
+    return money(_decimal(rate) * contract.principal * contract.coverage)
 
 
 def exit_equity_split(
@@ -249,8 +261,8 @@ def exit_equity_split(
     the underwriter keeps its contracted fraction, the bank the remainder.
     """
     value = money(investor_equity)
-    insured = money(value * Decimal(str(coverage)))
-    to_underwriter = money(insured * Decimal(str(equity_fraction)))
+    insured = money(value * _decimal(coverage))
+    to_underwriter = money(insured * _decimal(equity_fraction))
     return to_underwriter, money(insured - to_underwriter)
 
 
@@ -301,5 +313,6 @@ def settle_clawback(
         else LienResolution.RELEASED23
     )
     grown = compound(lien.base, bank_rate, settlement_year - lien.origin_year)
-    settled = replace(lien, fraction=fraction, resolution=resolution)
+    settled = ClawbackLien(lien.contract_id, lien.base, fraction, lien.origin_year,
+                           lien.option, lien.audit_flagged, resolution)
     return money(fraction * grown), settled

@@ -90,9 +90,23 @@ def compound(principal, rate, periods: int) -> Decimal:
         principal = Decimal(str(principal))
     if not isinstance(rate, Decimal):
         rate = Decimal(str(rate))
+    # A NaN is not a cache key: hashing an sNaN raises TypeError, and a
+    # quiet NaN never equals itself.  Non-finite rates take the same
+    # arithmetic uncached.
+    if rate.is_finite():
+        growth = _growth(rate, periods)
+    else:
+        growth = _growth.__wrapped__(rate, periods)
+    return money(DECIMAL_CONTEXT.multiply(principal, growth))
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _growth(rate: Decimal, periods: int) -> Decimal:
+    """(1 + rate) ** periods in DECIMAL_CONTEXT.  Every lien and carrying
+    cost of a run grows at one rate over one term, so the factor is
+    computed once; equal keys are equal rates, which give equal factors."""
     ctx = DECIMAL_CONTEXT
-    growth = ctx.power(ctx.add(ONE, rate), periods)
-    return money(ctx.multiply(principal, growth))
+    return ctx.power(ctx.add(ONE, rate), periods)
 
 
 def fmt(value: Decimal) -> str:

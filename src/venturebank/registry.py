@@ -57,9 +57,18 @@ class RegistryRecord:
         if self.principal < 0:
             raise InvalidParameterError("principal must be >= 0")
         if self.expected_multiple is not None:
-            object.__setattr__(
-                self, "expected_multiple", Decimal(str(self.expected_multiple))
-            )
+            # A NaN multiple would rank as nothing and pass the
+            # representativeness audit silently.
+            try:
+                multiple = Decimal(str(self.expected_multiple))
+                valid = multiple.is_finite() and multiple >= 0
+            except ArithmeticError:
+                valid = False
+            if not valid:
+                raise InvalidParameterError(
+                    "expected_multiple must be a finite decimal >= 0, "
+                    f"got {self.expected_multiple!r}")
+            object.__setattr__(self, "expected_multiple", multiple)
 
 
 class Registry:

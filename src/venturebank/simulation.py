@@ -339,11 +339,11 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
             seq, year, kind, fund_id, amount, detail = row
             if kind not in EVENT_KINDS:
                 raise ValueError(f"unknown event kind {kind!r}")
-            out.append(
-                Event(int(seq), int(year), kind, fund_id, Decimal(amount),
-                      _parse_detail(kind, detail)
-                      if detail or kind in _DETAIL_READERS else None)
-            )
+            out.append(Event._make((
+                int(seq), int(year), kind, fund_id, Decimal(amount),
+                _parse_detail(kind, detail)
+                if detail or kind in _DETAIL_READERS else None,
+            )))
         except (ValueError, ArithmeticError) as exc:
             reason = exc if isinstance(exc, ValueError) else "a value is not a decimal"
             raise InvalidParameterError(
@@ -471,11 +471,15 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
     config.  The sweep calls it directly to share one spread between the
     curves of a grid point."""
     events: list[Event] = []
+    # Event._make hands its tuple to tuple.__new__ and checks the length;
+    # Event(...) first binds six arguments in the NamedTuple's Python
+    # __new__, which costs more per event.
+    make = Event._make
 
     def emit(year: int, kind: str, fund_id: str, amount: Decimal,
              detail=None) -> Event:
         # Every amount arrives quantized to 9 places.
-        event = Event(len(events), year, kind, fund_id, amount, detail)
+        event = make((len(events), year, kind, fund_id, amount, detail))
         events.append(event)
         return event
 
@@ -509,12 +513,17 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
 
     policy = config.clawback_policy()
     premiums = [annual_premium(note, config.premium_rate) for note in notes]
+    # (fund, premium) of every active note.  A note leaves ACTIVE only in a
+    # trigger phase, after that year's premiums, so the list is rebuilt
+    # after each phase and not checked per note and year.
+    paying = [(note.contract_id, premium) for note, premium in zip(notes, premiums)]
     payouts: list[Event] = []
     liens = []
     for year in range(1, config.horizon + 1):
-        for note, premium in zip(notes, premiums):
-            if note.state is DinState.ACTIVE:
-                emit(year, "premium_paid", note.contract_id, premium)
+        events.extend([
+            make((seq, year, "premium_paid", fund, premium, None))
+            for seq, (fund, premium) in enumerate(paying, len(events))
+        ])
 
         if year == config.failure_year:
             for i, outcome in enumerate(dist.outcomes):
@@ -545,17 +554,23 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
                          LienCreated(lien.fraction, lien.origin_year))
 
         if year == config.exit_year:
+            exit_event = TriggerEvent(EXIT, year)
             for i, outcome in enumerate(dist.outcomes):
                 if outcome.classification == FAILURE:
                     continue
                 note = notes[i]
-                notes[i], _ = apply_trigger(note, TriggerEvent(EXIT, year))
+                notes[i], _ = apply_trigger(note, exit_event)
                 proceeds = money(outcome.ten_year_multiple * note.principal)
                 uw_share, bank_share = exit_equity_split(
                     proceeds, note.coverage, note.equity_fraction
                 )
                 emit(year, "exit_proceeds", note.contract_id, proceeds,
                      ExitProceeds(note.principal, uw_share, bank_share))
+
+        if year in (config.failure_year, config.exit_year):
+            paying = [(note.contract_id, premium)
+                      for note, premium in zip(notes, premiums)
+                      if note.state is DinState.ACTIVE]
 
     closeout = config.exit_year
     for lien in liens:

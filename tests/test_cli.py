@@ -405,6 +405,21 @@ class TestAudit:
         assert err["kind"] == "RegistryError"
         assert "registry line 1" in err["error"]
 
+    @pytest.mark.parametrize("multiple", ['"NaN"', '"sNaN"', '"Infinity"', '"-2"'])
+    def test_bad_expected_multiple_is_one_json_line(self, tmp_path, capsys, multiple):
+        record = json.loads(TERTIARY_RECORD) | {"kind": "primary"}
+        good = json.dumps(record | {"expected_multiple": "1"})
+        bad = json.dumps(record | {"din_id": "u"})[:-1] + f', "expected_multiple": {multiple}}}'
+        path = tmp_path / "registry.jsonl"
+        path.write_text(good + "\n" + bad + "\n")
+        manifest = write_config(
+            tmp_path, {"schema_version": 1, "audit": {"registry_path": str(path)}}
+        )
+        assert main(["audit", "--config", manifest, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "RegistryError"
+        assert err["error"].startswith("registry line 2: expected_multiple must be")
+
 
 class TestParser:
     def test_unknown_command_exits_2(self):

@@ -8,7 +8,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from venturebank import contracts
 from venturebank.contracts import (
     BANKRUPTCY,
     EXERCISE,
@@ -189,26 +188,32 @@ class TestStateMachine:
          (OFFER_REFUSAL, "9"), (FAILURE_TO_INFORM, None)],
     )
     @pytest.mark.parametrize("choice", [EXERCISE, WAIVE])
-    def test_one_trigger_one_replace(self, monkeypatch, kind, payload, choice):
-        # An exercised trigger builds its successor in one replace; a
-        # waived one hands back the note it was given.
+    def test_one_trigger_one_replace(self, kind, payload, choice):
+        # An exercised trigger yields one new note, equal field for field
+        # to one replace of the note it was given, under every clawback
+        # policy; a waived trigger hands back that very note.
         ev = TriggerEvent(kind, year=5, payload=payload)
-        if kind in FORCED_TRIGGERS and choice is WAIVE:
-            with pytest.raises(ForcedTriggerError):
-                apply_trigger(note(), ev, choice, clawback=POLICY_A)
-            return
-        active, built = note(), []
-
-        def counting_replace(*args, **kwargs):
-            built.append(args[0])
-            return replace(*args, **kwargs)
-
-        monkeypatch.setattr(contracts, "replace", counting_replace)
-        nxt, _ = apply_trigger(active, ev, choice, clawback=POLICY_A)
-        if choice is EXERCISE:
-            assert built == [active]
-        else:
-            assert built == [] and nxt is active
+        prior = (create_clawback("d1", "1", POLICY_A, origin_year=1),)
+        expected_state = {BANKRUPTCY: DinState.PAID_OUT,
+                          EXIT: DinState.EXITED}.get(kind, DinState.CLOSED)
+        for policy in (None, POLICY_A, POLICY_B, POLICY_C):
+            active = note(liens=prior)
+            if kind in FORCED_TRIGGERS and choice is WAIVE:
+                with pytest.raises(ForcedTriggerError):
+                    apply_trigger(active, ev, choice, clawback=policy)
+                continue
+            nxt, stl = apply_trigger(active, ev, choice, clawback=policy)
+            if choice is WAIVE:
+                assert nxt is active
+                continue
+            expected = replace(
+                active,
+                state=expected_state,
+                liens=prior + ((stl.lien,) if stl.lien is not None else ()),
+            )
+            assert nxt is not active and type(nxt) is DinContract
+            assert nxt == expected and vars(nxt) == vars(expected)
+            assert active == note(liens=prior)
 
 
 class LifecycleMachine(RuleBasedStateMachine):

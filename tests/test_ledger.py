@@ -1,6 +1,6 @@
 """Journal integrity, capital caps, and loan-volume enforcement."""
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal, InvalidOperation, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,8 @@ from venturebank.ledger import (
     dr,
     write_investment_loan,
 )
-from venturebank.money import money
+from venturebank import money as money_module
+from venturebank.money import DECIMAL_CONTEXT, compound, money
 from venturebank.multipliers import capital_limits
 from oracles import compound_interest
 
@@ -297,3 +298,47 @@ class TestShortTermAndCarry:
         assert carrying_cost("1.2", 5, 5, "0.03") == 0
         with pytest.raises(InvalidParameterError):
             carrying_cost("1.2", 6, 5, "0.03")
+
+
+def uncached_compound(principal, rate, periods: int) -> Decimal:
+    """compound's formula with no growth cache."""
+    ctx = DECIMAL_CONTEXT
+    growth = ctx.power(ctx.add(1, Decimal(str(rate))), periods)
+    return money(ctx.multiply(Decimal(str(principal)), growth))
+
+
+class TestCompound:
+    SPELLINGS = ("0.06", "0.060", Decimal("0.06"), 0.06)
+
+    @pytest.mark.parametrize("prec", [None, 5])
+    def test_cached_growth_equals_the_formula(self, prec):
+        # The cache keys 0.06 and 0.060 alike; each spelling, whichever
+        # fills the cache, gives the uncached figure, in any caller context.
+        money_module._growth.cache_clear()
+        with localcontext() as ctx:
+            if prec is not None:
+                ctx.prec = prec
+            for periods in range(16):
+                for principal in ("1.2", "37.5", "123456.789012345"):
+                    want = uncached_compound(principal, "0.06", periods)
+                    for rate in self.SPELLINGS:
+                        assert str(compound(principal, rate, periods)) == str(want)
+
+    @pytest.mark.parametrize("rate", ["NaN", Decimal("NaN"), float("nan")])
+    def test_quiet_nan_rate_gives_nan(self, rate):
+        # Unchanged from the uncached helper: a quiet NaN propagates.
+        for periods in (0, 1, 5):
+            assert compound("100", rate, periods).is_nan()
+
+    @pytest.mark.parametrize("rate", ["sNaN", Decimal("sNaN")])
+    def test_signalling_nan_rate_traps(self, rate):
+        # Unchanged from the uncached helper: 1 + sNaN traps in
+        # DECIMAL_CONTEXT, not a TypeError from hashing a cache key.
+        for periods in (0, 1, 5):
+            with pytest.raises(InvalidOperation):
+                compound("100", rate, periods)
+
+    def test_infinite_rate_as_uncached(self):
+        assert compound("100", "Infinity", 0) == Decimal("100")
+        with pytest.raises(InvalidParameterError):
+            compound("100", "Infinity", 1)

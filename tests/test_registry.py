@@ -264,6 +264,22 @@ class TestRepresentativeness:
         )
 
 
+class TestExpectedMultiple:
+    @pytest.mark.parametrize(
+        "multiple",
+        ["NaN", "sNaN", "Infinity", "-Infinity", "-0.5", float("nan"),
+         float("inf"), "abc"],
+    )
+    def test_refused_unless_finite_and_nonnegative(self, multiple):
+        with pytest.raises(InvalidParameterError, match="expected_multiple"):
+            rec("p", expected_multiple=multiple)
+
+    @pytest.mark.parametrize("multiple", ["0", "1.25", 3, 0.5, Decimal("2.50")])
+    def test_accepted_as_its_decimal(self, multiple):
+        kept = rec("p", expected_multiple=multiple).expected_multiple
+        assert str(kept) == str(Decimal(str(multiple)))
+
+
 class TestExportImport:
     def test_roundtrip_preserves_everything(self):
         registry = ramped_registry(8)
@@ -292,4 +308,15 @@ class TestExportImport:
     def test_malformed_line_is_named(self, line, reason):
         text = export_records(ramped_registry(2)) + line + "\n"
         with pytest.raises(RegistryError, match=f"registry line 3: {reason}"):
+            import_records(text)
+
+    @pytest.mark.parametrize("multiple", ['"NaN"', '"sNaN"', '"Infinity"', '"-1"', "NaN"])
+    def test_bad_expected_multiple_line_is_named(self, multiple):
+        line = ('{"din_id": "t", "kind": "primary", "underwriter_id": "uw1", '
+                '"bank_id": "b", "investment_id": "i", "principal": "1", '
+                '"sector": "s", "vintage_year": 2024, '
+                f'"expected_multiple": {multiple}}}')
+        text = export_records(ramped_registry(2)) + line + "\n"
+        with pytest.raises(RegistryError,
+                           match="registry line 3: expected_multiple must be"):
             import_records(text)
