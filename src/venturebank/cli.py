@@ -297,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--format", choices=["csv"], default="csv")
     return parser
 
 

@@ -12,7 +12,7 @@ from .errors import (
     StateTransitionError,
     TerminalStateError,
 )
-from .money import compound, money
+from .money import compound, finite, fraction, money
 
 
 class DinState(enum.Enum):
@@ -104,11 +104,9 @@ class ClawbackPolicy:
     def __post_init__(self) -> None:
         if self.option not in ("A", "B", "C"):
             raise InvalidParameterError(f"unknown clawback option: {self.option!r}")
-        object.__setattr__(self, "fraction", _decimal(self.fraction))
+        object.__setattr__(self, "fraction", fraction(self.fraction, "clawback fraction"))
         if self.option == "B" and self.fraction != Decimal("1"):
             raise InvalidParameterError("option B liens carry the full base until verdict")
-        if not Decimal(0) <= self.fraction <= Decimal(1):
-            raise InvalidParameterError("clawback fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -144,23 +142,15 @@ class DinContract:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "principal", money(self.principal))
-        object.__setattr__(self, "coverage", _decimal(self.coverage))
-        object.__setattr__(self, "equity_fraction", _decimal(self.equity_fraction))
+        object.__setattr__(self, "coverage", fraction(self.coverage, "coverage"))
+        object.__setattr__(
+            self, "equity_fraction", fraction(self.equity_fraction, "equity_fraction"))
         if self.principal < 0:
             raise InvalidParameterError("principal must be >= 0")
-        if not Decimal(0) <= self.coverage <= Decimal(1):
-            raise InvalidParameterError("coverage must be in [0, 1]")
-        if not Decimal(0) <= self.equity_fraction <= Decimal(1):
-            raise InvalidParameterError("equity_fraction must be in [0, 1]")
 
     @property
     def insured_value(self) -> Decimal:
         return money(self.principal * self.coverage)
-
-
-def _decimal(value) -> Decimal:
-    """Decimal(str(value)), which a Decimal already is, exponent and all."""
-    return value if isinstance(value, Decimal) else Decimal(str(value))
 
 
 def _successor(contract: DinContract, state: DinState,
@@ -249,7 +239,7 @@ def annual_premium(contract: DinContract, rate) -> Decimal:
         raise StateTransitionError(
             f"premium due only on active notes, not {contract.state.value}"
         )
-    return money(_decimal(rate) * contract.principal * contract.coverage)
+    return money(finite(rate, "rate") * contract.principal * contract.coverage)
 
 
 def exit_equity_split(
@@ -261,8 +251,8 @@ def exit_equity_split(
     the underwriter keeps its contracted fraction, the bank the remainder.
     """
     value = money(investor_equity)
-    insured = money(value * _decimal(coverage))
-    to_underwriter = money(insured * _decimal(equity_fraction))
+    insured = money(value * fraction(coverage, "coverage"))
+    to_underwriter = money(insured * fraction(equity_fraction, "equity_fraction"))
     return to_underwriter, money(insured - to_underwriter)
 
 
@@ -299,20 +289,20 @@ def settle_clawback(
     if settlement_year < lien.origin_year:
         raise InvalidParameterError("settlement year precedes lien origin")
 
-    fraction = lien.fraction
+    share = lien.fraction
     if lien.option == "B":
         if verdict is None:
             raise MissingVerdictError(
                 f"option B lien on {lien.contract_id} needs an audit verdict"
             )
-        fraction = Decimal("1") if verdict else Decimal("0.77")
+        share = Decimal("1") if verdict else Decimal("0.77")
 
     resolution = (
         LienResolution.FULL_RECOVERY
-        if fraction == Decimal("1")
+        if share == Decimal("1")
         else LienResolution.RELEASED23
     )
     grown = compound(lien.base, bank_rate, settlement_year - lien.origin_year)
-    settled = ClawbackLien(lien.contract_id, lien.base, fraction, lien.origin_year,
+    settled = ClawbackLien(lien.contract_id, lien.base, share, lien.origin_year,
                            lien.option, lien.audit_flagged, resolution)
-    return money(fraction * grown), settled
+    return money(share * grown), settled

@@ -11,7 +11,7 @@ from .errors import (
     LedgerBalanceError,
     LoanLimitError,
 )
-from .money import DECIMAL_CONTEXT, compound, money, money_floor
+from .money import DECIMAL_CONTEXT, compound, fraction, money, money_floor
 
 # money(0).  A one-sided posting keeps this object on its other side, so
 # that side needs no quantize.
@@ -142,13 +142,10 @@ class CapitalAccount:
         object.__setattr__(self, "tier1_core", money(self.tier1_core))
         object.__setattr__(self, "tier1_insured", money(self.tier1_insured))
         object.__setattr__(self, "tier2_insured", money(self.tier2_insured))
-        object.__setattr__(
-            self, "reserve_fraction", Decimal(str(self.reserve_fraction))
-        )
+        object.__setattr__(self, "reserve_fraction", fraction(
+            self.reserve_fraction, "reserve_fraction", open_low=True))
         if self.tier1_core <= 0:
             raise InvalidParameterError("tier1_core must be > 0")
-        if not Decimal(0) < self.reserve_fraction <= 1:
-            raise InvalidParameterError("reserve_fraction must be in (0, 1]")
         if self.tier1_insured > self.tier1_insured_cap:
             raise CapitalCapError("tier1_insured exceeds 15% of tier 1")
         if self.tier2_insured > self.tier1_total:

@@ -2,8 +2,9 @@
 
 All currency and limit arithmetic in this package runs on Decimal with an
 explicit scale of 9 fractional digits. Binary floats are allowed only inside
-the money-multiplier evaluators, which are pure ratios. Converting a float
-into money goes through str() so the value seen is the value stored.
+the money-multiplier evaluators, which are pure ratios. Every outside value
+becomes a Decimal through finite(), which reads a float through str() so
+the value seen is the value stored, and refuses anything non-finite.
 
 Results never depend on the caller's decimal context: the helpers here
 compute in DECIMAL_CONTEXT, and the package's entry points are wrapped in
@@ -25,6 +26,7 @@ from decimal import (
 from .errors import InvalidParameterError
 
 MONEY_SCALE = Decimal("0.000000001")  # 9 fractional digits
+MONEY_LIMIT = 10 ** 19  # 28 digits of precision less the 9 after the point
 
 # Every field is spelled out: a Context() field left unset is copied from
 # the process-wide, mutable decimal.DefaultContext.  The helpers below pass
@@ -54,18 +56,43 @@ ZERO = Decimal(0)
 ONE = Decimal(1)
 
 
-def money(value) -> Decimal:
-    """Coerce int/str/float/Decimal to a money Decimal at the working scale.
+def finite(value, name: str) -> Decimal:
+    """The one gate from an outside value to a Decimal.
 
-    The scale keeps 9 of the context's 28 digits after the point, so an
-    amount that rounds to 10**19 or more is refused as InvalidParameterError.
+    A Decimal is returned as given, exponent and all; a str or an int is
+    read exactly, and anything else goes through str(), so a float is read
+    as it prints.  NaN, sNaN, infinities and text that is not a number
+    raise InvalidParameterError naming `name`.
     """
-    if isinstance(value, Decimal):
+    try:
+        if isinstance(value, Decimal):
+            d = value
+        else:
+            d = Decimal(value if isinstance(value, (str, int)) else str(value))
+        if d.is_finite():
+            return d
+    except ArithmeticError:
+        pass
+    raise InvalidParameterError(f"{name} must be a finite decimal, got {str(value)!r}")
+
+
+def fraction(value, name: str, open_low: bool = False) -> Decimal:
+    """finite(value, name), held to [0, 1], or to (0, 1] when open_low."""
+    d = finite(value, name)
+    if (d <= ZERO if open_low else d < ZERO) or d > ONE:
+        raise InvalidParameterError(
+            f"{name} must be in {'(0, 1]' if open_low else '[0, 1]'}, got {d}")
+    return d
+
+
+def money(value) -> Decimal:
+    """Coerce a finite int/str/float/Decimal to a money Decimal at the
+    working scale; an amount that rounds to MONEY_LIMIT or more is refused
+    as InvalidParameterError, as is anything finite() refuses."""
+    if isinstance(value, Decimal) and value.is_finite():
         d = value
-    elif isinstance(value, float):
-        d = Decimal(str(value))
     else:
-        d = Decimal(value)
+        d = finite(value, "amount")
     try:
         return d.quantize(MONEY_SCALE, rounding=ROUND_HALF_EVEN, context=DECIMAL_CONTEXT)
     except InvalidOperation:
@@ -77,27 +104,16 @@ def money(value) -> Decimal:
 def money_floor(value) -> Decimal:
     """Quantize toward negative infinity. Used for cap fills so a rounded
     booking can never exceed the cap it was computed from."""
-    if not isinstance(value, Decimal):
-        value = Decimal(str(value))
-    return value.quantize(MONEY_SCALE, rounding=ROUND_FLOOR, context=DECIMAL_CONTEXT)
+    return finite(value, "amount").quantize(
+        MONEY_SCALE, rounding=ROUND_FLOOR, context=DECIMAL_CONTEXT)
 
 
 def compound(principal, rate, periods: int) -> Decimal:
     """principal * (1 + rate)^periods, quantized once at the end."""
     if periods < 0:
         raise ValueError("periods must be >= 0")
-    if not isinstance(principal, Decimal):
-        principal = Decimal(str(principal))
-    if not isinstance(rate, Decimal):
-        rate = Decimal(str(rate))
-    # A NaN is not a cache key: hashing an sNaN raises TypeError, and a
-    # quiet NaN never equals itself.  Non-finite rates take the same
-    # arithmetic uncached.
-    if rate.is_finite():
-        growth = _growth(rate, periods)
-    else:
-        growth = _growth.__wrapped__(rate, periods)
-    return money(DECIMAL_CONTEXT.multiply(principal, growth))
+    growth = _growth(finite(rate, "rate"), periods)
+    return money(DECIMAL_CONTEXT.multiply(finite(principal, "principal"), growth))
 
 
 @functools.lru_cache(maxsize=64, typed=True)

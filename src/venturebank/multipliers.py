@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import EvaluationBudgetError, InvalidParameterError
-from .money import money, ZERO
+from .money import fraction, money, ZERO
 
 # Guard for k*n on the nested evaluator. Generous: the evaluator is O(k)
 # after the geometric sum, the guard exists to bound deliberate abuse.
@@ -54,12 +54,7 @@ class KrakenParams:
     tranche_insured: float = 0.0
 
     def validate(self) -> None:
-        if not 0.0 < self.reserve_fraction <= 1.0:
-            raise InvalidParameterError(
-                f"reserve_fraction must be in (0, 1], got {self.reserve_fraction}")
-        if not isinstance(self.iteration_limit, int) or self.iteration_limit < 0:
-            raise InvalidParameterError(
-                f"iteration_limit must be an int >= 0, got {self.iteration_limit!r}")
+        _validate_rn(self.reserve_fraction, self.iteration_limit)
         if not isinstance(self.depth, int) or self.depth < 1:
             raise InvalidParameterError(f"depth must be an int >= 1, got {self.depth!r}")
         if self.origination < 1.0:
@@ -97,7 +92,7 @@ def classical_multiplier(reserve_fraction: float, iteration_limit: int) -> float
     return (1.0 - retained ** (iteration_limit + 1)) / reserve_fraction
 
 
-def kraken_multiplier(params: KrakenParams, eval_budget: int = DEFAULT_EVAL_BUDGET) -> float:
+def kraken_multiplier(params: KrakenParams) -> float:
     """Evaluate the nested multiplier by recursive descent.
 
     The innermost level is the plain geometric partial sum G. Each level
@@ -113,10 +108,10 @@ def kraken_multiplier(params: KrakenParams, eval_budget: int = DEFAULT_EVAL_BUDG
     result is the classical multiplier exactly, at any depth.
     """
     params.validate()
-    if params.depth * max(params.iteration_limit, 1) > eval_budget:
+    if params.depth * max(params.iteration_limit, 1) > DEFAULT_EVAL_BUDGET:
         raise EvaluationBudgetError(
             f"depth * iteration_limit = {params.depth * params.iteration_limit} "
-            f"exceeds evaluation budget {eval_budget}")
+            f"exceeds evaluation budget {DEFAULT_EVAL_BUDGET}")
     geometric = classical_multiplier(params.reserve_fraction, params.iteration_limit)
     coupling = (params.origination - params.insurance_price) * params.tranche_insured
     if coupling == 0.0:
@@ -137,7 +132,7 @@ def capital_limits(initial_capital, reserve_fraction) -> CapitalLimits:
     doubling identity survives quantization.
     """
     capital = money(initial_capital)
-    rf = _decimal_fraction(reserve_fraction, "reserve_fraction")
+    rf = fraction(reserve_fraction, "reserve_fraction", open_low=True)
     if capital <= ZERO:
         raise InvalidParameterError(f"initial_capital must be > 0, got {capital}")
     tier1 = money(capital / Decimal("0.85"))
@@ -184,8 +179,8 @@ def moc_schedule(initial_capital="1", reserve_fraction="0.05", failure_fraction=
     year 11 alongside the second cohort's failure share.
     """
     capital = money(initial_capital)
-    rf = _decimal_fraction(reserve_fraction, "reserve_fraction")
-    ff = _decimal_fraction(failure_fraction, "failure_fraction", allow_zero=True)
+    rf = fraction(reserve_fraction, "reserve_fraction", open_low=True)
+    ff = fraction(failure_fraction, "failure_fraction")
     if not 0 < failure_year < exit_year:
         raise InvalidParameterError(
             f"need 0 < failure_year < exit_year, got {failure_year}, {exit_year}")
@@ -253,12 +248,3 @@ def _validate_rn(reserve_fraction: float, iteration_limit: int) -> None:
     if not isinstance(iteration_limit, int) or iteration_limit < 0:
         raise InvalidParameterError(
             f"iteration_limit must be an int >= 0, got {iteration_limit!r}")
-
-
-def _decimal_fraction(value, name: str, allow_zero: bool = False) -> Decimal:
-    d = Decimal(str(value)) if isinstance(value, float) else Decimal(value)
-    low_ok = d >= 0 if allow_zero else d > 0
-    if not low_ok or d > 1:
-        bound = "[0, 1]" if allow_zero else "(0, 1]"
-        raise InvalidParameterError(f"{name} must be in {bound}, got {d}")
-    return d

@@ -20,7 +20,7 @@ from .errors import (
     PackagingError,
     RegistryError,
 )
-from .money import money
+from .money import finite, money
 
 PRIMARY = "primary"
 SECONDARY = "secondary"
@@ -59,15 +59,10 @@ class RegistryRecord:
         if self.expected_multiple is not None:
             # A NaN multiple would rank as nothing and pass the
             # representativeness audit silently.
-            try:
-                multiple = Decimal(str(self.expected_multiple))
-                valid = multiple.is_finite() and multiple >= 0
-            except ArithmeticError:
-                valid = False
-            if not valid:
+            multiple = finite(self.expected_multiple, "expected_multiple")
+            if multiple < 0:
                 raise InvalidParameterError(
-                    "expected_multiple must be a finite decimal >= 0, "
-                    f"got {self.expected_multiple!r}")
+                    f"expected_multiple must be >= 0, got {multiple}")
             object.__setattr__(self, "expected_multiple", multiple)
 
 
@@ -190,7 +185,7 @@ def build_package(
     membership has no entry point.  At most 70% may be sold on, keeping a
     controlling 30% with the underwriter.
     """
-    fraction = Decimal(str(public_fraction))
+    fraction = finite(public_fraction, "public_fraction")
     if fraction < 0:
         raise PackagingError("public_fraction must be >= 0")
     if fraction > MAX_PUBLIC_FRACTION:

@@ -18,10 +18,12 @@ from decimal import Decimal
 import numpy as np
 
 from .errors import InfeasibleTargetError, InvalidParameterError
-from .money import money, ZERO
+from .money import MONEY_LIMIT, ONE, ZERO, money
 
 FAILURE = "failure"
 SURVIVOR = "survivor"
+# A fund finishing below this multiple is a failure.
+FAILURE_THRESHOLD = money(ONE)
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,11 @@ class SpreadParams:
             raise InvalidParameterError(
                 "need 0 <= loser_floor < loser_ceiling < 1, got "
                 f"{self.loser_floor}, {self.loser_ceiling}")
-        if self.survivor_max <= 1.0:
+        # Survivor multiples reach up to survivor_max, and each is money.
+        if not 1.0 < self.survivor_max < MONEY_LIMIT:
             raise InvalidParameterError(
-                f"survivor_max must exceed 1, got {self.survivor_max}")
+                "survivor_max must exceed 1 and stay below 1E+19, the money "
+                f"scale, got {self.survivor_max}")
         if self.survivor_shape <= 0.0:
             raise InvalidParameterError(
                 f"survivor_shape must be > 0, got {self.survivor_shape}")
@@ -102,8 +106,7 @@ class ReturnDistribution:
 
 
 def synthesize_distribution(seed: int, n_funds: int = 50,
-                            spread: SpreadParams | None = None,
-                            failure_threshold="1.0") -> ReturnDistribution:
+                            spread: SpreadParams | None = None) -> ReturnDistribution:
     """Build the reference-shaped distribution deterministically from a seed.
 
     Losers fill stratified slots across [loser_floor, loser_ceiling] and
@@ -114,7 +117,6 @@ def synthesize_distribution(seed: int, n_funds: int = 50,
         raise InvalidParameterError(f"n_funds must be >= 2, got {n_funds}")
     spread = spread or SpreadParams()
     spread.validate()
-    threshold = money(failure_threshold)
 
     rng = np.random.default_rng(seed)
     n_losers = int(round(n_funds * spread.loser_fraction))
@@ -132,13 +134,14 @@ def synthesize_distribution(seed: int, n_funds: int = 50,
 
     values.sort(reverse=True)
     outcomes = tuple(
-        _classified(f"f{i:03d}", money(v), threshold) for i, v in enumerate(values)
+        _classified(f"f{i:03d}", money(v), FAILURE_THRESHOLD)
+        for i, v in enumerate(values)
     )
     dist = ReturnDistribution(
         seed=seed,
         outcomes=outcomes,
         target_mean=ZERO,  # replaced just below with the realized mean
-        failure_threshold=threshold,
+        failure_threshold=FAILURE_THRESHOLD,
         spread=spread,
     )
     return replace(dist, target_mean=money(dist.mean()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import io
 import re
 from dataclasses import dataclass, field, replace
@@ -50,7 +51,7 @@ from .ledger import (
     dr,
     write_investment_loan,
 )
-from .money import fmt, in_money_context, money
+from .money import finite, fmt, fraction, in_money_context, money
 
 # Config validation checks the loan book against the engine's post-booking
 # lending limit (_opening_book), not this ceiling; the name stays bound
@@ -87,16 +88,15 @@ MAX_FUNDS = 100_000
 
 
 def _finite_decimal(name: str, value) -> Decimal:
+    """finite(value, name), held to the money scale as well."""
     try:
-        d = Decimal(str(value))
-        if d.is_finite():
-            money(d)  # refuses a value past the money scale
-            return d
-    except (ArithmeticError, InvalidParameterError):
-        pass
-    raise InvalidParameterError(
-        f"{name} must be a finite decimal of at most 19 digits before the "
-        f"point, got {str(value)!r}")
+        d = finite(value, name)
+        money(d)  # refuses a value past the money scale
+        return d
+    except InvalidParameterError:
+        raise InvalidParameterError(
+            f"{name} must be a finite decimal of at most 19 digits before the "
+            f"point, got {str(value)!r}") from None
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,9 @@ class ScenarioConfig:
             names.append("target_classical_return")
         for name in names:
             object.__setattr__(self, name, _finite_decimal(name, getattr(self, name)))
-        if not Decimal(0) < self.reserve_fraction <= 1:
-            raise InvalidParameterError("reserve_fraction must be in (0, 1]")
+        fraction(self.reserve_fraction, "reserve_fraction", open_low=True)
         for name in ("premium_rate", "equity_fraction", "coverage", "bank_rate"):
-            v = getattr(self, name)
-            if not Decimal(0) <= v <= 1:
-                raise InvalidParameterError(f"{name} must be in [0, 1]")
+            fraction(getattr(self, name), name)
         if self.clawback_fraction not in ALLOWED_CLAWBACK:
             raise InvalidParameterError("clawback_fraction must be 0, 0.77, or 1.0")
         if self.clawback_option not in ("A", "B", "C"):
@@ -261,7 +258,7 @@ EVENT_DETAILS = {
 }
 
 # Every kind the engine emits; events_from_csv refuses any other.
-EVENT_KINDS = (
+EVENT_KINDS = frozenset((
     "capital_injection",
     "din_booked",
     "loan_issued",
@@ -275,7 +272,7 @@ EVENT_KINDS = (
     "lien_settled",
     "carrying_cost",
     "din_released",
-)
+))
 
 
 class Event(NamedTuple):
@@ -288,8 +285,8 @@ class Event(NamedTuple):
 
 
 # The CSV cell template of each record type, and for each kind that
-# carries a detail: its record, a regex with one group per field, and the
-# field types, which parse those groups.
+# carries a detail: its record, a regex with one group per field, and one
+# parser per field: int, or the finite() gate naming the field.
 _DETAIL_FORMATS = {
     record: "|".join(f"{name}={{}}" for name in record._fields)
     for record in EVENT_DETAILS.values()
@@ -298,7 +295,8 @@ _DETAIL_READERS = {
     kind: (
         record,
         re.compile(r"\|".join(f"{name}=([^|]*)" for name in record._fields)),
-        tuple(get_type_hints(record).values()),
+        tuple(int if hint is int else functools.partial(finite, name=name)
+              for name, hint in get_type_hints(record).items()),
     )
     for kind, record in EVENT_DETAILS.items()
 }
@@ -318,11 +316,11 @@ def events_to_csv(events) -> str:
 def _parse_detail(kind: str, text: str) -> EventDetail:
     if kind not in _DETAIL_READERS:
         raise ValueError(f"{kind} carries no detail, got {text!r}")
-    record, pattern, types = _DETAIL_READERS[kind]
+    record, pattern, parsers = _DETAIL_READERS[kind]
     match = pattern.fullmatch(text)
     if match is None:
         raise ValueError(f"{kind} detail {text!r} does not have the keys {record._fields}")
-    return record(*[parse(value) for parse, value in zip(types, match.groups())])
+    return record(*[parse(value) for parse, value in zip(parsers, match.groups())])
 
 
 def events_from_csv(text: str) -> tuple[Event, ...]:
@@ -332,6 +330,9 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
     if next(reader, None) != list(EVENT_COLUMNS):
         raise InvalidParameterError("not an event-log CSV")
     out = []
+    # A log repeats a few amounts (each fund's premium, the loan face)
+    # many times; each distinct cell is read once.
+    amounts: dict[str, Decimal] = {}
     for row in reader:
         try:
             if len(row) != len(EVENT_COLUMNS):
@@ -339,15 +340,17 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
             seq, year, kind, fund_id, amount, detail = row
             if kind not in EVENT_KINDS:
                 raise ValueError(f"unknown event kind {kind!r}")
+            value = amounts.get(amount)
+            if value is None:
+                value = amounts[amount] = finite(amount, "amount")
             out.append(Event._make((
-                int(seq), int(year), kind, fund_id, Decimal(amount),
+                int(seq), int(year), kind, fund_id, value,
                 _parse_detail(kind, detail)
                 if detail or kind in _DETAIL_READERS else None,
             )))
-        except (ValueError, ArithmeticError) as exc:
-            reason = exc if isinstance(exc, ValueError) else "a value is not a decimal"
+        except ValueError as exc:  # InvalidParameterError is one
             raise InvalidParameterError(
-                f"event log line {reader.line_num}: {reason}"
+                f"event log line {reader.line_num}: {exc}"
             ) from exc
     return tuple(out)
 

@@ -196,7 +196,12 @@ class TestSimulate:
     def test_bad_field_is_one_json_line(self, tmp_path, capsys, scenario, kind):
         cfg = write_config(tmp_path, {"schema_version": 1, "scenario": scenario})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert error_line(capsys)["kind"] == kind
+        err = error_line(capsys)
+        assert err["kind"] == kind
+        # A bad spread knob is refused up front, by name.
+        spread = scenario.get("spread", {}) if isinstance(scenario, dict) else {}
+        for name in spread:
+            assert name in err["error"]
         assert not os.path.exists(tmp_path / "report.csv")
 
     def test_simulate_keeps_no_books(self, tmp_path, monkeypatch):
@@ -428,5 +433,7 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_format_csv_only(self):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--format", "parquet"])
+        # CSV is the only output, so there is no --format to choose it.
+        for fmt in ("parquet", "csv"):
+            with pytest.raises(SystemExit):
+                main(["simulate", "--format", fmt])

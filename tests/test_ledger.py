@@ -1,6 +1,6 @@
 """Journal integrity, capital caps, and loan-volume enforcement."""
 import random
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -324,21 +324,24 @@ class TestCompound:
                     for rate in self.SPELLINGS:
                         assert str(compound(principal, rate, periods)) == str(want)
 
+    # A non-finite rate is refused at the money gate, typed and naming the
+    # rate, before it can reach the growth cache.
+
     @pytest.mark.parametrize("rate", ["NaN", Decimal("NaN"), float("nan")])
     def test_quiet_nan_rate_gives_nan(self, rate):
-        # Unchanged from the uncached helper: a quiet NaN propagates.
         for periods in (0, 1, 5):
-            assert compound("100", rate, periods).is_nan()
+            with pytest.raises(InvalidParameterError, match="rate must be a finite decimal"):
+                compound("100", rate, periods)
 
     @pytest.mark.parametrize("rate", ["sNaN", Decimal("sNaN")])
     def test_signalling_nan_rate_traps(self, rate):
-        # Unchanged from the uncached helper: 1 + sNaN traps in
-        # DECIMAL_CONTEXT, not a TypeError from hashing a cache key.
+        money_module._growth.cache_clear()
         for periods in (0, 1, 5):
-            with pytest.raises(InvalidOperation):
+            with pytest.raises(InvalidParameterError, match="rate must be a finite decimal"):
                 compound("100", rate, periods)
+        assert money_module._growth.cache_info().currsize == 0
 
     def test_infinite_rate_as_uncached(self):
-        assert compound("100", "Infinity", 0) == Decimal("100")
-        with pytest.raises(InvalidParameterError):
-            compound("100", "Infinity", 1)
+        for periods in (0, 1):
+            with pytest.raises(InvalidParameterError, match="rate must be a finite decimal"):
+                compound("100", "Infinity", periods)

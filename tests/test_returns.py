@@ -71,6 +71,16 @@ class TestSynthesize:
             synthesize_distribution(seed=1, spread=SpreadParams(loser_floor=0.9,
                                                                 loser_ceiling=0.5))
 
+    def test_survivor_max_stays_below_the_money_scale(self):
+        # Every multiple is money, so the bound is checked up front, by name.
+        for bad in (1e19, 1e300):
+            with pytest.raises(InvalidParameterError, match="^survivor_max must"):
+                synthesize_distribution(seed=1, spread=SpreadParams(survivor_max=bad))
+        # Just under the bound, and at the thinnest tail, synthesis succeeds.
+        top = synthesize_distribution(seed=1, spread=SpreadParams(
+            survivor_max=9.999999999999998e18, survivor_shape=1e-300)).multiples()[0]
+        assert top < Decimal(10) ** 19
+
 
 class TestRescale:
     def test_hits_targets_within_tolerance(self):

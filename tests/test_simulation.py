@@ -208,6 +208,8 @@ class TestEventLogParsing:
             "2,5,lien_created,f000,1,fraction=0.77|origin=five",  # bad int value
             "2,5,exit_proceeds,f000,1,face=1|uw_share=x|bank_share=1",  # bad decimal
             "2,1,premium_payed,f000,0.050000000,",  # unknown kind
+            "2,0,loan_issued,f000,NaN,",  # amount not finite
+            "2,5,lien_settled,f000,1,fraction=Infinity",  # detail not finite
         ],
     )
     def test_malformed_row_names_its_line(self, row):
