@@ -15,7 +15,7 @@ import sys
 import tempfile
 from decimal import Decimal
 
-from .errors import ConfigError, VentureBankError
+from .errors import ConfigError, InvalidParameterError, VentureBankError
 from .money import in_money_context
 from .multipliers import KrakenParams, classical_multiplier, kraken_multiplier
 from .registry import (
@@ -140,10 +140,14 @@ def cmd_kraken(data: dict, out_dir: str, seed_override: int | None) -> list[str]
     w.writerow(
         ["reserve_fraction", "depth", "iteration_limit", "classical", "multiplier"]
     )
-    for rf, depth, params in rows:
-        value = kraken_multiplier(params)
-        base = classical_multiplier(params.reserve_fraction, params.iteration_limit)
-        w.writerow([rf, depth, grid["iteration_limit"], f"{base:.9f}", f"{value:.9f}"])
+    try:
+        for rf, depth, params in rows:
+            value = kraken_multiplier(params)
+            base = classical_multiplier(params.reserve_fraction, params.iteration_limit)
+            w.writerow([rf, depth, grid["iteration_limit"], f"{base:.9f}", f"{value:.9f}"])
+    except InvalidParameterError as exc:
+        # float() reads "Infinity" and "NaN"; validate refuses them by name.
+        raise ConfigError(f"bad kraken field: {exc}") from exc
 
     path = os.path.join(out_dir, "kraken_curves.csv")
     _atomic_write(path, buf.getvalue())

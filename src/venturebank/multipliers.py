@@ -23,6 +23,7 @@ Everything denominated in currency is Decimal, scale 9.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -55,8 +56,10 @@ class KrakenParams:
 
     def validate(self) -> None:
         _validate_rn(self.reserve_fraction, self.iteration_limit)
-        if not isinstance(self.depth, int) or self.depth < 1:
+        if _not_int(self.depth) or self.depth < 1:
             raise InvalidParameterError(f"depth must be an int >= 1, got {self.depth!r}")
+        for name in ("insurance_price", "origination", "tranche_insured"):
+            _check_finite_number(getattr(self, name), name)
         if self.origination < 1.0:
             raise InvalidParameterError(f"origination must be >= 1, got {self.origination}")
         if not 0.0 <= self.insurance_price < self.origination:
@@ -241,10 +244,23 @@ def din_capital_fraction(initial_capital, reserve_fraction, total_insured_loans)
     return money(limits.reserves_limit / total)
 
 
+def _not_int(value) -> bool:
+    return isinstance(value, bool) or not isinstance(value, int)
+
+
+def _check_finite_number(value, name: str) -> None:
+    """Refuse anything but a finite int or float, naming the field.  The
+    evaluators compute in binary floats, where an infinite origination
+    passes its range check and every multiplier above depth 1 is inf."""
+    if _not_int(value) and not (isinstance(value, float) and math.isfinite(value)):
+        raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
+
+
 def _validate_rn(reserve_fraction: float, iteration_limit: int) -> None:
+    _check_finite_number(reserve_fraction, "reserve_fraction")
     if not 0.0 < reserve_fraction <= 1.0:
         raise InvalidParameterError(
             f"reserve_fraction must be in (0, 1], got {reserve_fraction}")
-    if not isinstance(iteration_limit, int) or iteration_limit < 0:
+    if _not_int(iteration_limit) or iteration_limit < 0:
         raise InvalidParameterError(
             f"iteration_limit must be an int >= 0, got {iteration_limit!r}")

@@ -6,8 +6,9 @@ import hashlib
 import io
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from scipy.stats import mannwhitneyu
 
@@ -34,8 +35,7 @@ def make_terms_digest(*parts) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class RegistryRecord:
+class _RecordFields(NamedTuple):
     din_id: str
     kind: str
     underwriter_id: str
@@ -44,26 +44,72 @@ class RegistryRecord:
     principal: Decimal
     sector: str
     vintage_year: int
-    terms_digest: str = ""
-    attached: bool = True
-    status: DinState = DinState.ACTIVE
-    counterpart_ref: str | None = None
-    expected_multiple: Decimal | None = None
+    terms_digest: str
+    attached: bool
+    status: DinState
+    counterpart_ref: str | None
+    expected_multiple: Decimal | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in (PRIMARY, SECONDARY):
-            raise InvalidParameterError(f"record kind must be primary/secondary, got {self.kind!r}")
-        object.__setattr__(self, "principal", money(self.principal))
-        if self.principal < 0:
+
+# The str fields, in the order __new__ checks them; counterpart_ref may
+# also be None.
+_TEXT_FIELDS = ("din_id", "underwriter_id", "bank_id", "investment_id",
+                "sector", "terms_digest", "counterpart_ref")
+
+
+class RegistryRecord(_RecordFields):
+    """One issued note, checked once when built.  A record is an immutable
+    tuple: it compares equal to a plain tuple of the same fields and orders
+    like one.  _make and _replace build a record without checking it
+    (_replace copies one with the named fields changed), so the registry's
+    own methods check what they change."""
+
+    __slots__ = ()
+
+    def __new__(cls, din_id, kind, underwriter_id, bank_id, investment_id,
+                principal, sector, vintage_year, terms_digest="", attached=True,
+                status=DinState.ACTIVE, counterpart_ref=None,
+                expected_multiple=None):
+        if kind not in (PRIMARY, SECONDARY):
+            raise InvalidParameterError(f"record kind must be primary/secondary, got {kind!r}")
+        if not (isinstance(din_id, str) and isinstance(underwriter_id, str)
+                and isinstance(bank_id, str) and isinstance(investment_id, str)
+                and isinstance(sector, str) and isinstance(terms_digest, str)
+                and (counterpart_ref is None or isinstance(counterpart_ref, str))):
+            named = zip(_TEXT_FIELDS, (
+                din_id, underwriter_id, bank_id, investment_id, sector,
+                terms_digest, "" if counterpart_ref is None else counterpart_ref))
+            name, value = next((n, v) for n, v in named if not isinstance(v, str))
+            raise InvalidParameterError(f"{name} must be a string, got {value!r}")
+        if isinstance(vintage_year, bool) or not isinstance(vintage_year, int):
+            raise InvalidParameterError(
+                f"vintage_year must be an int, got {vintage_year!r}")
+        _check_attached(attached)
+        _check_status(status)
+        principal = money(principal)
+        if principal < 0:
             raise InvalidParameterError("principal must be >= 0")
-        if self.expected_multiple is not None:
+        if expected_multiple is not None:
             # A NaN multiple would rank as nothing and pass the
             # representativeness audit silently.
-            multiple = finite(self.expected_multiple, "expected_multiple")
-            if multiple < 0:
+            expected_multiple = finite(expected_multiple, "expected_multiple")
+            if expected_multiple < 0:
                 raise InvalidParameterError(
-                    f"expected_multiple must be >= 0, got {multiple}")
-            object.__setattr__(self, "expected_multiple", multiple)
+                    f"expected_multiple must be >= 0, got {expected_multiple}")
+        return tuple.__new__(cls, (
+            din_id, kind, underwriter_id, bank_id, investment_id, principal,
+            sector, vintage_year, terms_digest, attached, status,
+            counterpart_ref, expected_multiple))
+
+
+def _check_attached(attached) -> None:
+    if not isinstance(attached, bool):
+        raise InvalidParameterError(f"attached must be a bool, got {attached!r}")
+
+
+def _check_status(status) -> None:
+    if not isinstance(status, DinState):
+        raise InvalidParameterError(f"status must be a DinState, got {status!r}")
 
 
 class Registry:
@@ -100,14 +146,16 @@ class Registry:
             raise DoubleLinkError(f"{primary_id!r} already has a secondary")
         if secondary.counterpart_ref is not None:
             raise DoubleLinkError(f"{secondary_id!r} already references a primary")
-        self._records[primary_id] = replace(primary, counterpart_ref=secondary_id)
-        self._records[secondary_id] = replace(secondary, counterpart_ref=primary_id)
+        self._records[primary_id] = primary._replace(counterpart_ref=secondary_id)
+        self._records[secondary_id] = secondary._replace(counterpart_ref=primary_id)
 
     def set_status(self, din_id: str, status: DinState) -> None:
-        self._records[din_id] = replace(self.get(din_id), status=status)
+        _check_status(status)
+        self._records[din_id] = self.get(din_id)._replace(status=status)
 
     def set_attached(self, din_id: str, attached: bool) -> None:
-        self._records[din_id] = replace(self.get(din_id), attached=attached)
+        _check_attached(attached)
+        self._records[din_id] = self.get(din_id)._replace(attached=attached)
 
     def true_outstanding(self) -> Decimal:
         """Net notional: secondaries mirror their primaries, so only
@@ -330,9 +378,14 @@ def export_records(registry: Registry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_STATES = {state.value: state for state in DinState}
+
+
 def import_records(text: str) -> Registry:
     """Rebuild a registry from export_records' JSONL.  A line that is not a
-    JSON object or lacks a field raises RegistryError naming the line."""
+    JSON object, lacks a field or holds a record RegistryRecord refuses
+    raises RegistryError naming the line.  Links are installed once every
+    line has been read, so a bad line is reported before any link error."""
     registry = Registry()
     deferred_links: list[tuple[str, str]] = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -342,20 +395,15 @@ def import_records(text: str) -> Registry:
             raw = json.loads(line)
             if not isinstance(raw, dict):
                 raise TypeError("not a JSON object")
+            status = raw.get("status", "active")
+            state = _STATES.get(status) if isinstance(status, str) else None
             record = RegistryRecord(
-                din_id=raw["din_id"],
-                kind=raw["kind"],
-                underwriter_id=raw["underwriter_id"],
-                bank_id=raw["bank_id"],
-                investment_id=raw["investment_id"],
-                principal=raw["principal"],
-                sector=raw["sector"],
-                vintage_year=raw["vintage_year"],
-                terms_digest=raw.get("terms_digest", ""),
-                attached=raw.get("attached", True),
-                status=DinState(raw.get("status", "active")),
-                counterpart_ref=None,
-                expected_multiple=raw.get("expected_multiple"),
+                raw["din_id"], raw["kind"], raw["underwriter_id"], raw["bank_id"],
+                raw["investment_id"], raw["principal"], raw["sector"],
+                raw["vintage_year"], raw.get("terms_digest", ""),
+                raw.get("attached", True),
+                DinState(status) if state is None else state,
+                None, raw.get("expected_multiple"),
             )
         except json.JSONDecodeError as exc:
             raise RegistryError(
@@ -367,8 +415,8 @@ def import_records(text: str) -> Registry:
             raise RegistryError(f"registry line {number}: {exc}") from exc
         registry.register(record)
         ref = raw.get("counterpart_ref")
-        if ref is not None and raw["kind"] == PRIMARY:
-            deferred_links.append((raw["din_id"], ref))
+        if ref is not None and record.kind == PRIMARY:
+            deferred_links.append((record.din_id, ref))
     for primary_id, secondary_id in deferred_links:
         registry.link_secondary(primary_id, secondary_id)
     return registry

@@ -38,6 +38,11 @@ TERTIARY_RECORD = json.dumps({
 })
 
 
+def primary_line(**fields) -> str:
+    """TERTIARY_RECORD made a primary, with the given fields changed."""
+    return json.dumps(json.loads(TERTIARY_RECORD) | {"kind": "primary"} | fields)
+
+
 def error_line(capsys) -> dict:
     """The one {"error", "kind"} JSON line a failed command leaves on stderr."""
     lines = capsys.readouterr().err.splitlines()
@@ -100,12 +105,22 @@ class TestKraken:
             {"depths": 3},
             {"iteration_limit": "many"},
             [0.05],
+            # float() reads these; the grid must still refuse them by name.
+            {"origination": "Infinity", "depths": [1, 2]},
+            {"insurance_price": "NaN"},
+            {"tranche_insured": "-Infinity"},
+            {"reserve_fractions": ["Infinity"]},
+            {"origination": "0.5"},
         ],
     )
     def test_bad_grid_is_one_json_line(self, tmp_path, capsys, kraken):
         cfg = write_config(tmp_path, {"schema_version": 1, "kraken": kraken})
         assert main(["kraken", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert error_line(capsys)["kind"] == "ConfigError"
+        err = error_line(capsys)
+        assert err["kind"] == "ConfigError"
+        for field in ("origination", "insurance_price", "tranche_insured"):
+            if isinstance(kraken, dict) and field in kraken:
+                assert field in err["error"]
         assert not os.path.exists(tmp_path / "kraken_curves.csv")
 
 
@@ -398,7 +413,8 @@ class TestAudit:
         assert not os.path.exists(tmp_path / "representativeness.csv")
 
     @pytest.mark.parametrize("line", ['{"din_id": "a"', '{"din_id": "a"}', "[1]",
-                                      TERTIARY_RECORD])
+                                      TERTIARY_RECORD, primary_line(vintage_year="2024"),
+                                      primary_line(attached="false")])
     def test_malformed_registry_is_one_json_line(self, tmp_path, capsys, line):
         path = tmp_path / "registry.jsonl"
         path.write_text(line + "\n")

@@ -157,6 +157,26 @@ class TestKrakenMultiplier:
         with pytest.raises(InvalidParameterError):
             kraken_multiplier(KrakenParams(0.05, 10, 2, tranche_insured=1.5))
 
+    @pytest.mark.parametrize("field", ["reserve_fraction", "insurance_price",
+                                       "origination", "tranche_insured"])
+    @pytest.mark.parametrize("value", ["0.05", True, Decimal("0.05"), None,
+                                       float("inf"), float("-inf"), float("nan")])
+    def test_float_field_is_a_finite_number(self, field, value):
+        params = dict(reserve_fraction=0.05, iteration_limit=10, depth=2,
+                      origination=1.01, tranche_insured=0.5) | {field: value}
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be"):
+            kraken_multiplier(KrakenParams(**params))
+        if field == "reserve_fraction":
+            with pytest.raises(InvalidParameterError, match=f"^{field} must be"):
+                classical_multiplier(value, 10)
+
+    @pytest.mark.parametrize("field", ["iteration_limit", "depth"])
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    def test_count_field_is_an_int(self, field, value):
+        params = dict(reserve_fraction=0.05, iteration_limit=10, depth=2) | {field: value}
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be an int"):
+            kraken_multiplier(KrakenParams(**params))
+
 
 class TestCapitalLimits:
     def test_headline_limits_at_unit_capital(self):

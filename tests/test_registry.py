@@ -1,9 +1,15 @@
 """Cross-reference integrity, packaging rules, and portfolio audits."""
+import copy
+import json
+import pickle
 import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from venturebank import registry as registry_module
 from venturebank.contracts import DinState
 from venturebank.errors import (
     DanglingReferenceError,
@@ -13,10 +19,12 @@ from venturebank.errors import (
     PackagingError,
     RegistryError,
 )
+from venturebank.money import money
 from venturebank.registry import (
     ForwardPeriod,
     RandomN,
     Registry,
+    SECONDARY,
     RegistryRecord,
     audit_attachment,
     audit_representativeness,
@@ -280,6 +288,72 @@ class TestExpectedMultiple:
         assert str(kept) == str(Decimal(str(multiple)))
 
 
+class TestRecordTypes:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("attached", "false"),
+            ("attached", 0),
+            ("vintage_year", "2024"),
+            ("vintage_year", 2024.0),
+            ("vintage_year", True),
+            ("status", "active"),
+            ("din_id", 5),
+            ("underwriter_id", None),
+            ("bank_id", b"bank1"),
+            ("investment_id", 1.5),
+            ("sector", ["deeptech"]),
+            ("terms_digest", None),
+            ("counterpart_ref", 7),
+        ],
+    )
+    def test_wrong_type_is_refused_by_name(self, field, value):
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be"):
+            rec(**{"din_id": "p", field: value})
+
+    def test_registry_updates_keep_the_type_rule(self):
+        registry = ramped_registry(2)
+        with pytest.raises(InvalidParameterError, match="^status must be"):
+            registry.set_status("p000", "void")
+        with pytest.raises(InvalidParameterError, match="^attached must be"):
+            registry.set_attached("p000", "false")
+        assert registry.snapshot() == ramped_registry(2).snapshot()
+
+    def test_string_attached_line_is_refused(self):
+        # Read as truthy, "false" would hide a detached note from the audit.
+        text = export_records(ramped_registry(2)) + record_line(attached="false") + "\n"
+        with pytest.raises(RegistryError) as info:
+            import_records(text)
+        assert str(info.value) == "registry line 3: attached must be a bool, got 'false'"
+
+    def test_copies_are_equal_records(self):
+        record = rec("p", expected_multiple="1.25", counterpart_ref="s")
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                      copy.deepcopy(record), record._replace()):
+            assert type(clone) is RegistryRecord
+            assert clone == record
+        moved = record._replace(status=DinState.EXITED)
+        assert moved.status is DinState.EXITED
+        assert moved._replace(status=DinState.ACTIVE) == record
+
+    def test_record_is_a_tuple_of_its_fields(self):
+        record = rec("p", expected_multiple="1.25")
+        assert RegistryRecord._make(tuple(record)) == record == tuple(record)
+
+    def test_updates_do_not_check_the_record_again(self, monkeypatch):
+        registry = Registry()
+        registry.register(rec("p"))
+        registry.register(rec("s", kind=SECONDARY))
+        calls = []
+        monkeypatch.setattr(registry_module, "money",
+                            lambda value: calls.append(value) or money(value))
+        registry.link_secondary("p", "s")
+        registry.set_status("s", DinState.EXITED)
+        registry.set_attached("p", False)
+        assert calls == []
+        assert registry.get("p").counterpart_ref == "s"
+
+
 class TestExportImport:
     def test_roundtrip_preserves_everything(self):
         registry = ramped_registry(8)
@@ -320,3 +394,126 @@ class TestExportImport:
         with pytest.raises(RegistryError,
                            match="registry line 3: expected_multiple must be"):
             import_records(text)
+
+
+def record_line(**fields) -> str:
+    """One registry line holding every field import_records requires."""
+    base = dict(din_id="t", kind="primary", underwriter_id="uw1", bank_id="b",
+                investment_id="i", principal="1", sector="s", vintage_year=2024)
+    return json.dumps(base | fields)
+
+
+GOOD = record_line(din_id="g")
+
+
+class TestImportParity:
+    """import_records' refusal of each failure class: the exception type and
+    its whole message, line number included where the record names one."""
+
+    @pytest.mark.parametrize(
+        "lines, error, message",
+        [
+            ([GOOD, '{"din_id": "a"'], RegistryError,
+             "registry line 2: invalid JSON, Expecting ',' delimiter (column 15)"),
+            ([GOOD, '{"din_id": "a"} {}'], RegistryError,
+             "registry line 2: invalid JSON, Extra data (column 17)"),
+            (["\ufeff" + GOOD], RegistryError,
+             "registry line 1: invalid JSON, Unexpected UTF-8 BOM "
+             "(decode using utf-8-sig) (column 1)"),
+            ([GOOD, "[1]"], RegistryError, "registry line 2: not a JSON object"),
+            ([GOOD, '"x"'], RegistryError, "registry line 2: not a JSON object"),
+            ([GOOD, '{"din_id": "a"}'], RegistryError,
+             "registry line 2: missing field 'kind'"),
+            ([GOOD, record_line(kind="tertiary")], RegistryError,
+             "registry line 2: record kind must be primary/secondary, got 'tertiary'"),
+            ([GOOD, record_line(status="zombie")], RegistryError,
+             "registry line 2: 'zombie' is not a valid DinState"),
+            ([GOOD, record_line(status=3)], RegistryError,
+             "registry line 2: 3 is not a valid DinState"),
+            ([GOOD, record_line(status=None)], RegistryError,
+             "registry line 2: None is not a valid DinState"),
+            ([GOOD, record_line(status=["active"])], RegistryError,
+             "registry line 2: ['active'] is not a valid DinState"),
+            ([GOOD, record_line(expected_multiple="NaN")], RegistryError,
+             "registry line 2: expected_multiple must be a finite decimal, got 'NaN'"),
+            ([GOOD, record_line(expected_multiple="-1")], RegistryError,
+             "registry line 2: expected_multiple must be >= 0, got -1"),
+            ([GOOD, record_line(principal="-1")], RegistryError,
+             "registry line 2: principal must be >= 0"),
+            # A line with several faults reports the first one checked.
+            ([GOOD, '{"din_id": "a", "expected_multiple": "NaN"}'], RegistryError,
+             "registry line 2: missing field 'kind'"),
+            ([GOOD, record_line(kind="tertiary", status="zombie")], RegistryError,
+             "registry line 2: 'zombie' is not a valid DinState"),
+            ([GOOD, record_line(kind="tertiary", principal="-1",
+                                expected_multiple="NaN")], RegistryError,
+             "registry line 2: record kind must be primary/secondary, got 'tertiary'"),
+            ([GOOD, record_line(principal="-1", expected_multiple="NaN")], RegistryError,
+             "registry line 2: principal must be >= 0"),
+            # Blank lines are skipped but still counted.
+            ([GOOD, "", "  \t", record_line(principal="-1")], RegistryError,
+             "registry line 4: principal must be >= 0"),
+            ([GOOD, record_line(din_id="g")], DuplicateIdError,
+             "din_id 'g' already registered"),
+            ([GOOD, record_line(counterpart_ref="nope")], DanglingReferenceError,
+             "no record 'nope'"),
+            ([record_line(din_id="p1", counterpart_ref="s1"),
+              record_line(din_id="s1", kind="secondary"),
+              record_line(din_id="p2", counterpart_ref="s1")], DoubleLinkError,
+             "'s1' already references a primary"),
+            ([GOOD, record_line(counterpart_ref="g")], InvalidParameterError,
+             "link must join a primary to a secondary"),
+            # Links are installed after every line has been read, so a bad
+            # record on a later line wins over a link error on an earlier one.
+            ([record_line(din_id="p1", counterpart_ref="zz"),
+              record_line(din_id="x", kind="bad")], RegistryError,
+             "registry line 2: record kind must be primary/secondary, got 'bad'"),
+        ],
+    )
+    def test_failure_class(self, lines, error, message):
+        with pytest.raises(error) as info:
+            import_records("\n".join(lines) + "\n")
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+@st.composite
+def registries(draw) -> Registry:
+    """Primaries and secondaries with random links, detachments, statuses,
+    amounts and text fields."""
+    registry = Registry()
+    text = st.text(max_size=4)
+    kinds = ["primary"] * draw(st.integers(0, 6)) + ["secondary"] * draw(st.integers(0, 6))
+    for i, kind in enumerate(kinds):
+        registry.register(RegistryRecord(
+            din_id=f"{kind[0]}{i}-{draw(text)}",
+            kind=kind,
+            underwriter_id=draw(text),
+            bank_id=draw(text),
+            investment_id=draw(text),
+            principal=draw(st.decimals(min_value=0, max_value=10**12, places=9)),
+            sector=draw(text),
+            vintage_year=draw(st.integers(1900, 2100)),
+            terms_digest=draw(text),
+            attached=draw(st.booleans()),
+            status=draw(st.sampled_from(DinState)),
+            expected_multiple=draw(
+                st.none() | st.decimals(min_value=0, max_value=1000, places=3)),
+        ))
+    ids = [r.din_id for r in registry.snapshot()]
+    primaries = [d for d in ids if d.startswith("p")]
+    secondaries = draw(st.permutations([d for d in ids if d.startswith("s")]))
+    for primary, secondary in zip(draw(st.permutations(primaries)), secondaries):
+        if draw(st.booleans()):
+            registry.link_secondary(primary, secondary)
+    return registry
+
+
+class TestRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(registries())
+    def test_export_import_export(self, registry):
+        text = export_records(registry)
+        clone = import_records(text)
+        assert export_records(clone) == text
+        assert clone.snapshot() == registry.snapshot()
