@@ -119,12 +119,14 @@ def scenario_from_config(data: dict, seed_override: int | None) -> ScenarioConfi
 def cmd_kraken(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
     grid = dict(DEFAULT_KRAKEN_GRID)
     grid.update(_section(data, "kraken"))
+    # The counts go to KrakenParams as given: it refuses a float or a bool
+    # by name, where int() would truncate one and the row still print it.
     try:
         rows = [
             (rf, depth, KrakenParams(
                 reserve_fraction=float(rf),
-                iteration_limit=int(grid["iteration_limit"]),
-                depth=int(depth),
+                iteration_limit=grid["iteration_limit"],
+                depth=depth,
                 insurance_price=float(grid["insurance_price"]),
                 origination=float(grid["origination"]),
                 tranche_insured=float(grid["tranche_insured"]),
@@ -146,7 +148,8 @@ def cmd_kraken(data: dict, out_dir: str, seed_override: int | None) -> list[str]
             base = classical_multiplier(params.reserve_fraction, params.iteration_limit)
             w.writerow([rf, depth, grid["iteration_limit"], f"{base:.9f}", f"{value:.9f}"])
     except InvalidParameterError as exc:
-        # float() reads "Infinity" and "NaN"; validate refuses them by name.
+        # float() reads "Infinity" and "NaN"; validate refuses them, and
+        # counts that are not ints, by name.
         raise ConfigError(f"bad kraken field: {exc}") from exc
 
     path = os.path.join(out_dir, "kraken_curves.csv")

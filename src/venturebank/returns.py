@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,7 @@ class SpreadParams:
                 f"survivor_shape must be > 0, got {self.survivor_shape}")
 
 
-@dataclass(frozen=True)
-class FundOutcome:
+class FundOutcome(NamedTuple):
     fund_id: str
     ten_year_multiple: Decimal
     classification: str  # FAILURE or SURVIVOR
@@ -181,7 +181,7 @@ def rescale_to_target(dist: ReturnDistribution, target_mean) -> ReturnDistributi
 
 def _classified(fund_id: str, multiple: Decimal, threshold: Decimal) -> FundOutcome:
     kind = FAILURE if multiple < threshold else SURVIVOR
-    return FundOutcome(fund_id=fund_id, ten_year_multiple=multiple, classification=kind)
+    return FundOutcome(fund_id, multiple, kind)
 
 
 def _solve_shift(ascending: list[Decimal], target: Decimal) -> Decimal | None:

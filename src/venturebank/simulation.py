@@ -302,7 +302,28 @@ _DETAIL_READERS = {
 }
 
 
+_EVENT_HEADER = ",".join(EVENT_COLUMNS)
+
+
 def events_to_csv(events) -> str:
+    """events.csv: the bytes csv.writer gives with lineterminator "\\n".
+
+    Each row is first built as one f-string.  That text stands when no
+    cell needed quoting: exactly 5 commas and 1 newline per row, and no
+    '"' or '\\r' anywhere (a '\\r' is quoted by some Python versions and
+    not by others).  A 'None' anywhere may be a None cell, which csv
+    writes empty.  Any other log is written by csv.writer."""
+    events = tuple(events)
+    formats = _DETAIL_FORMATS
+    text = "\n".join([_EVENT_HEADER, *[
+        f"{seq!s},{year!s},{kind!s},{fund_id!s},{amount!s},"
+        f"{'' if detail is None else formats[type(detail)].format(*detail)}"
+        for seq, year, kind, fund_id, amount, detail in events
+    ], ""])
+    rows = len(events) + 1
+    if (text.count(",") == 5 * rows and text.count("\n") == rows
+            and '"' not in text and "\r" not in text and "None" not in text):
+        return text
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(EVENT_COLUMNS)
@@ -324,34 +345,50 @@ def _parse_detail(kind: str, text: str) -> EventDetail:
 
 
 def events_from_csv(text: str) -> tuple[Event, ...]:
-    """Parse events.csv.  A malformed row raises InvalidParameterError
-    naming its line."""
+    """Parse events.csv.  A malformed row, or a cell past the csv module's
+    field limit, raises InvalidParameterError naming its line."""
     reader = csv.reader(io.StringIO(text))
-    if next(reader, None) != list(EVENT_COLUMNS):
-        raise InvalidParameterError("not an event-log CSV")
     out = []
-    # A log repeats a few amounts (each fund's premium, the loan face)
-    # many times; each distinct cell is read once.
+    append, new, columns = out.append, tuple.__new__, len(EVENT_COLUMNS)
+    # A log repeats a few amounts (each fund's premium, the loan face) and
+    # years many times; each distinct cell is read once, and each distinct
+    # (kind, detail) pair parsed once.
     amounts: dict[str, Decimal] = {}
-    for row in reader:
-        try:
-            if len(row) != len(EVENT_COLUMNS):
-                raise ValueError(f"expected {len(EVENT_COLUMNS)} columns, got {len(row)}")
-            seq, year, kind, fund_id, amount, detail = row
-            if kind not in EVENT_KINDS:
-                raise ValueError(f"unknown event kind {kind!r}")
-            value = amounts.get(amount)
-            if value is None:
-                value = amounts[amount] = finite(amount, "amount")
-            out.append(Event._make((
-                int(seq), int(year), kind, fund_id, value,
-                _parse_detail(kind, detail)
-                if detail or kind in _DETAIL_READERS else None,
-            )))
-        except ValueError as exc:  # InvalidParameterError is one
-            raise InvalidParameterError(
-                f"event log line {reader.line_num}: {exc}"
-            ) from exc
+    years: dict[str, int] = {}
+    details: dict[tuple[str, str], EventDetail] = {}
+    try:
+        if next(reader, None) != list(EVENT_COLUMNS):
+            raise InvalidParameterError("not an event-log CSV")
+        for row in reader:
+            try:
+                if len(row) != columns:
+                    raise ValueError(f"expected {columns} columns, got {len(row)}")
+                seq, year, kind, fund_id, amount, detail = row
+                if kind not in EVENT_KINDS:
+                    raise ValueError(f"unknown event kind {kind!r}")
+                value = amounts.get(amount)
+                if value is None:
+                    value = amounts[amount] = finite(amount, "amount")
+                seq = int(seq)
+                number = years.get(year)
+                if number is None:
+                    number = years[year] = int(year)
+                if detail:
+                    parsed = details.get((kind, detail))
+                    if parsed is None:
+                        parsed = details[kind, detail] = _parse_detail(kind, detail)
+                elif kind in _DETAIL_READERS:
+                    parsed = _parse_detail(kind, detail)  # refuses the empty cell
+                else:
+                    parsed = None
+                append(new(Event, (seq, number, kind, fund_id, value, parsed)))
+            except ValueError as exc:  # InvalidParameterError is one
+                raise InvalidParameterError(
+                    f"event log line {reader.line_num}: {exc}"
+                ) from exc
+    except csv.Error as exc:
+        raise InvalidParameterError(
+            f"event log line {reader.line_num}: {exc}") from exc
     return tuple(out)
 
 
@@ -474,15 +511,15 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
     config.  The sweep calls it directly to share one spread between the
     curves of a grid point."""
     events: list[Event] = []
-    # Event._make hands its tuple to tuple.__new__ and checks the length;
-    # Event(...) first binds six arguments in the NamedTuple's Python
-    # __new__, which costs more per event.
-    make = Event._make
+    # Each tuple below has Event's six fields, so an event is built by
+    # tuple.__new__ itself, with neither the Python frame of Event(...) nor
+    # the length check of Event._make.
+    new = tuple.__new__
 
     def emit(year: int, kind: str, fund_id: str, amount: Decimal,
              detail=None) -> Event:
         # Every amount arrives quantized to 9 places.
-        event = make((len(events), year, kind, fund_id, amount, detail))
+        event = new(Event, (len(events), year, kind, fund_id, amount, detail))
         events.append(event)
         return event
 
@@ -524,7 +561,7 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
     liens = []
     for year in range(1, config.horizon + 1):
         events.extend([
-            make((seq, year, "premium_paid", fund, premium, None))
+            new(Event, (seq, year, "premium_paid", fund, premium, None))
             for seq, (fund, premium) in enumerate(paying, len(events))
         ])
 

@@ -6,6 +6,8 @@ no imports from the code paths it checks. Deliberately slow and dumb.
 
 from __future__ import annotations
 
+import csv
+import io
 from decimal import Decimal
 
 ORACLE_TERM_BUDGET = 400_000  # max (n+1)^depth the brute-force evaluator will touch
@@ -110,3 +112,19 @@ def is_nondecreasing(values, tolerance=0) -> bool:
 def count_events(events, kind: str) -> int:
     """Event-count oracle over any iterable with a .kind attribute."""
     return sum(1 for e in events if e.kind == kind)
+
+
+def event_log_csv(events) -> str:
+    """events.csv written one csv.writer row per event: the amount as its
+    str, and a detail record as its name=value pairs in field order,
+    joined by "|"."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["seq", "year", "kind", "fund_id", "amount", "detail"])
+    for e in events:
+        detail = ""
+        if e.detail is not None:
+            detail = "|".join(f"{name}={getattr(e.detail, name)}"
+                              for name in e.detail._fields)
+        writer.writerow([e.seq, e.year, e.kind, e.fund_id, str(e.amount), detail])
+    return buf.getvalue()

@@ -57,6 +57,9 @@ class TestKraken:
         assert main(["kraken", "--out", str(tmp_path)]) == 0
         rows = read_rows(tmp_path / "kraken_curves.csv")
         assert rows[0] == ["reserve_fraction", "depth", "iteration_limit", "classical", "multiplier"]
+        assert [(rf, depth, n) for rf, depth, n, _, _ in rows[1:]] == [
+            (rf, str(depth), "100") for rf in ("0.05", "0.025") for depth in range(1, 11)
+        ]
         by_rf = {}
         for rf, depth, _n, _base, value in rows[1:]:
             by_rf.setdefault(rf, []).append((int(depth), float(value)))
@@ -121,6 +124,28 @@ class TestKraken:
         for field in ("origination", "insurance_price", "tranche_insured"):
             if isinstance(kraken, dict) and field in kraken:
                 assert field in err["error"]
+        assert not os.path.exists(tmp_path / "kraken_curves.csv")
+
+
+    @pytest.mark.parametrize(
+        "kraken, field",
+        [
+            ({"depths": [1.9, 2.5], "iteration_limit": True,
+              "reserve_fractions": ["0.05"]}, "iteration_limit"),
+            ({"depths": [1.9, 2.5]}, "depth"),
+            ({"depths": [True]}, "depth"),
+            ({"depths": ["2"]}, "depth"),
+            ({"iteration_limit": 100.0}, "iteration_limit"),
+            ({"iteration_limit": False}, "iteration_limit"),
+        ],
+    )
+    def test_counts_that_are_not_ints_are_refused_by_name(self, tmp_path, capsys,
+                                                          kraken, field):
+        cfg = write_config(tmp_path, {"schema_version": 1, "kraken": kraken})
+        assert main(["kraken", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "ConfigError"
+        assert f"{field} must be an int" in err["error"]
         assert not os.path.exists(tmp_path / "kraken_curves.csv")
 
 

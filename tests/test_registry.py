@@ -147,6 +147,31 @@ class TestCrossReferences:
         assert registry.gross_notional() >= registry.true_outstanding()
 
 
+    def test_snapshot_stays_in_id_order(self):
+        registry = Registry()
+
+        def snapshot_ids() -> list[str]:
+            snapshot = registry.snapshot()
+            ids = [r.din_id for r in snapshot]
+            assert snapshot == tuple(registry.get(din_id) for din_id in ids)
+            return ids
+
+        registry.register(rec("P2"))
+        registry.register(rec("S1", kind="secondary"))
+        assert snapshot_ids() == ["P2", "S1"]
+        registry.register(rec("P1"))
+        assert snapshot_ids() == ["P1", "P2", "S1"]
+        registry.link_secondary("P2", "S1")
+        assert snapshot_ids() == ["P1", "P2", "S1"]
+        assert registry.snapshot()[1].counterpart_ref == "S1"
+        registry.set_status("P1", DinState.VOID)
+        assert registry.snapshot()[0].status is DinState.VOID
+        registry.set_attached("P2", False)
+        assert registry.snapshot()[1].attached is False
+        registry.register(rec("P0"))
+        assert snapshot_ids() == ["P0", "P1", "P2", "S1"]
+
+
 class TestAttachmentAudit:
     def test_all_attached_clean(self):
         registry = ramped_registry(6)

@@ -1,9 +1,11 @@
 """Scenario runs: report identities, determinism, replay, and sweep shapes."""
+import csv
 import pickle
 import re
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, getcontext, localcontext
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,8 @@ from venturebank.simulation import (
     simulate,
     sweep_classical_return,
 )
-from oracles import count_events, is_nondecreasing, sign_scan_local_minimum
+from oracles import count_events, event_log_csv, is_nondecreasing, sign_scan_local_minimum
+from test_golden import CASES as GOLDEN_CASES
 
 
 TARGETS = ("1.10", "1.31", "1.50")
@@ -216,6 +219,21 @@ class TestEventLogParsing:
         text = "\n".join((",".join(simulation.EVENT_COLUMNS),) + self.GOOD_ROWS + (row,))
         with pytest.raises(InvalidParameterError, match="line 4"):
             events_from_csv(text + "\n")
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_oversized_cell_names_its_line(self, quoted):
+        cell = "x" * (csv.field_size_limit() + 1)
+        if quoted:
+            cell = '"' + cell + '"'
+        row = f"2,0,loan_issued,{cell},1.000000000,"
+        text = "\n".join((",".join(simulation.EVENT_COLUMNS),) + self.GOOD_ROWS + (row,))
+        with pytest.raises(InvalidParameterError, match="line 4: field larger"):
+            events_from_csv(text + "\n")
+
+    def test_oversized_header_names_line_1(self):
+        header = ",".join(simulation.EVENT_COLUMNS) + "x" * csv.field_size_limit()
+        with pytest.raises(InvalidParameterError, match="line 1: field larger"):
+            events_from_csv(header + "\n")
 
     def test_good_rows_parse_to_typed_details(self):
         text = "\n".join((",".join(simulation.EVENT_COLUMNS),) + self.GOOD_ROWS)
@@ -754,3 +772,54 @@ class TestEngineProperty:
         bank, underwriter = post_books(events, cfg)
         assert bank.transactions == report.bank_ledger.transactions
         assert underwriter.transactions == report.underwriter_ledger.transactions
+
+
+# Cells that csv.writer quotes, or writes other than as their str().
+AWKWARD_TEXT = st.one_of(
+    st.sampled_from(["", "f000", ",", '"', '""', "\n", "\r", "\r\n", "None", "a,b"]),
+    st.text(alphabet=st.sampled_from(',"\n\r |=aN1'), max_size=6),
+    st.text(max_size=6),
+)
+DETAIL_DECIMALS = st.decimals(min_value=-10**6, max_value=10**6, places=9)
+
+
+@st.composite
+def event_details(draw):
+    record = draw(st.sampled_from(list(simulation.EVENT_DETAILS.values())))
+    hints = get_type_hints(record)
+    return record(*[draw(st.integers(0, 99) if hints[name] is int else DETAIL_DECIMALS)
+                    for name in record._fields])
+
+
+@st.composite
+def logged_events(draw):
+    return simulation.Event(
+        seq=draw(st.none() | st.integers(0, 10**6)),
+        year=draw(st.none() | st.integers(0, 30)),
+        kind=draw(st.none() | st.sampled_from(sorted(simulation.EVENT_KINDS)) | AWKWARD_TEXT),
+        fund_id=draw(st.none() | st.sampled_from(["", "f000", "f001"]) | AWKWARD_TEXT),
+        amount=draw(st.decimals()),
+        detail=draw(st.none() | event_details()),
+    )
+
+
+class TestEventLogWriter:
+    """events_to_csv writes the bytes of a literal csv.writer loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(logged_events(), max_size=6))
+    def test_equals_csv_writer(self, events):
+        expected = event_log_csv(events)
+        assert events_to_csv(events) == expected
+        assert events_to_csv(iter(events)) == expected
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_golden_logs_equal_csv_writer(self, name):
+        events = simulate(GOLDEN_CASES[name]())
+        assert events_to_csv(events) == event_log_csv(events)
+
+    def test_no_cell_to_quote_leaves_csv_unused(self, monkeypatch):
+        events = simulate(ScenarioConfig())
+        expected = event_log_csv(events)
+        monkeypatch.setattr(simulation.csv, "writer", None)
+        assert events_to_csv(events) == expected
