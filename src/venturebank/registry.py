@@ -118,15 +118,11 @@ class Registry:
 
     def __init__(self) -> None:
         self._records: dict[str, RegistryRecord] = {}
-        # The ids in sorted order, or None until a snapshot needs them.
-        # Only register changes the key set, so only register resets it.
-        self._order: list[str] | None = None
 
     def register(self, record: RegistryRecord) -> None:
         if record.din_id in self._records:
             raise DuplicateIdError(f"din_id {record.din_id!r} already registered")
         self._records[record.din_id] = record
-        self._order = None
 
     def get(self, din_id: str) -> RegistryRecord:
         try:
@@ -135,11 +131,7 @@ class Registry:
             raise DanglingReferenceError(f"no record {din_id!r}") from None
 
     def snapshot(self) -> tuple[RegistryRecord, ...]:
-        """Every record, in id order."""
-        if self._order is None:
-            self._order = sorted(self._records)
-        records = self._records
-        return tuple([records[k] for k in self._order])
+        return tuple(self._records[k] for k in sorted(self._records))
 
     def link_secondary(self, primary_id: str, secondary_id: str) -> None:
         """Install the mutual reference between a primary and its secondary.

@@ -310,9 +310,10 @@ def events_to_csv(events) -> str:
 
     Each row is first built as one f-string.  That text stands when no
     cell needed quoting: exactly 5 commas and 1 newline per row, and no
-    '"' or '\\r' anywhere (a '\\r' is quoted by some Python versions and
-    not by others).  A 'None' anywhere may be a None cell, which csv
-    writes empty.  Any other log is written by csv.writer."""
+    '"', '\\r' or NUL anywhere (a '\\r' is quoted by some Python versions
+    and not by others, and a NUL is refused by csv before Python 3.11).
+    A 'None' anywhere may be a None cell, which csv writes empty.  Any
+    other log is written by csv.writer."""
     events = tuple(events)
     formats = _DETAIL_FORMATS
     text = "\n".join([_EVENT_HEADER, *[
@@ -322,7 +323,8 @@ def events_to_csv(events) -> str:
     ], ""])
     rows = len(events) + 1
     if (text.count(",") == 5 * rows and text.count("\n") == rows
-            and '"' not in text and "\r" not in text and "None" not in text):
+            and '"' not in text and "\r" not in text and "\0" not in text
+            and "None" not in text):
         return text
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -350,12 +352,9 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
     reader = csv.reader(io.StringIO(text))
     out = []
     append, new, columns = out.append, tuple.__new__, len(EVENT_COLUMNS)
-    # A log repeats a few amounts (each fund's premium, the loan face) and
-    # years many times; each distinct cell is read once, and each distinct
-    # (kind, detail) pair parsed once.
+    # A log repeats a few amounts (each fund's premium, the loan face)
+    # many times; each distinct cell is read once.
     amounts: dict[str, Decimal] = {}
-    years: dict[str, int] = {}
-    details: dict[tuple[str, str], EventDetail] = {}
     try:
         if next(reader, None) != list(EVENT_COLUMNS):
             raise InvalidParameterError("not an event-log CSV")
@@ -369,19 +368,11 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
                 value = amounts.get(amount)
                 if value is None:
                     value = amounts[amount] = finite(amount, "amount")
-                seq = int(seq)
-                number = years.get(year)
-                if number is None:
-                    number = years[year] = int(year)
-                if detail:
-                    parsed = details.get((kind, detail))
-                    if parsed is None:
-                        parsed = details[kind, detail] = _parse_detail(kind, detail)
-                elif kind in _DETAIL_READERS:
-                    parsed = _parse_detail(kind, detail)  # refuses the empty cell
-                else:
-                    parsed = None
-                append(new(Event, (seq, number, kind, fund_id, value, parsed)))
+                append(new(Event, (
+                    int(seq), int(year), kind, fund_id, value,
+                    _parse_detail(kind, detail)
+                    if detail or kind in _DETAIL_READERS else None,
+                )))
             except ValueError as exc:  # InvalidParameterError is one
                 raise InvalidParameterError(
                     f"event log line {reader.line_num}: {exc}"
