@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from .errors import (
     ForcedTriggerError,
@@ -12,7 +13,7 @@ from .errors import (
     StateTransitionError,
     TerminalStateError,
 )
-from .money import compound, finite, fraction, money
+from .money import DECIMAL_CONTEXT, compound, finite, fraction, money
 
 
 class DinState(enum.Enum):
@@ -52,30 +53,40 @@ class LienResolution(enum.Enum):
     FULL_RECOVERY = "full_recovery"
 
 
-@dataclass(frozen=True)
-class TriggerEvent:
+class _TriggerFields(NamedTuple):
+    kind: str
+    year: int
+    payload: Decimal | None
+
+
+class TriggerEvent(_TriggerFields):
     """A lifecycle event observed on the insured loan.
 
     payload meaning depends on kind: bankruptcy carries the residual equity
     valuation, exit carries sale proceeds, offer_refusal carries the refused
     offer amount.  Other kinds leave it None.
+
+    Checked once when built.  _make and _replace build an event without
+    checking it; the engine builds its events with _make from values
+    already checked.
     """
 
-    kind: str
-    year: int
-    payload: Decimal | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (
+    def __new__(cls, kind, year, payload=None):
+        if kind not in (
             BANKRUPTCY,
             EXIT,
             PREMIUM_DEFAULT,
             OFFER_REFUSAL,
             FAILURE_TO_INFORM,
         ):
-            raise InvalidParameterError(f"unknown trigger kind: {self.kind!r}")
-        if self.payload is not None:
-            object.__setattr__(self, "payload", money(self.payload))
+            raise InvalidParameterError(f"unknown trigger kind: {kind!r}")
+        if payload is not None:
+            payload = money(payload)
+        if isinstance(year, bool) or not isinstance(year, int):
+            raise InvalidParameterError(f"year must be an int, got {year!r}")
+        return tuple.__new__(cls, (kind, year, payload))
 
 
 @dataclass(frozen=True)
@@ -109,8 +120,7 @@ class ClawbackPolicy:
             raise InvalidParameterError("option B liens carry the full base until verdict")
 
 
-@dataclass(frozen=True)
-class ClawbackLien:
+class ClawbackLien(NamedTuple):
     """Bank's claim against future recoveries on a paid-out note."""
 
     contract_id: str
@@ -122,8 +132,7 @@ class ClawbackLien:
     resolution: LienResolution = LienResolution.UNRESOLVED
 
 
-@dataclass(frozen=True)
-class Settlement:
+class Settlement(NamedTuple):
     """Cash and equity movements produced by resolving one trigger."""
 
     cash_to_bank: Decimal = Decimal("0")
@@ -131,22 +140,38 @@ class Settlement:
     lien: ClawbackLien | None = None
 
 
-@dataclass(frozen=True)
-class DinContract:
+class _NoteFields(NamedTuple):
     contract_id: str
     principal: Decimal
-    coverage: Decimal = Decimal("1")  # insured fraction of principal
-    equity_fraction: Decimal = Decimal("0.5")
-    state: DinState = DinState.ACTIVE
-    liens: tuple[ClawbackLien, ...] = field(default_factory=tuple)
+    coverage: Decimal  # insured fraction of principal
+    equity_fraction: Decimal
+    state: DinState
+    liens: tuple[ClawbackLien, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "principal", money(self.principal))
-        object.__setattr__(self, "coverage", fraction(self.coverage, "coverage"))
-        object.__setattr__(
-            self, "equity_fraction", fraction(self.equity_fraction, "equity_fraction"))
-        if self.principal < 0:
+
+class DinContract(_NoteFields):
+    """One insurance note, checked once when built.  A note is an immutable
+    tuple: it compares equal to a plain tuple of the same fields.  _make
+    and _replace build a note without checking it."""
+
+    __slots__ = ()
+
+    def __new__(cls, contract_id, principal, coverage=Decimal("1"),
+                equity_fraction=Decimal("0.5"), state=DinState.ACTIVE, liens=()):
+        principal = money(principal)
+        coverage = fraction(coverage, "coverage")
+        equity_fraction = fraction(equity_fraction, "equity_fraction")
+        if principal < 0:
             raise InvalidParameterError("principal must be >= 0")
+        if not isinstance(contract_id, str):
+            raise InvalidParameterError(
+                f"contract_id must be a string, got {contract_id!r}")
+        if not isinstance(state, DinState):
+            raise InvalidParameterError(f"state must be a DinState, got {state!r}")
+        if not isinstance(liens, tuple):
+            raise InvalidParameterError(f"liens must be a tuple, got {liens!r}")
+        return tuple.__new__(cls, (contract_id, principal, coverage,
+                                   equity_fraction, state, liens))
 
     @property
     def insured_value(self) -> Decimal:
@@ -155,11 +180,9 @@ class DinContract:
 
 def _successor(contract: DinContract, state: DinState,
                liens: tuple[ClawbackLien, ...]) -> DinContract:
-    """replace(contract, state=state, liens=liens) without validating the
-    terms again: they are the predecessor's, which __post_init__ checked."""
-    nxt = object.__new__(DinContract)
-    nxt.__dict__.update(contract.__dict__, state=state, liens=liens)
-    return nxt
+    """contract._replace(state=state, liens=liens), built in one step: the
+    terms are the predecessor's, which were checked when it was built."""
+    return tuple.__new__(DinContract, (*contract[:4], state, liens))
 
 
 def apply_trigger(
@@ -250,10 +273,18 @@ def exit_equity_split(
     The insured slice of the investor's equity is coverage * investor_equity;
     the underwriter keeps its contracted fraction, the bank the remainder.
     """
-    value = money(investor_equity)
-    insured = money(value * fraction(coverage, "coverage"))
-    to_underwriter = money(insured * fraction(equity_fraction, "equity_fraction"))
-    return to_underwriter, money(insured - to_underwriter)
+    return _exit_equity_split(money(investor_equity), fraction(coverage, "coverage"),
+                              fraction(equity_fraction, "equity_fraction"))
+
+
+def _exit_equity_split(value: Decimal, coverage: Decimal,
+                       equity_fraction: Decimal) -> tuple[Decimal, Decimal]:
+    """exit_equity_split's arithmetic, on a money-scale value and two
+    fractions already checked.  The bank's share is the difference of two
+    money-scale amounts, exact at 9 places in DECIMAL_CONTEXT."""
+    insured = money(value * coverage)
+    to_underwriter = money(insured * equity_fraction)
+    return to_underwriter, DECIMAL_CONTEXT.subtract(insured, to_underwriter)
 
 
 def create_clawback(
@@ -303,6 +334,5 @@ def settle_clawback(
         else LienResolution.RELEASED23
     )
     grown = compound(lien.base, bank_rate, settlement_year - lien.origin_year)
-    settled = ClawbackLien(lien.contract_id, lien.base, share, lien.origin_year,
-                           lien.option, lien.audit_flagged, resolution)
+    settled = lien._replace(fraction=share, resolution=resolution)
     return money(share * grown), settled

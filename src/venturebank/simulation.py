@@ -26,13 +26,13 @@ from .contracts import (
     DinContract,
     DinState,
     TriggerEvent,
+    _exit_equity_split,
     annual_premium,
     apply_trigger,
     # Notes build their liens inside apply_trigger; the name stays bound here
     # because the benchmark's layer tracer (perfbench/tracing.py) wraps
     # venturebank.simulation.create_clawback.
     create_clawback,
-    exit_equity_split,
     settle_clawback,
 )
 from .errors import (
@@ -45,8 +45,8 @@ from .ledger import (
     Account,
     CapitalAccount,
     Ledger,
+    _carrying_cost,
     book_din_to_capital,
-    carrying_cost,
     cr,
     dr,
     write_investment_loan,
@@ -524,19 +524,18 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
         emit(0, "din_booked", "", booked,
              DinBooked(capital.tier1_insured, capital.tier2_insured))
 
+    # The notes, the bankruptcy triggers and the arithmetic below take
+    # their inputs unchecked: the config's terms and rate were checked when
+    # it was built, which also refused a loan face <= 0.  Every amount is
+    # on the money scale except salvage_mode "zero"'s exact 0, which is
+    # only ever subtracted from a money-scale amount.
     per, last = _loan_faces(config)
     faces = [per] * (config.n_funds - 1) + [last]
+    terms = (config.coverage, config.equity_fraction, DinState.ACTIVE, ())
     notes = []  # one per fund, in distribution order
     for outcome, face in zip(dist.outcomes, faces):
         emit(0, "loan_issued", outcome.fund_id, face)
-        notes.append(
-            DinContract(
-                outcome.fund_id,
-                face,
-                coverage=config.coverage,
-                equity_fraction=config.equity_fraction,
-            )
-        )
+        notes.append(DinContract._make((outcome.fund_id, face, *terms)))
 
     drawdown = money(total_loans * Decimal("0.5"))
     if drawdown > 0:
@@ -568,7 +567,7 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
                     equity_valuation = money(outcome.ten_year_multiple * face)
                 notes[i], settlement = apply_trigger(
                     note,
-                    TriggerEvent(BANKRUPTCY, year, payload=equity_valuation),
+                    TriggerEvent._make((BANKRUPTCY, year, equity_valuation)),
                     clawback=policy,
                 )
                 payouts.append(emit(
@@ -592,7 +591,7 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
                 note = notes[i]
                 notes[i], _ = apply_trigger(note, exit_event)
                 proceeds = money(outcome.ten_year_multiple * note.principal)
-                uw_share, bank_share = exit_equity_split(
+                uw_share, bank_share = _exit_equity_split(
                     proceeds, note.coverage, note.equity_fraction
                 )
                 emit(year, "exit_proceeds", note.contract_id, proceeds,
@@ -621,7 +620,7 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
     for payout in payouts:
         parked = payout.amount - payout.detail.equity_valuation
         if parked > 0:
-            cost = carrying_cost(parked, payout.year, closeout, config.bank_rate)
+            cost = _carrying_cost(parked, closeout - payout.year, config.bank_rate)
             if cost > 0:
                 emit(closeout, "carrying_cost", payout.fund_id, cost)
 

@@ -1,10 +1,11 @@
 """Lifecycle state machine, settlements, and clawback liens."""
+import copy
+import pickle
 import random
-from dataclasses import replace
 from decimal import Decimal
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -18,12 +19,14 @@ from venturebank.contracts import (
     PREMIUM_DEFAULT,
     TERMINAL_STATES,
     WAIVE,
+    ClawbackLien,
     ClawbackPolicy,
     DinContract,
     DinState,
     LienResolution,
     Settlement,
     TriggerEvent,
+    _exit_equity_split,
     annual_premium,
     apply_trigger,
     create_clawback,
@@ -37,6 +40,8 @@ from venturebank.errors import (
     StateTransitionError,
     TerminalStateError,
 )
+from venturebank.ledger import _carrying_cost, carrying_cost
+from venturebank.money import money
 from oracles import compound_interest
 
 
@@ -206,13 +211,12 @@ class TestStateMachine:
             if choice is WAIVE:
                 assert nxt is active
                 continue
-            expected = replace(
-                active,
+            expected = active._replace(
                 state=expected_state,
                 liens=prior + ((stl.lien,) if stl.lien is not None else ()),
             )
             assert nxt is not active and type(nxt) is DinContract
-            assert nxt == expected and vars(nxt) == vars(expected)
+            assert nxt == expected and nxt._asdict() == expected._asdict()
             assert active == note(liens=prior)
 
 
@@ -295,7 +299,6 @@ class TestEquitySplit:
             cov = Decimal(rng.randrange(0, 101)) / Decimal(100)
             frac = Decimal(rng.randrange(0, 101)) / Decimal(100)
             uw, bank = exit_equity_split(equity, cov, frac)
-            from venturebank.money import money
             assert uw + bank == money(money(equity) * cov)
 
 
@@ -366,3 +369,187 @@ class TestValidation:
             note(coverage="1.5")
         with pytest.raises(InvalidParameterError):
             note(equity_fraction="-0.1")
+
+
+SCALE_PAST = " is past the money scale of 19 digits before the point"
+
+
+class TestRecordParity:
+    """Every refusal of the note records and of the two checked arithmetic
+    functions: the exception type and its whole message.  Where a call
+    holds several faults, the first one checked is reported."""
+
+    REFUSALS = [
+        # TriggerEvent
+        (lambda: TriggerEvent("meteor_strike", 1), InvalidParameterError,
+         "unknown trigger kind: 'meteor_strike'"),
+        (lambda: TriggerEvent(None, 1), InvalidParameterError,
+         "unknown trigger kind: None"),
+        (lambda: TriggerEvent(BANKRUPTCY, 1, payload="NaN"), InvalidParameterError,
+         "amount must be a finite decimal, got 'NaN'"),
+        (lambda: TriggerEvent(BANKRUPTCY, 1, payload=float("inf")),
+         InvalidParameterError, "amount must be a finite decimal, got 'inf'"),
+        (lambda: TriggerEvent(BANKRUPTCY, 1, payload=Decimal("1E+30")),
+         InvalidParameterError, "1E+30" + SCALE_PAST),
+        (lambda: TriggerEvent(EXIT, True), InvalidParameterError,
+         "year must be an int, got True"),
+        (lambda: TriggerEvent(EXIT, 2.5), InvalidParameterError,
+         "year must be an int, got 2.5"),
+        (lambda: TriggerEvent(BANKRUPTCY, "5"), InvalidParameterError,
+         "year must be an int, got '5'"),
+        (lambda: TriggerEvent("meteor_strike", "5", payload="NaN"),
+         InvalidParameterError, "unknown trigger kind: 'meteor_strike'"),
+        (lambda: TriggerEvent(BANKRUPTCY, "5", payload="NaN"),
+         InvalidParameterError, "amount must be a finite decimal, got 'NaN'"),
+        # DinContract
+        (lambda: DinContract("d", "NaN"), InvalidParameterError,
+         "amount must be a finite decimal, got 'NaN'"),
+        (lambda: DinContract("d", 10**19), InvalidParameterError,
+         "10000000000000000000" + SCALE_PAST),
+        (lambda: DinContract("d", "-1"), InvalidParameterError,
+         "principal must be >= 0"),
+        (lambda: DinContract("d", "1", coverage="1.5"), InvalidParameterError,
+         "coverage must be in [0, 1], got 1.5"),
+        (lambda: DinContract("d", "1", coverage=None), InvalidParameterError,
+         "coverage must be a finite decimal, got 'None'"),
+        (lambda: DinContract("d", "1", equity_fraction="-0.1"),
+         InvalidParameterError, "equity_fraction must be in [0, 1], got -0.1"),
+        (lambda: DinContract("d", "1", equity_fraction="sNaN"),
+         InvalidParameterError,
+         "equity_fraction must be a finite decimal, got 'sNaN'"),
+        (lambda: DinContract("d", "-1", coverage="2"), InvalidParameterError,
+         "coverage must be in [0, 1], got 2"),
+        (lambda: DinContract("d", "-1", coverage="1", equity_fraction="2"),
+         InvalidParameterError, "equity_fraction must be in [0, 1], got 2"),
+        (lambda: DinContract(5, "1"), InvalidParameterError,
+         "contract_id must be a string, got 5"),
+        (lambda: DinContract("d", "1", state="active"), InvalidParameterError,
+         "state must be a DinState, got 'active'"),
+        (lambda: DinContract("d", "1", liens=[]), InvalidParameterError,
+         "liens must be a tuple, got []"),
+        (lambda: DinContract("d", "1", liens=None), InvalidParameterError,
+         "liens must be a tuple, got None"),
+        (lambda: DinContract(5, "-1", state="active"), InvalidParameterError,
+         "principal must be >= 0"),
+        (lambda: DinContract(None, "1", state="active", liens=[]),
+         InvalidParameterError, "contract_id must be a string, got None"),
+        (lambda: DinContract("d", "1", state="active", liens=[]),
+         InvalidParameterError, "state must be a DinState, got 'active'"),
+        # exit_equity_split
+        (lambda: exit_equity_split("NaN", "1", "0.5"), InvalidParameterError,
+         "amount must be a finite decimal, got 'NaN'"),
+        (lambda: exit_equity_split(10**19, "1", "0.5"), InvalidParameterError,
+         "10000000000000000000" + SCALE_PAST),
+        (lambda: exit_equity_split("10", "1.5", "0.5"), InvalidParameterError,
+         "coverage must be in [0, 1], got 1.5"),
+        (lambda: exit_equity_split("10", None, "0.5"), InvalidParameterError,
+         "coverage must be a finite decimal, got 'None'"),
+        (lambda: exit_equity_split("10", "1", "2"), InvalidParameterError,
+         "equity_fraction must be in [0, 1], got 2"),
+        (lambda: exit_equity_split("10", "1", "abc"), InvalidParameterError,
+         "equity_fraction must be a finite decimal, got 'abc'"),
+        (lambda: exit_equity_split("NaN", "2", "2"), InvalidParameterError,
+         "amount must be a finite decimal, got 'NaN'"),
+        (lambda: exit_equity_split("10", "2", "2"), InvalidParameterError,
+         "coverage must be in [0, 1], got 2"),
+        # carrying_cost
+        (lambda: carrying_cost("1.2", 6, 5, "0.03"), InvalidParameterError,
+         "to_year precedes from_year"),
+        (lambda: carrying_cost("NaN", 1, 5, "0.03"), InvalidParameterError,
+         "amount must be a finite decimal, got 'NaN'"),
+        (lambda: carrying_cost("1e19", 1, 5, "0.03"), InvalidParameterError,
+         "1E+19" + SCALE_PAST),
+        (lambda: carrying_cost("100", 1, 5, "NaN"), InvalidParameterError,
+         "rate must be a finite decimal, got 'NaN'"),
+        (lambda: carrying_cost("100", 1, 5, None), InvalidParameterError,
+         "rate must be a finite decimal, got 'None'"),
+        (lambda: carrying_cost("1e18", 1, 5, "3"), InvalidParameterError,
+         "256000000000000000000.0000000" + SCALE_PAST),
+        (lambda: carrying_cost("NaN", 6, 5, "NaN"), InvalidParameterError,
+         "to_year precedes from_year"),
+        (lambda: carrying_cost("NaN", 1, 5, "NaN"), InvalidParameterError,
+         "amount must be a finite decimal, got 'NaN'"),
+    ]
+
+    @pytest.mark.parametrize("build, error, message", REFUSALS,
+                             ids=[message for _, _, message in REFUSALS])
+    def test_refusal(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+def records():
+    lien = create_clawback("d1", "1.5", POLICY_C, origin_year=5)
+    return (
+        TriggerEvent(BANKRUPTCY, 5, payload="0.8"),
+        TriggerEvent(EXIT, 10),
+        Settlement(),
+        Settlement(cash_to_bank=Decimal("2"), lien=lien),
+        lien,
+        note(),
+        note(state=DinState.PAID_OUT, liens=(lien,)),
+    )
+
+
+class TestRecordCopies:
+    @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
+    def test_copies_are_equal_records(self, record):
+        for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                      copy.deepcopy(record), record._replace(),
+                      type(record)._make(record)):
+            assert type(clone) is type(record)
+            assert clone == record == tuple(record)
+            assert clone._asdict() == record._asdict()
+
+    def test_replace_changes_only_the_named_fields(self):
+        active = note()
+        closed = active._replace(state=DinState.CLOSED)
+        assert closed.state is DinState.CLOSED
+        assert closed._replace(state=DinState.ACTIVE) == active
+        assert closed.insured_value == active.insured_value
+
+    def test_make_and_replace_do_not_check(self):
+        # The engine builds its notes from values ScenarioConfig checked;
+        # only the constructor checks.
+        raw = DinContract._make(("d", Decimal("2"), Decimal("1"), Decimal("0.5"),
+                                 DinState.ACTIVE, ()))
+        assert raw.principal == Decimal("2") and str(raw.principal) == "2"
+        assert note()._replace(principal="-1").principal == "-1"
+        assert TriggerEvent._make(("meteor_strike", 1, None)).kind == "meteor_strike"
+
+    def test_lien_settlement_keeps_the_lien_type(self):
+        lien = create_clawback("d1", "100", POLICY_A, origin_year=5)
+        _, settled = settle_clawback(lien, 10, "0.03")
+        assert type(settled) is ClawbackLien
+        assert settled == lien._replace(resolution=LienResolution.RELEASED23)
+
+
+MONEY_AMOUNTS = st.decimals(min_value=-10**12, max_value=10**12, places=9,
+                            allow_nan=False, allow_infinity=False)
+FRACTIONS = st.decimals(min_value=0, max_value=1, places=6,
+                        allow_nan=False, allow_infinity=False)
+
+
+class TestCheckedEqualsArithmetic:
+    """A public function is its checks followed by its private arithmetic:
+    on money-scale inputs the two give the same Decimals, exponent and
+    sign of zero included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(MONEY_AMOUNTS, FRACTIONS, FRACTIONS)
+    def test_exit_equity_split(self, equity, coverage, equity_fraction):
+        public = exit_equity_split(equity, coverage, equity_fraction)
+        private = _exit_equity_split(equity, coverage, equity_fraction)
+        assert [str(d) for d in public] == [str(d) for d in private]
+        # The bank's share, computed without a quantize, is the money()
+        # of the difference.
+        to_underwriter, to_bank = private
+        assert str(to_bank) == str(money(money(equity * coverage) - to_underwriter))
+
+    @settings(max_examples=200, deadline=None)
+    @given(MONEY_AMOUNTS, st.integers(0, 15), st.integers(0, 15), FRACTIONS)
+    def test_carrying_cost(self, amount, from_year, years, rate):
+        public = carrying_cost(amount, from_year, from_year + years, rate)
+        assert str(public) == str(_carrying_cost(amount, years, rate))
