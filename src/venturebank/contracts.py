@@ -334,5 +334,6 @@ def settle_clawback(
         else LienResolution.RELEASED23
     )
     grown = compound(lien.base, bank_rate, settlement_year - lien.origin_year)
-    settled = lien._replace(fraction=share, resolution=resolution)
+    settled = ClawbackLien(lien.contract_id, lien.base, share, lien.origin_year,
+                           lien.option, lien.audit_flagged, resolution)
     return money(share * grown), settled
