@@ -67,8 +67,8 @@ class TriggerEvent(_TriggerFields):
     offer amount.  Other kinds leave it None.
 
     Checked once when built.  _make and _replace build an event without
-    checking it; the engine builds its events with _make from values
-    already checked.
+    checking it; the engine builds its bankruptcy events with _make from
+    values already checked.
     """
 
     __slots__ = ()
@@ -84,6 +84,8 @@ class TriggerEvent(_TriggerFields):
             raise InvalidParameterError(f"unknown trigger kind: {kind!r}")
         if payload is not None:
             payload = money(payload)
+        # Type checks come last, so a call that also holds a bad value
+        # keeps the refusal it had before types were checked.
         if isinstance(year, bool) or not isinstance(year, int):
             raise InvalidParameterError(f"year must be an int, got {year!r}")
         return tuple.__new__(cls, (kind, year, payload))
@@ -163,6 +165,7 @@ class DinContract(_NoteFields):
         equity_fraction = fraction(equity_fraction, "equity_fraction")
         if principal < 0:
             raise InvalidParameterError("principal must be >= 0")
+        # Type checks come last, as in TriggerEvent.
         if not isinstance(contract_id, str):
             raise InvalidParameterError(
                 f"contract_id must be a string, got {contract_id!r}")

@@ -472,7 +472,8 @@ class TestRecordParity:
     ]
 
     @pytest.mark.parametrize("build, error, message", REFUSALS,
-                             ids=[message for _, _, message in REFUSALS])
+                             ids=[f"{row}: {message}"
+                                  for row, (_, _, message) in enumerate(REFUSALS)])
     def test_refusal(self, build, error, message):
         with pytest.raises(error) as info:
             build()
