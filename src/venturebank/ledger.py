@@ -225,6 +225,9 @@ def write_investment_loan(
 
 def carrying_cost(amount, from_year: int, to_year: int, rate) -> Decimal:
     """Interest foregone on capital parked from one year to another."""
+    for name, year in (("from_year", from_year), ("to_year", to_year)):
+        if isinstance(year, bool) or not isinstance(year, int):
+            raise InvalidParameterError(f"{name} must be an int, got {year!r}")
     if to_year < from_year:
         raise InvalidParameterError("to_year precedes from_year")
     return _carrying_cost(money(amount), to_year - from_year, finite(rate, "rate"))

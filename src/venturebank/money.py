@@ -112,8 +112,14 @@ def compound(principal, rate, periods: int) -> Decimal:
     """principal * (1 + rate)^periods, quantized once at the end."""
     if periods < 0:
         raise ValueError("periods must be >= 0")
-    growth = _growth(finite(rate, "rate"), periods)
-    return money(DECIMAL_CONTEXT.multiply(finite(principal, "principal"), growth))
+    rate = finite(rate, "rate")
+    principal = finite(principal, "principal")
+    try:
+        return money(DECIMAL_CONTEXT.multiply(principal, _growth(rate, periods)))
+    except Overflow:
+        raise InvalidParameterError(
+            f"rate {rate} over {periods} periods grows principal {principal} "
+            f"past the decimal range") from None
 
 
 @functools.lru_cache(maxsize=64, typed=True)

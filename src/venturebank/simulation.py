@@ -346,19 +346,41 @@ def _parse_detail(kind: str, text: str) -> EventDetail:
     return record(*[parse(value) for parse, value in zip(parsers, match.groups())])
 
 
+# Every year a log may hold, by the one cell that writes it.
+_YEARS = {str(year): year for year in range(TERM_CAP_YEARS + 1)}
+
+
 def events_from_csv(text: str) -> tuple[Event, ...]:
     """Parse events.csv.  A malformed row, or a cell past the csv module's
-    field limit, raises InvalidParameterError naming its line."""
-    reader = csv.reader(io.StringIO(text))
+    field limit, raises InvalidParameterError naming its line.  A row is
+    malformed unless events_to_csv could have written it: seq is the row's
+    position and year a plain integer in [0, TERM_CAP_YEARS].
+
+    Text with no '"', '\\r' or NUL and no line past the field limit is
+    read as csv.reader reads it, one str.split per line: an empty line is
+    an empty row, and data row i is on line i + 2.  Any other text is read
+    by csv.reader."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the last row's terminator, or no text at all
+    reader = None
+    if ('"' in text or "\r" in text or "\0" in text
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
+        reader = csv.reader(io.StringIO(text))
+        rows, header, lines = reader, list(EVENT_COLUMNS), None
+    else:
+        rows, header = iter(lines), _EVENT_HEADER
     out = []
-    append, new, columns = out.append, tuple.__new__, len(EVENT_COLUMNS)
+    append, new, columns, years = out.append, tuple.__new__, len(EVENT_COLUMNS), _YEARS
     # A log repeats a few amounts (each fund's premium, the loan face)
     # many times; each distinct cell is read once.
     amounts: dict[str, Decimal] = {}
     try:
-        if next(reader, None) != list(EVENT_COLUMNS):
+        if next(rows, None) != header:
             raise InvalidParameterError("not an event-log CSV")
-        for row in reader:
+        for position, row in enumerate(rows):
+            if reader is None:
+                row = row.split(",") if row else []
             try:
                 if len(row) != columns:
                     raise ValueError(f"expected {columns} columns, got {len(row)}")
@@ -368,15 +390,21 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
                 value = amounts.get(amount)
                 if value is None:
                     value = amounts[amount] = finite(amount, "amount")
+                if seq != str(position):
+                    raise ValueError(f"seq must be {position}, the row's position, "
+                                     f"got {seq!r}")
+                year_value = years.get(year)
+                if year_value is None:
+                    raise ValueError(f"year must be an integer in [0, {TERM_CAP_YEARS}], "
+                                     f"got {year!r}")
                 append(new(Event, (
-                    int(seq), int(year), kind, fund_id, value,
+                    position, year_value, kind, fund_id, value,
                     _parse_detail(kind, detail)
                     if detail or kind in _DETAIL_READERS else None,
                 )))
             except ValueError as exc:  # InvalidParameterError is one
-                raise InvalidParameterError(
-                    f"event log line {reader.line_num}: {exc}"
-                ) from exc
+                line = position + 2 if reader is None else reader.line_num
+                raise InvalidParameterError(f"event log line {line}: {exc}") from exc
     except csv.Error as exc:
         raise InvalidParameterError(
             f"event log line {reader.line_num}: {exc}") from exc
@@ -542,7 +570,9 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
         emit(0, "deposit_drawdown", "", drawdown)
 
     policy = config.clawback_policy()
-    premiums = [annual_premium(note, config.premium_rate) for note in notes]
+    # Every note but the last has the same face and terms, so one premium.
+    premiums = [annual_premium(notes[0], config.premium_rate)] * (config.n_funds - 1)
+    premiums.append(annual_premium(notes[-1], config.premium_rate))
     # (fund, premium) of every active note.  A note leaves ACTIVE only in a
     # trigger phase, after that year's premiums, so the list is rebuilt
     # after each phase and not checked per note and year.
@@ -759,6 +789,9 @@ def replay(events, config: ScenarioConfig) -> dict:
         if kind == "premium_paid":
             premiums += e.amount
         elif kind == "loan_issued":
+            if e.fund_id in faces:
+                raise SimulationError(f"second loan_issued for {e.fund_id!r}",
+                                      year=e.year, account="loans")
             faces[e.fund_id] = e.amount
         elif kind == "bankruptcy_payout":
             payouts += e.amount

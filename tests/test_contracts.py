@@ -469,6 +469,20 @@ class TestRecordParity:
          "to_year precedes from_year"),
         (lambda: carrying_cost("NaN", 1, 5, "NaN"), InvalidParameterError,
          "amount must be a finite decimal, got 'NaN'"),
+        (lambda: carrying_cost("1", "a", 5, "0.03"), InvalidParameterError,
+         "from_year must be an int, got 'a'"),
+        (lambda: carrying_cost("1", 1, True, "0.03"), InvalidParameterError,
+         "to_year must be an int, got True"),
+        (lambda: carrying_cost("1", 1, 5.0, "0.03"), InvalidParameterError,
+         "to_year must be an int, got 5.0"),
+        (lambda: carrying_cost("100", 1, 5, "1e500000"), InvalidParameterError,
+         "rate 1E+500000 over 4 periods grows principal 100.000000000 past the "
+         "decimal range"),
+        # settle_clawback
+        (lambda: settle_clawback(create_clawback("d", "1", ClawbackPolicy(), 5), 10,
+                                 "1e500000"), InvalidParameterError,
+         "rate 1E+500000 over 5 periods grows principal 1.000000000 past the "
+         "decimal range"),
     ]
 
     @pytest.mark.parametrize("build, error, message", REFUSALS,

@@ -1,5 +1,6 @@
 """Journal integrity, capital caps, and loan-volume enforcement."""
 import random
+import re
 from decimal import Decimal, localcontext
 
 import pytest
@@ -340,6 +341,14 @@ class TestCompound:
             with pytest.raises(InvalidParameterError, match="rate must be a finite decimal"):
                 compound("100", rate, periods)
         assert money_module._growth.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("principal, rate, periods", [
+        ("100", "1e500000", 5),  # the growth factor overflows
+        ("1e999999", "9", 1),  # principal times growth overflows
+    ])
+    def test_growth_past_the_decimal_range_names_the_rate(self, principal, rate, periods):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"rate {Decimal(rate)} over")):
+            compound(principal, rate, periods)
 
     def test_infinite_rate_as_uncached(self):
         for periods in (0, 1):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from venturebank.contracts import TERM_CAP_YEARS
 from venturebank.errors import InvalidParameterError, SimulationError, VentureBankError
 from venturebank.ledger import Account, Ledger
 from venturebank.money import money
@@ -196,29 +197,68 @@ class TestEventLogParsing:
         "1,0,din_booked,,1.000000000,tier1=0.1|tier2=0.9",
     )
 
-    @pytest.mark.parametrize(
-        "row",
-        [
-            "2,0,loan_issued,f000,1.000000000",  # five columns
-            "2,0,loan_issued,f000,1.000000000,,extra",  # seven columns
-            "x,0,loan_issued,f000,1.000000000,",  # seq not an integer
-            "2,1.5,loan_issued,f000,1.000000000,",  # year not an integer
-            "2,0,loan_issued,f000,abc,",  # amount not a decimal
-            "2,0,loan_issued,f000,1.000000000,face=1",  # kind carries no detail
-            "2,5,lien_settled,f000,1.000000000,",  # detail missing
-            "2,5,lien_settled,f000,1.000000000,share=0.77",  # wrong key
-            "2,5,lien_created,f000,1,origin=5|fraction=0.77",  # keys out of order
-            "2,5,lien_created,f000,1,fraction=0.77|origin=five",  # bad int value
-            "2,5,exit_proceeds,f000,1,face=1|uw_share=x|bank_share=1",  # bad decimal
-            "2,1,premium_payed,f000,0.050000000,",  # unknown kind
-            "2,0,loan_issued,f000,NaN,",  # amount not finite
-            "2,5,lien_settled,f000,1,fraction=Infinity",  # detail not finite
-        ],
+    MALFORMED_ROWS = (
+        "2,0,loan_issued,f000,1.000000000",  # five columns
+        "2,0,loan_issued,f000,1.000000000,,extra",  # seven columns
+        "x,0,loan_issued,f000,1.000000000,",  # seq not an integer
+        "2,1.5,loan_issued,f000,1.000000000,",  # year not an integer
+        "2,0,loan_issued,f000,abc,",  # amount not a decimal
+        "2,0,loan_issued,f000,1.000000000,face=1",  # kind carries no detail
+        "2,5,lien_settled,f000,1.000000000,",  # detail missing
+        "2,5,lien_settled,f000,1.000000000,share=0.77",  # wrong key
+        "2,5,lien_created,f000,1,origin=5|fraction=0.77",  # keys out of order
+        "2,5,lien_created,f000,1,fraction=0.77|origin=five",  # bad int value
+        "2,5,exit_proceeds,f000,1,face=1|uw_share=x|bank_share=1",  # bad decimal
+        "2,1,premium_payed,f000,0.050000000,",  # unknown kind
+        "2,0,loan_issued,f000,NaN,",  # amount not finite
+        "2,5,lien_settled,f000,1,fraction=Infinity",  # detail not finite
+        # seq is the row's position, as str() writes it
+        "+2,0,loan_issued,f000,1.000000000,",
+        " 2 ,0,loan_issued,f000,1.000000000,",
+        "02,0,loan_issued,f000,1.000000000,",
+        "1,0,loan_issued,f000,1.000000000,",  # repeated
+        "3,0,loan_issued,f000,1.000000000,",  # out of order
+        # year is a plain integer in [0, TERM_CAP_YEARS]
+        "2,+7,loan_issued,f000,1.000000000,",
+        "2, 0 ,loan_issued,f000,1.000000000,",
+        "2,1_0,loan_issued,f000,1.000000000,",
+        "2,-1,loan_issued,f000,1.000000000,",
+        f"2,{TERM_CAP_YEARS + 1},loan_issued,f000,1.000000000,",
+        "",  # an empty line is a row of no columns
     )
+
+    @staticmethod
+    def log(*rows: str) -> str:
+        return "\n".join((",".join(simulation.EVENT_COLUMNS),) + rows) + "\n"
+
+    @pytest.mark.parametrize("row", MALFORMED_ROWS)
     def test_malformed_row_names_its_line(self, row):
-        text = "\n".join((",".join(simulation.EVENT_COLUMNS),) + self.GOOD_ROWS + (row,))
         with pytest.raises(InvalidParameterError, match="line 4"):
-            events_from_csv(text + "\n")
+            events_from_csv(self.log(*self.GOOD_ROWS, row))
+
+    @pytest.mark.parametrize("row", ("2,0,loan_issued,f000,1.000000000,",) + MALFORMED_ROWS)
+    def test_split_and_csv_reader_agree(self, row, monkeypatch):
+        # A quoted cell sends the same log through csv.reader.
+        text = self.log(*self.GOOD_ROWS, row)
+        quoted = text.replace("capital_injection,,", 'capital_injection,"",', 1)
+        readers, reader = [], csv.reader
+        monkeypatch.setattr(simulation.csv, "reader",
+                            lambda *a, **k: readers.append(reader(*a, **k)) or readers[-1])
+        outcomes = []
+        for log in (text, quoted):
+            try:
+                outcomes.append(events_from_csv(log))
+            except InvalidParameterError as exc:
+                outcomes.append(str(exc))
+        assert len(readers) == 1
+        assert outcomes[0] == outcomes[1]
+
+    def test_clean_log_leaves_csv_reader_unused(self, monkeypatch):
+        events = simulate(ScenarioConfig())
+        text = events_to_csv(events)
+        monkeypatch.setattr(simulation.csv, "reader", None)
+        assert events_from_csv(text) == events
+        assert events_from_csv(text.rstrip("\n")) == events
 
     @pytest.mark.parametrize("quoted", [False, True])
     def test_oversized_cell_names_its_line(self, quoted):
@@ -375,6 +415,16 @@ class TestBookKeeper:
         with pytest.raises(SimulationError) as err:
             replay(events, cfg)
         assert (err.value.year, err.value.account) == (getattr(cfg, year), "loans")
+
+    def test_replay_refuses_a_second_loan_for_one_fund(self):
+        cfg = ScenarioConfig.calibration(target_classical_return="1.31")
+        events = list(simulate(cfg))
+        loan = next(e for e in events if e.kind == "loan_issued")
+        events.insert(events.index(loan) + 1, loan)
+        with pytest.raises(SimulationError,
+                           match=f"second loan_issued for '{loan.fund_id}'") as err:
+            replay(events, cfg)
+        assert (err.value.year, err.value.account) == (0, "loans")
 
     def test_carrying_cost_posts_nothing(self):
         cfg = ScenarioConfig.calibration(target_classical_return="1.31")
@@ -785,8 +835,9 @@ DETAIL_DECIMALS = st.decimals(min_value=-10**6, max_value=10**6, places=9)
 
 
 @st.composite
-def event_details(draw):
-    record = draw(st.sampled_from(list(simulation.EVENT_DETAILS.values())))
+def event_details(draw, record=None):
+    if record is None:
+        record = draw(st.sampled_from(list(simulation.EVENT_DETAILS.values())))
     hints = get_type_hints(record)
     return record(*[draw(st.integers(0, 99) if hints[name] is int else DETAIL_DECIMALS)
                     for name in record._fields])
@@ -802,6 +853,36 @@ def logged_events(draw):
         amount=draw(st.decimals()),
         detail=draw(st.none() | event_details()),
     )
+
+
+@st.composite
+def readable_logs(draw):
+    """Logs the reader takes back: seq is the row's position, year is in
+    [0, TERM_CAP_YEARS], and a kind carries its own detail record or none.
+    Fund ids with a ',', '"' or newline send the log through csv.reader;
+    '\r' is left out, since csv.writer quotes it on some Python versions
+    only, and NUL, which it refuses before Python 3.11."""
+    events = []
+    for seq in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(sorted(simulation.EVENT_KINDS)))
+        record = simulation.EVENT_DETAILS.get(kind)
+        events.append(simulation.Event(
+            seq=seq,
+            year=draw(st.integers(0, TERM_CAP_YEARS)),
+            kind=kind,
+            fund_id=draw(st.sampled_from(["", "f000"]) | st.text(
+                alphabet=st.characters(exclude_characters="\0\r"), max_size=6)),
+            amount=draw(st.decimals(allow_nan=False, allow_infinity=False)),
+            detail=None if record is None else draw(event_details(record)),
+        ))
+    return tuple(events)
+
+
+class TestEventLogReader:
+    @settings(max_examples=300, deadline=None)
+    @given(readable_logs())
+    def test_round_trip(self, events):
+        assert events_from_csv(events_to_csv(events)) == events
 
 
 class TestEventLogWriter:
