@@ -13,7 +13,7 @@ from .errors import (
     StateTransitionError,
     TerminalStateError,
 )
-from .money import DECIMAL_CONTEXT, compound, finite, fraction, money
+from .money import DECIMAL_CONTEXT, ONE, ZERO, compound, finite, fraction, money
 
 
 class DinState(enum.Enum):
@@ -45,6 +45,9 @@ FORCED_TRIGGERS = frozenset({BANKRUPTCY, EXIT})
 # No note runs past this; ScenarioConfig bounds the horizon by it.
 TERM_CAP_YEARS = 15
 DEFAULT_SEIZURE_FRACTION = Decimal("1")
+
+
+CLAWBACK_OPTIONS = ("A", "B", "C")
 
 
 class LienResolution(enum.Enum):
@@ -115,16 +118,14 @@ class ClawbackPolicy:
     fraction: Decimal = Decimal("0.77")
 
     def __post_init__(self) -> None:
-        if self.option not in ("A", "B", "C"):
+        if self.option not in CLAWBACK_OPTIONS:
             raise InvalidParameterError(f"unknown clawback option: {self.option!r}")
         object.__setattr__(self, "fraction", fraction(self.fraction, "clawback fraction"))
         if self.option == "B" and self.fraction != Decimal("1"):
             raise InvalidParameterError("option B liens carry the full base until verdict")
 
 
-class ClawbackLien(NamedTuple):
-    """Bank's claim against future recoveries on a paid-out note."""
-
+class _LienFields(NamedTuple):
     contract_id: str
     base: Decimal
     fraction: Decimal  # 0.77 fixed, or 1.00 while an option-B verdict is pending
@@ -132,6 +133,48 @@ class ClawbackLien(NamedTuple):
     option: str = "A"
     audit_flagged: bool = False
     resolution: LienResolution = LienResolution.UNRESOLVED
+
+
+# ClawbackLien.__new__ has a parameter named fraction.
+_fraction = fraction
+
+
+class ClawbackLien(_LienFields):
+    """Bank's claim against future recoveries on a paid-out note.
+
+    Checked once when built, as TriggerEvent is.  create_clawback and
+    settle_clawback build their liens with _make from values already
+    checked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, contract_id, base, fraction, origin_year, option="A",
+                audit_flagged=False, resolution=LienResolution.UNRESOLVED):
+        base = money(base)
+        fraction = _fraction(fraction, "fraction")
+        # Type checks come last, as in TriggerEvent.
+        _check_lien_keys(contract_id, origin_year)
+        if option not in CLAWBACK_OPTIONS:
+            raise InvalidParameterError(f"unknown clawback option: {option!r}")
+        if not isinstance(audit_flagged, bool):
+            raise InvalidParameterError(
+                f"audit_flagged must be a bool, got {audit_flagged!r}")
+        if not isinstance(resolution, LienResolution):
+            raise InvalidParameterError(
+                f"resolution must be a LienResolution, got {resolution!r}")
+        return tuple.__new__(cls, (contract_id, base, fraction, origin_year,
+                                   option, audit_flagged, resolution))
+
+
+def _check_lien_keys(contract_id, origin_year) -> None:
+    """The two lien fields create_clawback takes from its caller as given."""
+    if not isinstance(contract_id, str):
+        raise InvalidParameterError(
+            f"contract_id must be a string, got {contract_id!r}")
+    if isinstance(origin_year, bool) or not isinstance(origin_year, int):
+        raise InvalidParameterError(
+            f"origin_year must be an int, got {origin_year!r}")
 
 
 class Settlement(NamedTuple):
@@ -229,30 +272,23 @@ def apply_trigger(
             )
         nxt = _successor(contract, DinState.PAID_OUT,
                          contract.liens + ((lien,) if lien else ()))
-        return nxt, Settlement(
-            cash_to_bank=payout,
-            equity_to_underwriter=Decimal("1"),
-            lien=lien,
-        )
+        return nxt, Settlement._make((payout, ONE, lien))
 
     if event.kind == EXIT:
-        return _successor(contract, DinState.EXITED, contract.liens), Settlement(
-            equity_to_underwriter=contract.coverage * contract.equity_fraction
-        )
+        return _successor(contract, DinState.EXITED, contract.liens), Settlement._make(
+            (ZERO, contract.coverage * contract.equity_fraction, None))
 
     closed = _successor(contract, DinState.CLOSED, contract.liens)
     if event.kind == OFFER_REFUSAL:
         offer = event.payload if event.payload is not None else Decimal("0")
         # Underwriter recovers the bank-side slice of the refused upside.
         upside = max(offer - contract.insured_value, Decimal("0"))
-        return closed, Settlement(
-            cash_to_bank=money((Decimal(1) - contract.equity_fraction) * upside),
-            equity_to_underwriter=Decimal("1"),
-        )
+        return closed, Settlement._make(
+            (money((ONE - contract.equity_fraction) * upside), ONE, None))
     if event.kind == FAILURE_TO_INFORM:
-        return closed, Settlement(equity_to_underwriter=DEFAULT_SEIZURE_FRACTION)
+        return closed, Settlement._make((ZERO, DEFAULT_SEIZURE_FRACTION, None))
     # PREMIUM_DEFAULT
-    return closed, Settlement(equity_to_underwriter=Decimal("1"))
+    return closed, Settlement._make((ZERO, ONE, None))
 
 
 def annual_premium(contract: DinContract, rate) -> Decimal:
@@ -293,17 +329,15 @@ def _exit_equity_split(value: Decimal, coverage: Decimal,
 def create_clawback(
     contract_id: str, base, policy: ClawbackPolicy, origin_year: int
 ) -> ClawbackLien:
+    """An unresolved lien on base under policy's terms, which
+    ClawbackPolicy checked."""
     amount = money(base)
     if amount < 0:
         raise InvalidParameterError("lien base must be >= 0")
-    return ClawbackLien(
-        contract_id=contract_id,
-        base=amount,
-        fraction=policy.fraction,
-        origin_year=origin_year,
-        option=policy.option,
-        audit_flagged=(policy.option == "C"),
-    )
+    _check_lien_keys(contract_id, origin_year)
+    return ClawbackLien._make((contract_id, amount, policy.fraction, origin_year,
+                               policy.option, policy.option == "C",
+                               LienResolution.UNRESOLVED))
 
 
 def settle_clawback(
@@ -337,6 +371,6 @@ def settle_clawback(
         else LienResolution.RELEASED23
     )
     grown = compound(lien.base, bank_rate, settlement_year - lien.origin_year)
-    settled = ClawbackLien(lien.contract_id, lien.base, share, lien.origin_year,
-                           lien.option, lien.audit_flagged, resolution)
+    settled = ClawbackLien._make((lien.contract_id, lien.base, share, lien.origin_year,
+                                  lien.option, lien.audit_flagged, resolution))
     return money(share * grown), settled

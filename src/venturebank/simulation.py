@@ -173,7 +173,7 @@ class ScenarioConfig:
                 "true or false, got null")
         self.spread.validate()
         try:
-            book, capital, _ = _opening_book(self)
+            book, capital, _ = self.opening_book
             limit = capital.lending_limit
         except InvalidParameterError as exc:
             raise InvalidParameterError(
@@ -194,6 +194,12 @@ class ScenarioConfig:
                 f"9 decimal places (moc {self.moc}, initial_capital "
                 f"{self.initial_capital}, n_funds {self.n_funds})"
             )
+
+    @functools.cached_property
+    def opening_book(self) -> tuple[Decimal, CapitalAccount, Decimal]:
+        """_opening_book(self): built once, by __post_init__, and kept off
+        the fields, so ==, hash, repr and replace do not see it."""
+        return _opening_book(self)
 
     def clawback_policy(self) -> ClawbackPolicy | None:
         """None when the notes are written without the clawback rider."""
@@ -284,9 +290,22 @@ class Event(NamedTuple):
     detail: EventDetail | None = None
 
 
+# Every year a log may hold, by the one cell that writes it.
+_YEARS = {str(year): year for year in range(TERM_CAP_YEARS + 1)}
+
+
+def _year(text: str, name: str) -> int:
+    """A year cell as events_to_csv writes it, or ValueError naming it."""
+    year = _YEARS.get(text)
+    if year is None:
+        raise ValueError(f"{name} must be an integer in [0, {TERM_CAP_YEARS}], "
+                         f"got {text!r}")
+    return year
+
+
 # The CSV cell template of each record type, and for each kind that
 # carries a detail: its record, a regex with one group per field, and one
-# parser per field: int, or the finite() gate naming the field.
+# parser per field: _year, or the finite() gate, naming the field.
 _DETAIL_FORMATS = {
     record: "|".join(f"{name}={{}}" for name in record._fields)
     for record in EVENT_DETAILS.values()
@@ -295,7 +314,7 @@ _DETAIL_READERS = {
     kind: (
         record,
         re.compile(r"\|".join(f"{name}=([^|]*)" for name in record._fields)),
-        tuple(int if hint is int else functools.partial(finite, name=name)
+        tuple(functools.partial(_year if hint is int else finite, name=name)
               for name, hint in get_type_hints(record).items()),
     )
     for kind, record in EVENT_DETAILS.items()
@@ -346,15 +365,12 @@ def _parse_detail(kind: str, text: str) -> EventDetail:
     return record(*[parse(value) for parse, value in zip(parsers, match.groups())])
 
 
-# Every year a log may hold, by the one cell that writes it.
-_YEARS = {str(year): year for year in range(TERM_CAP_YEARS + 1)}
-
-
 def events_from_csv(text: str) -> tuple[Event, ...]:
     """Parse events.csv.  A malformed row, or a cell past the csv module's
     field limit, raises InvalidParameterError naming its line.  A row is
     malformed unless events_to_csv could have written it: seq is the row's
-    position and year a plain integer in [0, TERM_CAP_YEARS].
+    position, and year and a lien's origin plain integers in
+    [0, TERM_CAP_YEARS].
 
     Text with no '"', '\\r' or NUL and no line past the field limit is
     read as csv.reader reads it, one str.split per line: an empty line is
@@ -372,9 +388,11 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
         rows, header = iter(lines), _EVENT_HEADER
     out = []
     append, new, columns, years = out.append, tuple.__new__, len(EVENT_COLUMNS), _YEARS
-    # A log repeats a few amounts (each fund's premium, the loan face)
-    # many times; each distinct cell is read once.
+    # A log repeats a few amounts (each fund's premium, the loan face) and
+    # details (each failure class's payout, lien and settlement) many
+    # times; each distinct cell is read once.
     amounts: dict[str, Decimal] = {}
+    details: dict[tuple[str, str], EventDetail | None] = {}
     try:
         if next(rows, None) != header:
             raise InvalidParameterError("not an event-log CSV")
@@ -395,13 +413,13 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
                                      f"got {seq!r}")
                 year_value = years.get(year)
                 if year_value is None:
-                    raise ValueError(f"year must be an integer in [0, {TERM_CAP_YEARS}], "
-                                     f"got {year!r}")
-                append(new(Event, (
-                    position, year_value, kind, fund_id, value,
-                    _parse_detail(kind, detail)
-                    if detail or kind in _DETAIL_READERS else None,
-                )))
+                    year_value = _year(year, "year")  # raises
+                parsed = None
+                if detail or kind in _DETAIL_READERS:
+                    parsed = details.get((kind, detail))
+                    if parsed is None:
+                        parsed = details[kind, detail] = _parse_detail(kind, detail)
+                append(new(Event, (position, year_value, kind, fund_id, value, parsed)))
             except ValueError as exc:  # InvalidParameterError is one
                 line = position + 2 if reader is None else reader.line_num
                 raise InvalidParameterError(f"event log line {line}: {exc}") from exc
@@ -547,7 +565,7 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
     # Insured-note value stands in as capital first, widening the loan
     # ceiling before the book is written; config validation has checked
     # that the book fits it.
-    total_loans, capital, booked = _opening_book(config)
+    total_loans, capital, booked = config.opening_book
     if booked > 0:
         emit(0, "din_booked", "", booked,
              DinBooked(capital.tier1_insured, capital.tier2_insured))
@@ -586,6 +604,10 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
         ])
 
         if year == config.failure_year:
+            # Notes fail in distribution order, so failures of one class
+            # (equal faces and valuations) are adjacent: the trigger and
+            # lien detail are reused until their inputs change.
+            trigger = lien_detail = None
             for i, outcome in enumerate(dist.outcomes):
                 if outcome.classification != FAILURE:
                     continue
@@ -595,11 +617,9 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
                     equity_valuation = Decimal("0")
                 else:
                     equity_valuation = money(outcome.ten_year_multiple * face)
-                notes[i], settlement = apply_trigger(
-                    note,
-                    TriggerEvent._make((BANKRUPTCY, year, equity_valuation)),
-                    clawback=policy,
-                )
+                if trigger is None or trigger.payload != equity_valuation:
+                    trigger = TriggerEvent._make((BANKRUPTCY, year, equity_valuation))
+                notes[i], settlement = apply_trigger(note, trigger, clawback=policy)
                 payouts.append(emit(
                     year, "bankruptcy_payout", fund, settlement.cash_to_bank,
                     BankruptcyPayout(equity_valuation, outcome.ten_year_multiple),
@@ -610,8 +630,9 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
                 lien = settlement.lien
                 if lien is not None:
                     liens.append(lien)
-                    emit(year, "lien_created", fund, lien.base,
-                         LienCreated(lien.fraction, lien.origin_year))
+                    if lien_detail != (lien.fraction, lien.origin_year):
+                        lien_detail = LienCreated(lien.fraction, lien.origin_year)
+                    emit(year, "lien_created", fund, lien.base, lien_detail)
 
         if year == config.exit_year:
             exit_event = TriggerEvent(EXIT, year)
@@ -632,25 +653,34 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
                       for note, premium in zip(notes, premiums)
                       if note.state is DinState.ACTIVE]
 
+    # A lien's settlement depends on every field but its contract_id, so
+    # a lien with the previous lien's terms reuses its amount and detail.
     closeout = config.exit_year
+    terms = None
     for lien in liens:
-        try:
-            amount, settled = settle_clawback(
-                lien, closeout, config.bank_rate, verdict=config.audit_verdict
-            )
-        except VentureBankError as exc:
-            raise SimulationError(
-                str(exc), year=closeout, account="lien_obligations"
-            ) from exc
-        emit(closeout, "lien_settled", lien.contract_id, amount,
-             LienSettled(settled.fraction))
+        if lien[1:] != terms:
+            terms = lien[1:]
+            try:
+                amount, settled = settle_clawback(
+                    lien, closeout, config.bank_rate, verdict=config.audit_verdict
+                )
+            except VentureBankError as exc:
+                raise SimulationError(
+                    str(exc), year=closeout, account="lien_obligations"
+                ) from exc
+            settled_detail = LienSettled(settled.fraction)
+        emit(closeout, "lien_settled", lien.contract_id, amount, settled_detail)
 
     # Payouts are parked from failure_year; their carrying cost to the
-    # closeout year is the underwriter's foregone interest.
+    # closeout year is the underwriter's foregone interest, computed once
+    # per (parked, year).
+    parked_at = None
     for payout in payouts:
         parked = payout.amount - payout.detail.equity_valuation
         if parked > 0:
-            cost = _carrying_cost(parked, closeout - payout.year, config.bank_rate)
+            if parked_at != (parked, payout.year):
+                parked_at = parked, payout.year
+                cost = _carrying_cost(parked, closeout - payout.year, config.bank_rate)
             if cost > 0:
                 emit(closeout, "carrying_cost", payout.fund_id, cost)
 
@@ -910,9 +940,10 @@ def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
     no books are kept.  Point failures are recorded, not fatal.
 
     No curve overrides the seed, n_funds or the spread, so one synthesized
-    spread serves the whole sweep, rescaled once per grid point.  Curves
-    whose configs compare equal share one run: the rows keep only floats
-    of replay's figures, which equal configs price equally."""
+    spread serves the whole sweep, rescaled once per grid point.  Each
+    distinct override set builds one config per point, and curves whose
+    configs compare equal share one run: the rows keep only floats of
+    replay's figures, which equal configs price equally."""
     targets = [Decimal(str(t)) for t in grid]
     if not targets:
         raise InvalidParameterError("sweep grid is empty")
@@ -926,14 +957,20 @@ def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
         # Rescaled at the first config that validates, so a target that
         # fails validation never reaches rescale_to_target.
         dist: ReturnDistribution | VentureBankError | None = None
+        configs: dict[tuple, ScenarioConfig | VentureBankError] = {}
         runs: dict[ScenarioConfig, dict | VentureBankError] = {}
         for name, overrides, attr in SWEEP_CURVES:
-            try:
-                cfg = replace(
-                    config, target_classical_return=target, **overrides
-                )
-            except VentureBankError as exc:
-                failures.append(SweepFailure(name, target, str(exc)))
+            key = tuple(overrides.items())
+            if key not in configs:
+                try:
+                    configs[key] = replace(
+                        config, target_classical_return=target, **overrides
+                    )
+                except VentureBankError as exc:
+                    configs[key] = exc
+            cfg = configs[key]
+            if isinstance(cfg, VentureBankError):
+                failures.append(SweepFailure(name, target, str(cfg)))
                 continue
             if dist is None:
                 try:

@@ -345,6 +345,13 @@ class TestClawbackSettlement:
         with pytest.raises(StateTransitionError):
             settle_clawback(settled, 11, "0.03")
 
+    def test_a_built_lien_settles_as_a_created_one(self):
+        # The constructor reads its amounts as create_clawback does.
+        built = ClawbackLien("d1", "100", "0.77", 5)
+        created = create_clawback("d1", "100", POLICY_A, origin_year=5)
+        assert [str(v) for v in built] == [str(v) for v in created]
+        assert settle_clawback(built, 10, "0.03") == settle_clawback(created, 10, "0.03")
+
     def test_settlement_cannot_precede_origin(self):
         lien = create_clawback("d1", "100", POLICY_A, origin_year=5)
         with pytest.raises(InvalidParameterError):
@@ -483,6 +490,32 @@ class TestRecordParity:
                                  "1e500000"), InvalidParameterError,
          "rate 1E+500000 over 5 periods grows principal 1.000000000 past the "
          "decimal range"),
+        # ClawbackLien
+        (lambda: ClawbackLien("d", "NaN", "0.77", 5), InvalidParameterError,
+         "amount must be a finite decimal, got 'NaN'"),
+        (lambda: ClawbackLien("d", "1", "1.5", 5), InvalidParameterError,
+         "fraction must be in [0, 1], got 1.5"),
+        (lambda: ClawbackLien("d", "1", None, 5), InvalidParameterError,
+         "fraction must be a finite decimal, got 'None'"),
+        (lambda: ClawbackLien(5, "1", "0.77", 5), InvalidParameterError,
+         "contract_id must be a string, got 5"),
+        (lambda: ClawbackLien("d", "1", "0.77", "5"), InvalidParameterError,
+         "origin_year must be an int, got '5'"),
+        (lambda: ClawbackLien("d", "1", "0.77", True), InvalidParameterError,
+         "origin_year must be an int, got True"),
+        (lambda: ClawbackLien("d", "1", "0.77", 5, option="D"), InvalidParameterError,
+         "unknown clawback option: 'D'"),
+        (lambda: ClawbackLien("d", "1", "0.77", 5, audit_flagged="false"),
+         InvalidParameterError, "audit_flagged must be a bool, got 'false'"),
+        (lambda: ClawbackLien("d", "1", "0.77", 5, resolution="unresolved"),
+         InvalidParameterError, "resolution must be a LienResolution, got 'unresolved'"),
+        (lambda: ClawbackLien(5, "NaN", "0.77", "5"), InvalidParameterError,
+         "amount must be a finite decimal, got 'NaN'"),
+        # create_clawback
+        (lambda: create_clawback(5, "1", POLICY_A, 5), InvalidParameterError,
+         "contract_id must be a string, got 5"),
+        (lambda: create_clawback("d", "1", POLICY_A, 5.0), InvalidParameterError,
+         "origin_year must be an int, got 5.0"),
     ]
 
     @pytest.mark.parametrize("build, error, message", REFUSALS,

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from venturebank.contracts import TERM_CAP_YEARS
+from venturebank.contracts import TERM_CAP_YEARS, ClawbackLien, settle_clawback
 from venturebank.errors import InvalidParameterError, SimulationError, VentureBankError
-from venturebank.ledger import Account, Ledger
-from venturebank.money import money
+from venturebank.ledger import Account, Ledger, carrying_cost
+from venturebank.money import DECIMAL_CONTEXT, money
 from venturebank.returns import FAILURE
 from venturebank import simulation
 from venturebank.simulation import (
@@ -208,6 +208,10 @@ class TestEventLogParsing:
         "2,5,lien_settled,f000,1.000000000,share=0.77",  # wrong key
         "2,5,lien_created,f000,1,origin=5|fraction=0.77",  # keys out of order
         "2,5,lien_created,f000,1,fraction=0.77|origin=five",  # bad int value
+        # a lien's origin is a plain integer in [0, TERM_CAP_YEARS]
+        "2,5,lien_created,f000,1,fraction=0.77|origin=+1_0",
+        "2,5,lien_created,f000,1,fraction=0.77|origin=05",
+        f"2,5,lien_created,f000,1,fraction=0.77|origin={TERM_CAP_YEARS + 1}",
         "2,5,exit_proceeds,f000,1,face=1|uw_share=x|bank_share=1",  # bad decimal
         "2,1,premium_payed,f000,0.050000000,",  # unknown kind
         "2,0,loan_issued,f000,NaN,",  # amount not finite
@@ -275,11 +279,50 @@ class TestEventLogParsing:
         with pytest.raises(InvalidParameterError, match="line 1: field larger"):
             events_from_csv(header + "\n")
 
+    def test_each_distinct_detail_cell_is_parsed_once(self, monkeypatch):
+        text = events_to_csv(simulate(ScenarioConfig.calibration(
+            n_funds=200, target_classical_return="1.31")))
+        cells = [tuple(line.split(",")[2::3]) for line in text.splitlines()[1:]]
+        parsed = []
+        parse = simulation._parse_detail
+        monkeypatch.setattr(simulation, "_parse_detail",
+                            lambda kind, detail: parsed.append((kind, detail))
+                            or parse(kind, detail))
+        events_from_csv(text)
+        assert sorted(parsed) == sorted({cell for cell in cells if cell[1]})
+        assert len(parsed) < sum(1 for cell in cells if cell[1])
+
     def test_good_rows_parse_to_typed_details(self):
         text = "\n".join((",".join(simulation.EVENT_COLUMNS),) + self.GOOD_ROWS)
         injection, booked = events_from_csv(text + "\n")
         assert injection.detail is None
         assert booked.detail == simulation.DinBooked(Decimal("0.1"), Decimal("0.9"))
+
+
+class TestOpeningBook:
+    def test_kept_off_the_fields(self):
+        cfg = ScenarioConfig.calibration(target_classical_return="1.31")
+        with localcontext(DECIMAL_CONTEXT):
+            assert cfg.opening_book == simulation._opening_book(cfg)
+        copy = replace(cfg)
+        assert copy == cfg and hash(copy) == hash(cfg) and repr(copy) == repr(cfg)
+        assert "opening_book" not in repr(cfg)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+    def test_a_built_config_runs_on_its_kept_book(self, monkeypatch):
+        # Under zero salvage the liens of 200 funds of two loan faces have
+        # at most two sets of terms: settled at most twice, not per fund.
+        cfg = ScenarioConfig.calibration(n_funds=200, target_classical_return="1.31")
+        calls = Counter()
+        for name in ("settle_clawback", "_opening_book"):
+            def counted(*args, _name=name, _fn=getattr(simulation, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(simulation, name, counted)
+        events = simulate(cfg)
+        assert count_events(events, "lien_settled") > 2
+        assert calls["_opening_book"] == 0
+        assert 1 <= calls["settle_clawback"] <= 2
 
 
 class TestNoteLifecycle:
@@ -632,6 +675,22 @@ class TestSweep:
         assert calls == {"synthesize_distribution": 1, "rescale_to_target": 3,
                          "_simulate": 3 * runs}
 
+    def test_a_refused_override_set_fails_each_of_its_curves(self, monkeypatch):
+        # din_10y and din_net_profit share the override set {}: it is
+        # validated once per point, and each curve gets its own row.
+        cfg, validated = ScenarioConfig.calibration(), []
+        post_init = ScenarioConfig.__post_init__
+        monkeypatch.setattr(ScenarioConfig, "__post_init__",
+                            lambda c: validated.append(c) or post_init(c))
+        res = sweep_classical_return(cfg, ["NaN"])
+        assert not res.points
+        assert [f.curve for f in res.failures] == [
+            name for name, _, _ in simulation.SWEEP_CURVES]
+        messages = {f.curve: f.message for f in res.failures}
+        assert messages["din_10y"] == messages["din_net_profit"]
+        assert "target_classical_return must be a finite decimal" in messages["din_10y"]
+        assert len(validated) == len(simulation.SWEEP_CURVES) - 1
+
     def test_points_and_failures_equal_one_run_per_curve(self):
         # Points, validation failures (NaN, and bank_moc43 at coverage
         # 0.02) and rescale failures (-1) in the order and text of a loop
@@ -808,6 +867,36 @@ class TestEngineProperty:
         assert lent == money(cfg.moc * cfg.initial_capital)
 
     @settings(max_examples=40, deadline=None)
+    @given(small_configs(), st.decimals(min_value="0", max_value="0.2", places=3))
+    def test_each_fund_settles_its_own_lien_and_payout(self, cfg, bank_rate):
+        # The engine settles each distinct set of lien terms, and costs each
+        # distinct parked payout, once; each fund's rows still equal the
+        # public functions applied to that fund's own lien and payout.
+        cfg = replace(cfg, bank_rate=bank_rate)
+        events = simulate(cfg)
+        closeout = cfg.exit_year
+        settled = {e.fund_id: e for e in events if e.kind == "lien_settled"}
+        created = [e for e in events if e.kind == "lien_created"]
+        assert len(settled) == len(created)
+        for e in created:
+            lien = ClawbackLien(e.fund_id, e.amount, e.detail.fraction, e.detail.origin,
+                                cfg.clawback_option, cfg.clawback_option == "C")
+            amount, lien = settle_clawback(lien, closeout, cfg.bank_rate,
+                                           verdict=cfg.audit_verdict)
+            row = settled[e.fund_id]
+            assert (row.year, str(row.amount), row.detail) == (
+                closeout, str(amount), simulation.LienSettled(lien.fraction))
+        expected = {}
+        for e in events:
+            if e.kind == "bankruptcy_payout":
+                cost = carrying_cost(e.amount - e.detail.equity_valuation, e.year,
+                                     closeout, cfg.bank_rate)
+                if cost > 0:
+                    expected[e.fund_id] = str(cost)
+        assert {e.fund_id: str(e.amount) for e in events
+                if e.kind == "carrying_cost"} == expected
+
+    @settings(max_examples=40, deadline=None)
     @given(small_configs())
     def test_saved_log_reproduces_report_and_books(self, cfg):
         report = run_scenario(cfg)
@@ -835,11 +924,11 @@ DETAIL_DECIMALS = st.decimals(min_value=-10**6, max_value=10**6, places=9)
 
 
 @st.composite
-def event_details(draw, record=None):
+def event_details(draw, record=None, years=st.integers(0, 99)):
     if record is None:
         record = draw(st.sampled_from(list(simulation.EVENT_DETAILS.values())))
     hints = get_type_hints(record)
-    return record(*[draw(st.integers(0, 99) if hints[name] is int else DETAIL_DECIMALS)
+    return record(*[draw(years if hints[name] is int else DETAIL_DECIMALS)
                     for name in record._fields])
 
 
@@ -857,8 +946,9 @@ def logged_events(draw):
 
 @st.composite
 def readable_logs(draw):
-    """Logs the reader takes back: seq is the row's position, year is in
-    [0, TERM_CAP_YEARS], and a kind carries its own detail record or none.
+    """Logs the reader takes back: seq is the row's position, year and a
+    lien's origin are in [0, TERM_CAP_YEARS], and a kind carries its own
+    detail record or none.
     Fund ids with a ',', '"' or newline send the log through csv.reader;
     '\r' is left out, since csv.writer quotes it on some Python versions
     only, and NUL, which it refuses before Python 3.11."""
@@ -873,7 +963,8 @@ def readable_logs(draw):
             fund_id=draw(st.sampled_from(["", "f000"]) | st.text(
                 alphabet=st.characters(exclude_characters="\0\r"), max_size=6)),
             amount=draw(st.decimals(allow_nan=False, allow_infinity=False)),
-            detail=None if record is None else draw(event_details(record)),
+            detail=None if record is None else draw(
+                event_details(record, st.integers(0, TERM_CAP_YEARS))),
         ))
     return tuple(events)
 
