@@ -223,15 +223,16 @@ def cmd_sweep(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
 
 def _package_args(section: dict) -> dict:
     """The build_package arguments an audit package section declares."""
+    for name in ("from_year", "to_year", "n", "seed"):
+        value = section.get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"audit package {name} must be an integer, got {value!r}")
     kind = section.get("rule")
     try:
         if kind == "forward_period":
-            rule = ForwardPeriod(
-                from_year=int(section["from_year"]),
-                to_year=int(section["to_year"]) if "to_year" in section else None,
-            )
+            rule = ForwardPeriod(from_year=section["from_year"], to_year=section.get("to_year"))
         elif kind == "random_n":
-            rule = RandomN(n=int(section["n"]), seed=int(section["seed"]))
+            rule = RandomN(n=section["n"], seed=section["seed"])
         else:
             raise ConfigError("package rule must be forward_period or random_n")
         return dict(
@@ -244,8 +245,6 @@ def _package_args(section: dict) -> dict:
         )
     except KeyError as exc:
         raise ConfigError(f"audit package needs {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad audit package field: {exc}") from exc
 
 
 def cmd_audit(data: dict, out_dir: str, seed_override: int | None) -> list[str]:

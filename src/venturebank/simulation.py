@@ -173,7 +173,7 @@ class ScenarioConfig:
                 "true or false, got null")
         self.spread.validate()
         try:
-            book, capital, _ = self.opening_book
+            book, capital, _, per, last = self.opening_book
             limit = capital.lending_limit
         except InvalidParameterError as exc:
             raise InvalidParameterError(
@@ -187,7 +187,6 @@ class ScenarioConfig:
                 f"{self.initial_capital:f} and the insured notes at coverage "
                 f"{self.coverage} allow"
             )
-        per, last = _loan_faces(self)
         if per <= 0 or last <= 0:
             raise InvalidParameterError(
                 f"moc * initial_capital / n_funds leaves a loan face <= 0 at "
@@ -196,7 +195,7 @@ class ScenarioConfig:
             )
 
     @functools.cached_property
-    def opening_book(self) -> tuple[Decimal, CapitalAccount, Decimal]:
+    def opening_book(self) -> tuple[Decimal, CapitalAccount, Decimal, Decimal, Decimal]:
         """_opening_book(self): built once, by __post_init__, and kept off
         the fields, so ==, hash, repr and replace do not see it."""
         return _opening_book(self)
@@ -303,9 +302,17 @@ def _year(text: str, name: str) -> int:
     return year
 
 
+def _decimal(text: str, name: str) -> Decimal:
+    """A decimal cell as events_to_csv writes it, or ValueError naming it."""
+    value = finite(text, name)
+    if str(value) != text:
+        raise ValueError(f"{name} must be written {value}, got {text!r}")
+    return value
+
+
 # The CSV cell template of each record type, and for each kind that
 # carries a detail: its record, a regex with one group per field, and one
-# parser per field: _year, or the finite() gate, naming the field.
+# parser per field, _year or _decimal, naming the field.
 _DETAIL_FORMATS = {
     record: "|".join(f"{name}={{}}" for name in record._fields)
     for record in EVENT_DETAILS.values()
@@ -314,7 +321,7 @@ _DETAIL_READERS = {
     kind: (
         record,
         re.compile(r"\|".join(f"{name}=([^|]*)" for name in record._fields)),
-        tuple(functools.partial(_year if hint is int else finite, name=name)
+        tuple(functools.partial(_year if hint is int else _decimal, name=name)
               for name, hint in get_type_hints(record).items()),
     )
     for kind, record in EVENT_DETAILS.items()
@@ -323,16 +330,21 @@ _DETAIL_READERS = {
 
 _EVENT_HEADER = ",".join(EVENT_COLUMNS)
 
+# The event-log grammar: no field is None, no cell holds a character of
+# _OUTSIDE_GRAMMAR (each is quoted, or refused, by csv.writer on some Python
+# version), and no line is longer than MAX_LINE, csv's default field limit.
+_OUTSIDE_GRAMMAR = re.compile('[,"\r\n\0]')
+MAX_LINE = 131072
 
+
+@in_money_context
 def events_to_csv(events) -> str:
-    """events.csv: the bytes csv.writer gives with lineterminator "\\n".
-
-    Each row is first built as one f-string.  That text stands when no
-    cell needed quoting: exactly 5 commas and 1 newline per row, and no
-    '"', '\\r' or NUL anywhere (a '\\r' is quoted by some Python versions
-    and not by others, and a NUL is refused by csv before Python 3.11).
-    A 'None' anywhere may be a None cell, which csv writes empty.  Any
-    other log is written by csv.writer."""
+    """events.csv: one row per event, each cell its str() and a detail its
+    name=value pairs in field order, joined by "|".  The rows are f-strings;
+    the text stands when it has 5 commas and 1 newline per row and no '"',
+    '\\r', NUL or 'None'.  Otherwise the first event outside the grammar
+    raises InvalidParameterError naming its seq and field; a log with none
+    (a fund id spelled 'None') stands."""
     events = tuple(events)
     formats = _DETAIL_FORMATS
     text = "\n".join([_EVENT_HEADER, *[
@@ -341,18 +353,15 @@ def events_to_csv(events) -> str:
         for seq, year, kind, fund_id, amount, detail in events
     ], ""])
     rows = len(events) + 1
-    if (text.count(",") == 5 * rows and text.count("\n") == rows
-            and '"' not in text and "\r" not in text and "\0" not in text
-            and "None" not in text):
-        return text
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(EVENT_COLUMNS)
-    for e in events:
-        d = e.detail
-        detail = "" if d is None else _DETAIL_FORMATS[type(d)].format(*d)
-        w.writerow([e.seq, e.year, e.kind, e.fund_id, str(e.amount), detail])
-    return buf.getvalue()
+    if (text.count(",") != 5 * rows or text.count("\n") != rows
+            or '"' in text or "\r" in text or "\0" in text or "None" in text):
+        for e in events:
+            detail = () if e.detail is None else zip(e.detail._fields, e.detail)
+            for name, value in (*zip(EVENT_COLUMNS, e[:5]), *detail):
+                if value is None or _OUTSIDE_GRAMMAR.search(str(value)):
+                    raise InvalidParameterError(
+                        f"event {e.seq}: {name} {value!r} is outside the event-log grammar")
+    return text
 
 
 def _parse_detail(kind: str, text: str) -> EventDetail:
@@ -365,27 +374,27 @@ def _parse_detail(kind: str, text: str) -> EventDetail:
     return record(*[parse(value) for parse, value in zip(parsers, match.groups())])
 
 
+@in_money_context
 def events_from_csv(text: str) -> tuple[Event, ...]:
-    """Parse events.csv.  A malformed row, or a cell past the csv module's
-    field limit, raises InvalidParameterError naming its line.  A row is
-    malformed unless events_to_csv could have written it: seq is the row's
-    position, and year and a lien's origin plain integers in
-    [0, TERM_CAP_YEARS].
-
-    Text with no '"', '\\r' or NUL and no line past the field limit is
-    read as csv.reader reads it, one str.split per line: an empty line is
-    an empty row, and data row i is on line i + 2.  Any other text is read
-    by csv.reader."""
+    """Parse events.csv.  Text that events_to_csv could not have written
+    raises InvalidParameterError naming its line: no newline at the end,
+    a '"', '\\r' or NUL anywhere, a line longer than MAX_LINE, or a
+    malformed row.  Row i is line i + 2 split on ','; it is malformed
+    unless seq is its position, year and a lien's origin plain integers
+    in [0, TERM_CAP_YEARS], and every decimal cell spelled as its str()."""
     lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the last row's terminator, or no text at all
-    reader = None
-    if ('"' in text or "\r" in text or "\0" in text
-            or max(map(len, lines), default=0) > csv.field_size_limit()):
-        reader = csv.reader(io.StringIO(text))
-        rows, header, lines = reader, list(EVENT_COLUMNS), None
-    else:
-        rows, header = iter(lines), _EVENT_HEADER
+    if lines.pop():  # the last row's terminator
+        raise InvalidParameterError(f"event log line {len(lines) + 1}: no final newline")
+    if '"' in text or "\r" in text or "\0" in text:
+        first = min(at for at in map(text.find, '"\r\0') if at >= 0)
+        line = text.count("\n", 0, first) + 1
+        raise InvalidParameterError(
+            f"event log line {line}: {text[first]!r} is outside the event-log grammar")
+    if max(map(len, lines), default=0) > MAX_LINE:
+        line = [len(row) > MAX_LINE for row in lines].index(True) + 1
+        raise InvalidParameterError(f"event log line {line}: longer than {MAX_LINE} characters")
+    if lines[:1] != [_EVENT_HEADER]:
+        raise InvalidParameterError("not an event-log CSV")
     out = []
     append, new, columns, years = out.append, tuple.__new__, len(EVENT_COLUMNS), _YEARS
     # A log repeats a few amounts (each fund's premium, the loan face) and
@@ -393,39 +402,31 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
     # times; each distinct cell is read once.
     amounts: dict[str, Decimal] = {}
     details: dict[tuple[str, str], EventDetail | None] = {}
-    try:
-        if next(rows, None) != header:
-            raise InvalidParameterError("not an event-log CSV")
-        for position, row in enumerate(rows):
-            if reader is None:
-                row = row.split(",") if row else []
-            try:
-                if len(row) != columns:
-                    raise ValueError(f"expected {columns} columns, got {len(row)}")
-                seq, year, kind, fund_id, amount, detail = row
-                if kind not in EVENT_KINDS:
-                    raise ValueError(f"unknown event kind {kind!r}")
-                value = amounts.get(amount)
-                if value is None:
-                    value = amounts[amount] = finite(amount, "amount")
-                if seq != str(position):
-                    raise ValueError(f"seq must be {position}, the row's position, "
-                                     f"got {seq!r}")
-                year_value = years.get(year)
-                if year_value is None:
-                    year_value = _year(year, "year")  # raises
-                parsed = None
-                if detail or kind in _DETAIL_READERS:
-                    parsed = details.get((kind, detail))
-                    if parsed is None:
-                        parsed = details[kind, detail] = _parse_detail(kind, detail)
-                append(new(Event, (position, year_value, kind, fund_id, value, parsed)))
-            except ValueError as exc:  # InvalidParameterError is one
-                line = position + 2 if reader is None else reader.line_num
-                raise InvalidParameterError(f"event log line {line}: {exc}") from exc
-    except csv.Error as exc:
-        raise InvalidParameterError(
-            f"event log line {reader.line_num}: {exc}") from exc
+    for position, row in enumerate(lines[1:]):
+        row = row.split(",") if row else []
+        try:
+            if len(row) != columns:
+                raise ValueError(f"expected {columns} columns, got {len(row)}")
+            seq, year, kind, fund_id, amount, detail = row
+            if kind not in EVENT_KINDS:
+                raise ValueError(f"unknown event kind {kind!r}")
+            value = amounts.get(amount)
+            if value is None:
+                value = amounts[amount] = _decimal(amount, "amount")
+            if seq != str(position):
+                raise ValueError(f"seq must be {position}, the row's position, "
+                                 f"got {seq!r}")
+            year_value = years.get(year)
+            if year_value is None:
+                year_value = _year(year, "year")  # raises
+            parsed = None
+            if detail or kind in _DETAIL_READERS:
+                parsed = details.get((kind, detail))
+                if parsed is None:
+                    parsed = details[kind, detail] = _parse_detail(kind, detail)
+            append(new(Event, (position, year_value, kind, fund_id, value, parsed)))
+        except ValueError as exc:  # InvalidParameterError is one
+            raise InvalidParameterError(f"event log line {position + 2}: {exc}") from exc
     return tuple(out)
 
 
@@ -501,27 +502,23 @@ class SimulationReport:
         return buf.getvalue()
 
 
-def _opening_book(config: ScenarioConfig) -> tuple[Decimal, CapitalAccount, Decimal]:
+def _opening_book(config: ScenarioConfig
+                  ) -> tuple[Decimal, CapitalAccount, Decimal, Decimal, Decimal]:
     """Year 0 before any loan: the loan book moc * initial_capital, the
     capital stack once the insured-note value on that book is booked as
-    capital, and the amount booked.  The booking widens the lending limit
-    the book must fit; config validation and simulate both take it from
-    here, so a config that validates is a book the engine can write."""
+    capital (widening the lending limit the book must fit), the amount
+    booked, and the loan faces: every fund's but the last, and the last,
+    which takes the remainder so that they sum to the book.  Config
+    validation and simulate both take it from here, so a config that
+    validates is a book the engine can write."""
     book = money(config.moc * config.initial_capital)
     capital, booked, _ = book_din_to_capital(
         CapitalAccount(tier1_core=config.initial_capital,
                        reserve_fraction=config.reserve_fraction),
         money(book * config.coverage),
     )
-    return book, capital, booked
-
-
-def _loan_faces(config: ScenarioConfig) -> tuple[Decimal, Decimal]:
-    """The loan face of every fund but the last, and the last fund's face,
-    which takes the rounding remainder so the faces sum to the book."""
-    total = money(config.moc * config.initial_capital)
-    per = money(total / config.n_funds)
-    return per, total - per * (config.n_funds - 1)
+    per = money(book / config.n_funds)
+    return book, capital, booked, per, book - per * (config.n_funds - 1)
 
 
 @in_money_context
@@ -565,7 +562,7 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
     # Insured-note value stands in as capital first, widening the loan
     # ceiling before the book is written; config validation has checked
     # that the book fits it.
-    total_loans, capital, booked = config.opening_book
+    total_loans, capital, booked, per, last = config.opening_book
     if booked > 0:
         emit(0, "din_booked", "", booked,
              DinBooked(capital.tier1_insured, capital.tier2_insured))
@@ -575,7 +572,6 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
     # it was built, which also refused a loan face <= 0.  Every amount is
     # on the money scale except salvage_mode "zero"'s exact 0, which is
     # only ever subtracted from a money-scale amount.
-    per, last = _loan_faces(config)
     faces = [per] * (config.n_funds - 1) + [last]
     terms = (config.coverage, config.equity_fraction, DinState.ACTIVE, ())
     notes = []  # one per fund, in distribution order

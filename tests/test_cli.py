@@ -425,6 +425,10 @@ class TestAudit:
               "public_fraction": "abc"}, "ConfigError"),
             ({"rule": "random_n", "n": -1, "seed": 3, "underwriter_id": "uw1"},
              "PackagingError"),
+            # Counts are JSON integers, neither truncated nor read from a bool.
+            ({"rule": "random_n", "n": 12.9, "seed": True, "underwriter_id": "uw1"}, "ConfigError"),
+            ({"rule": "random_n", "n": 4, "seed": 7.5, "underwriter_id": "uw1"}, "ConfigError"),
+            ({"rule": "forward_period", "from_year": 2.7, "underwriter_id": "uw1"}, "ConfigError"),
         ],
     )
     def test_bad_package_is_one_json_line(self, tmp_path, capsys, package, kind):

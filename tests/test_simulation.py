@@ -229,6 +229,12 @@ class TestEventLogParsing:
         "2,-1,loan_issued,f000,1.000000000,",
         f"2,{TERM_CAP_YEARS + 1},loan_issued,f000,1.000000000,",
         "",  # an empty line is a row of no columns
+        # no '"', '\r' or NUL, and each decimal cell spelled as its str()
+        '2,0,loan_issued,"f000",1.000000000,',
+        "2,0,loan_issued,f\0000,1.000000000,",
+        "2,0,loan_issued,f000, 1.000000000,",
+        "2,0,loan_issued,f000,1e2,",
+        "2,5,lien_settled,f000,1,fraction=+0.77",
     )
 
     @staticmethod
@@ -240,44 +246,35 @@ class TestEventLogParsing:
         with pytest.raises(InvalidParameterError, match="line 4"):
             events_from_csv(self.log(*self.GOOD_ROWS, row))
 
-    @pytest.mark.parametrize("row", ("2,0,loan_issued,f000,1.000000000,",) + MALFORMED_ROWS)
-    def test_split_and_csv_reader_agree(self, row, monkeypatch):
-        # A quoted cell sends the same log through csv.reader.
-        text = self.log(*self.GOOD_ROWS, row)
-        quoted = text.replace("capital_injection,,", 'capital_injection,"",', 1)
-        readers, reader = [], csv.reader
-        monkeypatch.setattr(simulation.csv, "reader",
-                            lambda *a, **k: readers.append(reader(*a, **k)) or readers[-1])
-        outcomes = []
-        for log in (text, quoted):
-            try:
-                outcomes.append(events_from_csv(log))
-            except InvalidParameterError as exc:
-                outcomes.append(str(exc))
-        assert len(readers) == 1
-        assert outcomes[0] == outcomes[1]
-
-    def test_clean_log_leaves_csv_reader_unused(self, monkeypatch):
-        events = simulate(ScenarioConfig())
-        text = events_to_csv(events)
-        monkeypatch.setattr(simulation.csv, "reader", None)
-        assert events_from_csv(text) == events
-        assert events_from_csv(text.rstrip("\n")) == events
-
-    @pytest.mark.parametrize("quoted", [False, True])
-    def test_oversized_cell_names_its_line(self, quoted):
-        cell = "x" * (csv.field_size_limit() + 1)
-        if quoted:
-            cell = '"' + cell + '"'
-        row = f"2,0,loan_issued,{cell},1.000000000,"
-        text = "\n".join((",".join(simulation.EVENT_COLUMNS),) + self.GOOD_ROWS + (row,))
-        with pytest.raises(InvalidParameterError, match="line 4: field larger"):
-            events_from_csv(text + "\n")
+    def test_oversized_cell_names_its_line(self):
+        row = f"2,0,loan_issued,{'x' * simulation.MAX_LINE},1.000000000,"
+        with pytest.raises(InvalidParameterError, match="line 4: longer than 131072"):
+            events_from_csv(self.log(*self.GOOD_ROWS, row))
 
     def test_oversized_header_names_line_1(self):
-        header = ",".join(simulation.EVENT_COLUMNS) + "x" * csv.field_size_limit()
-        with pytest.raises(InvalidParameterError, match="line 1: field larger"):
+        header = ",".join(simulation.EVENT_COLUMNS) + "x" * simulation.MAX_LINE
+        with pytest.raises(InvalidParameterError, match="line 1: longer than 131072"):
             events_from_csv(header + "\n")
+
+    @pytest.mark.parametrize("text, match", [
+        ("0,0,capital_injection,,1\r,\n1,0,loan_issued,\"f000\",1,\n", r"line 2: '\\r'"),
+        ("0,0,capital_injection,,1,", "line 2: no final newline"),
+    ])
+    def test_text_the_writer_cannot_produce_names_its_first_line(self, text, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            events_from_csv(",".join(simulation.EVENT_COLUMNS) + "\n" + text)
+
+    def test_ambient_state_leaves_the_log_unchanged(self):
+        # Neither a lowered csv field limit nor the caller's decimal capitals.
+        events = (simulation.Event(0, 0, "din_booked", "", Decimal("0E-9"), simulation.DinBooked(
+            Decimal("0E-9"), Decimal("1E+2"))),)
+        text, limit = events_to_csv(events), csv.field_size_limit(10)
+        try:
+            with localcontext() as ctx:
+                ctx.capitals = 0
+                assert (events_to_csv(events), events_from_csv(text)) == (text, events)
+        finally:
+            csv.field_size_limit(limit)
 
     def test_each_distinct_detail_cell_is_parsed_once(self, monkeypatch):
         text = events_to_csv(simulate(ScenarioConfig.calibration(
@@ -312,16 +309,18 @@ class TestOpeningBook:
     def test_a_built_config_runs_on_its_kept_book(self, monkeypatch):
         # Under zero salvage the liens of 200 funds of two loan faces have
         # at most two sets of terms: settled at most twice, not per fund.
+        # Nor does simulate round the book or a loan face with money().
         cfg = ScenarioConfig.calibration(n_funds=200, target_classical_return="1.31")
+        faces = {cfg.moc * cfg.initial_capital, cfg.opening_book[0] / cfg.n_funds}
         calls = Counter()
-        for name in ("settle_clawback", "_opening_book"):
+        for name in ("settle_clawback", "_opening_book", "money"):
             def counted(*args, _name=name, _fn=getattr(simulation, name), **kwargs):
-                calls[_name] += 1
+                calls[_name if _name != "money" or args[0] not in faces else "face"] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(simulation, name, counted)
         events = simulate(cfg)
         assert count_events(events, "lien_settled") > 2
-        assert calls["_opening_book"] == 0
+        assert calls["_opening_book"] == calls["face"] == 0 < calls["money"]
         assert 1 <= calls["settle_clawback"] <= 2
 
 
@@ -913,74 +912,85 @@ class TestEngineProperty:
         assert underwriter.transactions == report.underwriter_ledger.transactions
 
 
-# Cells that csv.writer quotes, or writes other than as their str().  NUL
-# is left out: csv refuses it before Python 3.11 (test_nul_cell_as_csv_does).
-AWKWARD_TEXT = st.one_of(
-    st.sampled_from(["", "f000", ",", '"', '""', "\n", "\r", "\r\n", "None", "a,b"]),
-    st.text(alphabet=st.sampled_from(',"\n\r |=aN1'), max_size=6),
-    st.text(alphabet=st.characters(exclude_characters="\0"), max_size=6),
-)
+# Cells in the event-log grammar, and fields outside it: None, or text
+# holding a character that csv.writer quotes or refuses on some version.
+GRAMMAR_TEXT = st.sampled_from(["", "f000", "None"]) | st.text(
+    alphabet=st.characters(exclude_characters=',"\r\n\0'), max_size=6)
+OUTSIDE_GRAMMAR = st.none() | st.builds(
+    "{}{}{}".format, GRAMMAR_TEXT, st.sampled_from(',"\r\n\0'), GRAMMAR_TEXT)
 DETAIL_DECIMALS = st.decimals(min_value=-10**6, max_value=10**6, places=9)
+# Finite decimals of any exponent, at a third of the cost of st.decimals().
+DECIMALS = st.builds(lambda digits, exponent: Decimal(f"{digits}E{exponent}"),
+                     st.integers(-10**20, 10**20), st.integers(-10**6, 10**6))
 
 
-@st.composite
-def event_details(draw, record=None, years=st.integers(0, 99)):
-    if record is None:
-        record = draw(st.sampled_from(list(simulation.EVENT_DETAILS.values())))
+def details_of(record, years):
     hints = get_type_hints(record)
-    return record(*[draw(years if hints[name] is int else DETAIL_DECIMALS)
-                    for name in record._fields])
+    return st.builds(record, *[years if hints[name] is int else DETAIL_DECIMALS
+                               for name in record._fields])
 
 
-@st.composite
-def logged_events(draw):
-    return simulation.Event(
-        seq=draw(st.none() | st.integers(0, 10**6)),
-        year=draw(st.none() | st.integers(0, 30)),
-        kind=draw(st.none() | st.sampled_from(sorted(simulation.EVENT_KINDS)) | AWKWARD_TEXT),
-        fund_id=draw(st.none() | st.sampled_from(["", "f000", "f001"]) | AWKWARD_TEXT),
-        amount=draw(st.decimals()),
-        detail=draw(st.none() | event_details()),
-    )
+# Built once: a strategy built per draw costs more than the code under test.
+logged_events = st.builds(
+    simulation.Event,
+    seq=st.integers(0, 10**6),
+    year=st.integers(0, 30),
+    kind=st.sampled_from(sorted(simulation.EVENT_KINDS)) | GRAMMAR_TEXT,
+    fund_id=GRAMMAR_TEXT,
+    amount=DECIMALS | st.sampled_from([Decimal("-0"), Decimal("NaN"), Decimal("-Inf")]),
+    detail=st.one_of(st.none(), *[details_of(record, st.integers(0, 99))
+                                  for record in simulation.EVENT_DETAILS.values()]),
+)
+
+# Logs the reader takes back: seq is the row's position, year and a lien's
+# origin are in [0, TERM_CAP_YEARS], a kind carries its own detail record
+# or none, and every cell is in the grammar.
+YEARS = st.integers(0, TERM_CAP_YEARS)
+readable_logs = st.lists(st.one_of([
+    st.tuples(YEARS, st.just(kind), GRAMMAR_TEXT, DECIMALS,
+              details_of(simulation.EVENT_DETAILS[kind], YEARS)
+              if kind in simulation.EVENT_DETAILS else st.none())
+    for kind in sorted(simulation.EVENT_KINDS)
+]), max_size=6).map(lambda rows: tuple(
+    simulation.Event(seq, *row) for seq, row in enumerate(rows)))
 
 
-@st.composite
-def readable_logs(draw):
-    """Logs the reader takes back: seq is the row's position, year and a
-    lien's origin are in [0, TERM_CAP_YEARS], and a kind carries its own
-    detail record or none.
-    Fund ids with a ',', '"' or newline send the log through csv.reader;
-    '\r' is left out, since csv.writer quotes it on some Python versions
-    only, and NUL, which it refuses before Python 3.11."""
-    events = []
-    for seq in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(sorted(simulation.EVENT_KINDS)))
-        record = simulation.EVENT_DETAILS.get(kind)
-        events.append(simulation.Event(
-            seq=seq,
-            year=draw(st.integers(0, TERM_CAP_YEARS)),
-            kind=kind,
-            fund_id=draw(st.sampled_from(["", "f000"]) | st.text(
-                alphabet=st.characters(exclude_characters="\0\r"), max_size=6)),
-            amount=draw(st.decimals(allow_nan=False, allow_infinity=False)),
-            detail=None if record is None else draw(
-                event_details(record, st.integers(0, TERM_CAP_YEARS))),
-        ))
-    return tuple(events)
+@pytest.fixture(scope="module")
+def golden_lines():
+    return [events_to_csv(simulate(case())).split("\n") for case in GOLDEN_CASES.values()]
 
 
 class TestEventLogReader:
     @settings(max_examples=300, deadline=None)
-    @given(readable_logs())
+    @given(readable_logs)
     def test_round_trip(self, events):
         assert events_from_csv(events_to_csv(events)) == events
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_accepted_text_is_written_back(self, golden_lines, data):
+        # A slice of one cell of a golden log is replaced by drawn text.
+        lines = list(data.draw(st.sampled_from(golden_lines)))
+        row = data.draw(st.integers(0, len(lines) - 2))
+        cells = lines[row].split(",")
+        column = data.draw(st.integers(0, len(cells) - 1))
+        start, end = sorted(data.draw(st.tuples(*[st.integers(0, len(cells[column]))] * 2)))
+        cells[column] = cells[column][:start] + data.draw(
+            st.text(alphabet='0123456789.-+Ee_ |=xN,"\r\n\0', max_size=3)) + cells[column][end:]
+        lines[row] = ",".join(cells)
+        try:
+            events = events_from_csv("\n".join(lines))
+        except InvalidParameterError:
+            return
+        assert events_to_csv(events) == "\n".join(lines)
+
 
 class TestEventLogWriter:
-    """events_to_csv writes the bytes of a literal csv.writer loop."""
+    """events_to_csv writes the bytes of a literal csv.writer loop, and
+    refuses an event outside the grammar."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(logged_events(), max_size=6))
+    @given(st.lists(logged_events, max_size=6))
     def test_equals_csv_writer(self, events):
         expected = event_log_csv(events)
         assert events_to_csv(events) == expected
@@ -991,26 +1001,23 @@ class TestEventLogWriter:
         events = simulate(GOLDEN_CASES[name]())
         assert events_to_csv(events) == event_log_csv(events)
 
-    @pytest.mark.parametrize("field", ["kind", "fund_id"])
-    def test_nul_cell_as_csv_does(self, field, monkeypatch):
-        # csv writes a NUL as is from Python 3.11 and raises csv.Error
-        # before; events_to_csv leaves the cell to csv either way.
-        events = [simulation.Event(0, 0, "din_booked", "f000", Decimal("1"))._replace(
-            **{field: "a\0b"})]
-        writers, writer = [], csv.writer
-        monkeypatch.setattr(simulation.csv, "writer",
-                            lambda *a, **k: writers.append(writer(*a, **k)) or writers[-1])
-        try:
-            expected = event_log_csv(events)
-        except csv.Error:
-            with pytest.raises(csv.Error):
-                events_to_csv(events)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(logged_events, min_size=1, max_size=4), st.data())
+    def test_refuses_a_field_outside_the_grammar(self, events, data):
+        # One field of the last event, or of its detail, is set outside the grammar.
+        last = events.pop()
+        fields = simulation.EVENT_COLUMNS[:5] + (last.detail._fields if last.detail else ())
+        name, value = data.draw(st.sampled_from(fields)), data.draw(OUTSIDE_GRAMMAR)
+        if name in last._fields:
+            last = last._replace(**{name: value})
         else:
-            assert events_to_csv(events) == expected
-        assert len(writers) == 2  # the oracle's and events_to_csv's
+            last = last._replace(detail=last.detail._replace(**{name: value}))
+        with pytest.raises(InvalidParameterError, match=re.escape(f"event {last.seq}: {name} ")):
+            events_to_csv(events + [last])
 
-    def test_no_cell_to_quote_leaves_csv_unused(self, monkeypatch):
-        events = simulate(ScenarioConfig())
-        expected = event_log_csv(events)
-        monkeypatch.setattr(simulation.csv, "writer", None)
-        assert events_to_csv(events) == expected
+    @pytest.mark.parametrize("field", ["kind", "fund_id"])
+    def test_nul_cell_is_refused(self, field):
+        event = simulation.Event(0, 0, "din_booked", "f000", Decimal("1"))._replace(
+            **{field: "a\0b"})
+        with pytest.raises(InvalidParameterError, match=rf"event 0: {field} 'a\\x00b'"):
+            events_to_csv([event])
