@@ -246,6 +246,30 @@ class TestEventLogParsing:
         with pytest.raises(InvalidParameterError, match="line 4"):
             events_from_csv(self.log(*self.GOOD_ROWS, row))
 
+    @pytest.mark.parametrize("row", ("2,0,loan_issued,f000,1.000000000,",) + MALFORMED_ROWS)
+    def test_a_character_outside_the_grammar_is_refused_ahead_of_any_row(self, row):
+        # csv.reader would read '""' as an empty cell; the grammar refuses the
+        # character itself, at its line, whatever a later row holds.
+        text = self.log(*self.GOOD_ROWS, row)
+        for char, cell in (('"', '""'), ("\r", "\r"), ("\0", "\0")):
+            with pytest.raises(InvalidParameterError, match=f"line 2: {re.escape(repr(char))} "):
+                events_from_csv(text.replace("capital_injection,,",
+                                             f"capital_injection,{cell},", 1))
+
+    def test_neither_path_calls_csv(self, monkeypatch):
+        class Unusable:
+            def __getattr__(self, name):
+                raise AssertionError(f"csv.{name} called")
+
+        events = simulate(ScenarioConfig())
+        text = events_to_csv(events)
+        monkeypatch.setattr(simulation, "csv", Unusable())
+        assert (events_to_csv(events), events_from_csv(text)) == (text, events)
+        with pytest.raises(InvalidParameterError, match="event 1: fund_id"):
+            events_to_csv(events[:1] + (events[1]._replace(fund_id="f,0"),))
+        with pytest.raises(InvalidParameterError, match="line 2: '\"'"):
+            events_from_csv(text.replace("\n", '\n"', 1))
+
     def test_oversized_cell_names_its_line(self):
         row = f"2,0,loan_issued,{'x' * simulation.MAX_LINE},1.000000000,"
         with pytest.raises(InvalidParameterError, match="line 4: longer than 131072"):
