@@ -116,6 +116,12 @@ def scenario_from_config(data: dict, seed_override: int | None) -> ScenarioConfi
         raise ConfigError(f"bad scenario field: {exc}") from exc
 
 
+def _grid_float(name: str, value) -> float:
+    if isinstance(value, bool):  # which float() reads as 0.0 or 1.0
+        raise ConfigError(f"bad kraken field: {name} must be a number, got {value!r}")
+    return float(value)
+
+
 def cmd_kraken(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
     grid = dict(DEFAULT_KRAKEN_GRID)
     grid.update(_section(data, "kraken"))
@@ -124,12 +130,12 @@ def cmd_kraken(data: dict, out_dir: str, seed_override: int | None) -> list[str]
     try:
         rows = [
             (rf, depth, KrakenParams(
-                reserve_fraction=float(rf),
+                reserve_fraction=_grid_float("reserve_fractions", rf),
                 iteration_limit=grid["iteration_limit"],
                 depth=depth,
-                insurance_price=float(grid["insurance_price"]),
-                origination=float(grid["origination"]),
-                tranche_insured=float(grid["tranche_insured"]),
+                insurance_price=_grid_float("insurance_price", grid["insurance_price"]),
+                origination=_grid_float("origination", grid["origination"]),
+                tranche_insured=_grid_float("tranche_insured", grid["tranche_insured"]),
             ))
             for rf in grid["reserve_fractions"]
             for depth in grid["depths"]
@@ -227,6 +233,9 @@ def _package_args(section: dict) -> dict:
         value = section.get(name, 0)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"audit package {name} must be an integer, got {value!r}")
+    package_id = section.get("package_id", "pkg")
+    if not isinstance(package_id, str):
+        raise ConfigError(f"audit package package_id must be a string, got {package_id!r}")
     kind = section.get("rule")
     try:
         if kind == "forward_period":
@@ -241,7 +250,7 @@ def _package_args(section: dict) -> dict:
             public_fraction=_config_decimal(
                 "public_fraction", section.get("public_fraction", "0.5")
             ),
-            package_id=section.get("package_id", "pkg"),
+            package_id=package_id,
         )
     except KeyError as exc:
         raise ConfigError(f"audit package needs {exc}") from exc
@@ -254,10 +263,10 @@ def cmd_audit(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
         raise ConfigError("audit section needs registry_path")
     package_section = _section(section, "package")
     package_args = _package_args(package_section) if package_section else None
-    try:
-        threshold = float(section.get("significance", 0.05))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad audit significance: {exc}") from exc
+    # Read as a decimal, not by float(), which takes true as 1.0 and "NaN".
+    threshold = _config_decimal("audit significance", section.get("significance", 0.05))
+    if not 0 <= threshold <= 1:
+        raise ConfigError(f"audit significance must be in [0, 1], got {threshold}")
     try:
         with open(registry_path, encoding="utf-8") as handle:
             registry = import_records(handle.read())
@@ -277,7 +286,7 @@ def cmd_audit(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
 
     if package_args is not None:
         package = build_package(registry, **package_args)
-        report = audit_representativeness(package, registry, threshold=threshold)
+        report = audit_representativeness(package, registry, threshold=float(threshold))
         path = os.path.join(out_dir, "representativeness.csv")
         _atomic_write(path, report.to_csv())
         written.append(path)

@@ -42,7 +42,7 @@ FAILURE_TO_INFORM = "failure_to_inform"
 # Bankruptcy and exit admit no waiver: the payout/transfer happens by contract.
 FORCED_TRIGGERS = frozenset({BANKRUPTCY, EXIT})
 
-# No note runs past this; ScenarioConfig bounds the horizon by it.
+# No note runs past this; ScenarioConfig bounds exit_year by it.
 TERM_CAP_YEARS = 15
 DEFAULT_SEIZURE_FRACTION = Decimal("1")
 
@@ -152,6 +152,8 @@ class ClawbackLien(_LienFields):
     def __new__(cls, contract_id, base, fraction, origin_year, option="A",
                 audit_flagged=False, resolution=LienResolution.UNRESOLVED):
         base = money(base)
+        if base < 0:
+            raise InvalidParameterError("lien base must be >= 0")
         fraction = _fraction(fraction, "fraction")
         # Type checks come last, as in TriggerEvent.
         _check_lien_keys(contract_id, origin_year)

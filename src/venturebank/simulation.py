@@ -106,14 +106,12 @@ class ScenarioConfig:
     equity_fraction: Decimal = Decimal("0.5")
     coverage: Decimal = Decimal("1")
     clawback_fraction: Decimal = Decimal("0.77")
-    clawback_option: str = "A"
     bank_rate: Decimal = Decimal("0.03")
     moc: Decimal = Decimal("47")
     n_funds: int = 50
     target_classical_return: Decimal | None = None
     failure_year: int = 5
     exit_year: int = 10
-    horizon: int = 10
     seed: int = 2024
     initial_capital: Decimal = Decimal("1")
     salvage_mode: str = "classical_multiple"
@@ -123,7 +121,7 @@ class ScenarioConfig:
 
     @in_money_context
     def __post_init__(self) -> None:
-        for name in ("n_funds", "seed", "failure_year", "exit_year", "horizon"):
+        for name in ("n_funds", "seed", "failure_year", "exit_year"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
@@ -138,22 +136,14 @@ class ScenarioConfig:
             fraction(getattr(self, name), name)
         if self.clawback_fraction not in ALLOWED_CLAWBACK:
             raise InvalidParameterError("clawback_fraction must be 0, 0.77, or 1.0")
-        if self.clawback_option not in ("A", "B", "C"):
-            raise InvalidParameterError("clawback_option must be A, B, or C")
-        if self.clawback_fraction == Decimal("1.0") and self.clawback_option != "B":
-            raise InvalidParameterError("full clawback runs through option B")
-        if self.clawback_fraction == Decimal("0.77") and self.clawback_option == "B":
-            raise InvalidParameterError("option B carries the full base, not 0.77")
         if not 2 <= self.n_funds <= MAX_FUNDS:
             raise InvalidParameterError(
                 f"n_funds must be >= 2 and <= {MAX_FUNDS}, got {self.n_funds}")
         if self.seed < 0:
             raise InvalidParameterError("seed must be >= 0")
-        if not 1 <= self.failure_year < self.exit_year:
-            raise InvalidParameterError("need 1 <= failure_year < exit_year")
-        if not self.exit_year <= self.horizon <= TERM_CAP_YEARS:
+        if not 1 <= self.failure_year < self.exit_year <= TERM_CAP_YEARS:
             raise InvalidParameterError(
-                f"need exit_year <= horizon <= {TERM_CAP_YEARS}")
+                f"need 1 <= failure_year < exit_year <= {TERM_CAP_YEARS}")
         if money(self.initial_capital) <= 0:
             raise InvalidParameterError(
                 f"initial_capital must be > 0 at 9 decimal places, "
@@ -201,13 +191,12 @@ class ScenarioConfig:
         return _opening_book(self)
 
     def clawback_policy(self) -> ClawbackPolicy | None:
-        """None when the notes are written without the clawback rider."""
+        """None when the notes are written without the clawback rider; the
+        full base is option B, settled by the audit verdict, and 0.77 is A."""
         if self.clawback_fraction == 0:
             return None
-        return ClawbackPolicy(
-            option=self.clawback_option,
-            fraction=self.clawback_fraction,
-        )
+        return ClawbackPolicy(option="B" if self.clawback_fraction == 1 else "A",
+                              fraction=self.clawback_fraction)
 
     @classmethod
     def calibration(cls, **overrides) -> "ScenarioConfig":
@@ -342,20 +331,26 @@ def events_to_csv(events) -> str:
     """events.csv: one row per event, each cell its str() and a detail its
     name=value pairs in field order, joined by "|".  The rows are f-strings;
     the text stands when it has 5 commas and 1 newline per row and no '"',
-    '\\r', NUL or 'None'.  Otherwise the first event outside the grammar
-    raises InvalidParameterError naming its seq and field; a log with none
-    (a fund id spelled 'None') stands."""
+    '\\r', NUL or 'None'.  Otherwise the first event outside the grammar, a
+    detail that is no detail record included, raises InvalidParameterError
+    naming its seq and field; a log with none (a fund id 'None') stands."""
     events = tuple(events)
     formats = _DETAIL_FORMATS
-    text = "\n".join([_EVENT_HEADER, *[
-        f"{seq!s},{year!s},{kind!s},{fund_id!s},{amount!s},"
-        f"{'' if detail is None else formats[type(detail)].format(*detail)}"
-        for seq, year, kind, fund_id, amount, detail in events
-    ], ""])
+    try:
+        text = "\n".join([_EVENT_HEADER, *[
+            f"{seq!s},{year!s},{kind!s},{fund_id!s},{amount!s},"
+            f"{'' if detail is None else formats[type(detail)].format(*detail)}"
+            for seq, year, kind, fund_id, amount, detail in events
+        ], ""])
+    except KeyError:  # a detail that is not a detail record
+        text = None
     rows = len(events) + 1
-    if (text.count(",") != 5 * rows or text.count("\n") != rows
+    if (text is None or text.count(",") != 5 * rows or text.count("\n") != rows
             or '"' in text or "\r" in text or "\0" in text or "None" in text):
         for e in events:
+            if e.detail is not None and type(e.detail) not in formats:
+                raise InvalidParameterError(
+                    f"event {e.seq}: detail {e.detail!r} is outside the event-log grammar")
             detail = () if e.detail is None else zip(e.detail._fields, e.detail)
             for name, value in (*zip(EVENT_COLUMNS, e[:5]), *detail):
                 if value is None or _OUTSIDE_GRAMMAR.search(str(value)):
@@ -588,12 +583,12 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
     premiums = [annual_premium(notes[0], config.premium_rate)] * (config.n_funds - 1)
     premiums.append(annual_premium(notes[-1], config.premium_rate))
     # (fund, premium) of every active note.  A note leaves ACTIVE only in a
-    # trigger phase, after that year's premiums, so the list is rebuilt
-    # after each phase and not checked per note and year.
+    # trigger phase, after that year's premiums, so the failure phase drops
+    # the failed notes' rows and no note's state is read per year.
     paying = [(note.contract_id, premium) for note, premium in zip(notes, premiums)]
     payouts: list[Event] = []
     liens = []
-    for year in range(1, config.horizon + 1):
+    for year in range(1, config.exit_year + 1):
         events.extend([
             new(Event, (seq, year, "premium_paid", fund, premium, None))
             for seq, (fund, premium) in enumerate(paying, len(events))
@@ -604,10 +599,9 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
             # (equal faces and valuations) are adjacent: the trigger and
             # lien detail are reused until their inputs change.
             trigger = lien_detail = None
-            for i, outcome in enumerate(dist.outcomes):
+            for note, outcome in zip(notes, dist.outcomes):
                 if outcome.classification != FAILURE:
                     continue
-                note = notes[i]
                 fund, face = note.contract_id, note.principal
                 if config.salvage_mode == "zero":
                     equity_valuation = Decimal("0")
@@ -615,7 +609,7 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
                     equity_valuation = money(outcome.ten_year_multiple * face)
                 if trigger is None or trigger.payload != equity_valuation:
                     trigger = TriggerEvent._make((BANKRUPTCY, year, equity_valuation))
-                notes[i], settlement = apply_trigger(note, trigger, clawback=policy)
+                _, settlement = apply_trigger(note, trigger, clawback=policy)
                 payouts.append(emit(
                     year, "bankruptcy_payout", fund, settlement.cash_to_bank,
                     BankruptcyPayout(equity_valuation, outcome.ten_year_multiple),
@@ -629,29 +623,26 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
                     if lien_detail != (lien.fraction, lien.origin_year):
                         lien_detail = LienCreated(lien.fraction, lien.origin_year)
                     emit(year, "lien_created", fund, lien.base, lien_detail)
+            paying = [pay for pay, outcome in zip(paying, dist.outcomes)
+                      if outcome.classification != FAILURE]
 
-        if year == config.exit_year:
-            exit_event = TriggerEvent(EXIT, year)
-            for i, outcome in enumerate(dist.outcomes):
-                if outcome.classification == FAILURE:
-                    continue
-                note = notes[i]
-                notes[i], _ = apply_trigger(note, exit_event)
-                proceeds = money(outcome.ten_year_multiple * note.principal)
-                uw_share, bank_share = _exit_equity_split(
-                    proceeds, note.coverage, note.equity_fraction
-                )
-                emit(year, "exit_proceeds", note.contract_id, proceeds,
-                     ExitProceeds(note.principal, uw_share, bank_share))
-
-        if year in (config.failure_year, config.exit_year):
-            paying = [(note.contract_id, premium)
-                      for note, premium in zip(notes, premiums)
-                      if note.state is DinState.ACTIVE]
+    # Survivors exit in the last year, after its premiums; liens settle
+    # and parked payouts are costed in the same closeout year.
+    closeout = config.exit_year
+    exit_event = TriggerEvent(EXIT, closeout)
+    for note, outcome in zip(notes, dist.outcomes):
+        if outcome.classification == FAILURE:
+            continue
+        apply_trigger(note, exit_event)  # no note is read after its trigger
+        proceeds = money(outcome.ten_year_multiple * note.principal)
+        uw_share, bank_share = _exit_equity_split(
+            proceeds, note.coverage, note.equity_fraction
+        )
+        emit(closeout, "exit_proceeds", note.contract_id, proceeds,
+             ExitProceeds(note.principal, uw_share, bank_share))
 
     # A lien's settlement depends on every field but its contract_id, so
     # a lien with the previous lien's terms reuses its amount and detail.
-    closeout = config.exit_year
     terms = None
     for lien in liens:
         if lien[1:] != terms:
@@ -921,11 +912,7 @@ SWEEP_CURVES = (
     ("din_10y", {}, "din_10y_return"),
     ("din_net_profit", {}, "din_net_profit"),
     ("bank_claw0", dict(clawback_fraction=Decimal("0")), "bank_10y_return"),
-    (
-        "bank_claw077",
-        dict(clawback_fraction=Decimal("0.77"), clawback_option="A"),
-        "bank_10y_return",
-    ),
+    ("bank_claw077", dict(clawback_fraction=Decimal("0.77")), "bank_10y_return"),
 )
 
 

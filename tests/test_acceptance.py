@@ -310,7 +310,7 @@ def test_criterion_9_property_suite():
         ScenarioConfig(target_classical_return="1.10", clawback_fraction="0"),
         ScenarioConfig(
             target_classical_return="1.31", clawback_fraction="1.0",
-            clawback_option="B", audit_verdict=True,
+            audit_verdict=True,
         ),
     ]
     for config in replay_configs:

@@ -148,6 +148,25 @@ class TestKraken:
         assert f"{field} must be an int" in err["error"]
         assert not os.path.exists(tmp_path / "kraken_curves.csv")
 
+    # float() reads a JSON bool as 1.0 or 0.0; the grid refuses it by name.
+    @pytest.mark.parametrize(
+        "kraken, field",
+        [
+            ({"reserve_fractions": [True]}, "reserve_fractions"),
+            ({"reserve_fractions": ["0.05", False]}, "reserve_fractions"),
+            ({"insurance_price": False}, "insurance_price"),
+            ({"origination": True}, "origination"),
+            ({"tranche_insured": True}, "tranche_insured"),
+        ],
+    )
+    def test_bools_are_refused_by_name(self, tmp_path, capsys, kraken, field):
+        cfg = write_config(tmp_path, {"schema_version": 1, "kraken": kraken})
+        assert main(["kraken", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "ConfigError"
+        assert f"{field} must be a number" in err["error"]
+        assert not os.path.exists(tmp_path / "kraken_curves.csv")
+
 
 class TestSimulate:
     def config(self, tmp_path, **scenario):
@@ -209,7 +228,7 @@ class TestSimulate:
             ({"spread": {"survivor_max": 1e999}}, "InvalidParameterError"),
             ({"seed": "x"}, "InvalidParameterError"),
             ({"seed": -1}, "InvalidParameterError"),
-            ({"horizon": 10.0}, "InvalidParameterError"),
+            ({"exit_year": 10.0}, "InvalidParameterError"),
             ({"n_funds": 1}, "InvalidParameterError"),
             ({"salvage_mode": "bogus"}, "InvalidParameterError"),
             ({"audit_verdict": "yes"}, "InvalidParameterError"),
@@ -217,7 +236,7 @@ class TestSimulate:
             ({"n_funds": 10**12}, "InvalidParameterError"),
             ({"moc": "0.000001", "n_funds": 10000}, "InvalidParameterError"),
             ({"coverage": "0"}, "InvalidParameterError"),
-            ({"clawback_fraction": "1.0", "clawback_option": "B"}, "InvalidParameterError"),
+            ({"clawback_fraction": "1.0"}, "InvalidParameterError"),
             # Finite decimals past the money scale of 19 digits before the point.
             ({"target_classical_return": "1E+30"}, "InvalidParameterError"),
             ({"target_classical_return": "-1E+30"}, "InvalidParameterError"),
@@ -231,6 +250,10 @@ class TestSimulate:
             ({"initial_capital": "1E+10", "target_classical_return": "1E+10"},
              "InvalidParameterError"),
             ({"spread": {"survivor_max": 1e300}}, "InvalidParameterError"),
+            # Neither is a scenario field: the run ends at exit_year and
+            # clawback_fraction fixes the rider's option.
+            ({"horizon": 10}, "ConfigError"),
+            ({"clawback_option": "A"}, "ConfigError"),
         ],
     )
     def test_bad_field_is_one_json_line(self, tmp_path, capsys, scenario, kind):
@@ -440,6 +463,48 @@ class TestAudit:
         assert main(["audit", "--config", manifest, "--out", str(tmp_path)]) == 1
         assert error_line(capsys)["kind"] == kind
         assert not os.path.exists(tmp_path / "representativeness.csv")
+
+    PACKAGE = {"rule": "random_n", "n": 4, "seed": 3, "underwriter_id": "uw1"}
+
+    @pytest.mark.parametrize(
+        "audit, field",
+        [
+            # float() reads true as threshold 1.0, "NaN" as one nothing is
+            # below and "Infinity" as one everything is below.
+            ({"significance": True}, "significance"),
+            ({"significance": False}, "significance"),
+            ({"significance": "NaN"}, "significance"),
+            ({"significance": "Infinity"}, "significance"),
+            ({"significance": 1.5}, "significance"),
+            ({"significance": -0.01}, "significance"),
+            ({"significance": [0.05]}, "significance"),
+            ({"package": dict(PACKAGE, package_id=["x"])}, "package_id"),
+            ({"package": dict(PACKAGE, package_id=5)}, "package_id"),
+        ],
+    )
+    def test_bad_audit_field_is_refused_by_name(self, tmp_path, capsys, audit, field):
+        manifest = write_config(
+            tmp_path,
+            {"schema_version": 1,
+             "audit": {"registry_path": self.registry_file(tmp_path), **audit}},
+        )
+        assert main(["audit", "--config", manifest, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "ConfigError"
+        assert field in err["error"]
+        assert not os.path.exists(tmp_path / "attachment_violations.csv")
+
+    @pytest.mark.parametrize("significance", [0, "0.05", 1])
+    def test_significance_bounds_run(self, tmp_path, significance):
+        manifest = write_config(
+            tmp_path,
+            {"schema_version": 1,
+             "audit": {"registry_path": self.registry_file(tmp_path),
+                       "significance": significance, "package": self.PACKAGE}},
+        )
+        assert main(["audit", "--config", manifest, "--out", str(tmp_path)]) == 0
+        threshold = read_rows(tmp_path / "representativeness.csv")[1][5]
+        assert float(threshold) == float(significance)
 
     @pytest.mark.parametrize("line", ['{"din_id": "a"', '{"din_id": "a"}', "[1]",
                                       TERTIARY_RECORD, primary_line(vintage_year="2024"),

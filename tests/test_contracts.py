@@ -516,6 +516,9 @@ class TestRecordParity:
          "contract_id must be a string, got 5"),
         (lambda: create_clawback("d", "1", POLICY_A, 5.0), InvalidParameterError,
          "origin_year must be an int, got 5.0"),
+        # ClawbackLien refuses the base create_clawback refuses
+        (lambda: ClawbackLien("f", -5, "0.77", 1), InvalidParameterError,
+         "lien base must be >= 0"),
     ]
 
     @pytest.mark.parametrize("build, error, message", REFUSALS,

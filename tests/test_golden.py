@@ -5,10 +5,10 @@ journals (one ``year|memo|account:debit:credit|...`` line per transaction),
 so a refactor of the engine cannot move a single byte unnoticed.  The
 configs together reach every event kind that carries a detail and every
 settlement branch: premium rounding below full coverage, no clawback
-rider, option B with both verdicts (lien interest and lien release),
-option C, salvaged failures with investment-offset exits, and a horizon
-that runs past the exit year.  Both journals must also rebuild exactly
-from the run's saved events.csv through ``post_books``.
+rider, full clawback (the paper's option B) with both verdicts (lien
+interest and lien release), and salvaged failures with investment-offset
+exits.  Both journals must also rebuild exactly from the run's saved
+events.csv through ``post_books``.
 
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the digests of
 the current code.
@@ -38,21 +38,15 @@ CASES = {
     ),
     "option_b_fraud": lambda: ScenarioConfig.calibration(
         target_classical_return="1.31", clawback_fraction="1.0",
-        clawback_option="B", audit_verdict=True,
+        audit_verdict=True,
     ),
     "option_b_cleared": lambda: ScenarioConfig.calibration(
         target_classical_return="1.31", clawback_fraction="1.0",
-        clawback_option="B", audit_verdict=False, bank_rate="0.03",
-    ),
-    "option_c": lambda: ScenarioConfig.calibration(
-        target_classical_return="1.31", clawback_option="C"
+        audit_verdict=False, bank_rate="0.03",
     ),
     "salvage_offset": lambda: ScenarioConfig(
         target_classical_return="1.31", salvage_mode="classical_multiple",
         exit_equity_mode="investment_offset",
-    ),
-    "horizon_12": lambda: ScenarioConfig.calibration(
-        target_classical_return="1.31", horizon=12, exit_year=10
     ),
 }
 
@@ -77,12 +71,6 @@ GOLDEN = {
         "bank_journal": "927b1c7268c647735e661b82a52561b2bc530948b539f1698c74fa24774d7bf9",
         "underwriter_journal": "69255a09c90d42cc4aaa6e410c7d1d6e42dac502b1d8d39c4d639745fe666455",
     },
-    "horizon_12": {
-        "report.csv": "b324324b0544c94d591c65fd467b94785b75d56d0f83b3537647596b1d204492",
-        "events.csv": "620ebf37901766b57aa2d6ce5e3cb4599b80e117bcf9ff549c3ce74dfd874d77",
-        "bank_journal": "a27fe628cef8672a8044e7d56f2d90058f427d7740951507a21c4b67c44280a4",
-        "underwriter_journal": "3e73408625b37d50088991075722eddf07e13d8b70038736f0e41a6ba04e1f35",
-    },
     "option_b_cleared": {
         "report.csv": "07a11688925cdf8e05a42956582c3e6ca237bd6824ea5baa11be803d8e40bbcf",
         "events.csv": "71c34a0510a10bc23f6fbb0f3c0b1ad3cd558f1a529059aec86abba091faeea3",
@@ -94,12 +82,6 @@ GOLDEN = {
         "events.csv": "c0d8a21e229faabf4ebf083eb1c9561f487c442627468ca45169f9056db1baab",
         "bank_journal": "1c184df270f98aaa429c9f7af72b89f128bfd0d587e8d096b9e5c99f162ef87c",
         "underwriter_journal": "216f15e34a9db1dc2e177705500375b2de7627d16487bcb54ea3896e4d6819cf",
-    },
-    "option_c": {
-        "report.csv": "b324324b0544c94d591c65fd467b94785b75d56d0f83b3537647596b1d204492",
-        "events.csv": "620ebf37901766b57aa2d6ce5e3cb4599b80e117bcf9ff549c3ce74dfd874d77",
-        "bank_journal": "a27fe628cef8672a8044e7d56f2d90058f427d7740951507a21c4b67c44280a4",
-        "underwriter_journal": "3e73408625b37d50088991075722eddf07e13d8b70038736f0e41a6ba04e1f35",
     },
     "salvage_offset": {
         "report.csv": "6b97d58e6d2b11ae10225ec58e8d035400bcb36277040b40af8e2ccdf5c80545",

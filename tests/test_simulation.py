@@ -353,8 +353,8 @@ class TestNoteLifecycle:
         "overrides",
         [
             dict(),
-            dict(clawback_option="C"),
-            dict(clawback_fraction="1.0", clawback_option="B", audit_verdict=True),
+            dict(failure_year=2, exit_year=15),
+            dict(clawback_fraction="1.0", audit_verdict=True),
             dict(salvage_mode="classical_multiple"),
             dict(clawback_fraction="0"),
         ],
@@ -414,17 +414,14 @@ class TestCloseout:
             ScenarioConfig(
                 target_classical_return="1.31",
                 clawback_fraction="1.0",
-                clawback_option="B",
             )
 
     def test_option_b_verdicts_set_recovery(self):
-        base = dict(target_classical_return="1.31", clawback_fraction="1.0",
-                    clawback_option="B")
+        base = dict(target_classical_return="1.31", clawback_fraction="1.0")
         confirmed = run_scenario(ScenarioConfig(audit_verdict=True, **base))
         cleared = run_scenario(ScenarioConfig(audit_verdict=False, **base))
         standard = run_scenario(
-            ScenarioConfig(target_classical_return="1.31",
-                           clawback_fraction="0.77", clawback_option="A")
+            ScenarioConfig(target_classical_return="1.31", clawback_fraction="0.77")
         )
         total = lambda r: sum(
             (e.amount for e in r.events if e.kind == "lien_settled"), Decimal(0)
@@ -533,12 +530,6 @@ class TestConfigValidation:
                                  "lending limit 20.000000000"):
             ScenarioConfig(coverage="0", target_classical_return="1.31")
 
-    def test_clawback_option_consistency(self):
-        with pytest.raises(InvalidParameterError):
-            ScenarioConfig(clawback_fraction="1.0", clawback_option="A")
-        with pytest.raises(InvalidParameterError):
-            ScenarioConfig(clawback_fraction="0.77", clawback_option="B")
-
     @pytest.mark.parametrize("field", ["premium_rate", "target_classical_return"])
     @pytest.mark.parametrize("value", ["abc", "NaN", "-Infinity"])
     def test_non_finite_decimal_rejected(self, field, value):
@@ -615,7 +606,7 @@ class TestConfigValidation:
             with pytest.raises(InvalidParameterError, match=r"bank_rate must be in \[0, 1\]"):
                 ScenarioConfig(bank_rate=value)
         with pytest.raises(InvalidParameterError):
-            ScenarioConfig(horizon=16)
+            ScenarioConfig(exit_year=16)
         with pytest.raises(InvalidParameterError):
             ScenarioConfig(failure_year=10, exit_year=10)
 
@@ -679,13 +670,13 @@ class TestSweep:
         "cfg, runs",
         [(ScenarioConfig.calibration(), 4),
          (ScenarioConfig.calibration(clawback_fraction="0.770"), 4),
-         (ScenarioConfig.calibration(clawback_fraction="0.77", clawback_option="C"), 5)],
-        ids=["calibration", "clawback_0770", "option_c"],
+         (ScenarioConfig.calibration(clawback_fraction="1.0", audit_verdict=True), 5)],
+        ids=["calibration", "clawback_0770", "option_b"],
     )
     def test_one_spread_and_one_run_per_distinct_config(self, monkeypatch, cfg, runs):
         # On calibration bank_claw077 is the base config (also at 0.770,
         # which compares equal to 0.77) and din_10y and din_net_profit
-        # share it; under option C bank_claw077 differs.
+        # share it; under full clawback bank_claw077 differs.
         calls = Counter()
         for name in ("synthesize_distribution", "rescale_to_target", "_simulate"):
             def counted(*args, _name=name, _fn=getattr(simulation, name), **kwargs):
@@ -825,21 +816,19 @@ class TestSweep:
         assert r.premium_earnings_10y > 0  # exit equity only
 
 
-# Valid clawback riders: (fraction, option, audit verdict).
+# Valid clawback riders: (fraction, audit verdict).
 RIDERS = (
-    ("0", "A", None),
-    ("0.77", "A", None),
-    ("0.77", "C", None),
-    ("1.0", "B", True),
-    ("1.0", "B", False),
+    ("0", None),
+    ("0.77", None),
+    ("1.0", True),
+    ("1.0", False),
 )
 
 
 @st.composite
 def small_configs(draw):
-    fraction, option, verdict = draw(st.sampled_from(RIDERS))
-    horizon = draw(st.integers(min_value=2, max_value=15))
-    exit_year = draw(st.integers(min_value=2, max_value=horizon))
+    fraction, verdict = draw(st.sampled_from(RIDERS))
+    exit_year = draw(st.integers(min_value=2, max_value=15))
     failure_year = draw(st.integers(min_value=1, max_value=exit_year - 1))
     return ScenarioConfig(
         n_funds=draw(st.integers(min_value=2, max_value=40)),
@@ -847,14 +836,12 @@ def small_configs(draw):
         coverage=draw(st.decimals(min_value="0.05", max_value="1", places=2)),
         premium_rate=draw(st.decimals(min_value="0", max_value="0.2", places=3)),
         clawback_fraction=fraction,
-        clawback_option=option,
         audit_verdict=verdict,
         salvage_mode=draw(st.sampled_from(simulation.SALVAGE_MODES)),
         exit_equity_mode=draw(st.sampled_from(simulation.EXIT_EQUITY_MODES)),
         target_classical_return=draw(st.sampled_from([None, "0.5", "1.31", "2.5"])),
         failure_year=failure_year,
         exit_year=exit_year,
-        horizon=horizon,
     )
 
 
@@ -903,7 +890,7 @@ class TestEngineProperty:
         assert len(settled) == len(created)
         for e in created:
             lien = ClawbackLien(e.fund_id, e.amount, e.detail.fraction, e.detail.origin,
-                                cfg.clawback_option, cfg.clawback_option == "C")
+                                cfg.clawback_policy().option)
             amount, lien = settle_clawback(lien, closeout, cfg.bank_rate,
                                            verdict=cfg.audit_verdict)
             row = settled[e.fund_id]
@@ -943,6 +930,8 @@ GRAMMAR_TEXT = st.sampled_from(["", "f000", "None"]) | st.text(
 OUTSIDE_GRAMMAR = st.none() | st.builds(
     "{}{}{}".format, GRAMMAR_TEXT, st.sampled_from(',"\r\n\0'), GRAMMAR_TEXT)
 DETAIL_DECIMALS = st.decimals(min_value=-10**6, max_value=10**6, places=9)
+# Details that are none of the detail records: a plain tuple or a string.
+NOT_A_DETAIL = st.tuples(DETAIL_DECIMALS, DETAIL_DECIMALS) | GRAMMAR_TEXT
 # Finite decimals of any exponent, at a third of the cost of st.decimals().
 DECIMALS = st.builds(lambda digits, exponent: Decimal(f"{digits}E{exponent}"),
                      st.integers(-10**20, 10**20), st.integers(-10**6, 10**6))
@@ -1028,10 +1017,12 @@ class TestEventLogWriter:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(logged_events, min_size=1, max_size=4), st.data())
     def test_refuses_a_field_outside_the_grammar(self, events, data):
-        # One field of the last event, or of its detail, is set outside the grammar.
+        # One field of the last event, or of its detail, is set outside the
+        # grammar, or its detail is not a detail record.
         last = events.pop()
-        fields = simulation.EVENT_COLUMNS[:5] + (last.detail._fields if last.detail else ())
-        name, value = data.draw(st.sampled_from(fields)), data.draw(OUTSIDE_GRAMMAR)
+        fields = simulation.EVENT_COLUMNS + (last.detail._fields if last.detail else ())
+        name = data.draw(st.sampled_from(fields))
+        value = data.draw(NOT_A_DETAIL if name == "detail" else OUTSIDE_GRAMMAR)
         if name in last._fields:
             last = last._replace(**{name: value})
         else:
