@@ -66,7 +66,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(raw)
@@ -75,6 +75,10 @@ def load_config(path: str) -> dict:
             f"config {path} is not valid JSON: {exc.msg} (line {exc.lineno}, "
             f"column {exc.colno})"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer past the interpreter's digit limit, or nesting deeper
+        # than its recursion limit.
+        raise ConfigError(f"config {path} cannot be read as JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     version = data.get("schema_version")
@@ -270,7 +274,7 @@ def cmd_audit(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
     try:
         with open(registry_path, encoding="utf-8") as handle:
             registry = import_records(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read registry {registry_path}: {exc}") from exc
 
     written: list[str] = []

@@ -411,7 +411,7 @@ def import_records(text: str) -> Registry:
             ) from exc
         except KeyError as exc:
             raise RegistryError(f"registry line {number}: missing field {exc}") from exc
-        except (TypeError, ValueError, ArithmeticError) as exc:
+        except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
             raise RegistryError(f"registry line {number}: {exc}") from exc
         registry.register(record)
         ref = raw.get("counterpart_ref")

@@ -123,28 +123,26 @@ def synthesize_distribution(seed: int, n_funds: int = 50,
     n_losers = min(max(n_losers, 1), n_funds - 1)
     n_survivors = n_funds - n_losers
 
-    values: list[float] = []
+    # One draw: NumPy fills an array from the same stream as repeated
+    # scalar draws, so the losers take the front and the survivors the back.
+    jitter = rng.uniform(0.2, 0.8, n_funds).tolist()
     width = spread.loser_ceiling - spread.loser_floor
-    for i in range(n_losers):
-        slot = (i + rng.uniform(0.2, 0.8)) / n_losers
-        values.append(spread.loser_floor + width * slot)
-    for i in range(n_survivors):
-        q = (i + rng.uniform(0.2, 0.8)) / n_survivors
-        values.append(1.0 + (spread.survivor_max - 1.0) * q ** spread.survivor_shape)
+    values = [spread.loser_floor + width * ((i + u) / n_losers)
+              for i, u in enumerate(jitter[:n_losers])]
+    rise, shape = spread.survivor_max - 1.0, spread.survivor_shape
+    values += [1.0 + rise * ((i + u) / n_survivors) ** shape
+               for i, u in enumerate(jitter[n_losers:])]
 
     values.sort(reverse=True)
-    outcomes = tuple(
-        _classified(f"f{i:03d}", money(v), FAILURE_THRESHOLD)
-        for i, v in enumerate(values)
-    )
-    dist = ReturnDistribution(
+    multiples = [money(v) for v in values]
+    return ReturnDistribution(
         seed=seed,
-        outcomes=outcomes,
-        target_mean=ZERO,  # replaced just below with the realized mean
+        outcomes=_outcomes([f"f{i:03d}" for i in range(n_funds)], multiples,
+                           FAILURE_THRESHOLD),
+        target_mean=money(sum(multiples, start=ZERO) / n_funds),
         failure_threshold=FAILURE_THRESHOLD,
         spread=spread,
     )
-    return replace(dist, target_mean=money(dist.mean()))
 
 
 def rescale_to_target(dist: ReturnDistribution, target_mean) -> ReturnDistribution:
@@ -172,16 +170,18 @@ def rescale_to_target(dist: ReturnDistribution, target_mean) -> ReturnDistributi
         if shifted is None:
             raise InfeasibleTargetError(f"no shift reaches mean {target}")
 
-    new_outcomes = tuple(
-        _classified(o.fund_id, value, dist.failure_threshold)
-        for o, value in zip(dist.outcomes, shifted)
-    )
-    return replace(dist, outcomes=new_outcomes, target_mean=target)
+    outcomes = _outcomes([o.fund_id for o in dist.outcomes], shifted,
+                         dist.failure_threshold)
+    return replace(dist, outcomes=outcomes, target_mean=target)
 
 
-def _classified(fund_id: str, multiple: Decimal, threshold: Decimal) -> FundOutcome:
-    kind = FAILURE if multiple < threshold else SURVIVOR
-    return FundOutcome(fund_id, multiple, kind)
+def _outcomes(fund_ids: list[str], multiples: list[Decimal],
+              threshold: Decimal) -> tuple[FundOutcome, ...]:
+    """One outcome per fund, a failure below threshold.  The multiples are
+    money already, so each is built by tuple.__new__ without a frame."""
+    new = tuple.__new__
+    return tuple([new(FundOutcome, (fund, m, FAILURE if m < threshold else SURVIVOR))
+                  for fund, m in zip(fund_ids, multiples)])
 
 
 def _solve_shift(ascending: list[Decimal], target: Decimal) -> Decimal | None:

@@ -20,7 +20,6 @@ from typing import NamedTuple, get_type_hints
 
 from .contracts import (
     BANKRUPTCY,
-    EXIT,
     TERM_CAP_YEARS,
     ClawbackPolicy,
     DinContract,
@@ -612,7 +611,7 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
                 _, settlement = apply_trigger(note, trigger, clawback=policy)
                 payouts.append(emit(
                     year, "bankruptcy_payout", fund, settlement.cash_to_bank,
-                    BankruptcyPayout(equity_valuation, outcome.ten_year_multiple),
+                    new(BankruptcyPayout, (equity_valuation, outcome.ten_year_multiple)),
                 ))
                 emit(year, "loan_written_off", fund, face)
                 if equity_valuation > 0:
@@ -627,19 +626,19 @@ def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, 
                       if outcome.classification != FAILURE]
 
     # Survivors exit in the last year, after its premiums; liens settle
-    # and parked payouts are costed in the same closeout year.
+    # and parked payouts are costed in the same closeout year.  An exit
+    # settles nothing the events record (no cash, no lien), and no note is
+    # read after it, so the exit trigger itself is not applied.
     closeout = config.exit_year
-    exit_event = TriggerEvent(EXIT, closeout)
     for note, outcome in zip(notes, dist.outcomes):
         if outcome.classification == FAILURE:
             continue
-        apply_trigger(note, exit_event)  # no note is read after its trigger
         proceeds = money(outcome.ten_year_multiple * note.principal)
         uw_share, bank_share = _exit_equity_split(
             proceeds, note.coverage, note.equity_fraction
         )
         emit(closeout, "exit_proceeds", note.contract_id, proceeds,
-             ExitProceeds(note.principal, uw_share, bank_share))
+             new(ExitProceeds, (note.principal, uw_share, bank_share)))
 
     # A lien's settlement depends on every field but its contract_id, so
     # a lien with the previous lien's terms reuses its amount and detail.

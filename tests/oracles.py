@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import io
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal
+
+import numpy as np
 
 ORACLE_TERM_BUDGET = 400_000  # max (n+1)^depth the brute-force evaluator will touch
 
@@ -128,3 +130,26 @@ def event_log_csv(events) -> str:
                               for name in e.detail._fields)
         writer.writerow([e.seq, e.year, e.kind, e.fund_id, str(e.amount), detail])
     return buf.getvalue()
+
+
+def per_fund_synthesis(seed: int, n_funds: int, spread) -> list[tuple[str, Decimal, str]]:
+    """(fund_id, multiple, classification) of every fund, sorted by
+    descending multiple: one scalar rng.uniform(0.2, 0.8) per fund, losers
+    first, then each value read through str() and rounded half-even to 9
+    places, as money() does."""
+    rng = np.random.default_rng(seed)
+    n_losers = min(max(int(round(n_funds * spread.loser_fraction)), 1), n_funds - 1)
+    n_survivors = n_funds - n_losers
+    values = []
+    for i in range(n_losers):
+        slot = (i + rng.uniform(0.2, 0.8)) / n_losers
+        values.append(spread.loser_floor + (spread.loser_ceiling - spread.loser_floor) * slot)
+    for i in range(n_survivors):
+        q = (i + rng.uniform(0.2, 0.8)) / n_survivors
+        values.append(1.0 + (spread.survivor_max - 1.0) * q ** spread.survivor_shape)
+    values.sort(reverse=True)
+    funds = []
+    for i, v in enumerate(values):
+        m = Decimal(str(v)).quantize(Decimal("0.000000001"), rounding=ROUND_HALF_EVEN)
+        funds.append((f"f{i:03d}", m, "failure" if m < 1 else "survivor"))
+    return funds

@@ -204,13 +204,23 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "9"]) == 0
         assert sha(out1 / "events.csv") != sha(out2 / "events.csv")
 
-    def test_bad_json_reports_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, names", [
+        (b'{"schema_version": 1,\n  "scenario": {,}\n}', "line 2"),
+        # Past the interpreter's limit of 4300 digits for reading an int.
+        (b'{"schema_version": 1, "scenario": {"seed": 1' + b"0" * 5000 + b"}}",
+         "5001 digits"),
+        # Nested deeper than the interpreter's recursion limit.
+        (b'{"schema_version": 1, "scenario": {"seed": '
+         + b"[" * 200000 + b"]" * 200000 + b"}}", "recursion"),
+        (b'{"schema_version": 1, "scenario": {"seed": "\xff"}}', "utf-8"),
+    ], ids=["syntax", "digits", "depth", "encoding"])
+    def test_bad_json_reports_line(self, tmp_path, capsys, text, names):
         path = tmp_path / "broken.json"
-        path.write_text('{"schema_version": 1,\n  "scenario": {,}\n}')
+        path.write_bytes(text)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
-        err = json.loads(capsys.readouterr().err)
+        err = error_line(capsys)
         assert err["kind"] == "ConfigError"
-        assert "line 2" in err["error"]
+        assert str(path) in err["error"] and names in err["error"]
 
     def test_wrong_schema_version(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schema_version": 99, "scenario": {}})
@@ -508,7 +518,9 @@ class TestAudit:
 
     @pytest.mark.parametrize("line", ['{"din_id": "a"', '{"din_id": "a"}', "[1]",
                                       TERTIARY_RECORD, primary_line(vintage_year="2024"),
-                                      primary_line(attached="false")])
+                                      primary_line(attached="false"),
+                                      pytest.param("[" * 200000 + "]" * 200000,
+                                                   id="nested-200000")])
     def test_malformed_registry_is_one_json_line(self, tmp_path, capsys, line):
         path = tmp_path / "registry.jsonl"
         path.write_text(line + "\n")
@@ -519,6 +531,17 @@ class TestAudit:
         err = error_line(capsys)
         assert err["kind"] == "RegistryError"
         assert "registry line 1" in err["error"]
+
+    def test_registry_that_is_not_utf8_is_one_json_line(self, tmp_path, capsys):
+        path = tmp_path / "registry.jsonl"
+        path.write_bytes(b'{"din_id": "\xff"}\n')
+        manifest = write_config(
+            tmp_path, {"schema_version": 1, "audit": {"registry_path": str(path)}}
+        )
+        assert main(["audit", "--config", manifest, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "ConfigError"
+        assert str(path) in err["error"]
 
     @pytest.mark.parametrize("multiple", ['"NaN"', '"sNaN"', '"Infinity"', '"-2"'])
     def test_bad_expected_multiple_is_one_json_line(self, tmp_path, capsys, multiple):

@@ -14,7 +14,7 @@ from venturebank.returns import (
     synthesize_distribution,
 )
 
-from oracles import rank_correlation, streaming_mean
+from oracles import per_fund_synthesis, rank_correlation, streaming_mean
 
 
 class TestSynthesize:
@@ -61,6 +61,21 @@ class TestSynthesize:
         survivors = sum(1 for o in dist.outcomes if o.classification == SURVIVOR)
         assert failures == dist.failure_count()
         assert failures + survivors == 50
+
+    @pytest.mark.parametrize("n_funds", [2, 3, 50, 2000])
+    @pytest.mark.parametrize("spread", [
+        SpreadParams(),
+        SpreadParams(loser_fraction=0.5, loser_floor=0.0, loser_ceiling=0.9,
+                     survivor_max=10.0, survivor_shape=3.5),
+        SpreadParams(loser_fraction=0.95, survivor_max=1.5, survivor_shape=0.5),
+    ])
+    def test_one_draw_equals_per_fund_draws(self, spread, n_funds):
+        # What is checked is the stream's order, which shows at any size,
+        # so 2000 funds take three seeds to keep the suite short.
+        seeds = (*range(200), 2024, 2**32 + 5) if n_funds < 2000 else (0, 2024, 2**32 + 5)
+        for seed in seeds:
+            dist = synthesize_distribution(seed=seed, n_funds=n_funds, spread=spread)
+            assert dist.outcomes == tuple(per_fund_synthesis(seed, n_funds, spread))
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

@@ -369,6 +369,23 @@ class TestNoteLifecycle:
         assert sorted(liens) == (sorted(paid) if cfg.clawback_policy() else [])
         assert not exited & set(liens)
 
+    @pytest.mark.parametrize("salvage_mode", ["zero", "classical_multiple"])
+    def test_only_failures_are_triggered(self, monkeypatch, salvage_mode):
+        # Each failure takes its own bankruptcy trigger; an exit records no
+        # settlement, so survivors take none.
+        cfg = ScenarioConfig.calibration(n_funds=2000, salvage_mode=salvage_mode)
+        calls = Counter()
+        def counted(note, event, *args, _fn=simulation.apply_trigger, **kwargs):
+            calls[event.kind] += 1
+            return _fn(note, event, *args, **kwargs)
+        monkeypatch.setattr(simulation, "apply_trigger", counted)
+        events = simulate(cfg)
+        failed = [e.fund_id for e in events if e.kind == "bankruptcy_payout"]
+        assert calls == Counter(bankruptcy=len(failed))
+        created = [e.fund_id for e in events if e.kind == "lien_created"]
+        assert created == [e.fund_id for e in events if e.kind == "lien_settled"]
+        assert created == failed
+
 
 class TestCloseout:
     def test_payout_of_100_keeps_23(self):
