@@ -61,18 +61,20 @@ def finite(value, name: str) -> Decimal:
 
     A Decimal is returned as given, exponent and all; a str or an int is
     read exactly, and anything else goes through str(), so a float is read
-    as it prints.  NaN, sNaN, infinities and text that is not a number
-    raise InvalidParameterError naming `name`.
+    as it prints.  NaN, sNaN, infinities, text that is not a number and a
+    bool (an int to Python, but JSON's true or false, not a number) raise
+    InvalidParameterError naming `name`.
     """
-    try:
-        if isinstance(value, Decimal):
-            d = value
-        else:
+    if isinstance(value, Decimal):
+        if value.is_finite():
+            return value
+    elif not isinstance(value, bool):
+        try:
             d = Decimal(value if isinstance(value, (str, int)) else str(value))
-        if d.is_finite():
-            return d
-    except ArithmeticError:
-        pass
+            if d.is_finite():
+                return d
+        except ArithmeticError:
+            pass
     raise InvalidParameterError(f"{name} must be a finite decimal, got {str(value)!r}")
 
 

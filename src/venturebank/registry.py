@@ -86,7 +86,7 @@ class RegistryRecord(_RecordFields):
                 f"vintage_year must be an int, got {vintage_year!r}")
         _check_attached(attached)
         _check_status(status)
-        principal = money(principal)
+        principal = money(finite(principal, "principal"))
         if principal < 0:
             raise InvalidParameterError("principal must be >= 0")
         if expected_multiple is not None:

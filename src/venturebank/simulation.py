@@ -1,8 +1,9 @@
 """Scenario engine: `simulate` drives every fund's note through its
 lifecycle and returns the run's event log; `post_books` derives both sets
 of books from a log and `replay` prices it.  `run_scenario` is `simulate`
-then `replay`; its report derives the books from the log when they are
-first read.  The return-sweep curves price each point with `replay`.
+then `replay`; its report keeps the log, so `post_books(report.events,
+report.config)` gives its books.  The return-sweep curves price each point
+with `replay`.
 
 Every reported number is an aggregate over the run's event log, so a
 serialized log replays to the identical report.
@@ -10,7 +11,6 @@ serialized log replays to the identical report.
 from __future__ import annotations
 
 import csv
-import enum
 import functools
 import io
 import re
@@ -154,7 +154,7 @@ class ScenarioConfig:
         if self.exit_equity_mode not in EXIT_EQUITY_MODES:
             raise InvalidParameterError(
                 f"exit_equity_mode must be one of {EXIT_EQUITY_MODES}")
-        if self.audit_verdict not in (None, True, False):
+        if self.audit_verdict is not None and not isinstance(self.audit_verdict, bool):
             raise InvalidParameterError("audit_verdict must be true, false or null")
         if self.clawback_fraction == Decimal("1.0") and self.audit_verdict is None:
             raise InvalidParameterError(
@@ -424,46 +424,10 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
     return tuple(out)
 
 
-class _OnDemand(enum.Enum):
-    # An enum member, so that a pickled report's unread ledger is still
-    # ON_DEMAND when loaded.
-    ON_DEMAND = "on_demand"
-
-
-# A report ledger field's value until a read derives the ledger.
-ON_DEMAND = _OnDemand.ON_DEMAND
-
-
-class _Book:
-    """A SimulationReport ledger field.  The constructor's value is kept
-    as given, unless it is ON_DEMAND: then the first read of either ledger
-    derives every ON_DEMAND ledger of the report from its events, by one
-    post_books call, and keeps them."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            # No class-level value, so the dataclass field has no default.
-            raise AttributeError(self.name)
-        books = report.__dict__
-        if books[self.name] is ON_DEMAND:
-            bank, underwriter = post_books(report.events, report.config)
-            for name, ledger in (("bank_ledger", bank),
-                                 ("underwriter_ledger", underwriter)):
-                if books[name] is ON_DEMAND:
-                    books[name] = ledger
-        return books[self.name]
-
-    def __set__(self, report, value) -> None:
-        report.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class SimulationReport:
-    """One run's figures and event log.  The two ledgers are given to the
-    constructor, or ON_DEMAND: derived from the events on first read."""
+    """One run's figures and event log.  Its books are
+    `post_books(report.events, report.config)`."""
 
     config: ScenarioConfig
     classical_return: float
@@ -474,8 +438,10 @@ class SimulationReport:
     din_yearly_return: float
     bank_10y_return: float
     events: tuple[Event, ...]
-    bank_ledger: Ledger = _Book()
-    underwriter_ledger: Ledger = _Book()
+    # Nothing in the package sets these; perfbench's worker still passes
+    # None for both.
+    bank_ledger: Ledger | None = None
+    underwriter_ledger: Ledger | None = None
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -861,15 +827,10 @@ def replay(events, config: ScenarioConfig) -> dict:
 
 @in_money_context
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
-    """simulate, then replay's figures; the books wait for a reader."""
+    """simulate, then replay's figures.  The books are
+    `post_books(report.events, report.config)`."""
     events = simulate(config)
-    return SimulationReport(
-        config=config,
-        events=events,
-        bank_ledger=ON_DEMAND,
-        underwriter_ledger=ON_DEMAND,
-        **replay(events, config),
-    )
+    return SimulationReport(config=config, events=events, **replay(events, config))
 
 
 @dataclass(frozen=True)

@@ -317,13 +317,7 @@ def test_criterion_9_property_suite():
         report = run_scenario(config)
         events = events_from_csv(events_to_csv(report.events))
         figures = replay(events, config)
-        twin = SimulationReport(
-            config=config,
-            events=events,
-            bank_ledger=report.bank_ledger,
-            underwriter_ledger=report.underwriter_ledger,
-            **figures,
-        )
+        twin = SimulationReport(config=config, events=events, **figures)
         replay_ok &= twin.to_csv() == report.to_csv()
 
     elapsed = time.perf_counter() - started

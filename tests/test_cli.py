@@ -264,6 +264,15 @@ class TestSimulate:
             # clawback_fraction fixes the rider's option.
             ({"horizon": 10}, "ConfigError"),
             ({"clawback_option": "A"}, "ConfigError"),
+            # JSON true and false are not numbers, and a number is not a verdict.
+            ({"premium_rate": True}, "InvalidParameterError"),
+            ({"coverage": True}, "InvalidParameterError"),
+            ({"moc": True}, "InvalidParameterError"),
+            ({"initial_capital": True}, "InvalidParameterError"),
+            ({"target_classical_return": True}, "InvalidParameterError"),
+            ({"equity_fraction": False}, "InvalidParameterError"),
+            ({"clawback_fraction": "1.0", "audit_verdict": 1}, "InvalidParameterError"),
+            ({"clawback_fraction": "1.0", "audit_verdict": 0.0}, "InvalidParameterError"),
         ],
     )
     def test_bad_field_is_one_json_line(self, tmp_path, capsys, scenario, kind):

@@ -31,6 +31,8 @@ from venturebank.returns import rescale_to_target, synthesize_distribution
 from venturebank.simulation import EVENT_COLUMNS, ScenarioConfig, events_from_csv
 
 NOT_FINITE = ("NaN", "sNaN", "Infinity", "-Infinity", "abc", float("nan"))
+# JSON's true and false: ints to Python, but no amount, rate or fraction.
+NOT_NUMBERS = (True, False)
 
 
 def record(**fields) -> RegistryRecord:
@@ -85,7 +87,7 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", NOT_FINITE, ids=repr)
+@pytest.mark.parametrize("value", NOT_FINITE + NOT_NUMBERS, ids=repr)
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_non_finite_input_is_refused_typed(entry, value):
     # Whether or not the caller's context traps InvalidOperation, the
@@ -111,7 +113,8 @@ class TestFinite:
     def test_other_values_are_read_exactly(self, value, want):
         assert str(finite(value, "x")) == want
 
-    @pytest.mark.parametrize("value", NOT_FINITE + (Decimal("NaN"), float("inf"), None))
+    @pytest.mark.parametrize(
+        "value", NOT_FINITE + (Decimal("NaN"), float("inf"), None) + NOT_NUMBERS)
     def test_refusal_names_the_value(self, value):
         with pytest.raises(InvalidParameterError,
                            match=f"^premium must be a finite decimal, got '{value}'$"):
@@ -128,4 +131,11 @@ class TestFraction:
     def test_out_of_range_names_field_and_bound(self, value, open_low):
         bound = r"\(0, 1\]" if open_low else r"\[0, 1\]"
         with pytest.raises(InvalidParameterError, match=f"^f must be in {bound}, got {value}$"):
+            fraction(value, "f", open_low=open_low)
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("open_low", [False, True])
+    def test_bool_is_refused_by_name(self, value, open_low):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^f must be a finite decimal, got '{value}'$"):
             fraction(value, "f", open_low=open_low)

@@ -493,6 +493,8 @@ class TestImportParity:
             ([record_line(din_id="p1", counterpart_ref="zz"),
               record_line(din_id="x", kind="bad")], RegistryError,
              "registry line 2: record kind must be primary/secondary, got 'bad'"),
+            ([GOOD, record_line(principal=True)], RegistryError,
+             "registry line 2: principal must be a finite decimal, got 'True'"),
         ],
     )
     def test_failure_class(self, lines, error, message):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from venturebank.contracts import TERM_CAP_YEARS, ClawbackLien, settle_clawback
 from venturebank.errors import InvalidParameterError, SimulationError, VentureBankError
-from venturebank.ledger import Account, Ledger, carrying_cost
+from venturebank.ledger import Account, carrying_cost
 from venturebank.money import DECIMAL_CONTEXT, money
 from venturebank.returns import FAILURE
 from venturebank import simulation
@@ -77,9 +77,10 @@ class TestReportIdentities:
 
 class TestBooksAndEvents:
     def test_trial_balances_close(self):
-        r = run_scenario(ScenarioConfig.calibration(target_classical_return="1.31"))
-        assert r.bank_ledger.trial_balance() == 0
-        assert r.underwriter_ledger.trial_balance() == 0
+        cfg = ScenarioConfig.calibration(target_classical_return="1.31")
+        bank, underwriter = post_books(run_scenario(cfg).events, cfg)
+        assert bank.trial_balance() == 0
+        assert underwriter.trial_balance() == 0
 
     def test_loan_faces_sum_exactly(self):
         r = run_scenario(ScenarioConfig(target_classical_return="1.31", n_funds=7))
@@ -141,7 +142,7 @@ class TestBooksAndEvents:
         assert r.bank_10y_return == pytest.approx(float((c + gains) / c), abs=1e-12)
 
 
-class TestBooksOnDemand:
+class TestReportIsAValue:
     CFG = ScenarioConfig.calibration(target_classical_return="1.31")
 
     @pytest.fixture
@@ -155,40 +156,21 @@ class TestBooksOnDemand:
         monkeypatch.setattr(simulation, "post_books", counting)
         return calls
 
-    def test_no_books_until_a_ledger_is_read(self, post_books_calls):
-        report = run_scenario(self.CFG)
-        report.to_csv(), events_to_csv(report.events)
+    def test_two_runs_compare_and_hash_equal(self, post_books_calls):
+        a, b = run_scenario(self.CFG), run_scenario(self.CFG)
+        assert a == b
+        assert hash(a) == hash(b)
         assert post_books_calls == []
-        bank = report.bank_ledger
-        assert post_books_calls == [self.CFG]
-        underwriter = report.underwriter_ledger
-        assert report.bank_ledger is bank and report.underwriter_ledger is underwriter
-        assert post_books_calls == [self.CFG]
-        expected = post_books(report.events, self.CFG)
-        assert (bank.transactions, underwriter.transactions) == tuple(
-            ledger.transactions for ledger in expected)
 
-    def test_given_ledgers_come_back_unchanged(self, post_books_calls):
+    def test_pickled_report_round_trips_equal(self, post_books_calls):
         report = run_scenario(self.CFG)
-        bank = Ledger("given")
-        figures = {name: getattr(report, name) for name in replay(report.events, self.CFG)}
-        given = simulation.SimulationReport(
-            config=self.CFG, events=report.events, bank_ledger=bank,
-            underwriter_ledger=None, **figures)
-        assert given.bank_ledger is bank and given.underwriter_ledger is None
+        assert pickle.loads(pickle.dumps(report)) == report
         assert post_books_calls == []
-        half = simulation.SimulationReport(
-            config=self.CFG, events=report.events, bank_ledger=bank,
-            underwriter_ledger=simulation.ON_DEMAND, **figures)
-        assert half.underwriter_ledger.transactions == \
-            post_books(report.events, self.CFG)[1].transactions
-        assert half.bank_ledger is bank and len(post_books_calls) == 1
 
-    def test_unread_books_survive_pickling(self):
-        report = pickle.loads(pickle.dumps(run_scenario(self.CFG)))
-        bank, underwriter = post_books(report.events, self.CFG)
-        assert report.bank_ledger.transactions == bank.transactions
-        assert report.underwriter_ledger.transactions == underwriter.transactions
+    def test_repr_posts_no_books(self, post_books_calls):
+        text = repr(run_scenario(self.CFG))
+        assert "bank_ledger=None, underwriter_ledger=None" in text
+        assert post_books_calls == []
 
 
 class TestEventLogParsing:
@@ -405,7 +387,8 @@ class TestCloseout:
         assert [e.amount for e in payouts] == [Decimal("100")] * 2
         assert [e.amount for e in settlements] == [Decimal("77")] * 2
         assert payouts[0].amount - settlements[0].amount == Decimal("23")
-        assert r.bank_ledger.balance(Account.LIEN_OBLIGATIONS) == 0
+        bank, _ = post_books(r.events, cfg)
+        assert bank.balance(Account.LIEN_OBLIGATIONS) == 0
 
     def test_no_failures_no_liens(self):
         r = run_scenario(ScenarioConfig(target_classical_return="2.5"))
@@ -447,12 +430,12 @@ class TestCloseout:
         assert total(confirmed) > total(cleared)
 
     def test_no_rider_means_no_clawback_flow(self):
-        r = run_scenario(
-            ScenarioConfig(target_classical_return="1.10", clawback_fraction="0")
-        )
+        cfg = ScenarioConfig(target_classical_return="1.10", clawback_fraction="0")
+        r = run_scenario(cfg)
         assert count_events(r.events, "lien_created") == 0
         assert count_events(r.events, "lien_settled") == 0
-        assert r.bank_ledger.balance(Account.LIEN_OBLIGATIONS) == 0
+        bank, _ = post_books(r.events, cfg)
+        assert bank.balance(Account.LIEN_OBLIGATIONS) == 0
 
 
 class TestBookKeeper:
@@ -526,14 +509,13 @@ class TestDecimalContext:
             report_csv, events_csv = report.to_csv(), events_to_csv(report.events)
             replayed = replay(events_from_csv(events_csv), cfg)
             simulated_csv = events_to_csv(simulate(cfg))
-            books = report.bank_ledger.balances(), report.underwriter_ledger.balances()
+            books = [ledger.balances() for ledger in post_books(report.events, cfg)]
             assert getcontext().prec == 12
         assert report_csv == expected.to_csv()
         assert events_csv == events_to_csv(expected.events)
         assert simulated_csv == events_csv
         assert replayed["underwriter_investment"] == expected.underwriter_investment
-        assert books == (expected.bank_ledger.balances(),
-                         expected.underwriter_ledger.balances())
+        assert books == [ledger.balances() for ledger in post_books(expected.events, cfg)]
 
 
 class TestConfigValidation:
@@ -547,11 +529,21 @@ class TestConfigValidation:
                                  "lending limit 20.000000000"):
             ScenarioConfig(coverage="0", target_classical_return="1.31")
 
-    @pytest.mark.parametrize("field", ["premium_rate", "target_classical_return"])
-    @pytest.mark.parametrize("value", ["abc", "NaN", "-Infinity"])
+    # JSON's true and false are ints to Python; neither is a rate or amount.
+    @pytest.mark.parametrize("field", [
+        "premium_rate", "target_classical_return", "reserve_fraction",
+        "equity_fraction", "coverage", "clawback_fraction", "bank_rate", "moc",
+        "initial_capital"])
+    @pytest.mark.parametrize("value", ["abc", "NaN", "-Infinity", True, False])
     def test_non_finite_decimal_rejected(self, field, value):
         with pytest.raises(InvalidParameterError, match=f"{field} must be a finite decimal"):
             ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("verdict", [1, 0, 1.0, 0.0, "yes"])
+    def test_audit_verdict_is_a_bool_or_null(self, verdict):
+        with pytest.raises(InvalidParameterError,
+                           match="^audit_verdict must be true, false or null$"):
+            ScenarioConfig(clawback_fraction="1.0", audit_verdict=verdict)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -935,9 +927,8 @@ class TestEngineProperty:
         assert events == report.events
         figures = replay(events, cfg)
         assert figures == {name: getattr(report, name) for name in figures}
-        bank, underwriter = post_books(events, cfg)
-        assert bank.transactions == report.bank_ledger.transactions
-        assert underwriter.transactions == report.underwriter_ledger.transactions
+        assert [ledger.transactions for ledger in post_books(events, cfg)] == [
+            ledger.transactions for ledger in post_books(report.events, cfg)]
 
 
 # Cells in the event-log grammar, and fields outside it: None, or text
