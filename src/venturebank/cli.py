@@ -82,7 +82,8 @@ def load_config(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # Only the JSON integer 1: true and 1.0 compare equal to it in Python.
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
             f"config schema_version {version!r} unsupported (expected {SCHEMA_VERSION})"
         )

@@ -1,12 +1,14 @@
-"""Scenario engine: `simulate` drives every fund's note through its
-lifecycle and returns the run's event log; `post_books` derives both sets
-of books from a log and `replay` prices it.  `run_scenario` is `simulate`
-then `replay`; its report keeps the log, so `post_books(report.events,
-report.config)` gives its books.  The return-sweep curves price each point
-with `replay`.
+"""Scenario engine: `fund_rows` drives every fund's note through its
+lifecycle into one row per fund; `render` writes the rows as the run's
+event log, `rows_of` folds a log back into rows, and `price` prices rows
+into the report figures.  `simulate` is rows then `render`, `replay` is
+`rows_of` then `price`, and `run_scenario` renders and prices the same
+rows; its report keeps the log, so `post_books(report.events,
+report.config)` gives its books.  The return-sweep curves price each
+point's rows and never build a log.
 
-Every reported number is an aggregate over the run's event log, so a
-serialized log replays to the identical report.
+Every reported number is priced from rows that the run's log folds back
+to, so a serialized log replays to the identical report.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import functools
 import io
 import re
 from dataclasses import dataclass, field, replace
-from decimal import Decimal
+from decimal import Decimal, Inexact, localcontext
 from typing import NamedTuple, get_type_hints
 
 from .contracts import (
@@ -50,7 +52,16 @@ from .ledger import (
     dr,
     write_investment_loan,
 )
-from .money import finite, fmt, fraction, in_money_context, money
+from .money import (
+    DECIMAL_CONTEXT,
+    MONEY_LIMIT,
+    ZERO,
+    finite,
+    fmt,
+    fraction,
+    in_money_context,
+    money,
+)
 
 # Config validation checks the loan book against the engine's post-booking
 # lending limit (_opening_book), not this ceiling; the name stays bound
@@ -85,12 +96,21 @@ EVENT_COLUMNS = ("seq", "year", "kind", "fund_id", "amount", "detail")
 # Beyond this a portfolio is refused before anything is allocated for it.
 MAX_FUNDS = 100_000
 
+# A float survivor multiple exceeds survivor_max by at most two roundings,
+# each below survivor_max * 2**-52.
+_FLOAT_SLACK = 1 + Decimal(2) ** -50
+
+# Sums that must not round: the totals of a log and of a run's rows.
+_EXACT = DECIMAL_CONTEXT.copy()
+_EXACT.traps[Inexact] = True
+
 
 def _finite_decimal(name: str, value) -> Decimal:
     """finite(value, name), held to the money scale as well."""
     try:
         d = finite(value, name)
-        money(d)  # refuses a value past the money scale
+        if d.adjusted() >= 18:  # below 1E+18 money() cannot refuse it
+            money(d)  # refuses a value past the money scale
         return d
     except InvalidParameterError:
         raise InvalidParameterError(
@@ -182,6 +202,28 @@ class ScenarioConfig:
                 f"9 decimal places (moc {self.moc}, initial_capital "
                 f"{self.initial_capital}, n_funds {self.n_funds})"
             )
+        # Every amount of a run, every total of its log and every figure
+        # priced from them is at most `reach`: the capital, plus the book
+        # times its premiums over exit_year, its payouts, its funds' values
+        # at failure or exit, and its liens and carrying costs grown at
+        # bank_rate to closeout.  A multiple is at most survivor_max, up to
+        # two float roundings, plus the rescaling shift, itself at most the
+        # target; each 1 covers rounding to 9 places.  Below MONEY_LIMIT
+        # every sum of them is exact at 28 digits, in any order.
+        largest = (Decimal(self.spread.survivor_max) * _FLOAT_SLACK
+                   + max(self.target_classical_return or ZERO, ZERO) + 1)
+        growth = (1 + self.bank_rate) ** (self.exit_year - self.failure_year)
+        reach = self.initial_capital + 1 + book * (
+            1 + self.premium_rate * self.exit_year + largest + 2 * growth)
+        if reach >= MONEY_LIMIT:
+            raise InvalidParameterError(
+                f"initial_capital {self.initial_capital} and moc {self.moc} with "
+                f"target_classical_return {self.target_classical_return}, "
+                f"spread.survivor_max {self.spread.survivor_max}, premium_rate "
+                f"{self.premium_rate} over exit_year {self.exit_year} and "
+                f"bank_rate {self.bank_rate} from failure_year "
+                f"{self.failure_year} let a run's amounts reach {reach:.3E}, "
+                f"past the money scale of 19 digits before the point")
 
     @functools.cached_property
     def opening_book(self) -> tuple[Decimal, CapitalAccount, Decimal, Decimal, Decimal]:
@@ -481,161 +523,148 @@ def _opening_book(config: ScenarioConfig
     return book, capital, booked, per, book - per * (config.n_funds - 1)
 
 
-@in_money_context
-def simulate(config: ScenarioConfig) -> tuple[Event, ...]:
-    """Run one scenario and return its event log.
+class FundRow(NamedTuple):
+    """One fund's run: render logs it, rows_of folds it back from a log,
+    price prices it.  A field whose event the fund does not log is None."""
 
-    Year 0 injects capital, books the insured-note value and writes one
-    loan per fund.  Each year every active note pays its premium; then, in
-    distribution order, the failures settle at failure_year and the exits
-    at exit_year.  Closeout at exit_year settles the liens in note order,
-    charges the carrying cost of each parked payout, and releases the
-    capital booking.
-    """
+    fund_id: str
+    face: Decimal | None  # loan_issued
+    premium: Decimal | None  # the first premium_paid
+    years: int  # premiums paid
+    premiums: Decimal | None  # their total
+    payout: Decimal | None  # bankruptcy_payout and its detail
+    failure: BankruptcyPayout | None
+    worth: Decimal | None  # multiple * face at failure
+    salvage: Decimal | None  # equity_accepted
+    lien: Decimal | None  # lien_created and its detail
+    lien_terms: LienCreated | None
+    clawed: Decimal | None  # lien_settled and its detail
+    settled: LienSettled | None
+    carrying: Decimal | None  # carrying_cost
+    proceeds: Decimal | None  # exit_proceeds and its detail
+    exit: ExitProceeds | None
+
+
+@in_money_context
+def fund_rows(config: ScenarioConfig) -> tuple[FundRow, ...]:
+    """Run one scenario: one row per fund, in distribution order."""
     dist = synthesize_distribution(
         seed=config.seed, n_funds=config.n_funds, spread=config.spread
     )
     if config.target_classical_return is not None:
         dist = rescale_to_target(dist, config.target_classical_return)
-    return _simulate(config, dist)
+    return _fund_rows(config, dist)
 
 
-def _simulate(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[Event, ...]:
-    """simulate's engine, on a spread already synthesized and rescaled for
-    config.  The sweep calls it directly to share one spread between the
-    curves of a grid point."""
+@in_money_context
+def simulate(config: ScenarioConfig) -> tuple[Event, ...]:
+    """Run one scenario and return its event log, the rendering of its rows."""
+    return render(fund_rows(config), config)
+
+
+def _fund_rows(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[FundRow, ...]:
+    """fund_rows' engine, on a spread already synthesized and rescaled for
+    config; the sweep calls it directly to share one spread between the
+    curves of a grid point.  Failures of one class (equal faces and
+    valuations) are adjacent, so the trigger, the lien's settlement and the
+    carrying cost are reused until their inputs change."""
+    # Notes, triggers and the arithmetic take their inputs unchecked: the
+    # config was checked when built, which also refused a loan face <= 0
+    # and any amount past the money scale.  A row, a note or a detail is
+    # built by tuple.__new__ itself.
+    _, _, _, per, last = config.opening_book
+    coverage, equity_fraction = config.coverage, config.equity_fraction
+    terms = (coverage, equity_fraction, DinState.ACTIVE, ())
+    policy, rate, zero = config.clawback_policy(), config.bank_rate, config.salvage_mode == "zero"
+    failed, closeout, new, rows = config.failure_year, config.exit_year, tuple.__new__, []
+    # Every note but the last has the same face and terms: one premium,
+    # and one total to each trigger year.
+    paid = {}
+    for face in {per, last}:
+        premium = annual_premium(new(DinContract, ("", face, *terms)), config.premium_rate)
+        paid[face] = (premium, failed, premium * failed), (premium, closeout, premium * closeout)
+    trigger = lien_key = parked_at = None
+    for (fund, multiple, classification), face in zip(
+            dist.outcomes, [per] * (config.n_funds - 1) + [last]):
+        if classification != FAILURE:
+            # An exit settles nothing a row records: its trigger is not applied.
+            proceeds = money(multiple * face)
+            shares = _exit_equity_split(proceeds, coverage, equity_fraction)
+            rows.append(new(FundRow, (fund, face, *paid[face][1], *(None,) * 9, proceeds,
+                                      new(ExitProceeds, (face, *shares)))))
+            continue
+        worth = money(multiple * face)
+        valuation = ZERO if zero else worth
+        if trigger is None or trigger.payload != valuation:
+            trigger = TriggerEvent._make((BANKRUPTCY, failed, valuation))
+        _, settlement = apply_trigger(new(DinContract, (fund, face, *terms)), trigger,
+                                      clawback=policy)
+        payout, lien = settlement.cash_to_bank, settlement.lien
+        # A lien's settlement depends on every field but its contract_id.
+        if lien is not None and lien[1:] != lien_key:
+            lien_key = lien[1:]
+            clawed, resolved = settle_clawback(lien, closeout, rate, verdict=config.audit_verdict)
+            settled = (LienCreated(lien.fraction, lien.origin_year), clawed,
+                       LienSettled(resolved.fraction))
+        # Parked to closeout, the payout costs the underwriter its interest.
+        parked = payout - valuation
+        if parked > 0 and parked != parked_at:
+            parked_at, cost = parked, _carrying_cost(parked, closeout - failed, rate)
+        rows.append(new(FundRow, (
+            fund, face, *paid[face][0], payout, new(BankruptcyPayout, (valuation, multiple)),
+            worth, valuation if valuation > 0 else None,
+            *((None,) * 4 if lien is None else (lien.base, *settled)),
+            cost if parked > 0 and cost > 0 else None, None, None)))
+    return tuple(rows)
+
+
+@in_money_context
+def render(rows: tuple[FundRow, ...], config: ScenarioConfig) -> tuple[Event, ...]:
+    """The event log of a run's rows.  Year 0 injects capital, books the
+    insured-note value and writes one loan per fund.  Each year every
+    active note pays its premium; then, in distribution order, the failures
+    settle at failure_year.  Closeout at exit_year logs the exits, then
+    the liens settled and the payouts' carrying costs in note order, and
+    releases the capital booking."""
     events: list[Event] = []
-    # Each tuple below has Event's six fields, so an event is built by
-    # tuple.__new__ itself, with neither the Python frame of Event(...) nor
-    # the length check of Event._make.
-    new = tuple.__new__
+    new = tuple.__new__  # an Event's six fields make an Event
 
-    def emit(year: int, kind: str, fund_id: str, amount: Decimal,
-             detail=None) -> Event:
-        # Every amount arrives quantized to 9 places.
-        event = new(Event, (len(events), year, kind, fund_id, amount, detail))
-        events.append(event)
-        return event
+    def emit(year: int, kind: str, fund_id: str, amount: Decimal, detail=None) -> None:
+        events.append(new(Event, (len(events), year, kind, fund_id, amount, detail)))
 
+    book, capital, booked, _, _ = config.opening_book
     emit(0, "capital_injection", "", money(config.initial_capital))
-
-    # Insured-note value stands in as capital first, widening the loan
-    # ceiling before the book is written; config validation has checked
-    # that the book fits it.
-    total_loans, capital, booked, per, last = config.opening_book
     if booked > 0:
-        emit(0, "din_booked", "", booked,
-             DinBooked(capital.tier1_insured, capital.tier2_insured))
-
-    # The notes, the bankruptcy triggers and the arithmetic below take
-    # their inputs unchecked: the config's terms and rate were checked when
-    # it was built, which also refused a loan face <= 0.  Every amount is
-    # on the money scale except salvage_mode "zero"'s exact 0, which is
-    # only ever subtracted from a money-scale amount.
-    faces = [per] * (config.n_funds - 1) + [last]
-    terms = (config.coverage, config.equity_fraction, DinState.ACTIVE, ())
-    notes = []  # one per fund, in distribution order
-    for outcome, face in zip(dist.outcomes, faces):
-        emit(0, "loan_issued", outcome.fund_id, face)
-        notes.append(DinContract._make((outcome.fund_id, face, *terms)))
-
-    drawdown = money(total_loans * Decimal("0.5"))
+        emit(0, "din_booked", "", booked, DinBooked(capital.tier1_insured, capital.tier2_insured))
+    for row in rows:
+        emit(0, "loan_issued", row.fund_id, row.face)
+    drawdown = money(book * Decimal("0.5"))
     if drawdown > 0:
         emit(0, "deposit_drawdown", "", drawdown)
-
-    policy = config.clawback_policy()
-    # Every note but the last has the same face and terms, so one premium.
-    premiums = [annual_premium(notes[0], config.premium_rate)] * (config.n_funds - 1)
-    premiums.append(annual_premium(notes[-1], config.premium_rate))
-    # (fund, premium) of every active note.  A note leaves ACTIVE only in a
-    # trigger phase, after that year's premiums, so the failure phase drops
-    # the failed notes' rows and no note's state is read per year.
-    paying = [(note.contract_id, premium) for note, premium in zip(notes, premiums)]
-    payouts: list[Event] = []
-    liens = []
+    failed = [row for row in rows if row.failure is not None]
+    paying = [(row.fund_id, row.premium) for row in rows]
     for year in range(1, config.exit_year + 1):
-        events.extend([
-            new(Event, (seq, year, "premium_paid", fund, premium, None))
-            for seq, (fund, premium) in enumerate(paying, len(events))
-        ])
-
+        events.extend([new(Event, (seq, year, "premium_paid", fund, premium, None))
+                       for seq, (fund, premium) in enumerate(paying, len(events))])
         if year == config.failure_year:
-            # Notes fail in distribution order, so failures of one class
-            # (equal faces and valuations) are adjacent: the trigger and
-            # lien detail are reused until their inputs change.
-            trigger = lien_detail = None
-            for note, outcome in zip(notes, dist.outcomes):
-                if outcome.classification != FAILURE:
-                    continue
-                fund, face = note.contract_id, note.principal
-                if config.salvage_mode == "zero":
-                    equity_valuation = Decimal("0")
-                else:
-                    equity_valuation = money(outcome.ten_year_multiple * face)
-                if trigger is None or trigger.payload != equity_valuation:
-                    trigger = TriggerEvent._make((BANKRUPTCY, year, equity_valuation))
-                _, settlement = apply_trigger(note, trigger, clawback=policy)
-                payouts.append(emit(
-                    year, "bankruptcy_payout", fund, settlement.cash_to_bank,
-                    new(BankruptcyPayout, (equity_valuation, outcome.ten_year_multiple)),
-                ))
-                emit(year, "loan_written_off", fund, face)
-                if equity_valuation > 0:
-                    emit(year, "equity_accepted", fund, equity_valuation)
-                lien = settlement.lien
-                if lien is not None:
-                    liens.append(lien)
-                    if lien_detail != (lien.fraction, lien.origin_year):
-                        lien_detail = LienCreated(lien.fraction, lien.origin_year)
-                    emit(year, "lien_created", fund, lien.base, lien_detail)
-            paying = [pay for pay, outcome in zip(paying, dist.outcomes)
-                      if outcome.classification != FAILURE]
-
-    # Survivors exit in the last year, after its premiums; liens settle
-    # and parked payouts are costed in the same closeout year.  An exit
-    # settles nothing the events record (no cash, no lien), and no note is
-    # read after it, so the exit trigger itself is not applied.
+            for row in failed:
+                emit(year, "bankruptcy_payout", row.fund_id, row.payout, row.failure)
+                emit(year, "loan_written_off", row.fund_id, row.face)
+                if row.salvage is not None:
+                    emit(year, "equity_accepted", row.fund_id, row.salvage)
+                if row.lien_terms is not None:
+                    emit(year, "lien_created", row.fund_id, row.lien, row.lien_terms)
+            paying = [(row.fund_id, row.premium) for row in rows if row.failure is None]
     closeout = config.exit_year
-    for note, outcome in zip(notes, dist.outcomes):
-        if outcome.classification == FAILURE:
-            continue
-        proceeds = money(outcome.ten_year_multiple * note.principal)
-        uw_share, bank_share = _exit_equity_split(
-            proceeds, note.coverage, note.equity_fraction
-        )
-        emit(closeout, "exit_proceeds", note.contract_id, proceeds,
-             new(ExitProceeds, (note.principal, uw_share, bank_share)))
-
-    # A lien's settlement depends on every field but its contract_id, so
-    # a lien with the previous lien's terms reuses its amount and detail.
-    terms = None
-    for lien in liens:
-        if lien[1:] != terms:
-            terms = lien[1:]
-            try:
-                amount, settled = settle_clawback(
-                    lien, closeout, config.bank_rate, verdict=config.audit_verdict
-                )
-            except VentureBankError as exc:
-                raise SimulationError(
-                    str(exc), year=closeout, account="lien_obligations"
-                ) from exc
-            settled_detail = LienSettled(settled.fraction)
-        emit(closeout, "lien_settled", lien.contract_id, amount, settled_detail)
-
-    # Payouts are parked from failure_year; their carrying cost to the
-    # closeout year is the underwriter's foregone interest, computed once
-    # per (parked, year).
-    parked_at = None
-    for payout in payouts:
-        parked = payout.amount - payout.detail.equity_valuation
-        if parked > 0:
-            if parked_at != (parked, payout.year):
-                parked_at = parked, payout.year
-                cost = _carrying_cost(parked, closeout - payout.year, config.bank_rate)
-            if cost > 0:
-                emit(closeout, "carrying_cost", payout.fund_id, cost)
-
+    for row in rows:
+        if row.exit is not None:
+            emit(closeout, "exit_proceeds", row.fund_id, row.proceeds, row.exit)
+    for row in failed:
+        if row.settled is not None:
+            emit(closeout, "lien_settled", row.fund_id, row.clawed, row.settled)
+    for row in failed:
+        if row.carrying is not None:
+            emit(closeout, "carrying_cost", row.fund_id, row.carrying)
     if booked > 0:
         emit(closeout, "din_released", "", booked)
     return tuple(events)
@@ -743,54 +772,99 @@ def post_books(events, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
     return bank, underwriter
 
 
+# The row field each folded kind fills with its amount; a kind that
+# carries a detail fills the next field with it.
+_FOLDED = {kind: FundRow._fields.index(name) for kind, name in (
+    ("loan_issued", "face"), ("bankruptcy_payout", "payout"),
+    ("equity_accepted", "salvage"), ("lien_created", "lien"),
+    ("lien_settled", "clawed"), ("carrying_cost", "carrying"),
+    ("exit_proceeds", "proceeds"))}
+
+
+def _rounded(name: str) -> InvalidParameterError:
+    """The refusal of a total that rounds: it is not the same sum in every
+    order."""
+    return InvalidParameterError(
+        f"the {name} total is past the 28 digits of the money context")
+
+
 @in_money_context
-def replay(events, config: ScenarioConfig) -> dict:
-    """Aggregate an event log back into the report figures, in one pass.
+def rows_of(events) -> tuple[FundRow, ...]:
+    """Fold a log into its rows, the inverse of render.  Each event fills
+    its fund's latest row; one whose field that row holds already (a second
+    payout, which no run logs) opens a new row for the fund.  Refused: a
+    second loan_issued for a fund, a payout or exit before its
+    loan_issued, and a premium total that rounds."""
+    rows: list[list] = []
+    latest: dict[str, list] = {}  # each fund's latest row; its premiums a list
+    faces: dict[str, Decimal] = {}
+    row_of, folded, blank = latest.get, _FOLDED.get, (None,) * 11
+    for event in events:
+        if event[2] == "premium_paid":  # most of a log
+            row = row_of(event[3])
+            if row is None:
+                row = latest[event[3]] = [event[3], None, None, 0, [], *blank]
+                rows.append(row)
+            row[4].append(event[4])
+            continue
+        _, year, kind, fund, amount, detail = event
+        at = folded(kind)
+        if at is None:
+            continue
+        row = row_of(fund)
+        if row is None or row[at] is not None:
+            row = latest[fund] = [fund, None, None, 0, [], *blank]
+            rows.append(row)
+        if kind == "loan_issued":
+            if fund in faces:
+                raise SimulationError(f"second loan_issued for {fund!r}",
+                                      year=year, account="loans")
+            faces[fund] = amount
+        elif kind == "bankruptcy_payout" or kind == "exit_proceeds":
+            if fund not in faces:
+                raise SimulationError(f"{kind} for {fund!r} with no loan_issued",
+                                      year=year, account="loans")
+            if kind == "bankruptcy_payout":
+                row[7] = money(detail.multiple * faces[fund])  # worth
+        row[at] = amount
+        if kind in EVENT_DETAILS:
+            row[at + 1] = detail
+    try:
+        with localcontext(_EXACT):
+            for row in rows:  # premium, years, premiums
+                paid = row[4]
+                if paid:
+                    row[2], row[3], row[4] = paid[0], len(paid), sum(paid, ZERO)
+                else:
+                    row[4] = None
+    except Inexact:
+        raise _rounded(f"premiums of {row[0]!r}") from None
+    return tuple([tuple.__new__(FundRow, row) for row in rows])
 
-    This is the single pricing routine: run_scenario and the sweep both
-    report through it, so a serialized log reproduces the report exactly.
-    """
-    premiums = Decimal("0")
-    payouts = Decimal("0")
-    salvage = Decimal("0")
-    clawed = Decimal("0")
-    carrying = Decimal("0")
-    uw_exit = Decimal("0")
-    bank_exit = Decimal("0")
-    faces: dict[str, Decimal] = {}  # loan face per fund
-    terminal = Decimal("0")  # every fund's value at its failure or exit
 
-    def face_of(e: Event) -> Decimal:
-        if e.fund_id not in faces:
-            raise SimulationError(f"{e.kind} for {e.fund_id!r} with no loan_issued",
-                                  year=e.year, account="loans")
-        return faces[e.fund_id]
+@in_money_context
+def price(rows: tuple[FundRow, ...], config: ScenarioConfig) -> dict:
+    """The report figures of a run's rows: the one pricing routine, which
+    run_scenario and the sweep call on the engine's rows and replay on a
+    log's, so a serialized log reproduces the report exactly."""
+    columns = dict(zip(FundRow._fields, zip(*rows))) if rows else dict.fromkeys(FundRow._fields, ())
+    exits = [e for e in columns["exit"] if e is not None]
+    columns["uw_share"] = [e.uw_share for e in exits]
+    columns["bank_share"] = [e.bank_share for e in exits]
+    totals = {}
+    try:
+        with localcontext(_EXACT):
+            for name in ("premiums", "payout", "salvage", "clawed", "carrying", "worth",
+                         "proceeds", "face", "uw_share", "bank_share"):
+                totals[name] = sum([a for a in columns[name] if a is not None], ZERO)
+            name = "terminal value"  # every fund's, at its failure or exit
+            terminal = totals["worth"] + totals["proceeds"]
+    except Inexact:
+        raise _rounded(name) from None
+    premiums, payouts, clawed = totals["premiums"], totals["payout"], totals["clawed"]
+    uw_exit, loans = totals["uw_share"], totals["face"]
 
-    for e in events:
-        kind = e.kind
-        if kind == "premium_paid":
-            premiums += e.amount
-        elif kind == "loan_issued":
-            if e.fund_id in faces:
-                raise SimulationError(f"second loan_issued for {e.fund_id!r}",
-                                      year=e.year, account="loans")
-            faces[e.fund_id] = e.amount
-        elif kind == "bankruptcy_payout":
-            payouts += e.amount
-            terminal += money(e.detail.multiple * face_of(e))
-        elif kind == "equity_accepted":
-            salvage += e.amount
-        elif kind == "lien_settled":
-            clawed += e.amount
-        elif kind == "carrying_cost":
-            carrying += e.amount
-        elif kind == "exit_proceeds":
-            face_of(e)
-            terminal += e.amount
-            uw_exit += e.detail.uw_share
-            bank_exit += e.detail.bank_share
-
-    outlay = (payouts - salvage) + carrying - clawed
+    outlay = (payouts - totals["salvage"]) + totals["carrying"] - clawed
     if config.exit_equity_mode == "investment_offset":
         outlay -= uw_exit
         earnings = premiums
@@ -800,37 +874,34 @@ def replay(events, config: ScenarioConfig) -> dict:
 
     net = earnings + investment
     magnitude = abs(investment)
-    if magnitude > 0:
-        ten_year = float(earnings / magnitude)
-    else:
-        ten_year = float("inf")
+    ten_year = float(earnings / magnitude) if magnitude > 0 else float("inf")
     yearly = ten_year ** 0.1 - 1 if ten_year != float("inf") else float("inf")
 
     c = config.initial_capital
-    bank_gains = payouts - premiums + bank_exit - clawed
+    bank_gains = payouts - premiums + totals["bank_share"] - clawed
     bank_ten_year = float((c + bank_gains) / c)
 
     # The capital-weighted mean fund multiple.
-    loans = sum(faces.values(), Decimal("0"))
-    classical = float(terminal / loans) if faces else 0.0
+    has_loans = any(face is not None for face in columns["face"])
+    classical = float(terminal / loans) if has_loans else 0.0
 
-    return dict(
-        classical_return=classical,
-        underwriter_investment=investment,
-        premium_earnings_10y=earnings,
-        din_net_profit=net,
-        din_10y_return=ten_year,
-        din_yearly_return=yearly,
-        bank_10y_return=bank_ten_year,
-    )
+    return dict(classical_return=classical, underwriter_investment=investment,
+                premium_earnings_10y=earnings, din_net_profit=net, din_10y_return=ten_year,
+                din_yearly_return=yearly, bank_10y_return=bank_ten_year)
+
+
+@in_money_context
+def replay(events, config: ScenarioConfig) -> dict:
+    """The report figures of an event log: price(rows_of(events), config)."""
+    return price(rows_of(events), config)
 
 
 @in_money_context
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
-    """simulate, then replay's figures.  The books are
-    `post_books(report.events, report.config)`."""
-    events = simulate(config)
-    return SimulationReport(config=config, events=events, **replay(events, config))
+    """A run's rows, rendered as the report's log and priced for its
+    figures.  The books are `post_books(report.events, report.config)`."""
+    rows = fund_rows(config)
+    return SimulationReport(config=config, events=render(rows, config), **price(rows, config))
 
 
 @dataclass(frozen=True)
@@ -931,8 +1002,8 @@ def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
 
 
 def _priced(config: ScenarioConfig, dist: ReturnDistribution) -> dict | VentureBankError:
-    """replay's figures for one sweep run, or the error that stopped it."""
+    """price's figures for one sweep run, or the error that stopped it."""
     try:
-        return replay(_simulate(config, dist), config)
+        return price(_fund_rows(config, dist), config)
     except VentureBankError as exc:
         return exc

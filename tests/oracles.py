@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 
 import numpy as np
 
@@ -130,6 +130,55 @@ def event_log_csv(events) -> str:
                               for name in e.detail._fields)
         writer.writerow([e.seq, e.year, e.kind, e.fund_id, str(e.amount), detail])
     return buf.getvalue()
+
+
+def event_order_replay(events, initial_capital: Decimal, exit_equity_mode: str) -> dict:
+    """The report figures of a log by one running total per figure, each
+    added in log order at 28 digits.  A log that refers to a fund's loan
+    before it is issued, or issues it twice, raises ValueError with the
+    message the engine's SimulationError carries."""
+    sums = dict.fromkeys(("premium_paid", "bankruptcy_payout", "equity_accepted",
+                          "lien_settled", "carrying_cost", "uw", "bank", "terminal"),
+                         Decimal(0))
+    faces = {}
+    with localcontext(Context(prec=28, rounding=ROUND_HALF_EVEN)):
+        for e in events:
+            where = f"(year={e.year}, account=loans)"
+            if e.kind == "loan_issued":
+                if e.fund_id in faces:
+                    raise ValueError(f"second loan_issued for {e.fund_id!r} {where}")
+                faces[e.fund_id] = e.amount
+            if e.kind in ("bankruptcy_payout", "exit_proceeds") and e.fund_id not in faces:
+                raise ValueError(f"{e.kind} for {e.fund_id!r} with no loan_issued {where}")
+            if e.kind in sums:
+                sums[e.kind] += e.amount
+            if e.kind == "bankruptcy_payout":
+                worth = (e.detail.multiple * faces[e.fund_id]).quantize(Decimal("1E-9"))
+                sums["terminal"] += worth
+            elif e.kind == "exit_proceeds":
+                sums["terminal"] += e.amount
+                sums["uw"] += e.detail.uw_share
+                sums["bank"] += e.detail.bank_share
+        premiums, payouts = sums["premium_paid"], sums["bankruptcy_payout"]
+        clawed, uw = sums["lien_settled"], sums["uw"]
+        outlay = payouts - sums["equity_accepted"] + sums["carrying_cost"] - clawed
+        if exit_equity_mode == "investment_offset":
+            outlay -= uw
+            earnings = premiums
+        else:
+            earnings = premiums + uw
+        ten_year = float(earnings / abs(outlay)) if outlay else float("inf")
+        bank_gains = payouts - premiums + sums["bank"] - clawed
+        loans = sum(faces.values(), Decimal(0))
+        return dict(
+            classical_return=float(sums["terminal"] / loans) if faces else 0.0,
+            underwriter_investment=-outlay,
+            premium_earnings_10y=earnings,
+            din_net_profit=earnings - outlay,
+            din_10y_return=ten_year,
+            din_yearly_return=ten_year ** 0.1 - 1,
+            bank_10y_return=float((initial_capital + bank_gains) / initial_capital),
+        )
 
 
 def per_fund_synthesis(seed: int, n_funds: int, spread) -> list[tuple[str, Decimal, str]]:

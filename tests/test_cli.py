@@ -229,6 +229,27 @@ class TestSimulate:
         assert "schema_version" in err["error"]
         assert not os.path.exists(tmp_path / "report.csv")
 
+    # Each compares equal to 1 in Python; only the JSON integer 1 is version 1.
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
+    def test_schema_version_is_the_integer_1(self, tmp_path, capsys, version):
+        cfg = write_config(tmp_path, {"schema_version": version, "scenario": {"n_funds": 4}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "ConfigError"
+        assert f"schema_version {version!r} unsupported" in err["error"]
+        assert not os.path.exists(tmp_path / "report.csv")
+
+    def test_amount_past_the_money_scale_names_its_fields(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"schema_version": 1, "scenario": {
+            "initial_capital": "1E+10", "target_classical_return": "1E+10"}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "InvalidParameterError"
+        for name in ("initial_capital 1E+10", "target_classical_return 1E+10",
+                     "spread.survivor_max", "premium_rate", "exit_year", "bank_rate"):
+            assert name in err["error"]
+        assert not os.path.exists(tmp_path / "report.csv")
+
     @pytest.mark.parametrize(
         "scenario, kind",
         [
@@ -256,7 +277,8 @@ class TestSimulate:
             ({"bank_rate": "1E+30"}, "InvalidParameterError"),
             ({"bank_rate": "2"}, "InvalidParameterError"),
             ({"reserve_fraction": "1E-30"}, "InvalidParameterError"),
-            # Each field fits; an amount of the run does not.
+            # Each field fits; together they let an amount of the run pass
+            # the money scale, which the config refuses before the run.
             ({"initial_capital": "1E+10", "target_classical_return": "1E+10"},
              "InvalidParameterError"),
             ({"spread": {"survivor_max": 1e300}}, "InvalidParameterError"),

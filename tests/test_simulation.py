@@ -15,7 +15,7 @@ from venturebank.contracts import TERM_CAP_YEARS, ClawbackLien, settle_clawback
 from venturebank.errors import InvalidParameterError, SimulationError, VentureBankError
 from venturebank.ledger import Account, carrying_cost
 from venturebank.money import DECIMAL_CONTEXT, money
-from venturebank.returns import FAILURE
+from venturebank.returns import SpreadParams
 from venturebank import simulation
 from venturebank.simulation import (
     ScenarioConfig,
@@ -27,7 +27,13 @@ from venturebank.simulation import (
     simulate,
     sweep_classical_return,
 )
-from oracles import count_events, event_log_csv, is_nondecreasing, sign_scan_local_minimum
+from oracles import (
+    count_events,
+    event_log_csv,
+    event_order_replay,
+    is_nondecreasing,
+    sign_scan_local_minimum,
+)
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -570,6 +576,26 @@ class TestConfigValidation:
                                  "the money scale"):
             ScenarioConfig(**fields)
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [(dict(initial_capital="1E+10", target_classical_return="1E+10"),
+          ["initial_capital 1E+10", "target_classical_return 1E+10"]),
+         (dict(spread=SpreadParams(survivor_max=9e18)), ["spread.survivor_max 9e+18"]),
+         # 15 years of premiums at rate 1; at rate 0.05 the same book runs.
+         (dict(initial_capital="1E+16", premium_rate="1", exit_year=15),
+          ["premium_rate 1 over exit_year 15"])],
+        ids=["target", "survivor_max", "premiums"],
+    )
+    def test_amounts_past_the_money_scale_rejected(self, fields, named):
+        with pytest.raises(InvalidParameterError,
+                           match="let a run's amounts reach .* past the money scale") as err:
+            ScenarioConfig(**fields)
+        for name in named:
+            assert name in str(err.value)
+
+    def test_amounts_below_the_money_scale_run(self):
+        run_scenario(ScenarioConfig(initial_capital="1E+16", exit_year=15))
+
     def test_n_funds_is_capped(self):
         ScenarioConfig(n_funds=simulation.MAX_FUNDS)
         for n in (simulation.MAX_FUNDS + 1, 10**12):
@@ -659,19 +685,23 @@ class TestSweep:
             assert "target_classical_return must be a finite decimal" in f.message
         assert {p.classical_return for p in res.points} == {Decimal("1")}
 
-    def test_run_past_the_money_scale_is_a_row_on_every_curve(self):
-        # Each field fits the money scale; the exit proceeds of the run do not.
+    def test_run_past_the_money_scale_is_a_row_on_every_curve(self, monkeypatch):
+        # Each field fits the money scale; the exit proceeds of the run do
+        # not, so every curve's config is refused before anything runs.
+        monkeypatch.setattr(simulation, "_fund_rows", None)
         res = sweep_classical_return(ScenarioConfig(initial_capital="1E+10"), ["1E+10"])
         assert not res.points
         assert len(res.failures) == len(simulation.SWEEP_CURVES)
         for f in res.failures:
-            assert "is past the money scale" in f.message
+            assert "initial_capital 1E+10" in f.message
+            assert "target_classical_return 1E+10" in f.message
+            assert "past the money scale" in f.message
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(config, dist):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(simulation, "_simulate", broken)
+        monkeypatch.setattr(simulation, "_fund_rows", broken)
         with pytest.raises(RuntimeError, match="bug"):
             sweep_classical_return(ScenarioConfig.calibration(), self.GRID[:1])
 
@@ -687,7 +717,7 @@ class TestSweep:
         # which compares equal to 0.77) and din_10y and din_net_profit
         # share it; under full clawback bank_claw077 differs.
         calls = Counter()
-        for name in ("synthesize_distribution", "rescale_to_target", "_simulate"):
+        for name in ("synthesize_distribution", "rescale_to_target", "_fund_rows"):
             def counted(*args, _name=name, _fn=getattr(simulation, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -696,7 +726,7 @@ class TestSweep:
         assert not res.failures
         assert len(res.points) == 3 * len(simulation.SWEEP_CURVES)
         assert calls == {"synthesize_distribution": 1, "rescale_to_target": 3,
-                         "_simulate": 3 * runs}
+                         "_fund_rows": 3 * runs}
 
     def test_a_refused_override_set_fails_each_of_its_curves(self, monkeypatch):
         # din_10y and din_net_profit share the override set {}: it is
@@ -741,6 +771,18 @@ class TestSweep:
             raise RuntimeError("the sweep touched the books")
 
         for name in ("post_books", "run_scenario", "Ledger", "SimulationReport"):
+            monkeypatch.setattr(simulation, name, broken)
+        res = sweep_classical_return(ScenarioConfig.calibration(), self.GRID[:2])
+        assert not res.failures
+        assert len(res.points) == 2 * len(simulation.SWEEP_CURVES)
+
+    def test_sweep_builds_no_event_log(self, monkeypatch):
+        # Each point prices the engine's rows: nothing renders, folds,
+        # replays or builds an Event.
+        def broken(*args, **kwargs):
+            raise RuntimeError("the sweep touched an event log")
+
+        for name in ("render", "rows_of", "replay", "simulate", "events_to_csv", "Event"):
             monkeypatch.setattr(simulation, name, broken)
         res = sweep_classical_return(ScenarioConfig.calibration(), self.GRID[:2])
         assert not res.failures
@@ -929,6 +971,145 @@ class TestEngineProperty:
         assert figures == {name: getattr(report, name) for name in figures}
         assert [ledger.transactions for ledger in post_books(events, cfg)] == [
             ledger.transactions for ledger in post_books(report.events, cfg)]
+
+
+# The golden configs, the defaults, and a target low enough that rescaling
+# clamps some multiples at zero.
+ROW_CASES = dict(GOLDEN_CASES, defaults=ScenarioConfig,
+                 clamped=lambda: ScenarioConfig(target_classical_return="0.3"))
+
+
+@st.composite
+def edited_logs(draw):
+    """A small run's log after a few hand edits: an event dropped, copied
+    or moved, or an amount changed (so premiums may be uneven)."""
+    cfg = draw(st.sampled_from([
+        ScenarioConfig.calibration(target_classical_return="1.31", n_funds=5),
+        ScenarioConfig(target_classical_return="0.9", n_funds=4, clawback_fraction="1.0",
+                       audit_verdict=False),
+        ScenarioConfig(target_classical_return="1.31", n_funds=4, clawback_fraction="0",
+                       exit_equity_mode="earnings"),
+    ]))
+    events = list(simulate(cfg))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(events) - 1))
+        edit = draw(st.sampled_from(["drop", "copy", "move", "amount"]))
+        if edit == "drop":
+            del events[at]
+        elif edit == "amount":
+            events[at] = events[at]._replace(amount=draw(
+                st.decimals(min_value="0.000000001", max_value="1000", places=9)))
+        else:
+            event = events[at] if edit == "copy" else events.pop(at)
+            events.insert(draw(st.integers(0, len(events))), event)
+    return cfg, events
+
+
+class TestRows:
+    """The rows are a run's economics: its log is their rendering, rows_of
+    the rendering's inverse, and price the one pricing routine."""
+
+    @staticmethod
+    def check_rows(cfg):
+        rows = simulation.fund_rows(cfg)
+        events = simulation.render(rows, cfg)
+        assert [row.fund_id for row in rows] == [
+            e.fund_id for e in events if e.kind == "loan_issued"]
+        assert simulation.rows_of(events) == rows
+        assert simulation.rows_of(events_from_csv(events_to_csv(events))) == rows
+        assert simulation.price(rows, cfg) == replay(events, cfg)
+
+    @pytest.mark.parametrize("name", sorted(ROW_CASES))
+    def test_log_folds_back_to_its_rows(self, name):
+        self.check_rows(ROW_CASES[name]())
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_configs())
+    def test_log_folds_back_to_its_rows_on_any_config(self, cfg):
+        self.check_rows(cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edited_logs())
+    def test_any_log_prices_as_its_event_order_totals(self, edited):
+        # The fold refuses what an event-order replay refuses, with its
+        # message, and prices every other log as its event-order totals.
+        cfg, events = edited
+        try:
+            expected = event_order_replay(events, cfg.initial_capital, cfg.exit_equity_mode)
+        except ValueError as exc:
+            with pytest.raises(SimulationError) as err:
+                replay(events, cfg)
+            assert str(err.value) == str(exc)
+            return
+        assert replay(events, cfg) == expected
+
+    def test_a_second_payout_opens_a_second_row(self):
+        cfg = ScenarioConfig.calibration(target_classical_return="1.31", n_funds=5)
+        events = list(simulate(cfg))
+        payout = next(e for e in events if e.kind == "bankruptcy_payout")
+        events.append(payout)
+        rows = simulation.rows_of(events)
+        assert [row.fund_id for row in rows] == [f"f00{i}" for i in range(5)] + [payout.fund_id]
+        assert rows[-1] == simulation.FundRow(
+            payout.fund_id, None, None, 0, None, payout.amount, payout.detail,
+            rows[int(payout.fund_id[1:])].worth, *(None,) * 8)
+
+    @pytest.mark.parametrize("funds, name", [(["f0", "f0"], "premiums of 'f0'"),
+                                             (["f0", "f1"], "premiums")])
+    def test_a_premium_total_that_rounds_is_refused_by_name(self, funds, name):
+        # Each premium fits the money scale; their sum takes 29 digits.
+        big = Decimal("9000000000000000000.000000001")
+        log = [simulation.Event(0, 0, "loan_issued", "f0", Decimal(1)),
+               *[simulation.Event(1 + i, 1, "premium_paid", fund, big)
+                 for i, fund in enumerate(funds)]]
+        with pytest.raises(InvalidParameterError,
+                           match=f"^the {re.escape(name)} total is past the 28 digits"):
+            replay(log, ScenarioConfig())
+
+
+@st.composite
+def large_configs(draw):
+    """Target, spread, rates and years across the money scale."""
+    return dict(
+        target_classical_return=draw(st.none() | st.builds(
+            lambda digits, exponent: Decimal(digits) * Decimal(10) ** exponent,
+            st.integers(0, 999), st.integers(-3, 16))),
+        spread=SpreadParams(survivor_max=draw(st.floats(1.5, 1e18))),
+        premium_rate=draw(st.decimals(min_value="0", max_value="1", places=2)),
+        bank_rate=draw(st.decimals(min_value="0", max_value="1", places=2)),
+        failure_year=draw(st.integers(1, 7)),
+        exit_year=draw(st.integers(8, 15)),
+        n_funds=draw(st.integers(2, 6)),
+        salvage_mode=draw(st.sampled_from(simulation.SALVAGE_MODES)),
+        exit_equity_mode=draw(st.sampled_from(simulation.EXIT_EQUITY_MODES)),
+    )
+
+
+class TestAmountBound:
+    @settings(max_examples=60, deadline=None)
+    @given(large_configs())
+    def test_the_largest_capital_that_validates_runs_and_replays(self, fields):
+        # The bound is a true upper bound: at the largest capital it lets
+        # through (to 1), no amount of the run is refused late and every
+        # total is exact.
+        def validates(capital):
+            try:
+                return ScenarioConfig(initial_capital=capital, **fields)
+            except InvalidParameterError:
+                return None
+
+        low, high = 1, 10**19
+        if validates(low) is None:
+            return
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (middle, high) if validates(middle) else (low, middle)
+        cfg = validates(low)
+        report = run_scenario(cfg)
+        report.to_csv()
+        events = events_from_csv(events_to_csv(report.events))
+        assert replay(events, cfg) == {
+            name: getattr(report, name) for name in replay(events, cfg)}
 
 
 # Cells in the event-log grammar, and fields outside it: None, or text
