@@ -62,6 +62,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """header and rows as one CSV file at path, every line ending in a
+    newline.  It writes through the module's _atomic_write, which the
+    benchmark's tracer wraps by name."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    _atomic_write(path, buf.getvalue())
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -148,23 +159,20 @@ def cmd_kraken(data: dict, out_dir: str, seed_override: int | None) -> list[str]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad kraken field: {exc}") from exc
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["reserve_fraction", "depth", "iteration_limit", "classical", "multiplier"]
-    )
+    curves = []
     try:
         for rf, depth, params in rows:
             value = kraken_multiplier(params)
             base = classical_multiplier(params.reserve_fraction, params.iteration_limit)
-            w.writerow([rf, depth, grid["iteration_limit"], f"{base:.9f}", f"{value:.9f}"])
+            curves.append([rf, depth, grid["iteration_limit"], f"{base:.9f}", f"{value:.9f}"])
     except InvalidParameterError as exc:
         # float() reads "Infinity" and "NaN"; validate refuses them, and
         # counts that are not ints, by name.
         raise ConfigError(f"bad kraken field: {exc}") from exc
 
     path = os.path.join(out_dir, "kraken_curves.csv")
-    _atomic_write(path, buf.getvalue())
+    _write_csv(path, ["reserve_fraction", "depth", "iteration_limit", "classical",
+                      "multiplier"], curves)
     return [path]
 
 
@@ -221,14 +229,9 @@ def cmd_sweep(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
 
     curves_path = os.path.join(out_dir, "curves.csv")
     failures_path = os.path.join(out_dir, "sweep_failures.csv")
-    fail_buf = io.StringIO()
-    w = csv.writer(fail_buf, lineterminator="\n")
-    w.writerow(["curve", "classical_return", "message"])
-    for f in result.failures:
-        w.writerow([f.curve, str(f.classical_return), f.message])
-
     _atomic_write(curves_path, result.to_csv())
-    _atomic_write(failures_path, fail_buf.getvalue())
+    _write_csv(failures_path, ["curve", "classical_return", "message"],
+               [[f.curve, str(f.classical_return), f.message] for f in result.failures])
     return [curves_path, failures_path]
 
 
@@ -279,14 +282,10 @@ def cmd_audit(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
         raise ConfigError(f"cannot read registry {registry_path}: {exc}") from exc
 
     written: list[str] = []
-    violations = audit_attachment(registry)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["din_id", "status_before", "reason"])
-    for v in violations:
-        w.writerow([v.din_id, v.status_before.value, v.reason])
     path = os.path.join(out_dir, "attachment_violations.csv")
-    _atomic_write(path, buf.getvalue())
+    _write_csv(path, ["din_id", "status_before", "reason"],
+               [[v.din_id, v.status_before.value, v.reason]
+                for v in audit_attachment(registry)])
     written.append(path)
 
     if package_args is not None:

@@ -47,7 +47,7 @@ TERM_CAP_YEARS = 15
 DEFAULT_SEIZURE_FRACTION = Decimal("1")
 
 
-CLAWBACK_OPTIONS = ("A", "B", "C")
+CLAWBACK_OPTIONS = ("A", "B")
 
 
 class LienResolution(enum.Enum):
@@ -111,7 +111,6 @@ class ClawbackPolicy:
 
     option A: fixed 77% recovery, no audit involvement.
     option B: recovery pending an audit verdict (77% or 100% at settlement).
-    option C: fixed 77% but the lien is flagged for audit follow-up.
     """
 
     option: str = "A"
@@ -131,7 +130,6 @@ class _LienFields(NamedTuple):
     fraction: Decimal  # 0.77 fixed, or 1.00 while an option-B verdict is pending
     origin_year: int
     option: str = "A"
-    audit_flagged: bool = False
     resolution: LienResolution = LienResolution.UNRESOLVED
 
 
@@ -150,7 +148,7 @@ class ClawbackLien(_LienFields):
     __slots__ = ()
 
     def __new__(cls, contract_id, base, fraction, origin_year, option="A",
-                audit_flagged=False, resolution=LienResolution.UNRESOLVED):
+                resolution=LienResolution.UNRESOLVED):
         base = money(base)
         if base < 0:
             raise InvalidParameterError("lien base must be >= 0")
@@ -159,14 +157,11 @@ class ClawbackLien(_LienFields):
         _check_lien_keys(contract_id, origin_year)
         if option not in CLAWBACK_OPTIONS:
             raise InvalidParameterError(f"unknown clawback option: {option!r}")
-        if not isinstance(audit_flagged, bool):
-            raise InvalidParameterError(
-                f"audit_flagged must be a bool, got {audit_flagged!r}")
         if not isinstance(resolution, LienResolution):
             raise InvalidParameterError(
                 f"resolution must be a LienResolution, got {resolution!r}")
         return tuple.__new__(cls, (contract_id, base, fraction, origin_year,
-                                   option, audit_flagged, resolution))
+                                   option, resolution))
 
 
 def _check_lien_keys(contract_id, origin_year) -> None:
@@ -338,8 +333,7 @@ def create_clawback(
         raise InvalidParameterError("lien base must be >= 0")
     _check_lien_keys(contract_id, origin_year)
     return ClawbackLien._make((contract_id, amount, policy.fraction, origin_year,
-                               policy.option, policy.option == "C",
-                               LienResolution.UNRESOLVED))
+                               policy.option, LienResolution.UNRESOLVED))
 
 
 def settle_clawback(
@@ -374,5 +368,5 @@ def settle_clawback(
     )
     grown = compound(lien.base, bank_rate, settlement_year - lien.origin_year)
     settled = ClawbackLien._make((lien.contract_id, lien.base, share, lien.origin_year,
-                                  lien.option, lien.audit_flagged, resolution))
+                                  lien.option, resolution))
     return money(share * grown), settled

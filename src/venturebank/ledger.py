@@ -11,7 +11,7 @@ from .errors import (
     LedgerBalanceError,
     LoanLimitError,
 )
-from .money import DECIMAL_CONTEXT, compound, finite, fraction, money, money_floor
+from .money import DECIMAL_CONTEXT, compound, fraction, money, money_floor
 
 # money(0).  A one-sided posting keeps this object on its other side, so
 # that side needs no quantize.
@@ -223,17 +223,7 @@ def write_investment_loan(
     )
 
 
-def carrying_cost(amount, from_year: int, to_year: int, rate) -> Decimal:
-    """Interest foregone on capital parked from one year to another."""
-    for name, year in (("from_year", from_year), ("to_year", to_year)):
-        if isinstance(year, bool) or not isinstance(year, int):
-            raise InvalidParameterError(f"{name} must be an int, got {year!r}")
-    if to_year < from_year:
-        raise InvalidParameterError("to_year precedes from_year")
-    return _carrying_cost(money(amount), to_year - from_year, finite(rate, "rate"))
-
-
 def _carrying_cost(base: Decimal, years: int, rate: Decimal) -> Decimal:
-    """carrying_cost's arithmetic, on a money-scale base, years >= 0 and a
-    rate already checked."""
+    """Interest foregone on capital parked for `years` at `rate`, on a
+    money-scale base, years >= 0 and a rate the scenario config checked."""
     return money(compound(base, rate, years) - base)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import random
@@ -28,11 +27,6 @@ SECONDARY = "secondary"
 
 MAX_PUBLIC_FRACTION = Decimal("0.70")
 DEFAULT_SIGNIFICANCE = 0.05
-
-
-def make_terms_digest(*parts) -> str:
-    joined = "|".join(str(p) for p in parts)
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
 
 
 class _RecordFields(NamedTuple):
@@ -84,7 +78,8 @@ class RegistryRecord(_RecordFields):
         if isinstance(vintage_year, bool) or not isinstance(vintage_year, int):
             raise InvalidParameterError(
                 f"vintage_year must be an int, got {vintage_year!r}")
-        _check_attached(attached)
+        if not isinstance(attached, bool):
+            raise InvalidParameterError(f"attached must be a bool, got {attached!r}")
         _check_status(status)
         principal = money(finite(principal, "principal"))
         if principal < 0:
@@ -100,11 +95,6 @@ class RegistryRecord(_RecordFields):
             din_id, kind, underwriter_id, bank_id, investment_id, principal,
             sector, vintage_year, terms_digest, attached, status,
             counterpart_ref, expected_multiple))
-
-
-def _check_attached(attached) -> None:
-    if not isinstance(attached, bool):
-        raise InvalidParameterError(f"attached must be a bool, got {attached!r}")
 
 
 def _check_status(status) -> None:
@@ -152,10 +142,6 @@ class Registry:
     def set_status(self, din_id: str, status: DinState) -> None:
         _check_status(status)
         self._records[din_id] = self.get(din_id)._replace(status=status)
-
-    def set_attached(self, din_id: str, attached: bool) -> None:
-        _check_attached(attached)
-        self._records[din_id] = self.get(din_id)._replace(attached=attached)
 
     def true_outstanding(self) -> Decimal:
         """Net notional: secondaries mirror their primaries, so only

@@ -91,19 +91,6 @@ class ReturnDistribution:
     def multiples(self) -> list[Decimal]:
         return [o.ten_year_multiple for o in self.outcomes]
 
-    def mean(self) -> Decimal:
-        total = sum(self.multiples(), start=ZERO)
-        return total / len(self.outcomes)
-
-    def failure_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.classification == FAILURE)
-
-    def to_csv(self) -> str:
-        lines = ["fund_id,ten_year_multiple,classification"]
-        for o in self.outcomes:
-            lines.append(f"{o.fund_id},{o.ten_year_multiple},{o.classification}")
-        return "\n".join(lines) + "\n"
-
 
 def synthesize_distribution(seed: int, n_funds: int = 50,
                             spread: SpreadParams | None = None) -> ReturnDistribution:

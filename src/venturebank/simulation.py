@@ -1,11 +1,10 @@
 """Scenario engine: `fund_rows` drives every fund's note through its
 lifecycle into one row per fund; `render` writes the rows as the run's
 event log, `rows_of` folds a log back into rows, and `price` prices rows
-into the report figures.  `simulate` is rows then `render`, `replay` is
-`rows_of` then `price`, and `run_scenario` renders and prices the same
-rows; its report keeps the log, so `post_books(report.events,
-report.config)` gives its books.  The return-sweep curves price each
-point's rows and never build a log.
+into the report figures.  `replay` is `rows_of` then `price`, and
+`run_scenario` renders and prices the same rows; its report keeps the
+log, so `post_books(report.events, report.config)` gives its books.  The
+return-sweep curves price each point's rows and never build a log.
 
 Every reported number is priced from rows that the run's log folds back
 to, so a serialized log replays to the identical report.
@@ -511,7 +510,7 @@ def _opening_book(config: ScenarioConfig
     capital (widening the lending limit the book must fit), the amount
     booked, and the loan faces: every fund's but the last, and the last,
     which takes the remainder so that they sum to the book.  Config
-    validation and simulate both take it from here, so a config that
+    validation and fund_rows both take it from here, so a config that
     validates is a book the engine can write."""
     book = money(config.moc * config.initial_capital)
     capital, booked, _ = book_din_to_capital(
@@ -554,12 +553,6 @@ def fund_rows(config: ScenarioConfig) -> tuple[FundRow, ...]:
     if config.target_classical_return is not None:
         dist = rescale_to_target(dist, config.target_classical_return)
     return _fund_rows(config, dist)
-
-
-@in_money_context
-def simulate(config: ScenarioConfig) -> tuple[Event, ...]:
-    """Run one scenario and return its event log, the rendering of its rows."""
-    return render(fund_rows(config), config)
 
 
 def _fund_rows(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[FundRow, ...]:
@@ -870,6 +863,9 @@ def price(rows: tuple[FundRow, ...], config: ScenarioConfig) -> dict:
         earnings = premiums
     else:
         earnings = premiums + uw_exit
+    if earnings < 0:
+        # Its tenth root would be complex; no run earns below 0.
+        raise InvalidParameterError(f"the premium earnings {earnings} are below 0")
     investment = -outlay
 
     net = earnings + investment

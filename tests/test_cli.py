@@ -10,7 +10,8 @@ import pytest
 from venturebank import cli, simulation
 from venturebank.cli import MAX_SWEEP_POINTS, _sweep_grid, main
 from venturebank.errors import ConfigError, SimulationError
-from venturebank.registry import Registry, RegistryRecord, export_records, make_terms_digest
+from venturebank.registry import Registry, RegistryRecord, export_records
+from venturebank.simulation import sweep_classical_return
 from oracles import is_nondecreasing, kraken_brute_force
 from test_golden import GOLDEN
 
@@ -166,6 +167,20 @@ class TestKraken:
         assert err["kind"] == "ConfigError"
         assert f"{field} must be a number" in err["error"]
         assert not os.path.exists(tmp_path / "kraken_curves.csv")
+
+
+    def test_refused_partway_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # Files are written through the module's _atomic_write, which the
+        # benchmark's tracer wraps by name.  The 0.05 rows are priced before
+        # the Infinity row is refused, and none of them is written.
+        writes = []
+        monkeypatch.setattr(cli, "_atomic_write", lambda path, text: writes.append(path))
+        for fractions, code in ((["0.05"], 0), (["0.05", "Infinity"], 1)):
+            cfg = write_config(tmp_path, {"schema_version": 1,
+                                          "kraken": {"reserve_fractions": fractions}})
+            assert main(["kraken", "--config", cfg, "--out", str(tmp_path)]) == code
+        assert "reserve_fraction" in error_line(capsys)["error"]
+        assert writes == [str(tmp_path / "kraken_curves.csv")]
 
 
 class TestSimulate:
@@ -357,6 +372,22 @@ class TestSweep:
         failures = read_rows(tmp_path / "sweep_failures.csv")
         assert failures == [["curve", "classical_return", "message"]]
 
+    def test_failure_rows_are_the_sweeps_failures(self, tmp_path):
+        # A NaN point fails on every curve, with a message that holds a
+        # comma, so csv quotes it.
+        payload = {"schema_version": 1, "scenario": {"n_funds": 4},
+                   "sweep": {"grid": ["NaN", "1.31"]}}
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        failures = sweep_classical_return(cli.scenario_from_config(payload, None),
+                                          [Decimal("NaN"), Decimal("1.31")]).failures
+        assert [f.curve for f in failures] == [c for c, _, _ in simulation.SWEEP_CURVES]
+        assert all("," in f.message for f in failures)
+        assert read_rows(tmp_path / "sweep_failures.csv") == [
+            ["curve", "classical_return", "message"],
+            *[[f.curve, str(f.classical_return), f.message] for f in failures]]
+        assert f'"{failures[0].message}"' in (tmp_path / "sweep_failures.csv").read_text()
+
     def test_empty_grid_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -422,11 +453,11 @@ class TestAudit:
                     principal="10",
                     sector="deeptech",
                     vintage_year=2020 + i % 3,
-                    terms_digest=make_terms_digest(i),
+                    terms_digest=f"terms-{i}",
+                    attached=i != 4,
                     expected_multiple=Decimal("0.5") * (i + 1),
                 )
             )
-        registry.set_attached("p004", False)
         path = tmp_path / "registry.jsonl"
         path.write_text(export_records(registry))
         return str(path)

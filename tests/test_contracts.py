@@ -7,7 +7,13 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from venturebank.contracts import (
     BANKRUPTCY,
@@ -40,8 +46,7 @@ from venturebank.errors import (
     StateTransitionError,
     TerminalStateError,
 )
-from venturebank.ledger import _carrying_cost, carrying_cost
-from venturebank.money import money
+from venturebank.money import compound, money
 from oracles import compound_interest
 
 
@@ -53,7 +58,6 @@ def note(**kw) -> DinContract:
 
 POLICY_A = ClawbackPolicy(option="A", fraction="0.77")
 POLICY_B = ClawbackPolicy(option="B", fraction="1")
-POLICY_C = ClawbackPolicy(option="C", fraction="0.77")
 
 
 class TestBankruptcy:
@@ -89,13 +93,6 @@ class TestBankruptcy:
         ev = TriggerEvent(BANKRUPTCY, year=5, payload="0.8")
         with pytest.raises(ForcedTriggerError):
             apply_trigger(note(), ev, WAIVE)
-
-    def test_option_c_flags_lien_for_audit(self):
-        ev = TriggerEvent(BANKRUPTCY, year=5, payload="0")
-        _, stl = apply_trigger(note(), ev, EXERCISE, clawback=POLICY_C)
-        assert stl.lien.audit_flagged
-        _, stl_a = apply_trigger(note(), ev, EXERCISE, clawback=POLICY_A)
-        assert not stl_a.lien.audit_flagged
 
 
 class TestExit:
@@ -201,7 +198,7 @@ class TestStateMachine:
         prior = (create_clawback("d1", "1", POLICY_A, origin_year=1),)
         expected_state = {BANKRUPTCY: DinState.PAID_OUT,
                           EXIT: DinState.EXITED}.get(kind, DinState.CLOSED)
-        for policy in (None, POLICY_A, POLICY_B, POLICY_C):
+        for policy in (None, POLICY_A, POLICY_B):
             active = note(liens=prior)
             if kind in FORCED_TRIGGERS and choice is WAIVE:
                 with pytest.raises(ForcedTriggerError):
@@ -222,15 +219,17 @@ class TestStateMachine:
 
 class LifecycleMachine(RuleBasedStateMachine):
     """One note under any sequence of triggers and choices, written with
-    or without the clawback rider."""
+    or without the clawback rider, and the lien a payout leaves settled
+    any number of times."""
 
     @initialize(
-        policy=st.sampled_from([None, POLICY_A, POLICY_B, POLICY_C]),
+        policy=st.sampled_from([POLICY_A, POLICY_B, None]),
         state=st.sampled_from([DinState.ACTIVE, DinState.TRIGGERED, DinState.VOID]),
     )
     def write_note(self, policy, state):
         self.policy = policy
         self.note = note(state=state)
+        self.lien = None  # the payout's lien, once settled its settled copy
 
     @rule(
         kind=st.sampled_from(
@@ -265,7 +264,30 @@ class LifecycleMachine(RuleBasedStateMachine):
         assert self.note.liens == ((lien,) if lien else ())
         if lien is not None:
             assert (lien.fraction, lien.origin_year) == (self.policy.fraction, year)
-            assert lien.audit_flagged == (self.policy.option == "C")
+            self.lien = lien
+
+    @precondition(lambda self: self.lien is not None)
+    @rule(
+        years=st.integers(min_value=0, max_value=15),
+        rate=st.sampled_from(["0", "0.03", "0.06", "0.125"]),
+        verdict=st.booleans(),
+    )
+    def settle(self, years, rate, verdict):
+        lien = self.lien
+        year = lien.origin_year + years
+        if lien.resolution is not LienResolution.UNRESOLVED:
+            with pytest.raises(StateTransitionError):
+                settle_clawback(lien, year, rate, verdict=verdict)
+            return
+        if lien.option == "B":
+            with pytest.raises(MissingVerdictError):
+                settle_clawback(lien, year, rate)
+        amount, self.lien = settle_clawback(lien, year, rate, verdict=verdict)
+        # Option A collects its fixed fraction whatever the verdict.
+        share = lien.fraction if lien.option == "A" else Decimal("1" if verdict else "0.77")
+        assert str(amount) == str(money(share * compound(lien.base, rate, years)))
+        assert self.lien == lien._replace(fraction=share, resolution=(
+            LienResolution.FULL_RECOVERY if share == 1 else LienResolution.RELEASED23))
 
     @invariant()
     def one_lien_per_payout(self):
@@ -368,8 +390,9 @@ class TestValidation:
             ClawbackPolicy(option="B", fraction="0.77")
 
     def test_unknown_option(self):
-        with pytest.raises(InvalidParameterError):
-            ClawbackPolicy(option="D")
+        for option in ("C", "D"):
+            with pytest.raises(InvalidParameterError):
+                ClawbackPolicy(option=option)
 
     def test_contract_bounds(self):
         with pytest.raises(InvalidParameterError):
@@ -459,32 +482,6 @@ class TestRecordParity:
          "amount must be a finite decimal, got 'NaN'"),
         (lambda: exit_equity_split("10", "2", "2"), InvalidParameterError,
          "coverage must be in [0, 1], got 2"),
-        # carrying_cost
-        (lambda: carrying_cost("1.2", 6, 5, "0.03"), InvalidParameterError,
-         "to_year precedes from_year"),
-        (lambda: carrying_cost("NaN", 1, 5, "0.03"), InvalidParameterError,
-         "amount must be a finite decimal, got 'NaN'"),
-        (lambda: carrying_cost("1e19", 1, 5, "0.03"), InvalidParameterError,
-         "1E+19" + SCALE_PAST),
-        (lambda: carrying_cost("100", 1, 5, "NaN"), InvalidParameterError,
-         "rate must be a finite decimal, got 'NaN'"),
-        (lambda: carrying_cost("100", 1, 5, None), InvalidParameterError,
-         "rate must be a finite decimal, got 'None'"),
-        (lambda: carrying_cost("1e18", 1, 5, "3"), InvalidParameterError,
-         "256000000000000000000.0000000" + SCALE_PAST),
-        (lambda: carrying_cost("NaN", 6, 5, "NaN"), InvalidParameterError,
-         "to_year precedes from_year"),
-        (lambda: carrying_cost("NaN", 1, 5, "NaN"), InvalidParameterError,
-         "amount must be a finite decimal, got 'NaN'"),
-        (lambda: carrying_cost("1", "a", 5, "0.03"), InvalidParameterError,
-         "from_year must be an int, got 'a'"),
-        (lambda: carrying_cost("1", 1, True, "0.03"), InvalidParameterError,
-         "to_year must be an int, got True"),
-        (lambda: carrying_cost("1", 1, 5.0, "0.03"), InvalidParameterError,
-         "to_year must be an int, got 5.0"),
-        (lambda: carrying_cost("100", 1, 5, "1e500000"), InvalidParameterError,
-         "rate 1E+500000 over 4 periods grows principal 100.000000000 past the "
-         "decimal range"),
         # settle_clawback
         (lambda: settle_clawback(create_clawback("d", "1", ClawbackPolicy(), 5), 10,
                                  "1e500000"), InvalidParameterError,
@@ -505,8 +502,6 @@ class TestRecordParity:
          "origin_year must be an int, got True"),
         (lambda: ClawbackLien("d", "1", "0.77", 5, option="D"), InvalidParameterError,
          "unknown clawback option: 'D'"),
-        (lambda: ClawbackLien("d", "1", "0.77", 5, audit_flagged="false"),
-         InvalidParameterError, "audit_flagged must be a bool, got 'false'"),
         (lambda: ClawbackLien("d", "1", "0.77", 5, resolution="unresolved"),
          InvalidParameterError, "resolution must be a LienResolution, got 'unresolved'"),
         (lambda: ClawbackLien(5, "NaN", "0.77", "5"), InvalidParameterError,
@@ -532,7 +527,7 @@ class TestRecordParity:
 
 
 def records():
-    lien = create_clawback("d1", "1.5", POLICY_C, origin_year=5)
+    lien = create_clawback("d1", "1.5", POLICY_A, origin_year=5)
     return (
         TriggerEvent(BANKRUPTCY, 5, payload="0.8"),
         TriggerEvent(EXIT, 10),
@@ -598,9 +593,3 @@ class TestCheckedEqualsArithmetic:
         # of the difference.
         to_underwriter, to_bank = private
         assert str(to_bank) == str(money(money(equity * coverage) - to_underwriter))
-
-    @settings(max_examples=200, deadline=None)
-    @given(MONEY_AMOUNTS, st.integers(0, 15), st.integers(0, 15), FRACTIONS)
-    def test_carrying_cost(self, amount, from_year, years, rate):
-        public = carrying_cost(amount, from_year, from_year + years, rate)
-        assert str(public) == str(_carrying_cost(amount, years, rate))

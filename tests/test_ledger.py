@@ -19,8 +19,8 @@ from venturebank.ledger import (
     Ledger,
     Posting,
     Transaction,
+    _carrying_cost,
     book_din_to_capital,
-    carrying_cost,
     cr,
     dr,
     write_investment_loan,
@@ -291,14 +291,12 @@ class TestLoanLimit:
 
 class TestShortTermAndCarry:
     def test_carrying_cost_matches_loop_oracle(self):
-        cost = carrying_cost("1.2", 5, 10, "0.03")
+        cost = _carrying_cost(Decimal("1.2"), 5, Decimal("0.03"))
         grown = compound_interest(Decimal("1.2"), Decimal("0.03"), 5)
         assert abs(cost - (grown - Decimal("1.2"))) < Decimal("0.000001")
 
     def test_zero_span_zero_cost(self):
-        assert carrying_cost("1.2", 5, 5, "0.03") == 0
-        with pytest.raises(InvalidParameterError):
-            carrying_cost("1.2", 6, 5, "0.03")
+        assert _carrying_cost(Decimal("1.2"), 0, Decimal("0.03")) == 0
 
 
 def uncached_compound(principal, rate, periods: int) -> Decimal:

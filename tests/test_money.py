@@ -6,6 +6,7 @@ import pytest
 
 from venturebank.contracts import (
     BANKRUPTCY,
+    ClawbackLien,
     ClawbackPolicy,
     DinContract,
     TriggerEvent,
@@ -19,7 +20,6 @@ from venturebank.ledger import (
     CapitalAccount,
     Ledger,
     book_din_to_capital,
-    carrying_cost,
     cr,
     dr,
     write_investment_loan,
@@ -50,9 +50,8 @@ def event_log(amount) -> str:
 ENTRY_POINTS = {
     "money": lambda v: money(v),
     "TriggerEvent.payload": lambda v: TriggerEvent(BANKRUPTCY, 1, payload=v),
+    "compound.principal": lambda v: compound(v, "0.03", 5),
     "compound.rate": lambda v: compound("100", v, 5),
-    "carrying_cost.amount": lambda v: carrying_cost(v, 1, 5, "0.03"),
-    "carrying_cost.rate": lambda v: carrying_cost("100", 1, 5, v),
     "annual_premium.rate": lambda v: annual_premium(DinContract("d", "100"), v),
     "exit_equity_split.investor_equity": lambda v: exit_equity_split(v, "1", "0.5"),
     "exit_equity_split.coverage": lambda v: exit_equity_split("10", v, "0.5"),
@@ -60,6 +59,10 @@ ENTRY_POINTS = {
     "DinContract.coverage": lambda v: DinContract("d", "100", coverage=v),
     "DinContract.equity_fraction": lambda v: DinContract("d", "100", equity_fraction=v),
     "ClawbackPolicy.fraction": lambda v: ClawbackPolicy(fraction=v),
+    "create_clawback.base": lambda v: create_clawback(
+        "d", v, ClawbackPolicy(), origin_year=1),
+    "ClawbackLien.base": lambda v: ClawbackLien("d", v, "0.77", 1),
+    "ClawbackLien.fraction": lambda v: ClawbackLien("d", "10", v, 1),
     "settle_clawback.bank_rate": lambda v: settle_clawback(
         create_clawback("d", "10", ClawbackPolicy(), origin_year=1), 5, v),
     "CapitalAccount.tier1_core": lambda v: CapitalAccount(tier1_core=v),
@@ -75,12 +78,18 @@ ENTRY_POINTS = {
     "capital_limits.reserve_fraction": lambda v: capital_limits("1", v),
     "moc_schedule.reserve_fraction": lambda v: moc_schedule(reserve_fraction=v),
     "moc_schedule.failure_fraction": lambda v: moc_schedule(failure_fraction=v),
+    "moc_schedule.initial_capital": lambda v: moc_schedule(initial_capital=v),
+    "din_capital_fraction.initial_capital": lambda v: din_capital_fraction(v, "0.05", "1"),
+    "din_capital_fraction.reserve_fraction": lambda v: din_capital_fraction("1", v, "1"),
     "din_capital_fraction.total_insured_loans": lambda v: din_capital_fraction("1", "0.05", v),
     "build_package.public_fraction": lambda v: build_package(
         Registry(), "uw", ForwardPeriod(2020), v),
     "RegistryRecord.principal": lambda v: record(principal=v),
     "RegistryRecord.expected_multiple": lambda v: record(expected_multiple=v),
     "ScenarioConfig.premium_rate": lambda v: ScenarioConfig(premium_rate=v),
+    # Checked only when given: the default None means no rescale.
+    "ScenarioConfig.target_classical_return": lambda v: ScenarioConfig(
+        target_classical_return=v),
     "rescale_to_target.target_mean": lambda v: rescale_to_target(
         synthesize_distribution(seed=0, n_funds=4), v),
     "events_from_csv.amount": lambda v: events_from_csv(event_log(v)),

@@ -31,7 +31,6 @@ from venturebank.registry import (
     build_package,
     export_records,
     import_records,
-    make_terms_digest,
 )
 
 
@@ -45,14 +44,15 @@ def rec(din_id, kind="primary", **kw) -> RegistryRecord:
         principal="100",
         sector="deeptech",
         vintage_year=2024,
-        terms_digest=make_terms_digest(din_id, "100"),
+        terms_digest=f"terms-{din_id}",
     )
     base.update(kw)
     return RegistryRecord(**base)
 
 
-def ramped_registry(n=48, underwriter="uw1") -> Registry:
-    """Primaries whose fund multiples ramp linearly from 0.1 upward."""
+def ramped_registry(n=48, underwriter="uw1", detached=()) -> Registry:
+    """Primaries whose fund multiples ramp linearly from 0.1 upward; the
+    notes named in `detached` were transferred without their investment."""
     registry = Registry()
     for i in range(n):
         registry.register(
@@ -61,6 +61,7 @@ def ramped_registry(n=48, underwriter="uw1") -> Registry:
                 underwriter_id=underwriter,
                 vintage_year=2020 + (i % 5),
                 expected_multiple=Decimal("0.1") * (i + 1),
+                attached=f"p{i:03d}" not in detached,
             )
         )
     return registry
@@ -166,8 +167,6 @@ class TestCrossReferences:
         assert registry.snapshot()[1].counterpart_ref == "S1"
         registry.set_status("P1", DinState.VOID)
         assert registry.snapshot()[0].status is DinState.VOID
-        registry.set_attached("P2", False)
-        assert registry.snapshot()[1].attached is False
         registry.register(rec("P0"))
         assert snapshot_ids() == ["P0", "P1", "P2", "S1"]
 
@@ -178,22 +177,19 @@ class TestAttachmentAudit:
         assert audit_attachment(registry) == []
 
     def test_detached_live_note_voided(self):
-        registry = ramped_registry(6)
-        registry.set_attached("p002", False)
+        registry = ramped_registry(6, detached={"p002"})
         violations = audit_attachment(registry)
         assert [v.din_id for v in violations] == ["p002"]
         assert registry.get("p002").status is DinState.VOID
 
     def test_detached_terminal_note_untouched(self):
-        registry = ramped_registry(6)
-        registry.set_attached("p003", False)
+        registry = ramped_registry(6, detached={"p003"})
         registry.set_status("p003", DinState.EXITED)
         assert audit_attachment(registry) == []
         assert registry.get("p003").status is DinState.EXITED
 
     def test_audit_is_idempotent(self):
-        registry = ramped_registry(6)
-        registry.set_attached("p001", False)
+        registry = ramped_registry(6, detached={"p001"})
         first = audit_attachment(registry)
         assert len(first) == 1
         assert audit_attachment(registry) == []
@@ -340,8 +336,6 @@ class TestRecordTypes:
         registry = ramped_registry(2)
         with pytest.raises(InvalidParameterError, match="^status must be"):
             registry.set_status("p000", "void")
-        with pytest.raises(InvalidParameterError, match="^attached must be"):
-            registry.set_attached("p000", "false")
         assert registry.snapshot() == ramped_registry(2).snapshot()
 
     def test_string_attached_line_is_refused(self):
@@ -374,17 +368,15 @@ class TestRecordTypes:
                             lambda value: calls.append(value) or money(value))
         registry.link_secondary("p", "s")
         registry.set_status("s", DinState.EXITED)
-        registry.set_attached("p", False)
         assert calls == []
         assert registry.get("p").counterpart_ref == "s"
 
 
 class TestExportImport:
     def test_roundtrip_preserves_everything(self):
-        registry = ramped_registry(8)
+        registry = ramped_registry(8, detached={"p001"})
         registry.register(rec("S", kind="secondary", principal="100"))
         registry.link_secondary("p000", "S")
-        registry.set_attached("p001", False)
         registry.set_status("p002", DinState.EXITED)
 
         text = export_records(registry)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from venturebank.contracts import TERM_CAP_YEARS, ClawbackLien, settle_clawback
 from venturebank.errors import InvalidParameterError, SimulationError, VentureBankError
-from venturebank.ledger import Account, carrying_cost
+from venturebank.ledger import Account, _carrying_cost
 from venturebank.money import DECIMAL_CONTEXT, money
 from venturebank.returns import SpreadParams
 from venturebank import simulation
@@ -24,7 +24,6 @@ from venturebank.simulation import (
     post_books,
     replay,
     run_scenario,
-    simulate,
     sweep_classical_return,
 )
 from oracles import (
@@ -249,7 +248,7 @@ class TestEventLogParsing:
             def __getattr__(self, name):
                 raise AssertionError(f"csv.{name} called")
 
-        events = simulate(ScenarioConfig())
+        events = run_scenario(ScenarioConfig()).events
         text = events_to_csv(events)
         monkeypatch.setattr(simulation, "csv", Unusable())
         assert (events_to_csv(events), events_from_csv(text)) == (text, events)
@@ -289,8 +288,8 @@ class TestEventLogParsing:
             csv.field_size_limit(limit)
 
     def test_each_distinct_detail_cell_is_parsed_once(self, monkeypatch):
-        text = events_to_csv(simulate(ScenarioConfig.calibration(
-            n_funds=200, target_classical_return="1.31")))
+        text = events_to_csv(run_scenario(ScenarioConfig.calibration(
+            n_funds=200, target_classical_return="1.31")).events)
         cells = [tuple(line.split(",")[2::3]) for line in text.splitlines()[1:]]
         parsed = []
         parse = simulation._parse_detail
@@ -321,7 +320,7 @@ class TestOpeningBook:
     def test_a_built_config_runs_on_its_kept_book(self, monkeypatch):
         # Under zero salvage the liens of 200 funds of two loan faces have
         # at most two sets of terms: settled at most twice, not per fund.
-        # Nor does simulate round the book or a loan face with money().
+        # Nor does the run round the book or a loan face with money().
         cfg = ScenarioConfig.calibration(n_funds=200, target_classical_return="1.31")
         faces = {cfg.moc * cfg.initial_capital, cfg.opening_book[0] / cfg.n_funds}
         calls = Counter()
@@ -330,7 +329,7 @@ class TestOpeningBook:
                 calls[_name if _name != "money" or args[0] not in faces else "face"] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(simulation, name, counted)
-        events = simulate(cfg)
+        events = run_scenario(cfg).events
         assert count_events(events, "lien_settled") > 2
         assert calls["_opening_book"] == calls["face"] == 0 < calls["money"]
         assert 1 <= calls["settle_clawback"] <= 2
@@ -367,7 +366,7 @@ class TestNoteLifecycle:
             calls[event.kind] += 1
             return _fn(note, event, *args, **kwargs)
         monkeypatch.setattr(simulation, "apply_trigger", counted)
-        events = simulate(cfg)
+        events = run_scenario(cfg).events
         failed = [e.fund_id for e in events if e.kind == "bankruptcy_payout"]
         assert calls == Counter(bankruptcy=len(failed))
         created = [e.fund_id for e in events if e.kind == "lien_created"]
@@ -480,14 +479,14 @@ class TestBookKeeper:
     )
     def test_replay_names_a_fund_with_no_loan(self, dropped, year):
         cfg = ScenarioConfig.calibration(target_classical_return="1.31")
-        events = [e for e in simulate(cfg) if e.kind not in dropped]
+        events = [e for e in run_scenario(cfg).events if e.kind not in dropped]
         with pytest.raises(SimulationError) as err:
             replay(events, cfg)
         assert (err.value.year, err.value.account) == (getattr(cfg, year), "loans")
 
     def test_replay_refuses_a_second_loan_for_one_fund(self):
         cfg = ScenarioConfig.calibration(target_classical_return="1.31")
-        events = list(simulate(cfg))
+        events = list(run_scenario(cfg).events)
         loan = next(e for e in events if e.kind == "loan_issued")
         events.insert(events.index(loan) + 1, loan)
         with pytest.raises(SimulationError,
@@ -514,12 +513,10 @@ class TestDecimalContext:
             report = run_scenario(ScenarioConfig.calibration(initial_capital="1000000"))
             report_csv, events_csv = report.to_csv(), events_to_csv(report.events)
             replayed = replay(events_from_csv(events_csv), cfg)
-            simulated_csv = events_to_csv(simulate(cfg))
             books = [ledger.balances() for ledger in post_books(report.events, cfg)]
             assert getcontext().prec == 12
         assert report_csv == expected.to_csv()
         assert events_csv == events_to_csv(expected.events)
-        assert simulated_csv == events_csv
         assert replayed["underwriter_investment"] == expected.underwriter_investment
         assert books == [ledger.balances() for ledger in post_books(expected.events, cfg)]
 
@@ -756,7 +753,7 @@ class TestSweep:
             for name, overrides, attr in simulation.SWEEP_CURVES:
                 try:
                     c = replace(cfg, target_classical_return=target, **overrides)
-                    points.append((name, text, float(replay(simulate(c), c)[attr])))
+                    points.append((name, text, float(replay(run_scenario(c).events, c)[attr])))
                 except VentureBankError as exc:
                     failures.append((name, text, str(exc)))
         res = sweep_classical_return(cfg, grid)
@@ -782,7 +779,7 @@ class TestSweep:
         def broken(*args, **kwargs):
             raise RuntimeError("the sweep touched an event log")
 
-        for name in ("render", "rows_of", "replay", "simulate", "events_to_csv", "Event"):
+        for name in ("render", "rows_of", "replay", "events_to_csv", "Event"):
             monkeypatch.setattr(simulation, name, broken)
         res = sweep_classical_return(ScenarioConfig.calibration(), self.GRID[:2])
         assert not res.failures
@@ -919,7 +916,7 @@ class TestEngineProperty:
             cfg = ScenarioConfig(**fields)
         except InvalidParameterError:
             return
-        events = simulate(cfg)
+        events = run_scenario(cfg).events
         # post_books refuses a loan past the lending limit with a year-0
         # SimulationError; a config that validates never reaches it.
         bank, _ = post_books(events, cfg)
@@ -934,7 +931,7 @@ class TestEngineProperty:
         # distinct parked payout, once; each fund's rows still equal the
         # public functions applied to that fund's own lien and payout.
         cfg = replace(cfg, bank_rate=bank_rate)
-        events = simulate(cfg)
+        events = run_scenario(cfg).events
         closeout = cfg.exit_year
         settled = {e.fund_id: e for e in events if e.kind == "lien_settled"}
         created = [e for e in events if e.kind == "lien_created"]
@@ -950,8 +947,8 @@ class TestEngineProperty:
         expected = {}
         for e in events:
             if e.kind == "bankruptcy_payout":
-                cost = carrying_cost(e.amount - e.detail.equity_valuation, e.year,
-                                     closeout, cfg.bank_rate)
+                cost = _carrying_cost(e.amount - e.detail.equity_valuation,
+                                      closeout - e.year, cfg.bank_rate)
                 if cost > 0:
                     expected[e.fund_id] = str(cost)
         assert {e.fund_id: str(e.amount) for e in events
@@ -961,7 +958,7 @@ class TestEngineProperty:
     @given(small_configs())
     def test_saved_log_reproduces_report_and_books(self, cfg):
         report = run_scenario(cfg)
-        simulated = simulate(cfg)
+        simulated = run_scenario(cfg).events
         # Every amount is quantized at its source, as money() would.
         assert [str(e.amount) for e in simulated] == [
             str(money(e.amount)) for e in simulated]
@@ -990,7 +987,7 @@ def edited_logs(draw):
         ScenarioConfig(target_classical_return="1.31", n_funds=4, clawback_fraction="0",
                        exit_equity_mode="earnings"),
     ]))
-    events = list(simulate(cfg))
+    events = list(run_scenario(cfg).events)
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(events) - 1))
         edit = draw(st.sampled_from(["drop", "copy", "move", "amount"]))
@@ -1045,7 +1042,7 @@ class TestRows:
 
     def test_a_second_payout_opens_a_second_row(self):
         cfg = ScenarioConfig.calibration(target_classical_return="1.31", n_funds=5)
-        events = list(simulate(cfg))
+        events = list(run_scenario(cfg).events)
         payout = next(e for e in events if e.kind == "bankruptcy_payout")
         events.append(payout)
         rows = simulation.rows_of(events)
@@ -1065,6 +1062,19 @@ class TestRows:
         with pytest.raises(InvalidParameterError,
                            match=f"^the {re.escape(name)} total is past the 28 digits"):
             replay(log, ScenarioConfig())
+
+    def test_negative_premium_earnings_are_refused_by_name(self):
+        # No run pays a premium below 0, but a hand-edited log may: its
+        # earnings' tenth root, the yearly return, would be complex.
+        cfg = ScenarioConfig(target_classical_return="1.31", n_funds=4)
+        negated = [e._replace(amount=-e.amount) if e.kind == "premium_paid" else e
+                   for e in run_scenario(cfg).events]
+        earnings = sum(e.amount for e in negated if e.kind == "premium_paid")
+        assert earnings < 0
+        for log in (negated, events_from_csv(events_to_csv(negated))):
+            with pytest.raises(InvalidParameterError, match=(
+                    f"^the premium earnings {re.escape(str(earnings))} are below 0$")):
+                replay(log, cfg)
 
 
 @st.composite
@@ -1159,7 +1169,8 @@ readable_logs = st.lists(st.one_of([
 
 @pytest.fixture(scope="module")
 def golden_lines():
-    return [events_to_csv(simulate(case())).split("\n") for case in GOLDEN_CASES.values()]
+    return [events_to_csv(run_scenario(case()).events).split("\n")
+            for case in GOLDEN_CASES.values()]
 
 
 class TestEventLogReader:
@@ -1200,7 +1211,7 @@ class TestEventLogWriter:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_golden_logs_equal_csv_writer(self, name):
-        events = simulate(GOLDEN_CASES[name]())
+        events = run_scenario(GOLDEN_CASES[name]()).events
         assert events_to_csv(events) == event_log_csv(events)
 
     @settings(max_examples=100, deadline=None)
