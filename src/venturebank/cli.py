@@ -141,6 +141,14 @@ def _grid_float(name: str, value) -> float:
 def cmd_kraken(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
     grid = dict(DEFAULT_KRAKEN_GRID)
     grid.update(_section(data, "kraken"))
+    # One row per (reserve fraction, depth): the grid is bounded like the
+    # sweep's before any row is built.
+    for name in ("reserve_fractions", "depths"):
+        if not isinstance(grid[name], list):
+            raise ConfigError(f"kraken {name} must be a JSON array")
+    if len(grid["reserve_fractions"]) * len(grid["depths"]) > MAX_SWEEP_POINTS:
+        raise ConfigError(f"a kraken grid may have at most {MAX_SWEEP_POINTS} rows "
+                          f"(reserve_fractions times depths)")
     # The counts go to KrakenParams as given: it refuses a float or a bool
     # by name, where int() would truncate one and the row still print it.
     try:

@@ -143,11 +143,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        names = ["reserve_fraction", "premium_rate", "equity_fraction", "coverage",
-                 "clawback_fraction", "bank_rate", "moc", "initial_capital"]
-        if self.target_classical_return is not None:
-            names.append("target_classical_return")
-        for name in names:
+        for name in ("reserve_fraction", "premium_rate", "equity_fraction", "coverage",
+                     "clawback_fraction", "bank_rate", "moc", "initial_capital"):
             object.__setattr__(self, name, _finite_decimal(name, getattr(self, name)))
         fraction(self.reserve_fraction, "reserve_fraction", open_low=True)
         for name in ("premium_rate", "equity_fraction", "coverage", "bank_rate"):
@@ -201,6 +198,16 @@ class ScenarioConfig:
                 f"9 decimal places (moc {self.moc}, initial_capital "
                 f"{self.initial_capital}, n_funds {self.n_funds})"
             )
+        self._check_target()
+
+    def _check_target(self) -> None:
+        """The checks that read target_classical_return, which come last in
+        __post_init__: the target is a finite decimal on the money scale,
+        and the amounts of a run stay below it."""
+        target = self.target_classical_return
+        if target is not None:
+            target = _finite_decimal("target_classical_return", target)
+            object.__setattr__(self, "target_classical_return", target)
         # Every amount of a run, every total of its log and every figure
         # priced from them is at most `reach`: the capital, plus the book
         # times its premiums over exit_year, its payouts, its funds' values
@@ -210,9 +217,9 @@ class ScenarioConfig:
         # target; each 1 covers rounding to 9 places.  Below MONEY_LIMIT
         # every sum of them is exact at 28 digits, in any order.
         largest = (Decimal(self.spread.survivor_max) * _FLOAT_SLACK
-                   + max(self.target_classical_return or ZERO, ZERO) + 1)
+                   + max(target or ZERO, ZERO) + 1)
         growth = (1 + self.bank_rate) ** (self.exit_year - self.failure_year)
-        reach = self.initial_capital + 1 + book * (
+        reach = self.initial_capital + 1 + self.opening_book[0] * (
             1 + self.premium_rate * self.exit_year + largest + 2 * growth)
         if reach >= MONEY_LIMIT:
             raise InvalidParameterError(
@@ -224,10 +231,23 @@ class ScenarioConfig:
                 f"{self.failure_year} let a run's amounts reach {reach:.3E}, "
                 f"past the money scale of 19 digits before the point")
 
+    @in_money_context
+    def _at_target(self, target) -> "ScenarioConfig":
+        """replace(self, target_classical_return=target), for a config that
+        validated: every other field was checked when self was built, so
+        only _check_target runs again, and the copy keeps self's
+        opening_book."""
+        derived = object.__new__(type(self))
+        derived.__dict__.update(self.__dict__)
+        object.__setattr__(derived, "target_classical_return", target)
+        derived._check_target()
+        return derived
+
     @functools.cached_property
     def opening_book(self) -> tuple[Decimal, CapitalAccount, Decimal, Decimal, Decimal]:
         """_opening_book(self): built once, by __post_init__, and kept off
-        the fields, so ==, hash, repr and replace do not see it."""
+        the fields, so ==, hash, repr and replace do not see it.  A config
+        from _at_target keeps the one its source built."""
         return _opening_book(self)
 
     def clawback_policy(self) -> ClawbackPolicy | None:
@@ -558,9 +578,13 @@ def fund_rows(config: ScenarioConfig) -> tuple[FundRow, ...]:
 def _fund_rows(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[FundRow, ...]:
     """fund_rows' engine, on a spread already synthesized and rescaled for
     config; the sweep calls it directly to share one spread between the
-    curves of a grid point.  Failures of one class (equal faces and
-    valuations) are adjacent, so the trigger, the lien's settlement and the
-    carrying cost are reused until their inputs change."""
+    curves of a grid point.  A failure's payout, lien, lien settlement and
+    carrying cost depend on its note only through its loan face and equity
+    valuation, its class.  Failures of one class are adjacent, so each run
+    of them is settled once, by one apply_trigger on the run's first note,
+    and every fund of the run takes that settlement into its own row; a
+    lien settlement and a carrying cost are also kept across runs until
+    their inputs change."""
     # Notes, triggers and the arithmetic take their inputs unchecked: the
     # config was checked when built, which also refused a loan face <= 0
     # and any amount past the money scale.  A row, a note or a detail is
@@ -576,7 +600,7 @@ def _fund_rows(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[FundRo
     for face in {per, last}:
         premium = annual_premium(new(DinContract, ("", face, *terms)), config.premium_rate)
         paid[face] = (premium, failed, premium * failed), (premium, closeout, premium * closeout)
-    trigger = lien_key = parked_at = None
+    class_face = class_valuation = lien_key = parked_at = None
     for (fund, multiple, classification), face in zip(
             dist.outcomes, [per] * (config.n_funds - 1) + [last]):
         if classification != FAILURE:
@@ -588,26 +612,30 @@ def _fund_rows(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[FundRo
             continue
         worth = money(multiple * face)
         valuation = ZERO if zero else worth
-        if trigger is None or trigger.payload != valuation:
-            trigger = TriggerEvent._make((BANKRUPTCY, failed, valuation))
-        _, settlement = apply_trigger(new(DinContract, (fund, face, *terms)), trigger,
-                                      clawback=policy)
-        payout, lien = settlement.cash_to_bank, settlement.lien
-        # A lien's settlement depends on every field but its contract_id.
-        if lien is not None and lien[1:] != lien_key:
-            lien_key = lien[1:]
-            clawed, resolved = settle_clawback(lien, closeout, rate, verdict=config.audit_verdict)
-            settled = (LienCreated(lien.fraction, lien.origin_year), clawed,
-                       LienSettled(resolved.fraction))
-        # Parked to closeout, the payout costs the underwriter its interest.
-        parked = payout - valuation
-        if parked > 0 and parked != parked_at:
-            parked_at, cost = parked, _carrying_cost(parked, closeout - failed, rate)
+        if valuation != class_valuation or face != class_face:
+            class_face, class_valuation = face, valuation
+            _, settlement = apply_trigger(new(DinContract, (fund, face, *terms)),
+                                          TriggerEvent._make((BANKRUPTCY, failed, valuation)),
+                                          clawback=policy)
+            payout, lien = settlement.cash_to_bank, settlement.lien
+            # A lien's settlement depends on every field but its contract_id.
+            if lien is not None and lien[1:] != lien_key:
+                lien_key = lien[1:]
+                clawed, resolved = settle_clawback(lien, closeout, rate,
+                                                   verdict=config.audit_verdict)
+                settled = (LienCreated(lien.fraction, lien.origin_year), clawed,
+                           LienSettled(resolved.fraction))
+            # Parked to closeout, the payout costs the underwriter its interest.
+            parked = payout - valuation
+            if parked > 0 and parked != parked_at:
+                parked_at, cost = parked, _carrying_cost(parked, closeout - failed, rate)
+            # The row fields every fund of the class shares.
+            salvage = valuation if valuation > 0 else None
+            lien_fields = (None,) * 4 if lien is None else (lien.base, *settled)
+            carrying = cost if parked > 0 and cost > 0 else None
         rows.append(new(FundRow, (
             fund, face, *paid[face][0], payout, new(BankruptcyPayout, (valuation, multiple)),
-            worth, valuation if valuation > 0 else None,
-            *((None,) * 4 if lien is None else (lien.base, *settled)),
-            cost if parked > 0 and cost > 0 else None, None, None)))
+            worth, salvage, *lien_fields, carrying, None, None)))
     return tuple(rows)
 
 
@@ -953,7 +981,13 @@ def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
     spread serves the whole sweep, rescaled once per grid point.  Each
     distinct override set builds one config per point, and curves whose
     configs compare equal share one run: the rows keep only floats of
-    replay's figures, which equal configs price equally."""
+    replay's figures, which equal configs price equally.
+
+    Only the target changes from point to point.  An override set's config
+    is built in full, by replace, until it validates at some point; at each
+    later point it is that config's _at_target, which checks the target
+    alone, keeps the opening book, and equals the replace it stands for or
+    raises its error."""
     targets = [Decimal(str(t)) for t in grid]
     if not targets:
         raise InvalidParameterError("sweep grid is empty")
@@ -963,6 +997,7 @@ def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
     )
     points: list[SweepPoint] = []
     failures: list[SweepFailure] = []
+    validated: dict[tuple, ScenarioConfig] = {}  # per override set, once it validates
     for target in targets:
         # Rescaled at the first config that validates, so a target that
         # fails validation never reaches rescale_to_target.
@@ -973,9 +1008,12 @@ def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
             key = tuple(overrides.items())
             if key not in configs:
                 try:
-                    configs[key] = replace(
-                        config, target_classical_return=target, **overrides
-                    )
+                    if key in validated:
+                        configs[key] = validated[key]._at_target(target)
+                    else:
+                        configs[key] = validated[key] = replace(
+                            config, target_classical_return=target, **overrides
+                        )
                 except VentureBankError as exc:
                     configs[key] = exc
             cfg = configs[key]

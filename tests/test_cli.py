@@ -169,6 +169,35 @@ class TestKraken:
         assert not os.path.exists(tmp_path / "kraken_curves.csv")
 
 
+    @pytest.mark.parametrize("kraken, message", [
+        ({"reserve_fractions": ["0.05"] * 2000}, "at most 1000 rows"),
+        ({"reserve_fractions": ["0.05"] * 101}, "at most 1000 rows"),
+        ({"reserve_fractions": "0.05"}, "reserve_fractions must be a JSON array"),
+        ({"reserve_fractions": {"0.05": 1}}, "reserve_fractions must be a JSON array"),
+        ({"depths": {"1": 2}}, "depths must be a JSON array"),
+    ])
+    def test_grid_is_bounded_before_any_row_is_built(self, tmp_path, capsys, monkeypatch,
+                                                       kraken, message):
+        # Ten depths by default: 2000 or 101 reserve fractions are 20000 or
+        # 1010 rows, past MAX_SWEEP_POINTS.
+        assert MAX_SWEEP_POINTS == 1000
+        def refused(*args, **kwargs):
+            raise AssertionError("a row was built")
+        monkeypatch.setattr(cli, "KrakenParams", refused)
+        cfg = write_config(tmp_path, {"schema_version": 1, "kraken": kraken})
+        assert main(["kraken", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "ConfigError"
+        assert message in err["error"]
+        assert not os.path.exists(tmp_path / "kraken_curves.csv")
+
+    def test_a_grid_of_max_rows_runs(self, tmp_path):
+        fractions = [f"0.{i:03d}" for i in range(1, 101)]
+        cfg = write_config(tmp_path, {"schema_version": 1, "kraken": {
+            "reserve_fractions": fractions, "iteration_limit": 5}})
+        assert main(["kraken", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(read_rows(tmp_path / "kraken_curves.csv")) == 1 + MAX_SWEEP_POINTS
+
     def test_refused_partway_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # Files are written through the module's _atomic_write, which the
         # benchmark's tracer wraps by name.  The 0.05 rows are priced before

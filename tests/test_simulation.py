@@ -31,6 +31,7 @@ from oracles import (
     event_log_csv,
     event_order_replay,
     is_nondecreasing,
+    per_note_settlements,
     sign_scan_local_minimum,
 )
 from test_golden import CASES as GOLDEN_CASES
@@ -358,7 +359,10 @@ class TestNoteLifecycle:
 
     @pytest.mark.parametrize("salvage_mode", ["zero", "classical_multiple"])
     def test_only_failures_are_triggered(self, monkeypatch, salvage_mode):
-        # Each failure takes its own bankruptcy trigger; an exit records no
+        # Each run of adjacent failures of one class (loan face, equity
+        # valuation) takes one bankruptcy trigger: under zero salvage the
+        # two loan faces make at most two runs, and under
+        # classical_multiple every failure is its own.  An exit records no
         # settlement, so survivors take none.
         cfg = ScenarioConfig.calibration(n_funds=2000, salvage_mode=salvage_mode)
         calls = Counter()
@@ -368,10 +372,35 @@ class TestNoteLifecycle:
         monkeypatch.setattr(simulation, "apply_trigger", counted)
         events = run_scenario(cfg).events
         failed = [e.fund_id for e in events if e.kind == "bankruptcy_payout"]
-        assert calls == Counter(bankruptcy=len(failed))
+        faces = {e.fund_id: e.amount for e in events if e.kind == "loan_issued"}
+        classes = [(faces[e.fund_id], e.detail.equity_valuation)
+                   for e in events if e.kind == "bankruptcy_payout"]
+        runs = 1 + sum(a != b for a, b in zip(classes, classes[1:]))
+        assert calls == Counter(bankruptcy=runs)
+        assert runs <= 2 if salvage_mode == "zero" else runs == len(failed)
         created = [e.fund_id for e in events if e.kind == "lien_created"]
         assert created == [e.fund_id for e in events if e.kind == "lien_settled"]
         assert created == failed
+
+    @pytest.mark.parametrize("coverage", ["1", "0.3"])
+    @pytest.mark.parametrize("clawback, verdict", [("0", None), ("0.77", None),
+                                                   ("1.0", True), ("1.0", False)])
+    @pytest.mark.parametrize("salvage_mode", simulation.SALVAGE_MODES)
+    def test_each_failure_settles_as_its_own_note(self, salvage_mode, clawback, verdict,
+                                                   coverage):
+        # The engine settles each failure class once; every failed fund's
+        # row holds what its own note's trigger and lien settle to.  At 201
+        # funds the last loan face, a failure's, differs from the others.
+        cfg = ScenarioConfig.calibration(
+            n_funds=201, target_classical_return="1.31", salvage_mode=salvage_mode,
+            clawback_fraction=clawback, audit_verdict=verdict, coverage=coverage)
+        rows = simulation.fund_rows(cfg)
+        expected = per_note_settlements(rows, cfg)
+        assert len(expected) > 2
+        assert len({row.face for row in rows if row.failure is not None}) == 2
+        assert [(row.fund_id, row.payout, row.lien, row.lien_terms, row.clawed,
+                 None if row.settled is None else row.settled.fraction)
+                for row in rows if row.failure is not None] == expected
 
 
 class TestCloseout:
@@ -762,6 +791,73 @@ class TestSweep:
                 for f in res.failures] == failures
         assert {text for _, text, _ in failures} == {"1.31", "-1", "NaN", "0.9"}
         assert len(points) == 2 * 5
+
+    @pytest.mark.parametrize("cfg, grid", [
+        (ScenarioConfig.calibration(coverage="0.02", moc="30"),
+         ["NaN", "1E+30", "-1", "1.31", "NaN", "0.9"]),
+        # 1E+10 at this capital takes a run past the money scale.
+        (ScenarioConfig.calibration(initial_capital="1E+10"),
+         ["1E+10", "NaN", "1.31", "1E+30", "1E+10", "-1", "0.9"]),
+    ], ids=["refused_first", "reach_bound"])
+    def test_refused_points_before_and_after_an_accepted_one(self, cfg, grid):
+        # Each override set's config is built in full at the first point
+        # where it validates and derived at the later ones: points and
+        # failures are still those of one run per (target, curve).
+        points, failures = [], []
+        for text in grid:
+            target = Decimal(text)
+            for name, overrides, attr in simulation.SWEEP_CURVES:
+                try:
+                    c = replace(cfg, target_classical_return=target, **overrides)
+                    points.append((name, text, float(replay(run_scenario(c).events, c)[attr])))
+                except VentureBankError as exc:
+                    failures.append((name, text, str(exc)))
+        res = sweep_classical_return(cfg, grid)
+        assert [(p.curve, str(p.classical_return), p.value) for p in res.points] == points
+        assert [(f.curve, str(f.classical_return), f.message)
+                for f in res.failures] == failures
+        assert {text for _, text, _ in points} == {"1.31", "0.9"}
+
+    @pytest.mark.parametrize("overrides", [o for _, o, _ in simulation.SWEEP_CURVES],
+                             ids=[name for name, _, _ in simulation.SWEEP_CURVES])
+    def test_a_derived_config_is_the_replace_it_stands_for(self, overrides):
+        # NaN and 1E+30 fail the target's own check, 1E+10 the amount
+        # bound at this capital; -1 and 1.31 validate.
+        base = ScenarioConfig.calibration(initial_capital="1E+10")
+        grid = [Decimal(t) for t in ("NaN", "-1", "1E+30", "1.31", "1E+10")]
+        first = replace(base, target_classical_return=grid[1], **overrides)
+        outcomes = []
+        for target in grid:
+            try:
+                expected = replace(base, target_classical_return=target, **overrides)
+            except VentureBankError as exc:
+                with pytest.raises(type(exc)) as err:
+                    first._at_target(target)
+                assert type(err.value) is type(exc) and str(err.value) == str(exc)
+                outcomes.append(type(exc))
+                continue
+            derived = first._at_target(target)
+            assert derived == expected
+            assert hash(derived) == hash(expected)
+            assert repr(derived) == repr(expected)
+            assert derived.opening_book == expected.opening_book
+            assert derived.opening_book is first.opening_book
+            outcomes.append(None)
+        assert outcomes == [InvalidParameterError, None, InvalidParameterError, None,
+                            InvalidParameterError]
+
+    def test_each_override_set_is_validated_in_full_once(self, monkeypatch):
+        # Later points check only their target and keep the opening book.
+        cfg, calls = ScenarioConfig.calibration(), Counter()
+        for name in ("_opening_book", "replace"):
+            def counted(*args, _name=name, _fn=getattr(simulation, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(simulation, name, counted)
+        res = sweep_classical_return(cfg, self.GRID)
+        assert len(res.points) == len(self.GRID) * len(simulation.SWEEP_CURVES)
+        sets = len({tuple(o.items()) for _, o, _ in simulation.SWEEP_CURVES})
+        assert calls == {"_opening_book": sets, "replace": sets}
 
     def test_sweep_keeps_no_books(self, monkeypatch):
         def broken(*args, **kwargs):
