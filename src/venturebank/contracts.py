@@ -307,17 +307,13 @@ def exit_equity_split(
     """Split insured exit equity between underwriter and bank.
 
     The insured slice of the investor's equity is coverage * investor_equity;
-    the underwriter keeps its contracted fraction, the bank the remainder.
+    the underwriter keeps its contracted fraction, the bank the remainder,
+    the difference of two money-scale amounts, exact at 9 places in
+    DECIMAL_CONTEXT.
     """
-    return _exit_equity_split(money(investor_equity), fraction(coverage, "coverage"),
-                              fraction(equity_fraction, "equity_fraction"))
-
-
-def _exit_equity_split(value: Decimal, coverage: Decimal,
-                       equity_fraction: Decimal) -> tuple[Decimal, Decimal]:
-    """exit_equity_split's arithmetic, on a money-scale value and two
-    fractions already checked.  The bank's share is the difference of two
-    money-scale amounts, exact at 9 places in DECIMAL_CONTEXT."""
+    value = money(investor_equity)
+    coverage = fraction(coverage, "coverage")
+    equity_fraction = fraction(equity_fraction, "equity_fraction")
     insured = money(value * coverage)
     to_underwriter = money(insured * equity_fraction)
     return to_underwriter, DECIMAL_CONTEXT.subtract(insured, to_underwriter)

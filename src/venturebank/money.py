@@ -22,6 +22,7 @@ from decimal import (
     ROUND_HALF_EVEN,
     localcontext,
 )
+from itertools import repeat
 
 from .errors import InvalidParameterError
 
@@ -101,6 +102,22 @@ def money(value) -> Decimal:
         raise InvalidParameterError(
             f"{d} is past the money scale of 19 digits before the point"
         ) from None
+
+
+def money_products(values, factors) -> list[Decimal]:
+    """[money(v * f) for v, f in zip(values, factors)], every product taken
+    in DECIMAL_CONTEXT: DECIMAL_CONTEXT.multiply and .quantize mapped over
+    the columns, with no Python frame per product.  values is a sequence of
+    finite Decimals, factors a sequence of them or an itertools.repeat.  A
+    product that raises sends the whole column through that scalar loop,
+    so a refusal keeps money()'s type and message."""
+    ctx = DECIMAL_CONTEXT
+    try:
+        return list(map(ctx.quantize, map(ctx.multiply, values, factors),
+                        repeat(MONEY_SCALE)))
+    except ArithmeticError:
+        with localcontext(ctx):
+            return [money(v * f) for v, f in zip(values, factors)]
 
 
 def money_floor(value) -> Decimal:

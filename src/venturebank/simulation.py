@@ -1,13 +1,16 @@
-"""Scenario engine: `fund_rows` drives every fund's note through its
-lifecycle into one row per fund; `render` writes the rows as the run's
-event log, `rows_of` folds a log back into rows, and `price` prices rows
-into the report figures.  `replay` is `rows_of` then `price`, and
-`run_scenario` renders and prices the same rows; its report keeps the
-log, so `post_books(report.events, report.config)` gives its books.  The
-return-sweep curves price each point's rows and never build a log.
+"""Scenario engine: `_fund_columns` drives every fund's note through its
+lifecycle a column at a time, one tuple per `FundRow` field, and
+`fund_rows` gives the rows those columns are the transposition of.
+`render` writes rows as the run's event log, `rows_of` folds a log back
+into rows, and `price` prices columns into the report figures.  `replay`
+prices the columns of a log's `rows_of`, and `run_scenario` renders and
+prices the same rows; its report keeps the log, so
+`post_books(report.events, report.config)` gives its books.  The
+return-sweep curves price each point's columns and never build a row or
+a log.
 
-Every reported number is priced from rows that the run's log folds back
-to, so a serialized log replays to the identical report.
+Every reported number is priced from columns that the run's log folds
+back to, so a serialized log replays to the identical report.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import io
 import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, Inexact, localcontext
+from itertools import compress, repeat
 from typing import NamedTuple, get_type_hints
 
 from .contracts import (
@@ -26,7 +30,6 @@ from .contracts import (
     DinContract,
     DinState,
     TriggerEvent,
-    _exit_equity_split,
     annual_premium,
     apply_trigger,
     # Notes build their liens inside apply_trigger; the name stays bound here
@@ -60,6 +63,7 @@ from .money import (
     fraction,
     in_money_context,
     money,
+    money_products,
 )
 
 # Config validation checks the loan book against the engine's post-booking
@@ -530,7 +534,7 @@ def _opening_book(config: ScenarioConfig
     capital (widening the lending limit the book must fit), the amount
     booked, and the loan faces: every fund's but the last, and the last,
     which takes the remainder so that they sum to the book.  Config
-    validation and fund_rows both take it from here, so a config that
+    validation and the engine both take it from here, so a config that
     validates is a book the engine can write."""
     book = money(config.moc * config.initial_capital)
     capital, booked, _ = book_din_to_capital(
@@ -544,7 +548,8 @@ def _opening_book(config: ScenarioConfig
 
 class FundRow(NamedTuple):
     """One fund's run: render logs it, rows_of folds it back from a log,
-    price prices it.  A field whose event the fund does not log is None."""
+    and price prices the columns, one tuple per field, that rows transpose
+    to.  A field whose event the fund does not log is None."""
 
     fund_id: str
     face: Decimal | None  # loan_issued
@@ -566,52 +571,77 @@ class FundRow(NamedTuple):
 
 @in_money_context
 def fund_rows(config: ScenarioConfig) -> tuple[FundRow, ...]:
-    """Run one scenario: one row per fund, in distribution order."""
+    """Run one scenario: one row per fund, in distribution order, the
+    transposition of the engine's columns."""
     dist = synthesize_distribution(
         seed=config.seed, n_funds=config.n_funds, spread=config.spread
     )
     if config.target_classical_return is not None:
         dist = rescale_to_target(dist, config.target_classical_return)
-    return _fund_rows(config, dist)
+    return tuple(map(tuple.__new__, repeat(FundRow), zip(*_fund_columns(config, dist))))
 
 
-def _fund_rows(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[FundRow, ...]:
-    """fund_rows' engine, on a spread already synthesized and rescaled for
-    config; the sweep calls it directly to share one spread between the
-    curves of a grid point.  A failure's payout, lien, lien settlement and
+def _fund_columns(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[tuple, ...]:
+    """The engine, on a spread already synthesized and rescaled for config:
+    the portfolio's FundRow fields as columns, one tuple per field in
+    distribution order and None where a fund logs no such event, so the
+    columns are tuple(zip(*rows)).  The sweep calls it directly, to share
+    one spread between the curves of a grid point, and prices the columns
+    without building a row.
+
+    Exits and failures are picked out by their classification, in
+    whatever order they come.  Every per-fund product is taken a column at
+    a time by money_products: each fund's multiple * face, its exit
+    proceeds or its worth at failure, and each exit's insured amount and
+    underwriter share.  A failure's payout, lien, lien settlement and
     carrying cost depend on its note only through its loan face and equity
     valuation, its class.  Failures of one class are adjacent, so each run
     of them is settled once, by one apply_trigger on the run's first note,
-    and every fund of the run takes that settlement into its own row; a
-    lien settlement and a carrying cost are also kept across runs until
-    their inputs change."""
+    and every fund of the run repeats that settlement; a lien settlement
+    and a carrying cost are also kept across runs until their inputs
+    change."""
     # Notes, triggers and the arithmetic take their inputs unchecked: the
     # config was checked when built, which also refused a loan face <= 0
-    # and any amount past the money scale.  A row, a note or a detail is
-    # built by tuple.__new__ itself.
+    # and any amount past the money scale.  A note or a detail is built by
+    # tuple.__new__ itself.
     _, _, _, per, last = config.opening_book
     coverage, equity_fraction = config.coverage, config.equity_fraction
     terms = (coverage, equity_fraction, DinState.ACTIVE, ())
     policy, rate, zero = config.clawback_policy(), config.bank_rate, config.salvage_mode == "zero"
-    failed, closeout, new, rows = config.failure_year, config.exit_year, tuple.__new__, []
+    failed, closeout, new = config.failure_year, config.exit_year, tuple.__new__
+    funds, multiples, classes = zip(*dist.outcomes)
+    faces = (per,) * (config.n_funds - 1) + (last,)
+    exiting = [c != FAILURE for c in classes]
+    failing = [not exits for exits in exiting]
+    values = money_products(multiples, faces)  # an exit's proceeds, a failure's worth
+
     # Every note but the last has the same face and terms: one premium,
-    # and one total to each trigger year.
-    paid = {}
+    # and one total to each trigger year, indexed by whether the fund exits.
+    premium, paid = {}, {}
     for face in {per, last}:
-        premium = annual_premium(new(DinContract, ("", face, *terms)), config.premium_rate)
-        paid[face] = (premium, failed, premium * failed), (premium, closeout, premium * closeout)
+        premium[face] = annual_premium(new(DinContract, ("", face, *terms)), config.premium_rate)
+        paid[face] = (premium[face] * failed, premium[face] * closeout)
+    every, final = paid[per], paid[last]
+
+    # Each exit's fields from payout on: None up to its proceeds and their
+    # split.  An exit settles nothing a row records: its trigger is not
+    # applied.
+    proceeds = list(compress(values, exiting))
+    insured = money_products(proceeds, repeat(coverage))
+    uw_shares = money_products(insured, repeat(equity_fraction))
+    exit_fields = zip(*(repeat(None),) * 9, proceeds, map(new, repeat(ExitProceeds), zip(
+        compress(faces, exiting), uw_shares, map(DECIMAL_CONTEXT.subtract, insured, uw_shares))))
+
+    # Each failure's: its payout, detail and worth, then the fields from
+    # salvage on, which its class shares with its payout.  A run of
+    # failures of one class repeats the fields of its first.
+    worth = list(compress(values, failing))
+    valuations = [ZERO] * len(worth) if zero else worth
+    payouts: list[Decimal] = []
+    shared: list[tuple] = []
     class_face = class_valuation = lien_key = parked_at = None
-    for (fund, multiple, classification), face in zip(
-            dist.outcomes, [per] * (config.n_funds - 1) + [last]):
-        if classification != FAILURE:
-            # An exit settles nothing a row records: its trigger is not applied.
-            proceeds = money(multiple * face)
-            shares = _exit_equity_split(proceeds, coverage, equity_fraction)
-            rows.append(new(FundRow, (fund, face, *paid[face][1], *(None,) * 9, proceeds,
-                                      new(ExitProceeds, (face, *shares)))))
-            continue
-        worth = money(multiple * face)
-        valuation = ZERO if zero else worth
+    for fund, face, valuation in zip(compress(funds, failing), compress(faces, failing),
+                                     valuations):
         if valuation != class_valuation or face != class_face:
             class_face, class_valuation = face, valuation
             _, settlement = apply_trigger(new(DinContract, (fund, face, *terms)),
@@ -623,20 +653,25 @@ def _fund_rows(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[FundRo
                 lien_key = lien[1:]
                 clawed, resolved = settle_clawback(lien, closeout, rate,
                                                    verdict=config.audit_verdict)
-                settled = (LienCreated(lien.fraction, lien.origin_year), clawed,
-                           LienSettled(resolved.fraction))
+                lien_fields = (lien.base, LienCreated(lien.fraction, lien.origin_year), clawed,
+                               LienSettled(resolved.fraction))
             # Parked to closeout, the payout costs the underwriter its interest.
             parked = payout - valuation
             if parked > 0 and parked != parked_at:
                 parked_at, cost = parked, _carrying_cost(parked, closeout - failed, rate)
-            # The row fields every fund of the class shares.
-            salvage = valuation if valuation > 0 else None
-            lien_fields = (None,) * 4 if lien is None else (lien.base, *settled)
-            carrying = cost if parked > 0 and cost > 0 else None
-        rows.append(new(FundRow, (
-            fund, face, *paid[face][0], payout, new(BankruptcyPayout, (valuation, multiple)),
-            worth, salvage, *lien_fields, carrying, None, None)))
-    return tuple(rows)
+            fields = (valuation if valuation > 0 else None,
+                      *((None,) * 4 if lien is None else lien_fields),
+                      cost if parked > 0 and cost > 0 else None, None, None)
+        payouts.append(payout)
+        shared.append(fields)
+    failure_fields = map(tuple.__add__, zip(payouts, map(new, repeat(BankruptcyPayout), zip(
+        valuations, compress(multiples, failing))), worth), shared)
+
+    # Exits and failures merged back into distribution order.
+    merged = [next(exit_fields) if exits else next(failure_fields) for exits in exiting]
+    return (funds, faces, (premium[per],) * (len(faces) - 1) + (premium[last],),
+            tuple([closeout if exits else failed for exits in exiting]),
+            (*[every[exits] for exits in exiting[:-1]], final[exiting[-1]]), *zip(*merged))
 
 
 @in_money_context
@@ -864,14 +899,15 @@ def rows_of(events) -> tuple[FundRow, ...]:
 
 
 @in_money_context
-def price(rows: tuple[FundRow, ...], config: ScenarioConfig) -> dict:
-    """The report figures of a run's rows: the one pricing routine, which
-    run_scenario and the sweep call on the engine's rows and replay on a
-    log's, so a serialized log reproduces the report exactly."""
-    columns = dict(zip(FundRow._fields, zip(*rows))) if rows else dict.fromkeys(FundRow._fields, ())
+def price(columns: tuple[tuple, ...], config: ScenarioConfig) -> dict:
+    """The report figures of a run's columns, one tuple per FundRow field
+    (tuple(zip(*rows)), so () when there are no rows): the one pricing
+    routine, which run_scenario and the sweep call on the engine's columns
+    and replay on a log's, so a serialized log reproduces the report
+    exactly."""
+    columns = dict(zip(FundRow._fields, columns or ((),) * len(FundRow._fields)))
     exits = [e for e in columns["exit"] if e is not None]
-    columns["uw_share"] = [e.uw_share for e in exits]
-    columns["bank_share"] = [e.bank_share for e in exits]
+    _, columns["uw_share"], columns["bank_share"] = zip(*exits) if exits else ((),) * 3
     totals = {}
     try:
         with localcontext(_EXACT):
@@ -916,16 +952,18 @@ def price(rows: tuple[FundRow, ...], config: ScenarioConfig) -> dict:
 
 @in_money_context
 def replay(events, config: ScenarioConfig) -> dict:
-    """The report figures of an event log: price(rows_of(events), config)."""
-    return price(rows_of(events), config)
+    """The report figures of an event log: the price of its rows_of."""
+    return price(tuple(zip(*rows_of(events))), config)
 
 
 @in_money_context
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
-    """A run's rows, rendered as the report's log and priced for its
-    figures.  The books are `post_books(report.events, report.config)`."""
+    """A run's rows, rendered as the report's log and priced, as columns,
+    for its figures.  The books are `post_books(report.events,
+    report.config)`."""
     rows = fund_rows(config)
-    return SimulationReport(config=config, events=render(rows, config), **price(rows, config))
+    return SimulationReport(config=config, events=render(rows, config),
+                            **price(tuple(zip(*rows)), config))
 
 
 @dataclass(frozen=True)
@@ -973,22 +1011,24 @@ SWEEP_CURVES = (
 
 @in_money_context
 def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
-    """Rerun the scenario over a grid of portfolio returns, one row per
-    (curve, grid point).  Each point is priced from its event log alone;
-    no books are kept.  Point failures are recorded, not fatal.
+    """Rerun the scenario over a grid of portfolio returns, one point or
+    failure per (curve, grid point).  Each point prices the engine's
+    columns; no row, event log or book is built.  Point failures are
+    recorded, not fatal; a grid point that is no decimal at all is
+    refused, before any spread is synthesized.
 
     No curve overrides the seed, n_funds or the spread, so one synthesized
     spread serves the whole sweep, rescaled once per grid point.  Each
     distinct override set builds one config per point, and curves whose
-    configs compare equal share one run: the rows keep only floats of
-    replay's figures, which equal configs price equally.
+    configs compare equal share one run: a point keeps only a float of
+    price's figures, which equal configs price equally.
 
     Only the target changes from point to point.  An override set's config
     is built in full, by replace, until it validates at some point; at each
     later point it is that config's _at_target, which checks the target
     alone, keeps the opening book, and equals the replace it stands for or
     raises its error."""
-    targets = [Decimal(str(t)) for t in grid]
+    targets = [_grid_point(position, t) for position, t in enumerate(grid)]
     if not targets:
         raise InvalidParameterError("sweep grid is empty")
 
@@ -1035,9 +1075,24 @@ def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
     return SweepResult(points=tuple(points), failures=tuple(failures))
 
 
+def _grid_point(position: int, value) -> Decimal:
+    """A sweep point as a Decimal, read as money.finite reads it.  NaN, an
+    infinity and a decimal past the money scale pass, to fail as a row on
+    each curve; text that is not a decimal, None and a bool (an int to
+    Python, but JSON's true or false, not a number) raise
+    InvalidParameterError naming the point."""
+    if not isinstance(value, bool):
+        try:
+            return Decimal(value if isinstance(value, (str, int)) else str(value))
+        except ArithmeticError:  # the text is not a decimal
+            pass
+    raise InvalidParameterError(
+        f"sweep grid point {position} must be a decimal, got {str(value)!r}")
+
+
 def _priced(config: ScenarioConfig, dist: ReturnDistribution) -> dict | VentureBankError:
     """price's figures for one sweep run, or the error that stopped it."""
     try:
-        return price(_fund_rows(config, dist), config)
+        return price(_fund_columns(config, dist), config)
     except VentureBankError as exc:
         return exc

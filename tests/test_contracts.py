@@ -32,7 +32,6 @@ from venturebank.contracts import (
     LienResolution,
     Settlement,
     TriggerEvent,
-    _exit_equity_split,
     annual_premium,
     apply_trigger,
     create_clawback,
@@ -578,18 +577,16 @@ FRACTIONS = st.decimals(min_value=0, max_value=1, places=6,
                         allow_nan=False, allow_infinity=False)
 
 
-class TestCheckedEqualsArithmetic:
-    """A public function is its checks followed by its private arithmetic:
-    on money-scale inputs the two give the same Decimals, exponent and
-    sign of zero included."""
+class TestExitEquitySplit:
+    """On money-scale inputs each share is a money() of its product,
+    exponent and sign of zero included."""
 
     @settings(max_examples=200, deadline=None)
     @given(MONEY_AMOUNTS, FRACTIONS, FRACTIONS)
     def test_exit_equity_split(self, equity, coverage, equity_fraction):
-        public = exit_equity_split(equity, coverage, equity_fraction)
-        private = _exit_equity_split(equity, coverage, equity_fraction)
-        assert [str(d) for d in public] == [str(d) for d in private]
+        to_underwriter, to_bank = exit_equity_split(equity, coverage, equity_fraction)
+        insured = money(equity * coverage)
+        assert str(to_underwriter) == str(money(insured * equity_fraction))
         # The bank's share, computed without a quantize, is the money()
         # of the difference.
-        to_underwriter, to_bank = private
-        assert str(to_bank) == str(money(money(equity * coverage) - to_underwriter))
+        assert str(to_bank) == str(money(insured - to_underwriter))

@@ -1,8 +1,11 @@
 """The numeric gate: every outside amount, rate and fraction becomes a
 finite Decimal in money.py, and anything else fails typed."""
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import ROUND_DOWN, Decimal, InvalidOperation, localcontext
+from itertools import repeat
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from venturebank.contracts import (
     BANKRUPTCY,
@@ -24,7 +27,7 @@ from venturebank.ledger import (
     dr,
     write_investment_loan,
 )
-from venturebank.money import compound, finite, fraction, money
+from venturebank.money import DECIMAL_CONTEXT, compound, finite, fraction, money, money_products
 from venturebank.multipliers import capital_limits, din_capital_fraction, moc_schedule
 from venturebank.registry import ForwardPeriod, Registry, RegistryRecord, build_package
 from venturebank.returns import rescale_to_target, synthesize_distribution
@@ -148,3 +151,68 @@ class TestFraction:
         with pytest.raises(InvalidParameterError,
                            match=f"^f must be a finite decimal, got '{value}'$"):
             fraction(value, "f", open_low=open_low)
+
+
+# Amounts across the money scale, to 10 places so that some products are
+# half-even ties at the 9th, and the factors the engine multiplies them by:
+# a multiple, a coverage or an equity fraction.
+SCALE_VALUES = st.decimals(min_value=-10**17, max_value=10**17, places=10,
+                           allow_nan=False, allow_infinity=False)
+SCALE_FACTORS = st.decimals(min_value=-10, max_value=10, places=9,
+                            allow_nan=False, allow_infinity=False)
+
+
+def scalar_products(values, factors) -> list[Decimal]:
+    """The loop money_products stands for, at 28 digits half-even."""
+    with localcontext(DECIMAL_CONTEXT):
+        return [money(v * f) for v, f in zip(values, factors)]
+
+
+class TestMoneyProducts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(SCALE_VALUES, SCALE_FACTORS), max_size=30))
+    @example([(Decimal("0.0000000005"), Decimal(1)), (Decimal("0.0000000015"), Decimal(1)),
+              (Decimal("0.000000001"), Decimal("0.5")), (Decimal("0.000000003"), Decimal("0.5")),
+              (Decimal("-0.0000000025"), Decimal(1)), (Decimal("0E-9"), Decimal(-1))])
+    def test_equals_the_scalar_loop(self, pairs):
+        # Exponent and sign of zero included.
+        values, factors = [v for v, _ in pairs], [f for _, f in pairs]
+        want = [str(d) for d in scalar_products(values, factors)]
+        assert [str(d) for d in money_products(values, factors)] == want
+        for factor in {f for f in factors}:
+            assert [str(d) for d in money_products(values, repeat(factor))] == [
+                str(d) for d in scalar_products(values, repeat(factor))]
+
+    def test_half_even_ties(self):
+        values = [Decimal(t) for t in ("0.0000000005", "0.0000000015", "-0.0000000025")]
+        assert [str(d) for d in money_products(values, repeat(Decimal(1)))] == [
+            "0E-9", "2E-9", "-2E-9"]
+
+    @pytest.mark.parametrize("values, factors", [
+        ([Decimal(1), Decimal("9999999999999999999")], [Decimal(1), Decimal(2)]),
+        ([Decimal("5000000000000000000")], repeat(Decimal(2))),
+        # At 28 digits the product rounds up to 1E+19.
+        ([Decimal("9999999999999999999.9999999996")], [Decimal(1)]),
+    ], ids=["second", "repeat", "rounds_up_to_the_limit"])
+    def test_past_the_scale_is_refused_as_money_refuses_it(self, values, factors):
+        with pytest.raises(InvalidParameterError) as scalar:
+            scalar_products(values, factors)
+        assert "past the money scale of 19 digits before the point" in str(scalar.value)
+        with pytest.raises(InvalidParameterError) as bulk:
+            money_products(values, factors)
+        assert str(bulk.value) == str(scalar.value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(SCALE_VALUES, SCALE_FACTORS), min_size=1, max_size=10))
+    def test_the_caller_context_changes_nothing(self, pairs):
+        values, factors = [v for v, _ in pairs], [f for _, f in pairs]
+        want = [str(d) for d in scalar_products(values, factors)]
+        past = [Decimal("9999999999999999999"), *values]
+        with pytest.raises(InvalidParameterError) as expected:
+            scalar_products(past, [Decimal(2), *factors])
+        with localcontext() as ctx:
+            ctx.prec, ctx.rounding = 5, ROUND_DOWN
+            assert [str(d) for d in money_products(values, factors)] == want
+            with pytest.raises(InvalidParameterError) as refused:
+                money_products(past, [Decimal(2), *factors])
+        assert str(refused.value) == str(expected.value)

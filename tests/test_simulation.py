@@ -1,10 +1,12 @@
 """Scenario runs: report identities, determinism, replay, and sweep shapes."""
 import csv
 import pickle
+import random
 import re
 from collections import Counter
 from dataclasses import replace
-from decimal import Decimal, getcontext, localcontext
+from decimal import Decimal, InvalidOperation, getcontext, localcontext
+from types import SimpleNamespace
 from typing import get_type_hints
 
 import pytest
@@ -31,6 +33,7 @@ from oracles import (
     event_log_csv,
     event_order_replay,
     is_nondecreasing,
+    per_fund_amounts,
     per_note_settlements,
     sign_scan_local_minimum,
 )
@@ -702,6 +705,34 @@ class TestSweep:
         for f in res.failures:
             assert "target_classical_return must be a finite decimal" in f.message
 
+    @pytest.mark.parametrize("grid, position, text", [
+        (["abc"], 0, "abc"), ([None], 0, "None"), ([True], 0, "True"),
+        (["1.31", False], 1, "False"), ([Decimal("1.31"), "1.31x"], 1, "1.31x")])
+    def test_a_point_that_is_no_decimal_is_refused_by_name(self, monkeypatch, grid,
+                                                           position, text):
+        # Refused before any spread is synthesized, whatever the caller's
+        # context traps.
+        def broken(*args, **kwargs):
+            raise RuntimeError("the sweep synthesized a spread")
+
+        monkeypatch.setattr(simulation, "synthesize_distribution", broken)
+        for trap in (True, False):
+            with localcontext() as ctx:
+                ctx.traps[InvalidOperation] = trap
+                with pytest.raises(InvalidParameterError, match=(
+                        f"^sweep grid point {position} must be a decimal, got '{text}'$")):
+                    sweep_classical_return(ScenarioConfig.calibration(), grid)
+
+    @pytest.mark.parametrize("text", ["NaN", "1E+999999999"])
+    def test_a_decimal_no_config_takes_is_a_row_on_every_curve(self, text):
+        res = sweep_classical_return(ScenarioConfig.calibration(), [text, "1.31"])
+        assert [f.curve for f in res.failures] == [
+            name for name, _, _ in simulation.SWEEP_CURVES]
+        for f in res.failures:
+            assert str(f.classical_return) == text
+            assert "target_classical_return must be a finite decimal" in f.message
+        assert {p.classical_return for p in res.points} == {Decimal("1.31")}
+
     def test_target_past_the_money_scale_is_a_row_on_every_curve(self):
         res = sweep_classical_return(ScenarioConfig(), ["1E+30", "1"])
         assert [f.curve for f in res.failures] == [
@@ -714,7 +745,7 @@ class TestSweep:
     def test_run_past_the_money_scale_is_a_row_on_every_curve(self, monkeypatch):
         # Each field fits the money scale; the exit proceeds of the run do
         # not, so every curve's config is refused before anything runs.
-        monkeypatch.setattr(simulation, "_fund_rows", None)
+        monkeypatch.setattr(simulation, "_fund_columns", None)
         res = sweep_classical_return(ScenarioConfig(initial_capital="1E+10"), ["1E+10"])
         assert not res.points
         assert len(res.failures) == len(simulation.SWEEP_CURVES)
@@ -727,7 +758,7 @@ class TestSweep:
         def broken(config, dist):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(simulation, "_fund_rows", broken)
+        monkeypatch.setattr(simulation, "_fund_columns", broken)
         with pytest.raises(RuntimeError, match="bug"):
             sweep_classical_return(ScenarioConfig.calibration(), self.GRID[:1])
 
@@ -743,7 +774,7 @@ class TestSweep:
         # which compares equal to 0.77) and din_10y and din_net_profit
         # share it; under full clawback bank_claw077 differs.
         calls = Counter()
-        for name in ("synthesize_distribution", "rescale_to_target", "_fund_rows"):
+        for name in ("synthesize_distribution", "rescale_to_target", "_fund_columns"):
             def counted(*args, _name=name, _fn=getattr(simulation, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -752,7 +783,7 @@ class TestSweep:
         assert not res.failures
         assert len(res.points) == 3 * len(simulation.SWEEP_CURVES)
         assert calls == {"synthesize_distribution": 1, "rescale_to_target": 3,
-                         "_fund_rows": 3 * runs}
+                         "_fund_columns": 3 * runs}
 
     def test_a_refused_override_set_fails_each_of_its_curves(self, monkeypatch):
         # din_10y and din_net_profit share the override set {}: it is
@@ -1110,7 +1141,7 @@ class TestRows:
             e.fund_id for e in events if e.kind == "loan_issued"]
         assert simulation.rows_of(events) == rows
         assert simulation.rows_of(events_from_csv(events_to_csv(events))) == rows
-        assert simulation.price(rows, cfg) == replay(events, cfg)
+        assert simulation.price(tuple(zip(*rows)), cfg) == replay(events, cfg)
 
     @pytest.mark.parametrize("name", sorted(ROW_CASES))
     def test_log_folds_back_to_its_rows(self, name):
@@ -1171,6 +1202,90 @@ class TestRows:
             with pytest.raises(InvalidParameterError, match=(
                     f"^the premium earnings {re.escape(str(earnings))} are below 0$")):
                 replay(log, cfg)
+
+
+def spread_of(cfg):
+    """The spread a run of cfg prices, as fund_rows builds it."""
+    dist = simulation.synthesize_distribution(seed=cfg.seed, n_funds=cfg.n_funds,
+                                              spread=cfg.spread)
+    if cfg.target_classical_return is not None:
+        dist = simulation.rescale_to_target(dist, cfg.target_classical_return)
+    return dist
+
+
+class TestColumns:
+    """The engine computes columns; rows are their transposition, and each
+    fund's amounts are its own."""
+
+    @staticmethod
+    def check_columns(cfg, dist):
+        columns = simulation._fund_columns(cfg, dist)
+        assert len(columns) == len(simulation.FundRow._fields)
+        assert all(type(column) is tuple and len(column) == len(dist.outcomes)
+                   for column in columns)
+        named = dict(zip(simulation.FundRow._fields, columns))
+        engine = [(fund, str(worth if proceeds is None else proceeds),
+                   None if exit is None else (str(exit.uw_share), str(exit.bank_share)))
+                  for fund, worth, proceeds, exit in zip(
+                      named["fund_id"], named["worth"], named["proceeds"], named["exit"])]
+        assert engine == [(fund, str(amount), None if split is None else tuple(map(str, split)))
+                          for fund, amount, split in per_fund_amounts(dist.outcomes, cfg)]
+        return columns
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_configs())
+    def test_columns_are_the_rows_transposed(self, cfg):
+        columns = self.check_columns(cfg, spread_of(cfg))
+        assert columns == tuple(zip(*simulation.fund_rows(cfg)))
+
+    @pytest.mark.parametrize("coverage", ["0.3", "0.75", "1"])
+    @pytest.mark.parametrize("clawback, verdict", RIDERS)
+    @pytest.mark.parametrize("salvage_mode", simulation.SALVAGE_MODES)
+    def test_each_fund_takes_its_own_amounts(self, salvage_mode, clawback, verdict, coverage):
+        # At 201 funds the last loan face, a failure's, differs from the
+        # others.
+        cfg = ScenarioConfig.calibration(
+            n_funds=201, target_classical_return="1.31", salvage_mode=salvage_mode,
+            clawback_fraction=clawback, audit_verdict=verdict, coverage=coverage)
+        columns = self.check_columns(cfg, spread_of(cfg))
+        assert columns == tuple(zip(*simulation.fund_rows(cfg)))
+
+    @pytest.mark.parametrize("salvage_mode", simulation.SALVAGE_MODES)
+    def test_failures_need_not_form_a_suffix(self, salvage_mode):
+        # A spread is sorted, so its failures come last; the engine selects
+        # them by classification, and an interleaved spread gives every
+        # fund its own amounts and settlement all the same.
+        cfg = ScenarioConfig.calibration(n_funds=41, target_classical_return="1.31",
+                                         salvage_mode=salvage_mode)
+        dist = spread_of(cfg)
+        outcomes = list(dist.outcomes)
+        random.Random(7).shuffle(outcomes)
+        classes = [o.classification for o in outcomes]
+        assert classes[-1] != "failure" and classes != sorted(classes)
+        columns = self.check_columns(cfg, replace(dist, outcomes=tuple(outcomes)))
+        rows = tuple(simulation.FundRow(*row) for row in zip(*columns))
+        assert [(row.fund_id, row.payout, row.lien, row.lien_terms, row.clawed,
+                 None if row.settled is None else row.settled.fraction)
+                for row in rows if row.failure is not None] == per_note_settlements(rows, cfg)
+
+    def test_an_empty_log_prices_as_no_columns(self):
+        cfg = ScenarioConfig()
+        assert tuple(zip(*simulation.rows_of(()))) == ()
+        assert replay((), cfg) == simulation.price((), cfg) == simulation.price(
+            ((),) * len(simulation.FundRow._fields), cfg)
+
+    def test_a_sweep_point_builds_no_row(self, monkeypatch):
+        # The stand-in keeps the field names price reads and builds
+        # nothing: neither FundRow(...) nor tuple.__new__(FundRow, ...).
+        def broken(*args, **kwargs):
+            raise RuntimeError("the sweep built a row")
+
+        monkeypatch.setattr(simulation, "FundRow",
+                            SimpleNamespace(_fields=simulation.FundRow._fields))
+        monkeypatch.setattr(simulation, "fund_rows", broken)
+        res = sweep_classical_return(ScenarioConfig.calibration(), TestSweep.GRID[:2])
+        assert not res.failures
+        assert len(res.points) == 2 * len(simulation.SWEEP_CURVES)
 
 
 @st.composite
