@@ -7,8 +7,6 @@ written atomically; identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -16,7 +14,7 @@ import tempfile
 from decimal import Decimal
 
 from .errors import ConfigError, InvalidParameterError, VentureBankError
-from .money import in_money_context
+from .money import csv_text, in_money_context
 from .multipliers import KrakenParams, classical_multiplier, kraken_multiplier
 from .registry import (
     ForwardPeriod,
@@ -66,11 +64,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     """header and rows as one CSV file at path, every line ending in a
     newline.  It writes through the module's _atomic_write, which the
     benchmark's tracer wraps by name."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, csv_text(header, rows))
 
 
 def load_config(path: str) -> dict:
@@ -108,15 +102,14 @@ def _section(data: dict, name: str) -> dict:
     return section
 
 
-def _config_decimal(name: str, value, finite: bool = True) -> Decimal:
+def _config_decimal(name: str, value) -> Decimal:
     try:
         d = Decimal(str(value))
-        if d.is_finite() or not finite:
+        if d.is_finite():
             return d
     except ArithmeticError:
         pass
-    kind = "finite decimal" if finite else "decimal"
-    raise ConfigError(f"{name} must be a {kind}, got {str(value)!r}")
+    raise ConfigError(f"{name} must be a finite decimal, got {str(value)!r}")
 
 
 def scenario_from_config(data: dict, seed_override: int | None) -> ScenarioConfig:
@@ -194,7 +187,7 @@ def cmd_simulate(data: dict, out_dir: str, seed_override: int | None) -> list[st
     return [report_path, events_path]
 
 
-def _sweep_grid(section: dict) -> list[Decimal]:
+def _sweep_grid(section: dict) -> list:
     too_many = f"a sweep grid may have at most {MAX_SWEEP_POINTS} points"
     if "grid" in section:
         values = section["grid"]
@@ -202,8 +195,10 @@ def _sweep_grid(section: dict) -> list[Decimal]:
             raise ConfigError("sweep grid must be a JSON array")
         if len(values) > MAX_SWEEP_POINTS:
             raise ConfigError(too_many)
-        # A non-finite point is priced like any other and fails per curve.
-        return [_config_decimal("sweep grid point", v, finite=False) for v in values]
+        # sweep_classical_return reads each point, and names one that is no
+        # decimal; a non-finite point is priced like any other and fails
+        # per curve.
+        return values
     if {"start", "stop", "step"} <= set(section):
         start, stop, step = (
             _config_decimal(f"sweep {name}", section[name])

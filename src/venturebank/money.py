@@ -11,7 +11,9 @@ compute in DECIMAL_CONTEXT, and the package's entry points are wrapped in
 in_money_context, which runs them inside localcontext(DECIMAL_CONTEXT).
 """
 
+import csv
 import functools
+import io
 from decimal import (
     Context,
     Decimal,
@@ -153,3 +155,13 @@ def _growth(rate: Decimal, periods: int) -> Decimal:
 def fmt(value: Decimal) -> str:
     """Canonical string form used in every CSV cell holding money."""
     return str(money(value))
+
+
+def csv_text(header, rows) -> str:
+    """header, then each of rows, as CSV text with every line ending in a
+    newline: the one writer of the package's CSV files but events.csv."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()

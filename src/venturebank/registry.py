@@ -1,8 +1,6 @@
 """Note registry (primary/secondary cross-references) and portfolio audits."""
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
 from dataclasses import dataclass
@@ -20,7 +18,7 @@ from .errors import (
     PackagingError,
     RegistryError,
 )
-from .money import finite, money
+from .money import csv_text, finite, money
 
 PRIMARY = "primary"
 SECONDARY = "secondary"
@@ -273,18 +271,13 @@ class RepresentativenessReport:
     flagged: bool
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
+        return csv_text(
             ["package_id", "n_package", "n_portfolio", "statistic",
-             "p_value", "threshold", "flagged"]
+             "p_value", "threshold", "flagged"],
+            [[self.package_id, self.n_package, self.n_portfolio,
+              f"{self.statistic:.6f}", f"{self.p_value:.6f}",
+              f"{self.threshold:.6f}", str(self.flagged).lower()]],
         )
-        w.writerow(
-            [self.package_id, self.n_package, self.n_portfolio,
-             f"{self.statistic:.6f}", f"{self.p_value:.6f}",
-             f"{self.threshold:.6f}", str(self.flagged).lower()]
-        )
-        return buf.getvalue()
 
 
 def audit_representativeness(

@@ -1,22 +1,19 @@
-"""Scenario engine: `_fund_columns` drives every fund's note through its
-lifecycle a column at a time, one tuple per `FundRow` field, and
-`fund_rows` gives the rows those columns are the transposition of.
-`render` writes rows as the run's event log, `rows_of` folds a log back
-into rows, and `price` prices columns into the report figures.  `replay`
-prices the columns of a log's `rows_of`, and `run_scenario` renders and
-prices the same rows; its report keeps the log, so
-`post_books(report.events, report.config)` gives its books.  The
-return-sweep curves price each point's columns and never build a row or
-a log.
+"""Scenario engine: a run is `Funds`, one column per field in
+distribution order.  `_fund_columns` drives every fund's note through its
+lifecycle a column at a time, `render` writes a run's `Funds` as its
+event log, `funds_of` folds a log back into `Funds`, and `price` prices
+`Funds` into the report figures.  `replay` prices a log's `funds_of`,
+and `run_scenario` renders and prices the engine's `Funds`; its report
+keeps the log, so `post_books(report.events, report.config)` gives its
+books.  The return-sweep curves price each point's `Funds` and never
+build a log.
 
-Every reported number is priced from columns that the run's log folds
-back to, so a serialized log replays to the identical report.
+Every reported number is priced from the `Funds` that the run's log
+folds back to, so a serialized log replays to the identical report.
 """
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, Inexact, localcontext
@@ -58,6 +55,7 @@ from .money import (
     DECIMAL_CONTEXT,
     MONEY_LIMIT,
     ZERO,
+    csv_text,
     finite,
     fmt,
     fraction,
@@ -103,7 +101,7 @@ MAX_FUNDS = 100_000
 # each below survivor_max * 2**-52.
 _FLOAT_SLACK = 1 + Decimal(2) ** -50
 
-# Sums that must not round: the totals of a log and of a run's rows.
+# Sums that must not round: the totals of a run's Funds, from a log or not.
 _EXACT = DECIMAL_CONTEXT.copy()
 _EXACT.traps[Inexact] = True
 
@@ -509,22 +507,16 @@ class SimulationReport:
     underwriter_ledger: Ledger | None = None
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(REPORT_COLUMNS)
-        w.writerow(
-            [
-                str(self.config.premium_rate),
-                f"{self.classical_return:.6f}",
-                fmt(self.underwriter_investment),
-                fmt(self.premium_earnings_10y),
-                fmt(self.din_net_profit),
-                f"{self.din_10y_return:.6f}",
-                f"{self.din_yearly_return:.6f}",
-                str(self.config.equity_fraction),
-            ]
-        )
-        return buf.getvalue()
+        return csv_text(REPORT_COLUMNS, [[
+            str(self.config.premium_rate),
+            f"{self.classical_return:.6f}",
+            fmt(self.underwriter_investment),
+            fmt(self.premium_earnings_10y),
+            fmt(self.din_net_profit),
+            f"{self.din_10y_return:.6f}",
+            f"{self.din_yearly_return:.6f}",
+            str(self.config.equity_fraction),
+        ]])
 
 
 def _opening_book(config: ScenarioConfig
@@ -546,48 +538,33 @@ def _opening_book(config: ScenarioConfig
     return book, capital, booked, per, book - per * (config.n_funds - 1)
 
 
-class FundRow(NamedTuple):
-    """One fund's run: render logs it, rows_of folds it back from a log,
-    and price prices the columns, one tuple per field, that rows transpose
-    to.  A field whose event the fund does not log is None."""
+class Funds(NamedTuple):
+    """A run, one column per field: each a tuple in distribution order,
+    None where a fund logs no such event.  The engine computes it, render
+    logs it, funds_of folds it back from a log, and price prices it."""
 
-    fund_id: str
-    face: Decimal | None  # loan_issued
-    premium: Decimal | None  # the first premium_paid
-    years: int  # premiums paid
-    premiums: Decimal | None  # their total
-    payout: Decimal | None  # bankruptcy_payout and its detail
-    failure: BankruptcyPayout | None
-    worth: Decimal | None  # multiple * face at failure
-    salvage: Decimal | None  # equity_accepted
-    lien: Decimal | None  # lien_created and its detail
-    lien_terms: LienCreated | None
-    clawed: Decimal | None  # lien_settled and its detail
-    settled: LienSettled | None
-    carrying: Decimal | None  # carrying_cost
-    proceeds: Decimal | None  # exit_proceeds and its detail
-    exit: ExitProceeds | None
-
-
-@in_money_context
-def fund_rows(config: ScenarioConfig) -> tuple[FundRow, ...]:
-    """Run one scenario: one row per fund, in distribution order, the
-    transposition of the engine's columns."""
-    dist = synthesize_distribution(
-        seed=config.seed, n_funds=config.n_funds, spread=config.spread
-    )
-    if config.target_classical_return is not None:
-        dist = rescale_to_target(dist, config.target_classical_return)
-    return tuple(map(tuple.__new__, repeat(FundRow), zip(*_fund_columns(config, dist))))
+    fund_id: tuple[str, ...]
+    face: tuple[Decimal | None, ...]  # loan_issued
+    premium: tuple[Decimal | None, ...]  # the first premium_paid
+    premiums: tuple[Decimal | None, ...]  # their total
+    payout: tuple[Decimal | None, ...]  # bankruptcy_payout and its detail
+    failure: tuple[BankruptcyPayout | None, ...]
+    worth: tuple[Decimal | None, ...]  # multiple * face at failure
+    salvage: tuple[Decimal | None, ...]  # equity_accepted
+    lien: tuple[Decimal | None, ...]  # lien_created and its detail
+    lien_terms: tuple[LienCreated | None, ...]
+    clawed: tuple[Decimal | None, ...]  # lien_settled and its detail
+    settled: tuple[LienSettled | None, ...]
+    carrying: tuple[Decimal | None, ...]  # carrying_cost
+    proceeds: tuple[Decimal | None, ...]  # exit_proceeds and its detail
+    exit: tuple[ExitProceeds | None, ...]
 
 
-def _fund_columns(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[tuple, ...]:
+def _fund_columns(config: ScenarioConfig, dist: ReturnDistribution) -> Funds:
     """The engine, on a spread already synthesized and rescaled for config:
-    the portfolio's FundRow fields as columns, one tuple per field in
-    distribution order and None where a fund logs no such event, so the
-    columns are tuple(zip(*rows)).  The sweep calls it directly, to share
-    one spread between the curves of a grid point, and prices the columns
-    without building a row.
+    the portfolio's Funds.  run_scenario renders and prices them; the sweep
+    prices them alone, sharing one spread between the curves of a grid
+    point.
 
     Exits and failures are picked out by their classification, in
     whatever order they come.  Every per-fund product is taken a column at
@@ -624,7 +601,7 @@ def _fund_columns(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[tup
     every, final = paid[per], paid[last]
 
     # Each exit's fields from payout on: None up to its proceeds and their
-    # split.  An exit settles nothing a row records: its trigger is not
+    # split.  An exit settles nothing a field records: its trigger is not
     # applied.
     proceeds = list(compress(values, exiting))
     insured = money_products(proceeds, repeat(coverage))
@@ -669,14 +646,13 @@ def _fund_columns(config: ScenarioConfig, dist: ReturnDistribution) -> tuple[tup
 
     # Exits and failures merged back into distribution order.
     merged = [next(exit_fields) if exits else next(failure_fields) for exits in exiting]
-    return (funds, faces, (premium[per],) * (len(faces) - 1) + (premium[last],),
-            tuple([closeout if exits else failed for exits in exiting]),
-            (*[every[exits] for exits in exiting[:-1]], final[exiting[-1]]), *zip(*merged))
+    return Funds(funds, faces, (premium[per],) * (len(faces) - 1) + (premium[last],),
+                 (*[every[exits] for exits in exiting[:-1]], final[exiting[-1]]), *zip(*merged))
 
 
 @in_money_context
-def render(rows: tuple[FundRow, ...], config: ScenarioConfig) -> tuple[Event, ...]:
-    """The event log of a run's rows.  Year 0 injects capital, books the
+def render(funds: Funds, config: ScenarioConfig) -> tuple[Event, ...]:
+    """The event log of a run's Funds.  Year 0 injects capital, books the
     insured-note value and writes one loan per fund.  Each year every
     active note pays its premium; then, in distribution order, the failures
     settle at failure_year.  Closeout at exit_year logs the exits, then
@@ -692,35 +668,37 @@ def render(rows: tuple[FundRow, ...], config: ScenarioConfig) -> tuple[Event, ..
     emit(0, "capital_injection", "", money(config.initial_capital))
     if booked > 0:
         emit(0, "din_booked", "", booked, DinBooked(capital.tier1_insured, capital.tier2_insured))
-    for row in rows:
-        emit(0, "loan_issued", row.fund_id, row.face)
+    for fund, face in zip(funds.fund_id, funds.face):
+        emit(0, "loan_issued", fund, face)
     drawdown = money(book * Decimal("0.5"))
     if drawdown > 0:
         emit(0, "deposit_drawdown", "", drawdown)
-    failed = [row for row in rows if row.failure is not None]
-    paying = [(row.fund_id, row.premium) for row in rows]
+    failing = [failure is not None for failure in funds.failure]
+    paying = list(zip(funds.fund_id, funds.premium))
     for year in range(1, config.exit_year + 1):
         events.extend([new(Event, (seq, year, "premium_paid", fund, premium, None))
                        for seq, (fund, premium) in enumerate(paying, len(events))])
         if year == config.failure_year:
-            for row in failed:
-                emit(year, "bankruptcy_payout", row.fund_id, row.payout, row.failure)
-                emit(year, "loan_written_off", row.fund_id, row.face)
-                if row.salvage is not None:
-                    emit(year, "equity_accepted", row.fund_id, row.salvage)
-                if row.lien_terms is not None:
-                    emit(year, "lien_created", row.fund_id, row.lien, row.lien_terms)
-            paying = [(row.fund_id, row.premium) for row in rows if row.failure is None]
+            for fund, face, payout, failure, salvage, lien, terms in compress(zip(
+                    funds.fund_id, funds.face, funds.payout, funds.failure, funds.salvage,
+                    funds.lien, funds.lien_terms), failing):
+                emit(year, "bankruptcy_payout", fund, payout, failure)
+                emit(year, "loan_written_off", fund, face)
+                if salvage is not None:
+                    emit(year, "equity_accepted", fund, salvage)
+                if terms is not None:
+                    emit(year, "lien_created", fund, lien, terms)
+            paying = [pays for pays, fails in zip(paying, failing) if not fails]
     closeout = config.exit_year
-    for row in rows:
-        if row.exit is not None:
-            emit(closeout, "exit_proceeds", row.fund_id, row.proceeds, row.exit)
-    for row in failed:
-        if row.settled is not None:
-            emit(closeout, "lien_settled", row.fund_id, row.clawed, row.settled)
-    for row in failed:
-        if row.carrying is not None:
-            emit(closeout, "carrying_cost", row.fund_id, row.carrying)
+    for fund, proceeds, exit in zip(funds.fund_id, funds.proceeds, funds.exit):
+        if exit is not None:
+            emit(closeout, "exit_proceeds", fund, proceeds, exit)
+    for fund, clawed, settled in zip(funds.fund_id, funds.clawed, funds.settled):
+        if settled is not None:
+            emit(closeout, "lien_settled", fund, clawed, settled)
+    for fund, carrying in zip(funds.fund_id, funds.carrying):
+        if carrying is not None:
+            emit(closeout, "carrying_cost", fund, carrying)
     if booked > 0:
         emit(closeout, "din_released", "", booked)
     return tuple(events)
@@ -828,9 +806,9 @@ def post_books(events, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
     return bank, underwriter
 
 
-# The row field each folded kind fills with its amount; a kind that
+# The Funds field each folded kind fills with its amount; a kind that
 # carries a detail fills the next field with it.
-_FOLDED = {kind: FundRow._fields.index(name) for kind, name in (
+_FOLDED = {kind: Funds._fields.index(name) for kind, name in (
     ("loan_issued", "face"), ("bankruptcy_payout", "payout"),
     ("equity_accepted", "salvage"), ("lien_created", "lien"),
     ("lien_settled", "clawed"), ("carrying_cost", "carrying"),
@@ -845,32 +823,32 @@ def _rounded(name: str) -> InvalidParameterError:
 
 
 @in_money_context
-def rows_of(events) -> tuple[FundRow, ...]:
-    """Fold a log into its rows, the inverse of render.  Each event fills
-    its fund's latest row; one whose field that row holds already (a second
-    payout, which no run logs) opens a new row for the fund.  Refused: a
-    second loan_issued for a fund, a payout or exit before its
-    loan_issued, and a premium total that rounds."""
-    rows: list[list] = []
-    latest: dict[str, list] = {}  # each fund's latest row; its premiums a list
+def funds_of(events) -> Funds:
+    """Fold a log into its Funds, the inverse of render.  Each event fills
+    its fund's latest entry, a list of its fields; one whose field that
+    entry holds already (a second payout, which no run logs) opens a new
+    entry for the fund.  Refused: a second loan_issued for a fund, a payout
+    or exit before its loan_issued, and a premium total that rounds."""
+    entries: list[list] = []
+    latest: dict[str, list] = {}  # each fund's latest entry; its premiums a list
     faces: dict[str, Decimal] = {}
-    row_of, folded, blank = latest.get, _FOLDED.get, (None,) * 11
+    entry_of, folded, blank = latest.get, _FOLDED.get, (None,) * 11
     for event in events:
         if event[2] == "premium_paid":  # most of a log
-            row = row_of(event[3])
-            if row is None:
-                row = latest[event[3]] = [event[3], None, None, 0, [], *blank]
-                rows.append(row)
-            row[4].append(event[4])
+            entry = entry_of(event[3])
+            if entry is None:
+                entry = latest[event[3]] = [event[3], None, None, [], *blank]
+                entries.append(entry)
+            entry[3].append(event[4])
             continue
         _, year, kind, fund, amount, detail = event
         at = folded(kind)
         if at is None:
             continue
-        row = row_of(fund)
-        if row is None or row[at] is not None:
-            row = latest[fund] = [fund, None, None, 0, [], *blank]
-            rows.append(row)
+        entry = entry_of(fund)
+        if entry is None or entry[at] is not None:
+            entry = latest[fund] = [fund, None, None, [], *blank]
+            entries.append(entry)
         if kind == "loan_issued":
             if fund in faces:
                 raise SimulationError(f"second loan_issued for {fund!r}",
@@ -881,39 +859,34 @@ def rows_of(events) -> tuple[FundRow, ...]:
                 raise SimulationError(f"{kind} for {fund!r} with no loan_issued",
                                       year=year, account="loans")
             if kind == "bankruptcy_payout":
-                row[7] = money(detail.multiple * faces[fund])  # worth
-        row[at] = amount
+                entry[6] = money(detail.multiple * faces[fund])  # worth
+        entry[at] = amount
         if kind in EVENT_DETAILS:
-            row[at + 1] = detail
+            entry[at + 1] = detail
     try:
         with localcontext(_EXACT):
-            for row in rows:  # premium, years, premiums
-                paid = row[4]
-                if paid:
-                    row[2], row[3], row[4] = paid[0], len(paid), sum(paid, ZERO)
-                else:
-                    row[4] = None
+            for entry in entries:  # premium, premiums
+                paid = entry[3]
+                entry[2], entry[3] = (paid[0], sum(paid, ZERO)) if paid else (None, None)
     except Inexact:
-        raise _rounded(f"premiums of {row[0]!r}") from None
-    return tuple([tuple.__new__(FundRow, row) for row in rows])
+        raise _rounded(f"premiums of {entry[0]!r}") from None
+    return Funds._make(zip(*entries) if entries else repeat((), len(Funds._fields)))
 
 
 @in_money_context
-def price(columns: tuple[tuple, ...], config: ScenarioConfig) -> dict:
-    """The report figures of a run's columns, one tuple per FundRow field
-    (tuple(zip(*rows)), so () when there are no rows): the one pricing
-    routine, which run_scenario and the sweep call on the engine's columns
-    and replay on a log's, so a serialized log reproduces the report
-    exactly."""
-    columns = dict(zip(FundRow._fields, columns or ((),) * len(FundRow._fields)))
-    exits = [e for e in columns["exit"] if e is not None]
-    _, columns["uw_share"], columns["bank_share"] = zip(*exits) if exits else ((),) * 3
+def price(funds: Funds, config: ScenarioConfig) -> dict:
+    """The report figures of a run's Funds: the one pricing routine, which
+    run_scenario and the sweep call on the engine's Funds and replay on a
+    log's, so a serialized log reproduces the report exactly."""
     totals = {}
     try:
         with localcontext(_EXACT):
             for name in ("premiums", "payout", "salvage", "clawed", "carrying", "worth",
-                         "proceeds", "face", "uw_share", "bank_share"):
-                totals[name] = sum([a for a in columns[name] if a is not None], ZERO)
+                         "proceeds", "face"):
+                totals[name] = sum([a for a in getattr(funds, name) if a is not None], ZERO)
+            for name in ("uw_share", "bank_share"):
+                totals[name] = sum([getattr(e, name) for e in funds.exit if e is not None],
+                                   ZERO)
             name = "terminal value"  # every fund's, at its failure or exit
             terminal = totals["worth"] + totals["proceeds"]
     except Inexact:
@@ -930,6 +903,10 @@ def price(columns: tuple[tuple, ...], config: ScenarioConfig) -> dict:
     if earnings < 0:
         # Its tenth root would be complex; no run earns below 0.
         raise InvalidParameterError(f"the premium earnings {earnings} are below 0")
+    has_loans = any(face is not None for face in funds.face)
+    if has_loans and loans <= 0:
+        # The mean fund multiple is per unit lent; no run lends 0 or less.
+        raise InvalidParameterError(f"the loan total {loans} is not above 0")
     investment = -outlay
 
     net = earnings + investment
@@ -942,7 +919,6 @@ def price(columns: tuple[tuple, ...], config: ScenarioConfig) -> dict:
     bank_ten_year = float((c + bank_gains) / c)
 
     # The capital-weighted mean fund multiple.
-    has_loans = any(face is not None for face in columns["face"])
     classical = float(terminal / loans) if has_loans else 0.0
 
     return dict(classical_return=classical, underwriter_investment=investment,
@@ -952,18 +928,22 @@ def price(columns: tuple[tuple, ...], config: ScenarioConfig) -> dict:
 
 @in_money_context
 def replay(events, config: ScenarioConfig) -> dict:
-    """The report figures of an event log: the price of its rows_of."""
-    return price(tuple(zip(*rows_of(events))), config)
+    """The report figures of an event log: the price of its funds_of."""
+    return price(funds_of(events), config)
 
 
 @in_money_context
 def run_scenario(config: ScenarioConfig) -> SimulationReport:
-    """A run's rows, rendered as the report's log and priced, as columns,
-    for its figures.  The books are `post_books(report.events,
-    report.config)`."""
-    rows = fund_rows(config)
-    return SimulationReport(config=config, events=render(rows, config),
-                            **price(tuple(zip(*rows)), config))
+    """A run's Funds, rendered as the report's log and priced for its
+    figures.  The books are `post_books(report.events, report.config)`."""
+    dist = synthesize_distribution(
+        seed=config.seed, n_funds=config.n_funds, spread=config.spread
+    )
+    if config.target_classical_return is not None:
+        dist = rescale_to_target(dist, config.target_classical_return)
+    funds = _fund_columns(config, dist)
+    return SimulationReport(config=config, events=render(funds, config),
+                            **price(funds, config))
 
 
 @dataclass(frozen=True)
@@ -991,12 +971,9 @@ class SweepResult:
         ]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["curve", "classical_return", "value"])
-        for p in self.points:
-            w.writerow([p.curve, str(p.classical_return), f"{p.value:.6f}"])
-        return buf.getvalue()
+        return csv_text(["curve", "classical_return", "value"],
+                        [[p.curve, str(p.classical_return), f"{p.value:.6f}"]
+                         for p in self.points])
 
 
 SWEEP_CURVES = (
@@ -1013,7 +990,7 @@ SWEEP_CURVES = (
 def sweep_classical_return(config: ScenarioConfig, grid) -> SweepResult:
     """Rerun the scenario over a grid of portfolio returns, one point or
     failure per (curve, grid point).  Each point prices the engine's
-    columns; no row, event log or book is built.  Point failures are
+    Funds; no event log or book is built.  Point failures are
     recorded, not fatal; a grid point that is no decimal at all is
     refused, before any spread is synthesized.
 

@@ -204,7 +204,7 @@ def per_fund_synthesis(seed: int, n_funds: int, spread) -> list[tuple[str, Decim
     return funds
 
 
-def per_note_settlements(rows, config) -> list[tuple]:
+def per_note_settlements(funds, config) -> list[tuple]:
     """(fund_id, payout, lien base, lien terms, amount clawed, settled
     terms) of every failed fund, each from apply_trigger on that fund's own
     note, checked when built, and settle_clawback on that note's own lien.
@@ -214,20 +214,20 @@ def per_note_settlements(rows, config) -> list[tuple]:
         BANKRUPTCY, DinContract, TriggerEvent, apply_trigger, settle_clawback)
 
     out = []
-    for row in rows:
-        if row.failure is None:
+    for fund, face, failure in zip(funds.fund_id, funds.face, funds.failure):
+        if failure is None:
             continue
-        note = DinContract(row.fund_id, row.face, config.coverage, config.equity_fraction)
-        trigger = TriggerEvent(BANKRUPTCY, config.failure_year, row.failure.equity_valuation)
+        note = DinContract(fund, face, config.coverage, config.equity_fraction)
+        trigger = TriggerEvent(BANKRUPTCY, config.failure_year, failure.equity_valuation)
         _, settlement = apply_trigger(note, trigger, clawback=config.clawback_policy())
         lien = settlement.lien
         if lien is None:
-            out.append((row.fund_id, settlement.cash_to_bank, None, None, None, None))
+            out.append((fund, settlement.cash_to_bank, None, None, None, None))
             continue
-        assert lien.contract_id == row.fund_id
+        assert lien.contract_id == fund
         clawed, settled = settle_clawback(lien, config.exit_year, config.bank_rate,
                                           verdict=config.audit_verdict)
-        out.append((row.fund_id, settlement.cash_to_bank, lien.base,
+        out.append((fund, settlement.cash_to_bank, lien.base,
                     (lien.fraction, lien.origin_year), clawed, settled.fraction))
     return out
 

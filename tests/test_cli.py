@@ -442,23 +442,28 @@ class TestSweep:
         assert targets == ["1.0", "1.1", "1.2"]
 
     @pytest.mark.parametrize(
-        "sweep",
+        "sweep, kind",
         [
-            {"grid": ["abc"]},
-            {"grid": "1.0"},
-            {"grid": ["1.0"] * (MAX_SWEEP_POINTS + 1)},
-            {"start": "abc", "stop": "1.2", "step": "0.1"},
-            {"start": "1.0", "stop": "Infinity", "step": "0.1"},
-            {"start": "0", "stop": "1000", "step": "0.5"},
-            {"start": "1e30", "stop": "1000000000000000000000000000001", "step": "0.01"},
-            {"start": "1", "stop": "9e999999", "step": "1e-999999"},
-            ["1.0"],
+            # The sweep reads a grid point, and names the one that is no decimal.
+            ({"grid": ["abc"]}, "InvalidParameterError"),
+            ({"grid": "1.0"}, "ConfigError"),
+            ({"grid": ["1.0"] * (MAX_SWEEP_POINTS + 1)}, "ConfigError"),
+            ({"start": "abc", "stop": "1.2", "step": "0.1"}, "ConfigError"),
+            ({"start": "1.0", "stop": "Infinity", "step": "0.1"}, "ConfigError"),
+            ({"start": "0", "stop": "1000", "step": "0.5"}, "ConfigError"),
+            ({"start": "1e30", "stop": "1000000000000000000000000000001", "step": "0.01"},
+             "ConfigError"),
+            ({"start": "1", "stop": "9e999999", "step": "1e-999999"}, "ConfigError"),
+            (["1.0"], "ConfigError"),
         ],
     )
-    def test_bad_grid_is_one_json_line(self, tmp_path, capsys, sweep):
+    def test_bad_grid_is_one_json_line(self, tmp_path, capsys, sweep, kind):
         cfg = write_config(tmp_path, {"schema_version": 1, "scenario": {}, "sweep": sweep})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert error_line(capsys)["kind"] == "ConfigError"
+        err = error_line(capsys)
+        assert err["kind"] == kind
+        if kind == "InvalidParameterError":
+            assert "sweep grid point 0" in err["error"]
         assert not os.path.exists(tmp_path / "curves.csv")
 
     def test_grid_cap_is_checked_on_the_point_count(self):

@@ -6,7 +6,6 @@ import re
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, InvalidOperation, getcontext, localcontext
-from types import SimpleNamespace
 from typing import get_type_hints
 
 import pytest
@@ -254,7 +253,8 @@ class TestEventLogParsing:
 
         events = run_scenario(ScenarioConfig()).events
         text = events_to_csv(events)
-        monkeypatch.setattr(simulation, "csv", Unusable())
+        # money.csv_text, the package's one use of csv, writes no event log.
+        monkeypatch.setattr("venturebank.money.csv", Unusable())
         assert (events_to_csv(events), events_from_csv(text)) == (text, events)
         with pytest.raises(InvalidParameterError, match="event 1: fund_id"):
             events_to_csv(events[:1] + (events[1]._replace(fund_id="f,0"),))
@@ -392,18 +392,17 @@ class TestNoteLifecycle:
     def test_each_failure_settles_as_its_own_note(self, salvage_mode, clawback, verdict,
                                                    coverage):
         # The engine settles each failure class once; every failed fund's
-        # row holds what its own note's trigger and lien settle to.  At 201
+        # fields hold what its own note's trigger and lien settle to.  At 201
         # funds the last loan face, a failure's, differs from the others.
         cfg = ScenarioConfig.calibration(
             n_funds=201, target_classical_return="1.31", salvage_mode=salvage_mode,
             clawback_fraction=clawback, audit_verdict=verdict, coverage=coverage)
-        rows = simulation.fund_rows(cfg)
-        expected = per_note_settlements(rows, cfg)
+        funds = simulation._fund_columns(cfg, spread_of(cfg))
+        expected = per_note_settlements(funds, cfg)
         assert len(expected) > 2
-        assert len({row.face for row in rows if row.failure is not None}) == 2
-        assert [(row.fund_id, row.payout, row.lien, row.lien_terms, row.clawed,
-                 None if row.settled is None else row.settled.fraction)
-                for row in rows if row.failure is not None] == expected
+        assert len({face for face, failure in zip(funds.face, funds.failure)
+                    if failure is not None}) == 2
+        assert engine_settlements(funds) == expected
 
 
 class TestCloseout:
@@ -901,12 +900,12 @@ class TestSweep:
         assert len(res.points) == 2 * len(simulation.SWEEP_CURVES)
 
     def test_sweep_builds_no_event_log(self, monkeypatch):
-        # Each point prices the engine's rows: nothing renders, folds,
+        # Each point prices the engine's Funds: nothing renders, folds,
         # replays or builds an Event.
         def broken(*args, **kwargs):
             raise RuntimeError("the sweep touched an event log")
 
-        for name in ("render", "rows_of", "replay", "events_to_csv", "Event"):
+        for name in ("render", "funds_of", "replay", "events_to_csv", "Event"):
             monkeypatch.setattr(simulation, name, broken)
         res = sweep_classical_return(ScenarioConfig.calibration(), self.GRID[:2])
         assert not res.failures
@@ -1130,18 +1129,17 @@ def edited_logs(draw):
 
 
 class TestRows:
-    """The rows are a run's economics: its log is their rendering, rows_of
-    the rendering's inverse, and price the one pricing routine."""
+    """A run's Funds are its economics: its log is their rendering,
+    funds_of the rendering's inverse, and price the one pricing routine."""
 
     @staticmethod
     def check_rows(cfg):
-        rows = simulation.fund_rows(cfg)
-        events = simulation.render(rows, cfg)
-        assert [row.fund_id for row in rows] == [
-            e.fund_id for e in events if e.kind == "loan_issued"]
-        assert simulation.rows_of(events) == rows
-        assert simulation.rows_of(events_from_csv(events_to_csv(events))) == rows
-        assert simulation.price(tuple(zip(*rows)), cfg) == replay(events, cfg)
+        funds = simulation._fund_columns(cfg, spread_of(cfg))
+        events = simulation.render(funds, cfg)
+        assert list(funds.fund_id) == [e.fund_id for e in events if e.kind == "loan_issued"]
+        assert simulation.funds_of(events) == funds
+        assert simulation.funds_of(events_from_csv(events_to_csv(events))) == funds
+        assert simulation.price(funds, cfg) == replay(events, cfg)
 
     @pytest.mark.parametrize("name", sorted(ROW_CASES))
     def test_log_folds_back_to_its_rows(self, name):
@@ -1172,11 +1170,11 @@ class TestRows:
         events = list(run_scenario(cfg).events)
         payout = next(e for e in events if e.kind == "bankruptcy_payout")
         events.append(payout)
-        rows = simulation.rows_of(events)
-        assert [row.fund_id for row in rows] == [f"f00{i}" for i in range(5)] + [payout.fund_id]
-        assert rows[-1] == simulation.FundRow(
-            payout.fund_id, None, None, 0, None, payout.amount, payout.detail,
-            rows[int(payout.fund_id[1:])].worth, *(None,) * 8)
+        funds = simulation.funds_of(events)
+        assert funds.fund_id == (*[f"f00{i}" for i in range(5)], payout.fund_id)
+        assert tuple(column[-1] for column in funds) == (
+            payout.fund_id, None, None, None, payout.amount, payout.detail,
+            funds.worth[int(payout.fund_id[1:])], *(None,) * 8)
 
     @pytest.mark.parametrize("funds, name", [(["f0", "f0"], "premiums of 'f0'"),
                                              (["f0", "f1"], "premiums")])
@@ -1203,9 +1201,23 @@ class TestRows:
                     f"^the premium earnings {re.escape(str(earnings))} are below 0$")):
                 replay(log, cfg)
 
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_a_loan_total_not_above_0_is_refused_by_name(self, scale):
+        # No run lends 0 or less, but a hand-edited log may: the mean fund
+        # multiple would divide its terminal value by that total.
+        cfg = ScenarioConfig(target_classical_return="1.31", n_funds=4)
+        edited = [e._replace(amount=e.amount * Decimal(scale)) if e.kind == "loan_issued" else e
+                  for e in run_scenario(cfg).events]
+        loans = sum(e.amount for e in edited if e.kind == "loan_issued")
+        assert loans <= 0
+        for log in (edited, events_from_csv(events_to_csv(edited))):
+            with pytest.raises(InvalidParameterError, match=(
+                    f"^the loan total {re.escape(str(loans))} is not above 0$")):
+                replay(log, cfg)
+
 
 def spread_of(cfg):
-    """The spread a run of cfg prices, as fund_rows builds it."""
+    """The spread a run of cfg prices, as run_scenario builds it."""
     dist = simulation.synthesize_distribution(seed=cfg.seed, n_funds=cfg.n_funds,
                                               spread=cfg.spread)
     if cfg.target_classical_return is not None:
@@ -1213,30 +1225,38 @@ def spread_of(cfg):
     return dist
 
 
+def engine_settlements(funds):
+    """per_note_settlements's tuple of every failed fund, as the engine
+    settled it."""
+    return [(fund, payout, lien, terms, clawed, None if settled is None else settled.fraction)
+            for fund, failure, payout, lien, terms, clawed, settled in zip(
+                funds.fund_id, funds.failure, funds.payout, funds.lien, funds.lien_terms,
+                funds.clawed, funds.settled) if failure is not None]
+
+
 class TestColumns:
-    """The engine computes columns; rows are their transposition, and each
+    """The engine computes a run's Funds a column at a time, and each
     fund's amounts are its own."""
 
     @staticmethod
     def check_columns(cfg, dist):
         columns = simulation._fund_columns(cfg, dist)
-        assert len(columns) == len(simulation.FundRow._fields)
+        assert type(columns) is simulation.Funds
         assert all(type(column) is tuple and len(column) == len(dist.outcomes)
                    for column in columns)
-        named = dict(zip(simulation.FundRow._fields, columns))
         engine = [(fund, str(worth if proceeds is None else proceeds),
                    None if exit is None else (str(exit.uw_share), str(exit.bank_share)))
                   for fund, worth, proceeds, exit in zip(
-                      named["fund_id"], named["worth"], named["proceeds"], named["exit"])]
+                      columns.fund_id, columns.worth, columns.proceeds, columns.exit)]
         assert engine == [(fund, str(amount), None if split is None else tuple(map(str, split)))
                           for fund, amount, split in per_fund_amounts(dist.outcomes, cfg)]
         return columns
 
     @settings(max_examples=40, deadline=None)
     @given(small_configs())
-    def test_columns_are_the_rows_transposed(self, cfg):
+    def test_a_run_renders_the_engine_columns(self, cfg):
         columns = self.check_columns(cfg, spread_of(cfg))
-        assert columns == tuple(zip(*simulation.fund_rows(cfg)))
+        assert run_scenario(cfg).events == simulation.render(columns, cfg)
 
     @pytest.mark.parametrize("coverage", ["0.3", "0.75", "1"])
     @pytest.mark.parametrize("clawback, verdict", RIDERS)
@@ -1247,14 +1267,14 @@ class TestColumns:
         cfg = ScenarioConfig.calibration(
             n_funds=201, target_classical_return="1.31", salvage_mode=salvage_mode,
             clawback_fraction=clawback, audit_verdict=verdict, coverage=coverage)
-        columns = self.check_columns(cfg, spread_of(cfg))
-        assert columns == tuple(zip(*simulation.fund_rows(cfg)))
+        self.check_columns(cfg, spread_of(cfg))
 
     @pytest.mark.parametrize("salvage_mode", simulation.SALVAGE_MODES)
     def test_failures_need_not_form_a_suffix(self, salvage_mode):
         # A spread is sorted, so its failures come last; the engine selects
         # them by classification, and an interleaved spread gives every
-        # fund its own amounts and settlement all the same.
+        # fund its own amounts and settlement all the same, and its log
+        # folds back to its Funds and prices as they do.
         cfg = ScenarioConfig.calibration(n_funds=41, target_classical_return="1.31",
                                          salvage_mode=salvage_mode)
         dist = spread_of(cfg)
@@ -1262,30 +1282,18 @@ class TestColumns:
         random.Random(7).shuffle(outcomes)
         classes = [o.classification for o in outcomes]
         assert classes[-1] != "failure" and classes != sorted(classes)
-        columns = self.check_columns(cfg, replace(dist, outcomes=tuple(outcomes)))
-        rows = tuple(simulation.FundRow(*row) for row in zip(*columns))
-        assert [(row.fund_id, row.payout, row.lien, row.lien_terms, row.clawed,
-                 None if row.settled is None else row.settled.fraction)
-                for row in rows if row.failure is not None] == per_note_settlements(rows, cfg)
+        funds = self.check_columns(cfg, replace(dist, outcomes=tuple(outcomes)))
+        assert engine_settlements(funds) == per_note_settlements(funds, cfg)
+        events = simulation.render(funds, cfg)
+        for log in (events, events_from_csv(events_to_csv(events))):
+            assert simulation.funds_of(log) == funds
+            assert simulation.price(funds, cfg) == replay(log, cfg)
 
     def test_an_empty_log_prices_as_no_columns(self):
         cfg = ScenarioConfig()
-        assert tuple(zip(*simulation.rows_of(()))) == ()
-        assert replay((), cfg) == simulation.price((), cfg) == simulation.price(
-            ((),) * len(simulation.FundRow._fields), cfg)
-
-    def test_a_sweep_point_builds_no_row(self, monkeypatch):
-        # The stand-in keeps the field names price reads and builds
-        # nothing: neither FundRow(...) nor tuple.__new__(FundRow, ...).
-        def broken(*args, **kwargs):
-            raise RuntimeError("the sweep built a row")
-
-        monkeypatch.setattr(simulation, "FundRow",
-                            SimpleNamespace(_fields=simulation.FundRow._fields))
-        monkeypatch.setattr(simulation, "fund_rows", broken)
-        res = sweep_classical_return(ScenarioConfig.calibration(), TestSweep.GRID[:2])
-        assert not res.failures
-        assert len(res.points) == 2 * len(simulation.SWEEP_CURVES)
+        empty = simulation.funds_of(())
+        assert empty == simulation.Funds(*((),) * len(simulation.Funds._fields))
+        assert replay((), cfg) == simulation.price(empty, cfg)
 
 
 @st.composite
