@@ -4,7 +4,7 @@ The reference shape is a right-skewed set of ten-year fund multiples:
 roughly three quarters of funds finish below 1.0 and a short upper tail
 clears 3.0. synthesize_distribution builds such a set deterministically
 from a seed; rescale_to_target shifts it to any portfolio mean without
-reordering the funds.
+reordering the funds.  A spread is columns: fund ids, multiples, outcomes.
 
 Multiples are Decimal at scale 9 so downstream cash flows stay exact.
 """
@@ -12,19 +12,22 @@ Multiples are Decimal at scale 9 so downstream cash flows stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from decimal import Decimal
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InfeasibleTargetError, InvalidParameterError
-from .money import MONEY_LIMIT, ONE, ZERO, money
+from .money import DECIMAL_CONTEXT, MONEY_LIMIT, ONE, ZERO, money, money_products
 
 FAILURE = "failure"
 SURVIVOR = "survivor"
 # A fund finishing below this multiple is a failure.
 FAILURE_THRESHOLD = money(ONE)
+# Beyond this a portfolio is refused before anything is allocated for it.
+MAX_FUNDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -68,28 +71,33 @@ class SpreadParams:
                 f"survivor_shape must be > 0, got {self.survivor_shape}")
 
 
-class FundOutcome(NamedTuple):
-    fund_id: str
-    ten_year_multiple: Decimal
-    classification: str  # FAILURE or SURVIVOR
-
-
-@dataclass(frozen=True)
-class ReturnDistribution:
-    """A seeded, ordered set of fund outcomes.
-
-    outcomes are sorted by descending multiple. target_mean is the labeled
-    portfolio mean; it always matches the realized mean to well under 1e-6.
-    """
+class ReturnDistribution(NamedTuple):
+    """A seeded spread as columns in descending-multiple order: fund
+    fund_ids[i] finished at multiples[i], and outcomes[i] is FAILURE below
+    failure_threshold, else SURVIVOR.  perfbench's rescale tracer keys a
+    spread on seed, len(outcomes) (the fund count), spread and
+    failure_threshold, so those four stay readable."""
 
     seed: int
-    outcomes: tuple[FundOutcome, ...]
-    target_mean: Decimal
+    fund_ids: tuple[str, ...]
+    multiples: tuple[Decimal, ...]
+    outcomes: tuple[str, ...]
     failure_threshold: Decimal
     spread: SpreadParams
 
-    def multiples(self) -> list[Decimal]:
-        return [o.ten_year_multiple for o in self.outcomes]
+
+def check_draw(seed, n_funds) -> None:
+    """Refuse, as InvalidParameterError, a fund count or a seed that is no
+    int (a bool included), a count outside [2, MAX_FUNDS] and a negative
+    seed: before anything is drawn or allocated."""
+    for name, value in (("n_funds", n_funds), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if not 2 <= n_funds <= MAX_FUNDS:
+        raise InvalidParameterError(
+            f"n_funds must be >= 2 and <= {MAX_FUNDS}, got {n_funds}")
+    if seed < 0:
+        raise InvalidParameterError("seed must be >= 0")
 
 
 def synthesize_distribution(seed: int, n_funds: int = 50,
@@ -100,8 +108,7 @@ def synthesize_distribution(seed: int, n_funds: int = 50,
     survivors climb a jittered power curve from 1.0 to survivor_max, so
     the shape is stable across seeds while individual funds move a little.
     """
-    if n_funds < 2:
-        raise InvalidParameterError(f"n_funds must be >= 2, got {n_funds}")
+    check_draw(seed, n_funds)
     spread = spread or SpreadParams()
     spread.validate()
 
@@ -121,12 +128,14 @@ def synthesize_distribution(seed: int, n_funds: int = 50,
                for i, u in enumerate(jitter[n_losers:])]
 
     values.sort(reverse=True)
-    multiples = [money(v) for v in values]
+    # Each float read as it prints, as money.finite reads it, and the
+    # column rounded at once: times ONE, each is its money().
+    multiples = tuple(money_products(list(map(Decimal, map(str, values))), repeat(ONE)))
     return ReturnDistribution(
         seed=seed,
-        outcomes=_outcomes([f"f{i:03d}" for i in range(n_funds)], multiples,
-                           FAILURE_THRESHOLD),
-        target_mean=money(sum(multiples, start=ZERO) / n_funds),
+        fund_ids=tuple([f"f{i:03d}" for i in range(n_funds)]),
+        multiples=multiples,
+        outcomes=_classified(multiples, FAILURE_THRESHOLD),
         failure_threshold=FAILURE_THRESHOLD,
         spread=spread,
     )
@@ -138,37 +147,29 @@ def rescale_to_target(dist: ReturnDistribution, target_mean) -> ReturnDistributi
     Entries pushed below zero clamp at zero and the constant is re-solved
     over the unclamped remainder, so rank order and pairwise spreads of
     unclamped entries are untouched. The shift amount is quantized to the
-    working scale, keeping every shifted multiple exact at scale 9.
+    working scale, keeping every shifted multiple exact at scale 9.  The
+    rescaled spread shares dist's fund_ids.
     """
     target = money(target_mean)
     if target < ZERO:
         raise InfeasibleTargetError(
             f"target_mean must be >= 0 with nonnegative multiples, got {target}")
 
-    n = len(dist.outcomes)
-    ascending = sorted(dist.multiples())
     if target == ZERO:
-        shifted = [ZERO] * n
+        shifted = (ZERO,) * len(dist.multiples)
     else:
-        shift = _solve_shift(ascending, target)
-        shifted = None
-        if shift is not None:
-            shifted = [max(m + shift, ZERO) for m in dist.multiples()]
-        if shifted is None:
+        shift = _solve_shift(sorted(dist.multiples), target)
+        if shift is None:
             raise InfeasibleTargetError(f"no shift reaches mean {target}")
+        shifted = tuple(map(max, map(DECIMAL_CONTEXT.add, dist.multiples, repeat(shift)),
+                            repeat(ZERO)))
+    return dist._replace(multiples=shifted,
+                         outcomes=_classified(shifted, dist.failure_threshold))
 
-    outcomes = _outcomes([o.fund_id for o in dist.outcomes], shifted,
-                         dist.failure_threshold)
-    return replace(dist, outcomes=outcomes, target_mean=target)
 
-
-def _outcomes(fund_ids: list[str], multiples: list[Decimal],
-              threshold: Decimal) -> tuple[FundOutcome, ...]:
-    """One outcome per fund, a failure below threshold.  The multiples are
-    money already, so each is built by tuple.__new__ without a frame."""
-    new = tuple.__new__
-    return tuple([new(FundOutcome, (fund, m, FAILURE if m < threshold else SURVIVOR))
-                  for fund, m in zip(fund_ids, multiples)])
+def _classified(multiples, threshold: Decimal) -> tuple[str, ...]:
+    """FAILURE for each multiple below threshold, else SURVIVOR."""
+    return tuple([FAILURE if m < threshold else SURVIVOR for m in multiples])
 
 
 def _solve_shift(ascending: list[Decimal], target: Decimal) -> Decimal | None:

@@ -71,8 +71,10 @@ from .money import (
 from .multipliers import capital_limits
 from .returns import (
     FAILURE,
+    MAX_FUNDS,
     ReturnDistribution,
     SpreadParams,
+    check_draw,
     rescale_to_target,
     synthesize_distribution,
 )
@@ -93,9 +95,6 @@ REPORT_COLUMNS = (
 )
 
 EVENT_COLUMNS = ("seq", "year", "kind", "fund_id", "amount", "detail")
-
-# Beyond this a portfolio is refused before anything is allocated for it.
-MAX_FUNDS = 100_000
 
 # A float survivor multiple exceeds survivor_max by at most two roundings,
 # each below survivor_max * 2**-52.
@@ -153,11 +152,7 @@ class ScenarioConfig:
             fraction(getattr(self, name), name)
         if self.clawback_fraction not in ALLOWED_CLAWBACK:
             raise InvalidParameterError("clawback_fraction must be 0, 0.77, or 1.0")
-        if not 2 <= self.n_funds <= MAX_FUNDS:
-            raise InvalidParameterError(
-                f"n_funds must be >= 2 and <= {MAX_FUNDS}, got {self.n_funds}")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be >= 0")
+        check_draw(self.seed, self.n_funds)
         if not 1 <= self.failure_year < self.exit_year <= TERM_CAP_YEARS:
             raise InvalidParameterError(
                 f"need 1 <= failure_year < exit_year <= {TERM_CAP_YEARS}")
@@ -586,7 +581,7 @@ def _fund_columns(config: ScenarioConfig, dist: ReturnDistribution) -> Funds:
     terms = (coverage, equity_fraction, DinState.ACTIVE, ())
     policy, rate, zero = config.clawback_policy(), config.bank_rate, config.salvage_mode == "zero"
     failed, closeout, new = config.failure_year, config.exit_year, tuple.__new__
-    funds, multiples, classes = zip(*dist.outcomes)
+    funds, multiples, classes = dist.fund_ids, dist.multiples, dist.outcomes
     faces = (per,) * (config.n_funds - 1) + (last,)
     exiting = [c != FAILURE for c in classes]
     failing = [not exits for exits in exiting]

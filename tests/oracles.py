@@ -232,23 +232,26 @@ def per_note_settlements(funds, config) -> list[tuple]:
     return out
 
 
-def per_fund_amounts(outcomes, config) -> list[tuple]:
-    """(fund_id, amount, exit split) of every fund, each from its own
-    outcome: the amount is its multiple times its loan face rounded
-    half-even to 9 places at 28 digits, its proceeds if it exits and its
-    worth if it fails, and an exit's split is (uw_share, bank_share) from
-    the checked contracts.exit_equity_split, None for a failure.  The loan
-    faces are the book moc * initial_capital split evenly to 9 places,
-    the last fund taking the remainder."""
+def per_fund_amounts(dist, config) -> list[tuple]:
+    """(fund_id, amount, exit split) of every fund of the spread dist, each
+    from its own fund_id, multiple and outcome columns: the amount is its
+    multiple times its loan face rounded half-even to 9 places at 28
+    digits, its proceeds if it exits and its worth if it fails, and an
+    exit's split is (uw_share, bank_share) from the checked
+    contracts.exit_equity_split, None for a failure.  The loan faces are
+    the book moc * initial_capital split evenly to 9 places, the last fund
+    taking the remainder."""
     from venturebank.contracts import exit_equity_split
 
     scale = Decimal("1E-9")
     out = []
     with localcontext(Context(prec=28, rounding=ROUND_HALF_EVEN)):
         book = (config.moc * config.initial_capital).quantize(scale)
-        per = (book / len(outcomes)).quantize(scale)
-        for i, (fund, multiple, classification) in enumerate(outcomes):
-            face = per if i < len(outcomes) - 1 else book - per * (len(outcomes) - 1)
+        n = len(dist.fund_ids)
+        per = (book / n).quantize(scale)
+        for i, (fund, multiple, classification) in enumerate(
+                zip(dist.fund_ids, dist.multiples, dist.outcomes, strict=True)):
+            face = per if i < n - 1 else book - per * (n - 1)
             amount = (multiple * face).quantize(scale)
             split = None
             if classification != "failure":

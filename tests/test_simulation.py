@@ -784,6 +784,21 @@ class TestSweep:
         assert calls == {"synthesize_distribution": 1, "rescale_to_target": 3,
                          "_fund_columns": 3 * runs}
 
+    def test_every_point_shares_the_synthesized_fund_ids(self, monkeypatch):
+        # The spread's fund_ids tuple is built once per sweep: each point's
+        # rescale reuses it, and each run takes it as its fund_id column.
+        spreads, columns = [], []
+
+        def recorded(config, dist, _fn=simulation._fund_columns):
+            funds = _fn(config, dist)
+            spreads.append(dist)
+            columns.append(funds.fund_id)
+            return funds
+        monkeypatch.setattr(simulation, "_fund_columns", recorded)
+        assert not sweep_classical_return(ScenarioConfig.calibration(), self.GRID[:3]).failures
+        assert len({id(dist) for dist in spreads}) == 3
+        assert len({id(ids) for ids in [dist.fund_ids for dist in spreads] + columns}) == 1
+
     def test_a_refused_override_set_fails_each_of_its_curves(self, monkeypatch):
         # din_10y and din_net_profit share the override set {}: it is
         # validated once per point, and each curve gets its own row.
@@ -1242,14 +1257,14 @@ class TestColumns:
     def check_columns(cfg, dist):
         columns = simulation._fund_columns(cfg, dist)
         assert type(columns) is simulation.Funds
-        assert all(type(column) is tuple and len(column) == len(dist.outcomes)
+        assert all(type(column) is tuple and len(column) == len(dist.fund_ids)
                    for column in columns)
         engine = [(fund, str(worth if proceeds is None else proceeds),
                    None if exit is None else (str(exit.uw_share), str(exit.bank_share)))
                   for fund, worth, proceeds, exit in zip(
                       columns.fund_id, columns.worth, columns.proceeds, columns.exit)]
         assert engine == [(fund, str(amount), None if split is None else tuple(map(str, split)))
-                          for fund, amount, split in per_fund_amounts(dist.outcomes, cfg)]
+                          for fund, amount, split in per_fund_amounts(dist, cfg)]
         return columns
 
     @settings(max_examples=40, deadline=None)
@@ -1278,11 +1293,13 @@ class TestColumns:
         cfg = ScenarioConfig.calibration(n_funds=41, target_classical_return="1.31",
                                          salvage_mode=salvage_mode)
         dist = spread_of(cfg)
-        outcomes = list(dist.outcomes)
-        random.Random(7).shuffle(outcomes)
-        classes = [o.classification for o in outcomes]
+        order = list(range(cfg.n_funds))
+        random.Random(7).shuffle(order)
+        dist = dist._replace(**{name: tuple(getattr(dist, name)[i] for i in order)
+                                for name in ("fund_ids", "multiples", "outcomes")})
+        classes = list(dist.outcomes)
         assert classes[-1] != "failure" and classes != sorted(classes)
-        funds = self.check_columns(cfg, replace(dist, outcomes=tuple(outcomes)))
+        funds = self.check_columns(cfg, dist)
         assert engine_settlements(funds) == per_note_settlements(funds, cfg)
         events = simulation.render(funds, cfg)
         for log in (events, events_from_csv(events_to_csv(events))):
