@@ -7,16 +7,18 @@ written atomically; identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import sys
 import tempfile
-from decimal import Decimal
+from dataclasses import MISSING, fields
 
 from .errors import ConfigError, InvalidParameterError, VentureBankError
-from .money import csv_text, in_money_context
+from .money import csv_text, finite, in_money_context
 from .multipliers import KrakenParams, classical_multiplier, kraken_multiplier
 from .registry import (
+    DEFAULT_SIGNIFICANCE,
     ForwardPeriod,
     RandomN,
     audit_attachment,
@@ -37,14 +39,45 @@ SCHEMA_VERSION = 1
 # Most points a sweep grid may have; each point runs one scenario per curve.
 MAX_SWEEP_POINTS = 1000
 
-DEFAULT_KRAKEN_GRID = {
-    "reserve_fractions": ["0.05", "0.025"],
-    "depths": list(range(1, 11)),
-    "iteration_limit": 100,
-    "insurance_price": "0.005",
-    "origination": "1.0",
-    "tranche_insured": "1.0",
+# JSON types as json.loads returns them: a bool is never a number, nor a float
+# an integer.  A DECIMAL is read as a finite Decimal; [T] is a JSON array of T.
+INTEGER, DECIMAL, STRING, OBJECT = (int,), (int, float, str), (str,), (dict,)
+TYPE_NAMES = {INTEGER: "an integer", DECIMAL: "a number or a string",
+              STRING: "a string", OBJECT: "a JSON object"}
+OMITTED = object()  # a key left out when absent, for its reader's own default
+
+# Every section's keys: the JSON types each takes (None for any) and its
+# default, MISSING for a key the section must have.  The scenario's keys are
+# the fields of ScenarioConfig and SpreadParams, which keep their own checks.
+SCHEMA = {
+    "config": dict.fromkeys(("schema_version", "scenario", "kraken", "sweep", "audit"),
+                            (None, OMITTED)),
+    "scenario": {f.name: (None, OMITTED) for f in fields(ScenarioConfig)},
+    "scenario.spread": {f.name: (None, OMITTED) for f in fields(SpreadParams)},
+    "kraken": {
+        "reserve_fractions": ([DECIMAL], ["0.05", "0.025"]),
+        "iteration_limit": (INTEGER, 100),
+        "depths": ([INTEGER], list(range(1, 11))),
+        "insurance_price": (DECIMAL, "0.005"),
+        "origination": (DECIMAL, "1.0"),
+        "tranche_insured": (DECIMAL, "1.0"),
+    },
+    "sweep": {"grid": ([DECIMAL], OMITTED)}
+    | dict.fromkeys(("start", "stop", "step"), (DECIMAL, OMITTED)),
+    "audit": {
+        "registry_path": (STRING, MISSING),
+        "significance": (DECIMAL, DEFAULT_SIGNIFICANCE),
+        "package": (OBJECT, OMITTED),
+    },
+    "audit.package": {
+        "rule": (STRING, MISSING),
+        "underwriter_id": (STRING, MISSING),
+        "public_fraction": (DECIMAL, "0.5"),
+        "package_id": (STRING, "pkg"),
+    },
 }
+# Each audit.package rule: its fields are JSON integers it adds to that section.
+PACKAGE_RULES = {"forward_period": ForwardPeriod, "random_n": RandomN}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -92,83 +125,75 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"config schema_version {version!r} unsupported (expected {SCHEMA_VERSION})"
         )
+    read_section("config", data)
     return data
 
 
-def _section(data: dict, name: str) -> dict:
-    section = data.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object")
-    return section
+def read_section(path: str, section, keys: dict | None = None) -> dict:
+    """Each key of SCHEMA[path] (or of keys): section's value, checked, or its default."""
+    keys = SCHEMA[path] if keys is None else keys
+    if type(section) is not dict:
+        raise ConfigError(f"config section {path!r} must be a JSON object")
+    for key in section:
+        if key not in keys:
+            near = difflib.get_close_matches(key, keys, n=1)
+            hint = f"did you mean {near[0]!r}?" if near else f"its keys are {', '.join(keys)}"
+            raise ConfigError(f"{path} has no key {key!r}; {hint}")
+    read = {}
+    for key, (types, default) in keys.items():
+        name, value = f"{path}.{key}", section.get(key, default)
+        if value is MISSING:
+            raise ConfigError(f"{path} needs {key}")
+        if key in section:
+            _check_type(name, value, types)
+        if value is not OMITTED:
+            try:
+                read[key] = finite(value, name) if types is DECIMAL else value
+            except InvalidParameterError as exc:
+                raise ConfigError(str(exc)) from exc
+    return read
 
 
-def _config_decimal(name: str, value) -> Decimal:
-    try:
-        d = Decimal(str(value))
-        if d.is_finite():
-            return d
-    except ArithmeticError:
-        pass
-    raise ConfigError(f"{name} must be a finite decimal, got {str(value)!r}")
+def _check_type(name: str, value, types) -> None:
+    """Refuse value unless json.loads gave it as one of types (each item, for [T])."""
+    if isinstance(types, list):
+        if type(value) is not list:
+            raise ConfigError(f"{name} must be a JSON array, got {value!r}")
+        for item in value:
+            _check_type(f"each of {name}", item, types[0])
+    elif types is not None and type(value) not in types:
+        raise ConfigError(f"{name} must be {TYPE_NAMES[types]}, got {value!r}")
 
 
 def scenario_from_config(data: dict, seed_override: int | None) -> ScenarioConfig:
-    section = dict(_section(data, "scenario"))
-    spread = section.pop("spread", None)
+    scenario = read_section("scenario", data.get("scenario", {}))
+    spread = scenario.pop("spread", None)
+    if spread is not None:
+        scenario["spread"] = SpreadParams(**read_section("scenario.spread", spread))
     if seed_override is not None:
-        section["seed"] = seed_override
-    try:
-        if spread is not None:
-            section["spread"] = SpreadParams(**spread)
-        return ScenarioConfig(**section)
-    except TypeError as exc:
-        raise ConfigError(f"bad scenario field: {exc}") from exc
-
-
-def _grid_float(name: str, value) -> float:
-    if isinstance(value, bool):  # which float() reads as 0.0 or 1.0
-        raise ConfigError(f"bad kraken field: {name} must be a number, got {value!r}")
-    return float(value)
+        scenario["seed"] = seed_override
+    return ScenarioConfig(**scenario)
 
 
 def cmd_kraken(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
-    grid = dict(DEFAULT_KRAKEN_GRID)
-    grid.update(_section(data, "kraken"))
-    # One row per (reserve fraction, depth): the grid is bounded like the
-    # sweep's before any row is built.
-    for name in ("reserve_fractions", "depths"):
-        if not isinstance(grid[name], list):
-            raise ConfigError(f"kraken {name} must be a JSON array")
+    grid = read_section("kraken", data.get("kraken", {}))
+    limit = grid["iteration_limit"]
+    # One row per (reserve fraction, depth), bounded before any is built.
     if len(grid["reserve_fractions"]) * len(grid["depths"]) > MAX_SWEEP_POINTS:
         raise ConfigError(f"a kraken grid may have at most {MAX_SWEEP_POINTS} rows "
                           f"(reserve_fractions times depths)")
-    # The counts go to KrakenParams as given: it refuses a float or a bool
-    # by name, where int() would truncate one and the row still print it.
-    try:
-        rows = [
-            (rf, depth, KrakenParams(
-                reserve_fraction=_grid_float("reserve_fractions", rf),
-                iteration_limit=grid["iteration_limit"],
-                depth=depth,
-                insurance_price=_grid_float("insurance_price", grid["insurance_price"]),
-                origination=_grid_float("origination", grid["origination"]),
-                tranche_insured=_grid_float("tranche_insured", grid["tranche_insured"]),
-            ))
-            for rf in grid["reserve_fractions"]
-            for depth in grid["depths"]
-        ]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad kraken field: {exc}") from exc
-
     curves = []
     try:
-        for rf, depth, params in rows:
-            value = kraken_multiplier(params)
-            base = classical_multiplier(params.reserve_fraction, params.iteration_limit)
-            curves.append([rf, depth, grid["iteration_limit"], f"{base:.9f}", f"{value:.9f}"])
+        # Each decimal is priced as a float; KrakenParams checks its domain.
+        prices = {name: float(grid[name])
+                  for name in ("insurance_price", "origination", "tranche_insured")}
+        for rf in grid["reserve_fractions"]:
+            fraction = float(finite(rf, "reserve_fractions"))
+            for depth in grid["depths"]:
+                value = kraken_multiplier(KrakenParams(fraction, limit, depth, **prices))
+                base = classical_multiplier(fraction, limit)
+                curves.append([rf, depth, limit, f"{base:.9f}", f"{value:.9f}"])
     except InvalidParameterError as exc:
-        # float() reads "Infinity" and "NaN"; validate refuses them, and
-        # counts that are not ints, by name.
         raise ConfigError(f"bad kraken field: {exc}") from exc
 
     path = os.path.join(out_dir, "kraken_curves.csv")
@@ -188,22 +213,22 @@ def cmd_simulate(data: dict, out_dir: str, seed_override: int | None) -> list[st
 
 
 def _sweep_grid(section: dict) -> list:
+    section = read_section("sweep", section)
     too_many = f"a sweep grid may have at most {MAX_SWEEP_POINTS} points"
+    bounds = [name for name in ("start", "stop", "step") if name in section]
     if "grid" in section:
+        if bounds:
+            raise ConfigError(f"a sweep names grid or start/stop/step, not both: "
+                              f"drop grid or {', '.join(bounds)}")
         values = section["grid"]
-        if not isinstance(values, list):
-            raise ConfigError("sweep grid must be a JSON array")
         if len(values) > MAX_SWEEP_POINTS:
             raise ConfigError(too_many)
         # sweep_classical_return reads each point, and names one that is no
         # decimal; a non-finite point is priced like any other and fails
         # per curve.
         return values
-    if {"start", "stop", "step"} <= set(section):
-        start, stop, step = (
-            _config_decimal(f"sweep {name}", section[name])
-            for name in ("start", "stop", "step")
-        )
+    if len(bounds) == 3:
+        start, stop, step = (section[name] for name in bounds)
         if step <= 0:
             raise ConfigError("sweep step must be > 0")
         try:
@@ -227,7 +252,7 @@ def _sweep_grid(section: dict) -> list:
 
 def cmd_sweep(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
     config = scenario_from_config(data, seed_override)
-    grid = _sweep_grid(_section(data, "sweep"))
+    grid = _sweep_grid(data.get("sweep", {}))
     result = sweep_classical_return(config, grid)
 
     curves_path = os.path.join(out_dir, "curves.csv")
@@ -239,50 +264,28 @@ def cmd_sweep(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
 
 
 def _package_args(section: dict) -> dict:
-    """The build_package arguments an audit package section declares."""
-    for name in ("from_year", "to_year", "n", "seed"):
-        value = section.get(name, 0)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"audit package {name} must be an integer, got {value!r}")
-    package_id = section.get("package_id", "pkg")
-    if not isinstance(package_id, str):
-        raise ConfigError(f"audit package package_id must be a string, got {package_id!r}")
-    kind = section.get("rule")
-    try:
-        if kind == "forward_period":
-            rule = ForwardPeriod(from_year=section["from_year"], to_year=section.get("to_year"))
-        elif kind == "random_n":
-            rule = RandomN(n=section["n"], seed=section["seed"])
-        else:
-            raise ConfigError("package rule must be forward_period or random_n")
-        return dict(
-            underwriter_id=section["underwriter_id"],
-            rule=rule,
-            public_fraction=_config_decimal(
-                "public_fraction", section.get("public_fraction", "0.5")
-            ),
-            package_id=package_id,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"audit package needs {exc}") from exc
+    """The build_package arguments an audit.package section declares."""
+    if section.get("rule") not in tuple(PACKAGE_RULES):
+        raise ConfigError(f"audit.package rule must be one of {', '.join(PACKAGE_RULES)}")
+    rule = PACKAGE_RULES[section["rule"]]
+    rule_keys = {f.name: (INTEGER, f.default) for f in fields(rule)}
+    args = read_section("audit.package", section, SCHEMA["audit.package"] | rule_keys)
+    args["rule"] = rule(**{key: args.pop(key) for key in rule_keys})
+    return args
 
 
 def cmd_audit(data: dict, out_dir: str, seed_override: int | None) -> list[str]:
-    section = _section(data, "audit")
-    registry_path = section.get("registry_path")
-    if not registry_path or not isinstance(registry_path, str):
-        raise ConfigError("audit section needs registry_path")
-    package_section = _section(section, "package")
-    package_args = _package_args(package_section) if package_section else None
-    # Read as a decimal, not by float(), which takes true as 1.0 and "NaN".
-    threshold = _config_decimal("audit significance", section.get("significance", 0.05))
+    audit = read_section("audit", data.get("audit", {}))
+    # An empty package section, like none, builds no package.
+    package_args = _package_args(audit["package"]) if audit.get("package") else None
+    threshold = audit["significance"]
     if not 0 <= threshold <= 1:
         raise ConfigError(f"audit significance must be in [0, 1], got {threshold}")
     try:
-        with open(registry_path, encoding="utf-8") as handle:
+        with open(audit["registry_path"], encoding="utf-8") as handle:
             registry = import_records(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read registry {registry_path}: {exc}") from exc
+        raise ConfigError(f"cannot read registry {audit['registry_path']}: {exc}") from exc
 
     written: list[str] = []
     path = os.path.join(out_dir, "attachment_violations.csv")
@@ -327,21 +330,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        data = {"schema_version": SCHEMA_VERSION}
         if args.config is not None:
             data = load_config(args.config)
-        else:
-            data = {"schema_version": SCHEMA_VERSION}
         os.makedirs(args.out, exist_ok=True)
         written = COMMANDS[args.command](data, args.out, args.seed)
         for path in written:
             print(path)
         return 0
     except VentureBankError as exc:
-        json.dump(
-            {"error": str(exc), "kind": type(exc).__name__},
-            sys.stderr,
-        )
-        sys.stderr.write("\n")
+        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return 1
 
 

@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleTargetError, InvalidParameterError
-from .money import DECIMAL_CONTEXT, MONEY_LIMIT, ONE, ZERO, money, money_products
+from .money import (DECIMAL_CONTEXT, MONEY_LIMIT, ONE, ZERO, in_money_context, money,
+                    money_products)
 
 FAILURE = "failure"
 SURVIVOR = "survivor"
@@ -141,6 +142,7 @@ def synthesize_distribution(seed: int, n_funds: int = 50,
     )
 
 
+@in_money_context
 def rescale_to_target(dist: ReturnDistribution, target_mean) -> ReturnDistribution:
     """Shift every multiple by one constant so the mean hits target_mean.
 

@@ -3,15 +3,19 @@ import csv
 import hashlib
 import json
 import os
+import re
+from dataclasses import fields
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from venturebank import cli, simulation
-from venturebank.cli import MAX_SWEEP_POINTS, _sweep_grid, main
+from venturebank.cli import MAX_SWEEP_POINTS, SCHEMA, _sweep_grid, main
 from venturebank.errors import ConfigError, SimulationError
 from venturebank.registry import Registry, RegistryRecord, export_records
-from venturebank.simulation import sweep_classical_return
+from venturebank.returns import SpreadParams
+from venturebank.simulation import ScenarioConfig, sweep_classical_return
 from oracles import is_nondecreasing, kraken_brute_force
 from test_golden import GOLDEN
 
@@ -133,9 +137,9 @@ class TestKraken:
         [
             ({"depths": [1.9, 2.5], "iteration_limit": True,
               "reserve_fractions": ["0.05"]}, "iteration_limit"),
-            ({"depths": [1.9, 2.5]}, "depth"),
-            ({"depths": [True]}, "depth"),
-            ({"depths": ["2"]}, "depth"),
+            ({"depths": [1.9, 2.5]}, "depths"),
+            ({"depths": [True]}, "depths"),
+            ({"depths": ["2"]}, "depths"),
             ({"iteration_limit": 100.0}, "iteration_limit"),
             ({"iteration_limit": False}, "iteration_limit"),
         ],
@@ -653,6 +657,142 @@ class TestAudit:
         err = error_line(capsys)
         assert err["kind"] == "RegistryError"
         assert err["error"].startswith("registry line 2: expected_multiple must be")
+
+
+class TestConfigSchema:
+    REGISTRY = str(Path(__file__).resolve().parent.parent / "configs" / "registry.jsonl")
+    PACKAGE = {"rule": "random_n", "n": 4, "seed": 3, "underwriter_id": "uw-alpha"}
+
+    # A mistyped key once ran another config: the default scenario, the
+    # default depths, the grid alone, significance 0.05.
+    @pytest.mark.parametrize("command, config, key, near", [
+        ("simulate", {"senario": {"moc": 1}}, "senario", "scenario"),
+        ("kraken", {"kraken": {"depth": [1, 2]}}, "depth", "depths"),
+        ("sweep", {"sweep": {"grid": ["1.0"], "gird": 5}}, "gird", "grid"),
+        ("audit", {"audit": {"registry_path": REGISTRY, "signifcance": 0.9}},
+         "signifcance", "significance"),
+        ("simulate", {"scenario": {"spread": {"loser_fractoin": 0.5}}},
+         "loser_fractoin", "loser_fraction"),
+        ("audit", {"audit": {"registry_path": REGISTRY,
+                             "package": dict(PACKAGE, pacakge_id="x")}},
+         "pacakge_id", "package_id"),
+    ])
+    def test_unknown_key_is_refused_with_the_nearest(self, tmp_path, capsys, command,
+                                                     config, key, near):
+        cfg = write_config(tmp_path, {"schema_version": 1, **config})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "ConfigError"
+        assert f"no key {key!r}; did you mean {near!r}?" in err["error"]
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_a_key_of_the_other_package_rule_is_unknown(self, tmp_path, capsys):
+        package = dict(self.PACKAGE, from_year=2020)
+        cfg = write_config(tmp_path, {"schema_version": 1, "audit": {
+            "registry_path": self.REGISTRY, "package": package}})
+        assert main(["audit", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "ConfigError" and "no key 'from_year'" in err["error"]
+
+    @pytest.mark.parametrize("sweep, named", [
+        ({"grid": ["1.0"], "start": "0.5", "stop": "2.0", "step": "0.5"},
+         "start, stop, step"),
+        ({"grid": ["1.0"], "start": "0.5"}, "start"),
+        ({"grid": ["1.0"], "step": "0.5"}, "step"),
+    ])
+    def test_a_sweep_naming_both_grids_is_refused(self, tmp_path, capsys, sweep, named):
+        cfg = write_config(tmp_path, {"schema_version": 1, "sweep": sweep})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "ConfigError"
+        assert err["error"].endswith(f"drop grid or {named}")
+        with pytest.raises(ConfigError, match="not both"):
+            _sweep_grid(sweep)
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("sweep", {"sweep": {"start": True, "stop": "1", "step": "1"}},
+         "sweep.start must be a number or a string, got True"),
+        ("sweep", {"sweep": {"grid": [None]}},
+         "each of sweep.grid must be a number or a string, got None"),
+        ("audit", {"audit": {"registry_path": 5}},
+         "audit.registry_path must be a string, got 5"),
+        ("audit", {"audit": {"registry_path": REGISTRY, "package": [PACKAGE]}},
+         "audit.package must be a JSON object"),
+        ("audit", {"audit": {"registry_path": REGISTRY,
+                             "package": dict(PACKAGE, underwriter_id=1)}},
+         "audit.package.underwriter_id must be a string, got 1"),
+        ("audit", {"audit": {"registry_path": REGISTRY,
+                             "package": dict(PACKAGE, n=4.0)}},
+         "audit.package.n must be an integer, got 4.0"),
+        ("audit", {"audit": {"registry_path": REGISTRY,
+                             "package": dict(PACKAGE, rule="hand_picked")}},
+         "audit.package rule must be one of forward_period, random_n"),
+        ("audit", {"audit": {"package": PACKAGE}}, "audit needs registry_path"),
+        ("kraken", {"kraken": {"depths": [1], "insurance_price": "NaN"}},
+         "kraken.insurance_price must be a finite decimal"),
+    ])
+    def test_a_value_not_of_its_declared_type_is_refused(self, tmp_path, capsys, command,
+                                                         config, message):
+        cfg = write_config(tmp_path, {"schema_version": 1, **config})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = error_line(capsys)
+        assert err["kind"] == "ConfigError" and message in err["error"]
+
+    def test_a_command_reads_only_its_own_sections(self, tmp_path):
+        # Another command's section, however malformed, is not read.
+        cfg = write_config(tmp_path, {"schema_version": 1, "audit": 5, "sweep": [],
+                                      "kraken": {"depths": [1]}})
+        assert main(["kraken", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(read_rows(tmp_path / "kraken_curves.csv")) == 3
+
+    @pytest.mark.parametrize("config", [
+        {"scenario": {"n_funds": 4, "spread": None}},
+        {"scenario": {"n_funds": 4, "target_classical_return": None}},
+        {"audit": {"registry_path": REGISTRY, "package": {}}},
+    ], ids=["null-spread", "null-target", "empty-package"])
+    def test_nulls_and_an_empty_package_read_as_defaults(self, tmp_path, config):
+        command = "audit" if "audit" in config else "simulate"
+        cfg = write_config(tmp_path, {"schema_version": 1, **config})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert not os.path.exists(tmp_path / "representativeness.csv")
+
+    def test_scenario_keys_are_the_dataclass_fields(self):
+        assert list(SCHEMA["scenario"]) == [f.name for f in fields(ScenarioConfig)]
+        assert list(SCHEMA["scenario.spread"]) == [f.name for f in fields(SpreadParams)]
+        assert list(SCHEMA["config"]) == ["schema_version", "scenario", "kraken", "sweep",
+                                          "audit"]
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_table(header: str) -> list[list[str]]:
+    """The cells of each body row of the README table headed by header,
+    with their backticks stripped."""
+    lines = README.splitlines()
+    start = lines.index(header)
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    return rows
+
+
+class TestReadme:
+    def test_scenario_table_names_exactly_the_fields(self):
+        table = readme_table("| field | default | meaning |")
+        assert [row[0] for row in table] == [f.name for f in fields(ScenarioConfig)]
+        spread = README.split("`spread` sub-fields:")[1].split("\n\n")[0]
+        assert re.findall(r"`(\w+)` \(", spread) == [f.name for f in fields(SpreadParams)]
+
+    def test_cli_table_names_every_declared_key(self):
+        table = readme_table("| section | key | JSON type | default |")
+        declared = [(section, key) for section in ("kraken", "sweep", "audit", "audit.package")
+                    for key in SCHEMA[section]]
+        declared += [("audit.package", f.name) for rule in cli.PACKAGE_RULES.values()
+                     for f in fields(rule)]
+        assert sorted((row[0], row[1]) for row in table) == sorted(declared)
 
 
 class TestParser:

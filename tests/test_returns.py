@@ -1,10 +1,12 @@
 """Return model tests: shape and rescaling."""
 
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
+from venturebank import returns
 from venturebank.errors import InfeasibleTargetError, InvalidParameterError
 from venturebank.simulation import ScenarioConfig
 from venturebank.returns import (
@@ -117,8 +119,31 @@ class TestSynthesize:
             survivor_max=9.999999999999998e18, survivor_shape=1e-300)).multiples[0]
         assert top < Decimal(10) ** 19
 
+    def test_each_float_is_read_as_it_prints(self, monkeypatch):
+        # With these jitters the loser's value is the float 0.1000000005:
+        # read as it prints it rounds to 0.100000000, read exactly (its
+        # binary value lies just above) to 0.100000001.
+        class Draw:
+            def uniform(self, low, high, size):
+                return np.array([0.200000001, 0.5])
+
+        monkeypatch.setattr(returns.np.random, "default_rng", lambda seed: Draw())
+        spread = SpreadParams(loser_fraction=0.5, loser_floor=0.0, loser_ceiling=0.5)
+        loser = 0.0 + 0.5 * ((0 + 0.200000001) / 1)
+        assert repr(loser) == "0.1000000005"
+        assert Decimal(loser).quantize(Decimal("1E-9")) == Decimal("0.100000001")
+        dist = synthesize_distribution(seed=0, n_funds=2, spread=spread)
+        assert dist.multiples[1] == Decimal("0.100000000")
+        assert str(dist.multiples[1]) == "0.100000000"
+
 
 class TestRescale:
+    def test_result_does_not_depend_on_the_callers_context(self):
+        dist = synthesize_distribution(seed=0, n_funds=50)
+        assert str(rescale_to_target(dist, "1.31").multiples[0]) == "4.361995204"
+        with localcontext() as ctx:
+            ctx.prec = 6
+            assert str(rescale_to_target(dist, "1.31").multiples[0]) == "4.361995204"
     def test_hits_targets_within_tolerance(self):
         dist = synthesize_distribution(seed=5)
         for target in ("0.5", "1.10", "1.31", "1.50", "2.0", "3.7"):
