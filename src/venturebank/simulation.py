@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, Inexact, localcontext
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from typing import NamedTuple, get_type_hints
 
 from .contracts import (
@@ -335,6 +336,39 @@ class Event(NamedTuple):
     detail: EventDetail | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class EventLog(Sequence):
+    """render's log as (year, rows) blocks, a row an event's last four
+    fields: the tuple of its Events to len, iteration, indexing, slicing, ==
+    and hash, each built as it is read.  events_to_csv writes the blocks."""
+
+    blocks: tuple[tuple[int, tuple], ...]
+
+    def __len__(self) -> int:
+        return sum(len(rows) for _, rows in self.blocks)
+
+    def __iter__(self):
+        seq = count()
+        return (tuple.__new__(Event, (next(seq), year, *row))
+                for year, rows in self.blocks for row in rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        seq = at = range(len(self))[index]  # IndexError past either end
+        for year, rows in self.blocks:
+            if at < len(rows):
+                return tuple.__new__(Event, (seq, year, *rows[at]))
+            at -= len(rows)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, (tuple, EventLog))
+        return tuple(self) == tuple(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 # Every year a log may hold, by the one cell that writes it.
 _YEARS = {str(year): year for year in range(TERM_CAP_YEARS + 1)}
 
@@ -386,19 +420,30 @@ MAX_LINE = 131072
 @in_money_context
 def events_to_csv(events) -> str:
     """events.csv: one row per event, each cell its str() and a detail its
-    name=value pairs in field order, joined by "|".  The rows are f-strings;
-    the text stands when it has 5 commas and 1 newline per row and no '"',
-    '\\r', NUL or 'None'.  Otherwise the first event outside the grammar, a
-    detail that is no detail record included, raises InvalidParameterError
-    naming its seq and field; a log with none (a fund id 'None') stands."""
-    events = tuple(events)
-    formats = _DETAIL_FORMATS
+    name=value pairs in field order, joined by "|", in f-strings; an EventLog's
+    cells after the year are formatted once per rows tuple.  The text stands
+    when it has 5 commas and 1 newline per row and no '"', '\\r', NUL or 'None'.
+    Otherwise the first event outside the grammar, a detail that is no detail
+    record included, raises InvalidParameterError naming its seq and field; a
+    log with none (a fund id 'None') stands."""
+    formats, lines = _DETAIL_FORMATS, []
     try:
-        text = "\n".join([_EVENT_HEADER, *[
-            f"{seq!s},{year!s},{kind!s},{fund_id!s},{amount!s},"
-            f"{'' if detail is None else formats[type(detail)].format(*detail)}"
-            for seq, year, kind, fund_id, amount, detail in events
-        ], ""])
+        if isinstance(events, EventLog):
+            shared = None
+            for year, block in events.blocks:
+                if block is not shared:
+                    shared, tails = block, [
+                        f",{kind!s},{fund_id!s},{amount!s},"
+                        f"{'' if detail is None else formats[type(detail)].format(*detail)}"
+                        for kind, fund_id, amount, detail in block]
+                year = f",{year}"
+                lines += [f"{seq}{year}{tail}" for seq, tail in zip(count(len(lines)), tails)]
+        else:
+            events = tuple(events)
+            lines += [f"{seq!s},{year!s},{kind!s},{fund_id!s},{amount!s},"
+                      f"{'' if detail is None else formats[type(detail)].format(*detail)}"
+                      for seq, year, kind, fund_id, amount, detail in events]
+        text = "\n".join([_EVENT_HEADER, *lines, ""])
     except KeyError:  # a detail that is not a detail record
         text = None
     rows = len(events) + 1
@@ -495,7 +540,7 @@ class SimulationReport:
     din_10y_return: float
     din_yearly_return: float
     bank_10y_return: float
-    events: tuple[Event, ...]
+    events: Sequence[Event]  # run_scenario's is an EventLog
     # Nothing in the package sets these; perfbench's worker still passes
     # None for both.
     bank_ledger: Ledger | None = None
@@ -646,57 +691,52 @@ def _fund_columns(config: ScenarioConfig, dist: ReturnDistribution) -> Funds:
 
 
 @in_money_context
-def render(funds: Funds, config: ScenarioConfig) -> tuple[Event, ...]:
+def render(funds: Funds, config: ScenarioConfig) -> EventLog:
     """The event log of a run's Funds.  Year 0 injects capital, books the
     insured-note value and writes one loan per fund.  Each year every
     active note pays its premium; then, in distribution order, the failures
     settle at failure_year.  Closeout at exit_year logs the exits, then
     the liens settled and the payouts' carrying costs in note order, and
     releases the capital booking."""
-    events: list[Event] = []
-    new = tuple.__new__  # an Event's six fields make an Event
-
-    def emit(year: int, kind: str, fund_id: str, amount: Decimal, detail=None) -> None:
-        events.append(new(Event, (len(events), year, kind, fund_id, amount, detail)))
-
     book, capital, booked, _, _ = config.opening_book
-    emit(0, "capital_injection", "", money(config.initial_capital))
+    rows = [("capital_injection", "", money(config.initial_capital), None)]
     if booked > 0:
-        emit(0, "din_booked", "", booked, DinBooked(capital.tier1_insured, capital.tier2_insured))
-    for fund, face in zip(funds.fund_id, funds.face):
-        emit(0, "loan_issued", fund, face)
+        rows.append(("din_booked", "", booked,
+                     DinBooked(capital.tier1_insured, capital.tier2_insured)))
+    rows += zip(repeat("loan_issued"), funds.fund_id, funds.face, repeat(None))
     drawdown = money(book * Decimal("0.5"))
     if drawdown > 0:
-        emit(0, "deposit_drawdown", "", drawdown)
+        rows.append(("deposit_drawdown", "", drawdown, None))
+    blocks = [(0, tuple(rows))]
     failing = [failure is not None for failure in funds.failure]
-    paying = list(zip(funds.fund_id, funds.premium))
+    paying = tuple(zip(repeat("premium_paid"), funds.fund_id, funds.premium, repeat(None)))
     for year in range(1, config.exit_year + 1):
-        events.extend([new(Event, (seq, year, "premium_paid", fund, premium, None))
-                       for seq, (fund, premium) in enumerate(paying, len(events))])
+        blocks.append((year, paying))
         if year == config.failure_year:
+            rows = []
             for fund, face, payout, failure, salvage, lien, terms in compress(zip(
                     funds.fund_id, funds.face, funds.payout, funds.failure, funds.salvage,
                     funds.lien, funds.lien_terms), failing):
-                emit(year, "bankruptcy_payout", fund, payout, failure)
-                emit(year, "loan_written_off", fund, face)
+                rows += (("bankruptcy_payout", fund, payout, failure),
+                         ("loan_written_off", fund, face, None))
                 if salvage is not None:
-                    emit(year, "equity_accepted", fund, salvage)
+                    rows.append(("equity_accepted", fund, salvage, None))
                 if terms is not None:
-                    emit(year, "lien_created", fund, lien, terms)
-            paying = [pays for pays, fails in zip(paying, failing) if not fails]
-    closeout = config.exit_year
-    for fund, proceeds, exit in zip(funds.fund_id, funds.proceeds, funds.exit):
-        if exit is not None:
-            emit(closeout, "exit_proceeds", fund, proceeds, exit)
-    for fund, clawed, settled in zip(funds.fund_id, funds.clawed, funds.settled):
-        if settled is not None:
-            emit(closeout, "lien_settled", fund, clawed, settled)
-    for fund, carrying in zip(funds.fund_id, funds.carrying):
-        if carrying is not None:
-            emit(closeout, "carrying_cost", fund, carrying)
+                    rows.append(("lien_created", fund, lien, terms))
+            blocks.append((year, tuple(rows)))
+            paying = tuple(compress(paying, [not fails for fails in failing]))
+    rows = [("exit_proceeds", fund, proceeds, exit)
+            for fund, proceeds, exit in zip(funds.fund_id, funds.proceeds, funds.exit)
+            if exit is not None]
+    rows += [("lien_settled", fund, clawed, settled)
+             for fund, clawed, settled in zip(funds.fund_id, funds.clawed, funds.settled)
+             if settled is not None]
+    rows += [("carrying_cost", fund, carrying, None)
+             for fund, carrying in zip(funds.fund_id, funds.carrying) if carrying is not None]
     if booked > 0:
-        emit(closeout, "din_released", "", booked)
-    return tuple(events)
+        rows.append(("din_released", "", booked, None))
+    blocks.append((config.exit_year, tuple(rows)))
+    return EventLog(tuple(blocks))
 
 
 @in_money_context

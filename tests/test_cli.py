@@ -370,6 +370,19 @@ class TestSimulate:
         for name in ("report.csv", "events.csv"):
             assert sha(tmp_path / name) == golden[name]
 
+    def test_simulate_builds_no_event_per_row(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulate built an Event")
+
+        for name in ("__iter__", "__getitem__"):
+            monkeypatch.setattr(simulation.EventLog, name, broken)
+        cfg = self.config(tmp_path, salvage_mode="zero", exit_equity_mode="earnings",
+                          bank_rate="0.06", moc="47")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        golden = GOLDEN["calibration"]
+        for name in ("report.csv", "events.csv"):
+            assert sha(tmp_path / name) == golden[name]
+
     def test_domain_error_surfaces_coordinates(self, tmp_path, capsys, monkeypatch):
         def failing(config):
             raise SimulationError("lien cannot settle", year=10, account="lien_obligations")

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import venturebank
-from venturebank import cli
+from venturebank import cli, money
 
 PACKAGE = Path(venturebank.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,6 +104,9 @@ def reach(tmp_path_factory):
             codes.add(frame.f_code)
 
     out = tmp_path_factory.mktemp("reach")
+    # A cached function runs only on its first call: an earlier test may
+    # have made that call already.
+    money._growth.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         # configs/audit.json names its registry relative to the repository.
         patch.chdir(ROOT)

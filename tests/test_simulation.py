@@ -1154,6 +1154,7 @@ class TestRows:
         assert list(funds.fund_id) == [e.fund_id for e in events if e.kind == "loan_issued"]
         assert simulation.funds_of(events) == funds
         assert simulation.funds_of(events_from_csv(events_to_csv(events))) == funds
+        assert events_to_csv(events) == events_to_csv(tuple(events))
         assert simulation.price(funds, cfg) == replay(events, cfg)
 
     @pytest.mark.parametrize("name", sorted(ROW_CASES))
@@ -1240,6 +1241,18 @@ def spread_of(cfg):
     return dist
 
 
+def shuffled_spread(salvage_mode):
+    """A calibration config at 41 funds and its spread in a shuffled order,
+    so that its failures are interleaved with its exits."""
+    cfg = ScenarioConfig.calibration(n_funds=41, target_classical_return="1.31",
+                                     salvage_mode=salvage_mode)
+    dist = spread_of(cfg)
+    order = list(range(cfg.n_funds))
+    random.Random(7).shuffle(order)
+    return cfg, dist._replace(**{name: tuple(getattr(dist, name)[i] for i in order)
+                                 for name in ("fund_ids", "multiples", "outcomes")})
+
+
 def engine_settlements(funds):
     """per_note_settlements's tuple of every failed fund, as the engine
     settled it."""
@@ -1290,13 +1303,7 @@ class TestColumns:
         # them by classification, and an interleaved spread gives every
         # fund its own amounts and settlement all the same, and its log
         # folds back to its Funds and prices as they do.
-        cfg = ScenarioConfig.calibration(n_funds=41, target_classical_return="1.31",
-                                         salvage_mode=salvage_mode)
-        dist = spread_of(cfg)
-        order = list(range(cfg.n_funds))
-        random.Random(7).shuffle(order)
-        dist = dist._replace(**{name: tuple(getattr(dist, name)[i] for i in order)
-                                for name in ("fund_ids", "multiples", "outcomes")})
+        cfg, dist = shuffled_spread(salvage_mode)
         classes = list(dist.outcomes)
         assert classes[-1] != "failure" and classes != sorted(classes)
         funds = self.check_columns(cfg, dist)
@@ -1472,3 +1479,92 @@ class TestEventLogWriter:
             **{field: "a\0b"})
         with pytest.raises(InvalidParameterError, match=rf"event 0: {field} 'a\\x00b'"):
             events_to_csv([event])
+
+
+def writer_cases():
+    """(config, spread) pairs the block writer is checked on: both salvage
+    modes under each clawback rider, the shuffled spreads, and a config
+    with no insured-note booking (coverage 0, so no din_booked)."""
+    cases = {}
+    for salvage_mode in simulation.SALVAGE_MODES:
+        for clawback, verdict in RIDERS:
+            cfg = ScenarioConfig.calibration(
+                n_funds=201, target_classical_return="1.31", salvage_mode=salvage_mode,
+                clawback_fraction=clawback, audit_verdict=verdict)
+            cases[f"{salvage_mode}-{clawback}-{verdict}"] = cfg, spread_of(cfg)
+        cases[f"shuffled-{salvage_mode}"] = shuffled_spread(salvage_mode)
+    cfg = ScenarioConfig(coverage="0", moc="20", n_funds=201, target_classical_return="1.31")
+    cases["coverage-0"] = cfg, spread_of(cfg)
+    return cases
+
+
+WRITER_CASES = writer_cases()
+
+
+class TestEventLog:
+    """render's EventLog acts as the tuple of its Events, and events_to_csv
+    writes its blocks as the row path writes that tuple."""
+
+    @pytest.mark.parametrize("name", sorted(WRITER_CASES))
+    def test_blocks_write_the_rows_text(self, name):
+        # TestRows.check_rows makes the same check on small_configs().
+        cfg, dist = WRITER_CASES[name]
+        funds = simulation._fund_columns(cfg, dist)
+        log = simulation.render(funds, cfg)
+        text = events_to_csv(log)
+        assert text == events_to_csv(tuple(log)) == event_log_csv(tuple(log))
+        assert simulation.funds_of(events_from_csv(text)) == funds
+        kinds = Counter(e.kind for e in log)
+        assert kinds["din_booked"] == (0 if name == "coverage-0" else 1)
+        assert kinds["bankruptcy_payout"] > 0 and kinds["exit_proceeds"] > 0
+
+    def test_acts_as_the_tuple_of_its_events(self):
+        cfg, dist = WRITER_CASES["classical_multiple-0.77-None"]
+        log = simulation.render(simulation._fund_columns(cfg, dist), cfg)
+        events = tuple(log)
+        assert type(events[0]) is simulation.Event
+        assert [e.seq for e in events] == list(range(len(events)))
+        assert log == events and events == log and not log != events
+        assert log == simulation.render(simulation._fund_columns(cfg, dist), cfg)
+        assert log != events[:-1] and events[:-1] != log and log != list(events)
+        assert (len(log), log[-1], log[3:7], hash(log)) == (
+            len(events), events[-1], events[3:7], hash(events))
+        assert log[::-1] == events[::-1] and list(reversed(log)) == list(reversed(events))
+        assert all(log[i] == events[i] for i in range(-len(events), len(events)))
+        for index in (len(events), -len(events) - 1):
+            with pytest.raises(IndexError):
+                log[index]
+        assert pickle.loads(pickle.dumps(log)) == events
+
+    @pytest.mark.parametrize("fund_id", ["f,1", "f\n1", 'f"1', None])
+    def test_a_fund_id_outside_the_grammar_is_refused_as_by_rows(self, fund_id):
+        cfg, dist = WRITER_CASES["zero-0.77-None"]
+        funds = simulation._fund_columns(cfg, dist)
+        at = funds.failure.index(None)  # an exit, which logs no lien
+        ids = funds.fund_id[:at] + (fund_id,) + funds.fund_id[at + 1:]
+        log = simulation.render(funds._replace(fund_id=ids), cfg)
+        # Its loan_issued, after capital_injection and din_booked.
+        message = re.escape(f"event {at + 2}: fund_id {fund_id!r} is outside")
+        for events in (log, tuple(log)):
+            with pytest.raises(InvalidParameterError, match=message):
+                events_to_csv(events)
+
+    def test_a_detail_that_is_no_record_is_refused_as_by_rows(self):
+        cfg, dist = WRITER_CASES["zero-0.77-None"]
+        funds = simulation._fund_columns(cfg, dist)
+        at = next(i for i, failure in enumerate(funds.failure) if failure is not None)
+        failures = list(funds.failure)
+        failures[at] = tuple(failures[at])
+        log = simulation.render(funds._replace(failure=tuple(failures)), cfg)
+        seq = next(e.seq for e in log if e.kind == "bankruptcy_payout")
+        message = re.escape(f"event {seq}: detail {failures[at]!r} is outside")
+        for events in (log, tuple(log)):
+            with pytest.raises(InvalidParameterError, match=message):
+                events_to_csv(events)
+
+    def test_a_fund_id_none_as_text_stands(self):
+        cfg, dist = WRITER_CASES["zero-0.77-None"]
+        funds = simulation._fund_columns(cfg, dist)
+        log = simulation.render(funds._replace(fund_id=("None",) + funds.fund_id[1:]), cfg)
+        assert events_to_csv(log) == events_to_csv(tuple(log))
+        assert ",loan_issued,None," in events_to_csv(log)
