@@ -18,7 +18,14 @@ from .errors import (
     PackagingError,
     RegistryError,
 )
-from .money import csv_text, finite, money
+from .money import (
+    DECIMAL_CONTEXT,
+    MONEY_SCALE,
+    csv_text,
+    finite,
+    in_money_context,
+    money,
+)
 
 PRIMARY = "primary"
 SECONDARY = "secondary"
@@ -106,20 +113,26 @@ class Registry:
 
     def __init__(self) -> None:
         self._records: dict[str, RegistryRecord] = {}
+        # The keys of _records in sorted order, or None until snapshot
+        # sorts them: register clears it, and updates change no key.
+        self._ids: list[str] | None = None
 
     def register(self, record: RegistryRecord) -> None:
         if record.din_id in self._records:
             raise DuplicateIdError(f"din_id {record.din_id!r} already registered")
         self._records[record.din_id] = record
+        self._ids = None
 
     def get(self, din_id: str) -> RegistryRecord:
         try:
             return self._records[din_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a JSON list or object
             raise DanglingReferenceError(f"no record {din_id!r}") from None
 
     def snapshot(self) -> tuple[RegistryRecord, ...]:
-        return tuple(self._records[k] for k in sorted(self._records))
+        if self._ids is None:
+            self._ids = sorted(self._records)
+        return tuple(map(self._records.__getitem__, self._ids))
 
     def link_secondary(self, primary_id: str, secondary_id: str) -> None:
         """Install the mutual reference between a primary and its secondary.
@@ -141,6 +154,7 @@ class Registry:
         _check_status(status)
         self._records[din_id] = self.get(din_id)._replace(status=status)
 
+    @in_money_context
     def true_outstanding(self) -> Decimal:
         """Net notional: secondaries mirror their primaries, so only
         primary principal counts."""
@@ -149,6 +163,7 @@ class Registry:
             Decimal("0"),
         )
 
+    @in_money_context
     def gross_notional(self) -> Decimal:
         return sum((r.principal for r in self._records.values()), Decimal("0"))
 
@@ -361,13 +376,86 @@ _STATES = {state.value: state for state in DinState}
 
 
 def import_records(text: str) -> Registry:
-    """Rebuild a registry from export_records' JSONL.  A line that is not a
-    JSON object, lacks a field or holds a record RegistryRecord refuses
-    raises RegistryError naming the line.  Links are installed once every
-    line has been read, so a bad line is reported before any link error."""
+    """Rebuild a registry from export_records' JSONL: one JSON object per
+    line, lines split on "\n" alone.  A line that is not a JSON object,
+    lacks a field or holds a record RegistryRecord refuses raises
+    RegistryError naming the line.  Links are installed once every line has
+    been read, so a bad line is reported before any link error."""
+    registry = _read_export_form(text)
+    return _read_lines(text) if registry is None else registry
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _read_export_form(text: str) -> Registry | None:
+    """import_records in one scan of the whole text, each record built and
+    checked as its object is scanned and its dict dropped in turn.  The
+    checks are RegistryRecord's, inline.  Anything outside the export form
+    returns None, for _read_lines to read or to refuse by line: a line that
+    is not exactly one object with every field well typed and in range,
+    text around an object or no final newline.  JSON strings hold no raw
+    newline, so an object spanning one leaves fewer records than newlines,
+    as a duplicate din_id does.  Links are installed as _read_lines
+    installs them, so a link error is the same on either path."""
+    scan, decimal, quantize, scale = _scan_once, Decimal, DECIMAL_CONTEXT.quantize, MONEY_SCALE
+    new, states = tuple.__new__, _STATES
+    records: dict[str, RegistryRecord] = {}
+    links: list[tuple[str, str]] = []
+    at, size = 0, len(text)
+    try:
+        while at < size:
+            raw, at = scan(text, at)
+            if text[at] != "\n" or type(raw) is not dict:
+                return None
+            at += 1
+            din_id, kind, principal = raw["din_id"], raw["kind"], raw["principal"]
+            underwriter_id, bank_id = raw["underwriter_id"], raw["bank_id"]
+            investment_id, sector = raw["investment_id"], raw["sector"]
+            vintage_year, get = raw["vintage_year"], raw.get
+            terms_digest, attached = get("terms_digest", ""), get("attached", True)
+            status, ref = get("status", "active"), get("counterpart_ref")
+            multiple = get("expected_multiple")
+            if not ((kind == PRIMARY or kind == SECONDARY)
+                    and type(din_id) is str and type(underwriter_id) is str
+                    and type(bank_id) is str and type(investment_id) is str
+                    and type(sector) is str and type(terms_digest) is str
+                    and type(principal) is str and type(vintage_year) is int
+                    and type(attached) is bool and type(status) is str
+                    and (multiple is None or type(multiple) is str)):
+                return None
+            state = states.get(status)
+            principal = quantize(decimal(principal), scale)
+            if state is None or not principal.is_finite() or principal < 0:
+                return None
+            if multiple is not None:
+                multiple = decimal(multiple)
+                if not multiple.is_finite() or multiple < 0:
+                    return None
+            records[din_id] = new(RegistryRecord, (
+                din_id, kind, underwriter_id, bank_id, investment_id, principal,
+                sector, vintage_year, terms_digest, attached, state, None,
+                multiple))
+            if ref is not None and kind == PRIMARY:
+                links.append((din_id, ref))
+    except (StopIteration, IndexError, KeyError, ValueError, ArithmeticError,
+            RecursionError):
+        return None
+    if len(records) != text.count("\n"):
+        return None
+    registry = Registry()
+    registry._records = records
+    for primary_id, secondary_id in links:
+        registry.link_secondary(primary_id, secondary_id)
+    return registry
+
+
+def _read_lines(text: str) -> Registry:
+    """import_records a line at a time, through RegistryRecord: the
+    reference reader, and the one that names a refused line."""
     registry = Registry()
     deferred_links: list[tuple[str, str]] = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -3,7 +3,7 @@ import copy
 import json
 import pickle
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from venturebank.errors import (
     InvalidParameterError,
     PackagingError,
     RegistryError,
+    VentureBankError,
 )
 from venturebank.money import money
 from venturebank.registry import (
@@ -124,6 +125,15 @@ class TestCrossReferences:
             registry.register(rec(f"p{i}", principal="7"))
         assert registry.gross_notional() == registry.true_outstanding() == Decimal("35")
 
+    def test_totals_do_not_depend_on_the_callers_context(self):
+        registry = Registry()
+        registry.register(rec("P", principal="1234567.123456789"))
+        registry.register(rec("Q", principal="0.000000001"))
+        with localcontext() as ctx:
+            ctx.prec = 6
+            assert str(registry.true_outstanding()) == "1234567.123456790"
+            assert str(registry.gross_notional()) == "1234567.123456790"
+
     def test_involution_under_random_linking(self):
         rng = random.Random(77)
         registry = Registry()
@@ -169,6 +179,25 @@ class TestCrossReferences:
         assert registry.snapshot()[0].status is DinState.VOID
         registry.register(rec("P0"))
         assert snapshot_ids() == ["P0", "P1", "P2", "S1"]
+
+    def test_snapshot_sorts_the_ids_again_only_after_a_register(self, monkeypatch):
+        registry = Registry()
+        registry.register(rec("P2"))
+        registry.register(rec("S1", kind="secondary"))
+        registry.register(rec("P1"))
+        before = registry.snapshot()
+        sorts = []
+        monkeypatch.setattr(registry_module, "sorted",
+                            lambda ids: sorts.append(ids) or sorted(ids), raising=False)
+        registry.link_secondary("P2", "S1")
+        registry.set_status("P1", DinState.VOID)
+        after = registry.snapshot()
+        assert sorts == []
+        assert [r.din_id for r in after] == [r.din_id for r in before] == ["P1", "P2", "S1"]
+        assert after[0].status is DinState.VOID and after[1].counterpart_ref == "S1"
+        registry.register(rec("P0"))
+        assert [r.din_id for r in registry.snapshot()] == ["P0", "P1", "P2", "S1"]
+        assert len(sorts) == 1
 
 
 class TestAttachmentAudit:
@@ -412,6 +441,34 @@ class TestExportImport:
                            match="registry line 3: expected_multiple must be"):
             import_records(text)
 
+    def test_a_raw_line_separator_in_a_string_is_read(self):
+        # JSON allows U+2028, U+2029 and U+0085 raw inside a string, and
+        # json.dumps(..., ensure_ascii=False) writes them raw; lines split
+        # on "\n" alone.
+        sector = "a\u2028b\u2029c\x85d"
+        text = record_text(sector=sector) + "\n"
+        assert "\u2028" in text
+        assert import_records(text).get("t").sector == sector
+
+    def test_crlf_lines_are_read(self):
+        text = export_records(ramped_registry(3))
+        clone = import_records(text.replace("\n", "\r\n"))
+        assert clone.snapshot() == ramped_registry(3).snapshot()
+
+    def test_lines_split_by_lone_cr_are_refused(self):
+        text = export_records(ramped_registry(2)).replace("\n", "\r")
+        with pytest.raises(RegistryError, match="^registry line 1: invalid JSON, Extra data"):
+            import_records(text)
+
+    def test_export_form_is_read_without_money(self, monkeypatch):
+        registry = linked_registry()
+        text = export_records(registry)
+        calls = []
+        monkeypatch.setattr(registry_module, "money",
+                            lambda value: calls.append(value) or money(value))
+        assert import_records(text).snapshot() == registry.snapshot()
+        assert calls == []
+
 
 def record_line(**fields) -> str:
     """One registry line holding every field import_records requires."""
@@ -474,6 +531,8 @@ class TestImportParity:
              "din_id 'g' already registered"),
             ([GOOD, record_line(counterpart_ref="nope")], DanglingReferenceError,
              "no record 'nope'"),
+            ([GOOD, record_line(counterpart_ref=[1])], DanglingReferenceError,
+             "no record [1]"),
             ([record_line(din_id="p1", counterpart_ref="s1"),
               record_line(din_id="s1", kind="secondary"),
               record_line(din_id="p2", counterpart_ref="s1")], DoubleLinkError,
@@ -536,3 +595,126 @@ class TestRoundTrip:
         clone = import_records(text)
         assert export_records(clone) == text
         assert clone.snapshot() == registry.snapshot()
+        # export_records' own text is read in one scan, not line by line.
+        assert registry_module._read_export_form(text).snapshot() == clone.snapshot()
+
+
+def outcome(read, text, prec=None):
+    """What reading text gives: the registry's snapshot and export, or the
+    refusal's type and message; under an ambient precision when given."""
+    with localcontext() as ctx:
+        if prec is not None:
+            ctx.prec = prec
+        try:
+            registry = read(text)
+        except VentureBankError as exc:
+            return type(exc), str(exc)
+    return registry.snapshot(), export_records(registry)
+
+
+def linked_registry() -> Registry:
+    registry = ramped_registry(6, detached={"p001"})
+    registry.register(rec("S", kind="secondary"))
+    registry.link_secondary("p000", "S")
+    registry.set_status("p002", DinState.EXITED)
+    return registry
+
+
+def record_text(**fields) -> str:
+    """record_line with non-ASCII characters written raw."""
+    return json.dumps(json.loads(record_line(**fields)), ensure_ascii=False)
+
+
+# Lines inserted among a registry's own: a fragment of an object that
+# never closes, its close, and two objects on one line; blank and
+# whitespace-only lines; a JSON integer past int's 4300-digit limit; deep
+# nesting; raw line separators inside strings; amounts outside the export
+# form; and references that are not strings.
+INSERTED = [
+    '{"a":[{}', "{}]}", "{},{}", "", "  \t", "\r",
+    record_line(din_id="big")[:-1] + ', "terms_digest": ' + "9" * 4301 + "}",
+    record_line(din_id="big2").replace('"vintage_year": 2024', '"vintage_year": ' + "9" * 4301),
+    "[" * 3000 + "]" * 3000,
+    '{"din_id": ' + "[" * 3000 + "]" * 3000 + "}",
+    record_text(din_id="sep", sector="a\u2028b\u2029c\x85d"),
+    record_line(din_id="num", principal=5),
+    record_line(din_id="sp", principal=" 1_0 "),
+    record_line(din_id="neg0", principal="-0", expected_multiple="-0"),
+    record_line(din_id="r7", counterpart_ref=7),
+    record_line(din_id="rl", counterpart_ref=[1]),
+    record_line(din_id="sd", kind="secondary", counterpart_ref={"a": 1}),
+]
+
+
+def mutated(lines, ops, end="\n", final=True, bom=False) -> str:
+    """lines after each op, joined by end: ("insert", i, line) puts a line
+    before line i; ("split", i) breaks line i after its first comma;
+    ("indent", i) and ("trail", i) put a space before or after it; and
+    ("copy", i) repeats it.  Positions wrap around the current lines."""
+    lines = list(lines)
+    for op, i, *line in ops:
+        if op == "insert":
+            lines.insert(i % (len(lines) + 1), *line)
+        elif lines:
+            i %= len(lines)
+            if op == "split":
+                lines[i] = lines[i].replace(",", ",\n", 1)
+            elif op == "indent":
+                lines[i] = " " + lines[i]
+            elif op == "trail":
+                lines[i] += " "
+            elif op == "copy":
+                lines.insert(i, lines[i])
+    return ("\ufeff" if bom else "") + end.join(lines) + (end if final and lines else "")
+
+
+LINES = export_records(linked_registry()).split("\n")[:-1]
+
+
+class TestOneScanParity:
+    """import_records reads export_records' text in one scan and anything
+    else line by line; both readers give the same registry, or the same
+    refusal, on the same text."""
+
+    @pytest.mark.parametrize("prec", [None, 6])
+    @pytest.mark.parametrize(
+        "text",
+        [mutated(LINES, ops, **joins) for ops, joins in [
+            ([], {}),
+            ([("insert", 2, line) for line in reversed(INSERTED[:3])], {}),
+            ([("split", 3)], {}),
+            ([("split", 3)], {"final": False}),
+            ([("indent", 0)], {}),
+            ([("trail", 5)], {}),
+            ([("copy", 4)], {}),
+            ([], {"end": "\r\n"}),
+            ([], {"end": "\r"}),
+            ([], {"final": False}),
+            ([], {"bom": True}),
+            # A link whose ids hold a raw line separator.
+            ([("insert", 0, record_text(din_id="S\u2028", kind="secondary")),
+              ("insert", 0, record_text(din_id="P\u2029", counterpart_ref="S\u2028"))], {}),
+        ]]
+        + [mutated(LINES, [("insert", 2, line)]) for line in INSERTED]
+        + ["", "\n"],
+    )
+    def test_cases(self, text, prec):
+        assert outcome(import_records, text, prec) == outcome(
+            registry_module._read_lines, text, prec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        registries(),
+        st.lists(st.one_of(
+            st.tuples(st.just("insert"), st.integers(0, 30), st.sampled_from(INSERTED)),
+            st.tuples(st.sampled_from(["split", "indent", "trail", "copy"]),
+                      st.integers(0, 30)),
+        ), max_size=3),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+        st.booleans(), st.booleans(), st.sampled_from([None, 6]),
+    )
+    def test_mutated_exports(self, registry, ops, end, final, bom, prec):
+        lines = export_records(registry).split("\n")[:-1]
+        text = mutated(lines, ops, end, final, bom)
+        assert outcome(import_records, text, prec) == outcome(
+            registry_module._read_lines, text, prec)
