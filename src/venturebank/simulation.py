@@ -18,7 +18,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, Inexact, localcontext
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from typing import NamedTuple, get_type_hints
 
 from .contracts import (
@@ -338,9 +338,10 @@ class Event(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class EventLog(Sequence):
-    """render's log as (year, rows) blocks, a row an event's last four
-    fields: the tuple of its Events to len, iteration, indexing, slicing, ==
-    and hash, each built as it is read.  events_to_csv writes the blocks."""
+    """A log as (year, rows) blocks, a row an event's last four fields, as
+    render and events_from_csv return it: the tuple of its Events to len,
+    iteration, indexing, slicing, == and hash, each built as it is read.
+    events_to_csv writes the blocks and funds_of folds them."""
 
     blocks: tuple[tuple[int, tuple], ...]
 
@@ -384,26 +385,28 @@ def _year(text: str, name: str) -> int:
 
 def _decimal(text: str, name: str) -> Decimal:
     """A decimal cell as events_to_csv writes it, or ValueError naming it."""
-    value = finite(text, name)
-    if str(value) != text:
-        raise ValueError(f"{name} must be written {value}, got {text!r}")
-    return value
+    try:
+        value = Decimal(text)
+        if value.is_finite() and str(value) == text:
+            return value
+    except ArithmeticError:
+        pass
+    value = finite(text, name)  # refuses text that is no finite decimal
+    raise ValueError(f"{name} must be written {value}, got {text!r}")
 
 
 # The CSV cell template of each record type, and for each kind that
-# carries a detail: its record, a regex with one group per field, and one
-# parser per field, _year or _decimal, naming the field.
+# carries a detail: its record, each field's key as its cell spells it
+# ("name="), and for each field the length of that key, its name and its
+# parser, _year or _decimal.
 _DETAIL_FORMATS = {
     record: "|".join(f"{name}={{}}" for name in record._fields)
     for record in EVENT_DETAILS.values()
 }
 _DETAIL_READERS = {
-    kind: (
-        record,
-        re.compile(r"\|".join(f"{name}=([^|]*)" for name in record._fields)),
-        tuple(functools.partial(_year if hint is int else _decimal, name=name)
-              for name, hint in get_type_hints(record).items()),
-    )
+    kind: (record, tuple(f"{name}=" for name in record._fields),
+           tuple((len(name) + 1, name, _year if hint is int else _decimal)
+                 for name, hint in get_type_hints(record).items()))
     for kind, record in EVENT_DETAILS.items()
 }
 
@@ -464,21 +467,24 @@ def events_to_csv(events) -> str:
 def _parse_detail(kind: str, text: str) -> EventDetail:
     if kind not in _DETAIL_READERS:
         raise ValueError(f"{kind} carries no detail, got {text!r}")
-    record, pattern, parsers = _DETAIL_READERS[kind]
-    match = pattern.fullmatch(text)
-    if match is None:
+    record, keys, fields = _DETAIL_READERS[kind]
+    pairs = text.split("|")
+    if len(pairs) != len(keys) or not all(map(str.startswith, pairs, keys)):
         raise ValueError(f"{kind} detail {text!r} does not have the keys {record._fields}")
-    return record(*[parse(value) for parse, value in zip(parsers, match.groups())])
+    return tuple.__new__(record, [parse(pair[at:], name)
+                                  for (at, name, parse), pair in zip(fields, pairs)])
 
 
 @in_money_context
-def events_from_csv(text: str) -> tuple[Event, ...]:
-    """Parse events.csv.  Text that events_to_csv could not have written
-    raises InvalidParameterError naming its line: no newline at the end,
-    a '"', '\\r' or NUL anywhere, a line longer than MAX_LINE, or a
-    malformed row.  Row i is line i + 2 split on ','; it is malformed
-    unless seq is its position, year and a lien's origin plain integers
-    in [0, TERM_CAP_YEARS], and every decimal cell spelled as its str()."""
+def events_from_csv(text: str) -> EventLog:
+    """Parse events.csv into an EventLog, in one pass that builds no Event:
+    a block per run of rows with one year cell.  Text that events_to_csv
+    could not have written raises InvalidParameterError naming its line: no
+    newline at the end, a '"', '\\r' or NUL anywhere, a line longer than
+    MAX_LINE, or a malformed row.  Row i is line i + 2 split on ','; it is
+    malformed unless seq is its position, year and a lien's origin plain
+    integers in [0, TERM_CAP_YEARS], and every decimal cell spelled as its
+    str()."""
     lines = text.split("\n")
     if lines.pop():  # the last row's terminator
         raise InvalidParameterError(f"event log line {len(lines) + 1}: no final newline")
@@ -492,39 +498,40 @@ def events_from_csv(text: str) -> tuple[Event, ...]:
         raise InvalidParameterError(f"event log line {line}: longer than {MAX_LINE} characters")
     if lines[:1] != [_EVENT_HEADER]:
         raise InvalidParameterError("not an event-log CSV")
-    out = []
-    append, new, columns, years = out.append, tuple.__new__, len(EVENT_COLUMNS), _YEARS
+    blocks: list[tuple[int, list]] = []
+    block_year = None
     # A log repeats a few amounts (each fund's premium, the loan face) and
     # details (each failure class's payout, lien and settlement) many
-    # times; each distinct cell is read once.
+    # times; each distinct cell is read once, a detail into its kind's
+    # dict, which for a kind with no detail holds the empty cell alone.
     amounts: dict[str, Decimal] = {}
-    details: dict[tuple[str, str], EventDetail | None] = {}
-    for position, row in enumerate(lines[1:]):
-        row = row.split(",") if row else []
-        try:
-            if len(row) != columns:
-                raise ValueError(f"expected {columns} columns, got {len(row)}")
-            seq, year, kind, fund_id, amount, detail = row
-            if kind not in EVENT_KINDS:
+    details = {kind: {} if kind in EVENT_DETAILS else {"": None} for kind in EVENT_KINDS}
+    try:
+        for cells, position in zip(map(str.split, islice(lines, 1, None), repeat(",")),
+                                   map(str, count())):
+            seq, year, kind, fund_id, amount, detail = cells
+            read = details.get(kind)
+            if read is None:
                 raise ValueError(f"unknown event kind {kind!r}")
             value = amounts.get(amount)
             if value is None:
                 value = amounts[amount] = _decimal(amount, "amount")
-            if seq != str(position):
-                raise ValueError(f"seq must be {position}, the row's position, "
-                                 f"got {seq!r}")
-            year_value = years.get(year)
-            if year_value is None:
-                year_value = _year(year, "year")  # raises
-            parsed = None
-            if detail or kind in _DETAIL_READERS:
-                parsed = details.get((kind, detail))
-                if parsed is None:
-                    parsed = details[kind, detail] = _parse_detail(kind, detail)
-            append(new(Event, (position, year_value, kind, fund_id, value, parsed)))
-        except ValueError as exc:  # InvalidParameterError is one
-            raise InvalidParameterError(f"event log line {position + 2}: {exc}") from exc
-    return tuple(out)
+            if seq != position:
+                raise ValueError(f"seq must be {position}, the row's position, got {seq!r}")
+            if year != block_year:
+                blocks.append((_year(year, "year"), rows := []))
+                block_year = year
+            try:
+                parsed = read[detail]
+            except KeyError:
+                parsed = read[detail] = _parse_detail(kind, detail)
+            rows.append((kind, fund_id, value, parsed))
+    except ValueError as exc:  # InvalidParameterError is one
+        if len(cells) != len(EVENT_COLUMNS):  # the row did not unpack
+            exc = ValueError(f"expected {len(EVENT_COLUMNS)} columns, "
+                             f"got {0 if cells == [''] else len(cells)}")
+        raise InvalidParameterError(f"event log line {int(position) + 2}: {exc}") from exc
+    return EventLog(tuple((year, tuple(rows)) for year, rows in blocks))
 
 
 @dataclass(frozen=True)
@@ -540,7 +547,7 @@ class SimulationReport:
     din_10y_return: float
     din_yearly_return: float
     bank_10y_return: float
-    events: Sequence[Event]  # run_scenario's is an EventLog
+    events: Sequence[Event]  # an EventLog from run_scenario or events_from_csv
     # Nothing in the package sets these; perfbench's worker still passes
     # None for both.
     bank_ledger: Ledger | None = None
@@ -859,45 +866,67 @@ def _rounded(name: str) -> InvalidParameterError:
 
 @in_money_context
 def funds_of(events) -> Funds:
-    """Fold a log into its Funds, the inverse of render.  Each event fills
-    its fund's latest entry, a list of its fields; one whose field that
-    entry holds already (a second payout, which no run logs) opens a new
-    entry for the fund.  Refused: a second loan_issued for a fund, a payout
-    or exit before its loan_issued, and a premium total that rounds."""
+    """Fold a log into its Funds, the inverse of render: an EventLog's
+    blocks, or any other sequence of Events as one-row blocks.  Each row
+    fills its fund's latest entry, a list of its fields; one whose field
+    that entry holds already (a second payout, which no run logs) opens a
+    new entry for the fund.  Refused: in a sequence of Events, a detail that
+    is not its kind's record; a second loan_issued for a fund, a payout or
+    exit before its loan_issued, and a premium total that rounds."""
+    if isinstance(events, EventLog):
+        blocks = events.blocks
+    else:
+        blocks = []
+        for seq, year, kind, fund, amount, detail in events:
+            record = EVENT_DETAILS.get(kind)
+            if record is not None and type(detail) is not record:
+                raise InvalidParameterError(
+                    f"event {seq}: {kind} detail {detail!r} is not a {record.__name__}")
+            blocks.append((year, ((kind, fund, amount, detail),)))
     entries: list[list] = []
     latest: dict[str, list] = {}  # each fund's latest entry; its premiums a list
     faces: dict[str, Decimal] = {}
     entry_of, folded, blank = latest.get, _FOLDED.get, (None,) * 11
-    for event in events:
-        if event[2] == "premium_paid":  # most of a log
-            entry = entry_of(event[3])
-            if entry is None:
-                entry = latest[event[3]] = [event[3], None, None, [], *blank]
-                entries.append(entry)
-            entry[3].append(event[4])
-            continue
-        _, year, kind, fund, amount, detail = event
-        at = folded(kind)
-        if at is None:
-            continue
-        entry = entry_of(fund)
-        if entry is None or entry[at] is not None:
-            entry = latest[fund] = [fund, None, None, [], *blank]
-            entries.append(entry)
-        if kind == "loan_issued":
-            if fund in faces:
-                raise SimulationError(f"second loan_issued for {fund!r}",
-                                      year=year, account="loans")
-            faces[fund] = amount
-        elif kind == "bankruptcy_payout" or kind == "exit_proceeds":
-            if fund not in faces:
-                raise SimulationError(f"{kind} for {fund!r} with no loan_issued",
-                                      year=year, account="loans")
-            if kind == "bankruptcy_payout":
-                entry[6] = money(detail.multiple * faces[fund])  # worth
-        entry[at] = amount
-        if kind in EVENT_DETAILS:
-            entry[at + 1] = detail
+    # Each payout's entry and the factors of its worth, taken by one money_products.
+    failed, multiples, bases = [], [], []
+    try:
+        for year, rows in blocks:
+            for kind, fund, amount, detail in rows:
+                if kind == "premium_paid":  # most of a log
+                    entry = entry_of(fund)
+                    if entry is None:
+                        entry = latest[fund] = [fund, None, None, [], *blank]
+                        entries.append(entry)
+                    entry[3].append(amount)
+                    continue
+                at = folded(kind)
+                if at is None:
+                    continue
+                entry = entry_of(fund)
+                if entry is None or entry[at] is not None:
+                    entry = latest[fund] = [fund, None, None, [], *blank]
+                    entries.append(entry)
+                if kind == "loan_issued":
+                    if fund in faces:
+                        raise SimulationError(f"second loan_issued for {fund!r}",
+                                              year=year, account="loans")
+                    faces[fund] = amount
+                elif kind == "bankruptcy_payout" or kind == "exit_proceeds":
+                    if fund not in faces:
+                        raise SimulationError(f"{kind} for {fund!r} with no loan_issued",
+                                              year=year, account="loans")
+                    if kind == "bankruptcy_payout":
+                        failed.append(entry)
+                        multiples.append(detail.multiple)
+                        bases.append(faces[fund])
+                entry[at] = amount
+                if kind in EVENT_DETAILS:
+                    entry[at + 1] = detail
+    except SimulationError:
+        money_products(multiples, bases)  # a worth money() refuses came first
+        raise
+    for entry, worth in zip(failed, money_products(multiples, bases)):
+        entry[6] = worth
     try:
         with localcontext(_EXACT):
             for entry in entries:  # premium, premiums

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import io
-from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
+import re
+from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation, localcontext
+from typing import get_type_hints
 
 import numpy as np
 
@@ -130,6 +132,91 @@ def event_log_csv(events) -> str:
                               for name in e.detail._fields)
         writer.writerow([e.seq, e.year, e.kind, e.fund_id, str(e.amount), detail])
     return buf.getvalue()
+
+
+def row_event_log(text: str) -> tuple:
+    """events.csv read row by row, one Event built per row: the reference
+    reader that simulation.events_from_csv must equal, refusing the same
+    texts with the same error type and message.  The text has a final
+    newline and no '"', '\\r' or NUL, no line is longer than MAX_LINE, and
+    line 1 is the header; row i is line i + 2 split on ',' into six cells.
+    seq is i as str() writes it, year and a lien's origin are plain
+    integers in [0, TERM_CAP_YEARS], a kind is one of EVENT_KINDS, a
+    detail is its kind's name=value pairs in field order joined by "|"
+    (or empty, for a kind with no record), and every decimal cell is
+    spelled as its str().  Cells are read in a pinned context."""
+    from venturebank.contracts import TERM_CAP_YEARS
+    from venturebank.errors import InvalidParameterError
+    from venturebank.simulation import EVENT_DETAILS, EVENT_KINDS, MAX_LINE, Event
+
+    columns = ("seq", "year", "kind", "fund_id", "amount", "detail")
+    years = [str(year) for year in range(TERM_CAP_YEARS + 1)]
+
+    def year_of(cell: str, name: str) -> int:
+        if cell not in years:
+            raise ValueError(f"{name} must be an integer in [0, {TERM_CAP_YEARS}], "
+                             f"got {cell!r}")
+        return int(cell)
+
+    def decimal_of(cell: str, name: str) -> Decimal:
+        try:
+            value = Decimal(cell)
+        except ArithmeticError:
+            value = None
+        if value is None or not value.is_finite():
+            raise InvalidParameterError(f"{name} must be a finite decimal, got {cell!r}")
+        if str(value) != cell:
+            raise ValueError(f"{name} must be written {value}, got {cell!r}")
+        return value
+
+    def detail_of(kind: str, cell: str):
+        if kind not in EVENT_DETAILS:
+            raise ValueError(f"{kind} carries no detail, got {cell!r}")
+        record = EVENT_DETAILS[kind]
+        match = re.fullmatch(r"\|".join(f"{name}=([^|]*)" for name in record._fields), cell)
+        if match is None:
+            raise ValueError(f"{kind} detail {cell!r} does not have the keys {record._fields}")
+        hints = get_type_hints(record)
+        return record(*[year_of(value, name) if hints[name] is int else decimal_of(value, name)
+                        for name, value in zip(record._fields, match.groups())])
+
+    with localcontext(Context(prec=28, rounding=ROUND_HALF_EVEN, capitals=1,
+                              traps=[InvalidOperation])):
+        lines = text.split("\n")
+        if lines.pop():
+            raise InvalidParameterError(f"event log line {len(lines) + 1}: no final newline")
+        for line, row in enumerate(lines, start=1):
+            for char in row:
+                if char in '"\r\0':
+                    raise InvalidParameterError(
+                        f"event log line {line}: {char!r} is outside the event-log grammar")
+        for line, row in enumerate(lines, start=1):
+            if len(row) > MAX_LINE:
+                raise InvalidParameterError(
+                    f"event log line {line}: longer than {MAX_LINE} characters")
+        if lines[:1] != [",".join(columns)]:
+            raise InvalidParameterError("not an event-log CSV")
+        events = []
+        for position, row in enumerate(lines[1:]):
+            cells = row.split(",") if row else []
+            try:
+                if len(cells) != len(columns):
+                    raise ValueError(f"expected {len(columns)} columns, got {len(cells)}")
+                seq, year, kind, fund_id, amount, detail = cells
+                if kind not in EVENT_KINDS:
+                    raise ValueError(f"unknown event kind {kind!r}")
+                value = decimal_of(amount, "amount")
+                if seq != str(position):
+                    raise ValueError(f"seq must be {position}, the row's position, "
+                                     f"got {seq!r}")
+                year = year_of(year, "year")
+                parsed = None
+                if detail or kind in EVENT_DETAILS:
+                    parsed = detail_of(kind, detail)
+                events.append(Event(position, year, kind, fund_id, value, parsed))
+            except ValueError as exc:  # InvalidParameterError is one
+                raise InvalidParameterError(f"event log line {position + 2}: {exc}") from exc
+        return tuple(events)
 
 
 def event_order_replay(events, initial_capital: Decimal, exit_equity_mode: str) -> dict:

@@ -34,6 +34,7 @@ from oracles import (
     is_nondecreasing,
     per_fund_amounts,
     per_note_settlements,
+    row_event_log,
     sign_scan_local_minimum,
 )
 from test_golden import CASES as GOLDEN_CASES
@@ -233,8 +234,12 @@ class TestEventLogParsing:
 
     @pytest.mark.parametrize("row", MALFORMED_ROWS)
     def test_malformed_row_names_its_line(self, row):
-        with pytest.raises(InvalidParameterError, match="line 4"):
-            events_from_csv(self.log(*self.GOOD_ROWS, row))
+        text = self.log(*self.GOOD_ROWS, row)
+        with pytest.raises(InvalidParameterError, match="line 4") as err:
+            events_from_csv(text)
+        with pytest.raises(InvalidParameterError) as reference:
+            row_event_log(text)
+        assert str(err.value) == str(reference.value)
 
     @pytest.mark.parametrize("row", ("2,0,loan_issued,f000,1.000000000,",) + MALFORMED_ROWS)
     def test_a_character_outside_the_grammar_is_refused_ahead_of_any_row(self, row):
@@ -524,6 +529,18 @@ class TestBookKeeper:
                            match=f"second loan_issued for '{loan.fund_id}'") as err:
             replay(events, cfg)
         assert (err.value.year, err.value.account) == (0, "loans")
+
+    @pytest.mark.parametrize("kind, detail", [
+        ("bankruptcy_payout", None),
+        ("exit_proceeds", simulation.DinBooked(Decimal(1), Decimal(1))),
+    ])
+    def test_replay_refuses_a_detail_that_is_not_its_kinds_record(self, kind, detail):
+        # Neither detail has the field that the fold (multiple) or price (uw_share) reads.
+        log = (simulation.Event(0, 0, "loan_issued", "f", Decimal(1)),
+               simulation.Event(1, 5, kind, "f", Decimal(1), detail))
+        with pytest.raises(InvalidParameterError,
+                           match=f"^event 1: {kind} detail {re.escape(repr(detail))} is not a "):
+            replay(log, ScenarioConfig.calibration())
 
     def test_carrying_cost_posts_nothing(self):
         cfg = ScenarioConfig.calibration(target_classical_return="1.31")
@@ -1152,9 +1169,10 @@ class TestRows:
         funds = simulation._fund_columns(cfg, spread_of(cfg))
         events = simulation.render(funds, cfg)
         assert list(funds.fund_id) == [e.fund_id for e in events if e.kind == "loan_issued"]
-        assert simulation.funds_of(events) == funds
-        assert simulation.funds_of(events_from_csv(events_to_csv(events))) == funds
-        assert events_to_csv(events) == events_to_csv(tuple(events))
+        text = events_to_csv(events)
+        read = events_from_csv(text)
+        assert simulation.funds_of(events) == simulation.funds_of(read) == funds
+        assert events_to_csv(read) == text == events_to_csv(tuple(events))
         assert simulation.price(funds, cfg) == replay(events, cfg)
 
     @pytest.mark.parametrize("name", sorted(ROW_CASES))
@@ -1440,6 +1458,66 @@ class TestEventLogReader:
             return
         assert events_to_csv(events) == "\n".join(lines)
 
+    @pytest.mark.parametrize("prec", [None, 6])
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reads_as_the_row_reader(self, golden_lines, prec, data):
+        # Both readers take the same mutated texts to equal Events, or refuse
+        # them with one type and message, whatever the caller's precision.
+        lines = data.draw(mutated_logs(golden_lines))
+        text = "\n".join(lines)
+        with localcontext() as ctx:
+            if prec is not None:
+                ctx.prec = prec
+            assert read_outcome(events_from_csv, text) == read_outcome(row_event_log, text)
+
+
+# Cells a mutated log writes over one of a golden log's: text no decimal,
+# seq or year cell may hold as it stands, a year past TERM_CAP_YEARS, and
+# every kind; and details with wrong keys or a signed origin.
+MUTANT_CELLS = ("", "x", "1e2", "+1", "01", "16", *sorted(simulation.EVENT_KINDS))
+MUTANT_DETAILS = ("share=0.77", "origin=5|fraction=0.77", "fraction=0.77|origin=+1",
+                  "fraction=0.77|origin=5|x=1", "tier1=1|tier2=1", "fraction=0.77")
+
+
+@st.composite
+def mutated_logs(draw, golden_lines):
+    """A golden log's lines after one to three edits: one or two cells of a
+    row set to MUTANT_CELLS, a detail set to one of MUTANT_DETAILS, a cell
+    added or dropped, or a blank line inserted."""
+    lines = list(draw(st.sampled_from(golden_lines)))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("cell", "cell", "detail", "detail", "extra", "missing",
+                                     "blank")))
+        rows = range(1, len(lines) - 1)
+        if edit == "detail":  # a row that carries one, if any still does
+            rows = [row for row in rows if lines[row].split(",")[-1]] or rows
+        row = draw(st.sampled_from(rows))
+        cells = lines[row].split(",")
+        if edit == "blank":
+            lines.insert(row, "")
+            continue
+        if edit == "cell":  # one or two, so that the reader's check order shows
+            for column in draw(st.lists(st.integers(0, len(cells) - 1), min_size=1,
+                                        max_size=2, unique=True)):
+                cells[column] = draw(st.sampled_from(MUTANT_CELLS))
+        elif edit == "detail":
+            cells[-1] = draw(st.sampled_from(MUTANT_DETAILS))
+        elif edit == "extra":
+            cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(MUTANT_CELLS)))
+        elif len(cells) > 1:
+            del cells[draw(st.integers(0, len(cells) - 1))]
+        lines[row] = ",".join(cells)
+    return lines
+
+
+def read_outcome(read, text):
+    """The Events read reads from text, or the type and message of its refusal."""
+    try:
+        return tuple(read(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
 
 class TestEventLogWriter:
     """events_to_csv writes the bytes of a literal csv.writer loop, and
@@ -1513,7 +1591,9 @@ class TestEventLog:
         log = simulation.render(funds, cfg)
         text = events_to_csv(log)
         assert text == events_to_csv(tuple(log)) == event_log_csv(tuple(log))
-        assert simulation.funds_of(events_from_csv(text)) == funds
+        read = events_from_csv(text)
+        assert isinstance(read, simulation.EventLog) and read == log
+        assert simulation.funds_of(read) == funds and events_to_csv(read) == text
         kinds = Counter(e.kind for e in log)
         assert kinds["din_booked"] == (0 if name == "coverage-0" else 1)
         assert kinds["bankruptcy_payout"] > 0 and kinds["exit_proceeds"] > 0
