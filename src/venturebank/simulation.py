@@ -1,7 +1,7 @@
 """Scenario engine: a run is `Funds`, one column per field in
 distribution order.  `_fund_columns` drives every fund's note through its
 lifecycle a column at a time, `render` writes a run's `Funds` as its
-event log, `funds_of` folds a log back into `Funds`, and `price` prices
+`EventLog`, `funds_of` folds a log back into `Funds`, and `price` prices
 `Funds` into the report figures.  `replay` prices a log's `funds_of`,
 and `run_scenario` renders and prices the engine's `Funds`; its report
 keeps the log, so `post_books(report.events, report.config)` gives its
@@ -9,16 +9,17 @@ books.  The return-sweep curves price each point's `Funds` and never
 build a log.
 
 Every reported number is priced from the `Funds` that the run's log
-folds back to, so a serialized log replays to the identical report.
+folds back to, so a serialized log replays to the identical report under
+the config that wrote it; `replay` refuses it under any other.
 """
 from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, Inexact, localcontext
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, groupby, islice, repeat, zip_longest
+from types import NoneType
 from typing import NamedTuple, get_type_hints
 
 from .contracts import (
@@ -55,6 +56,7 @@ from .ledger import (
 from .money import (
     DECIMAL_CONTEXT,
     MONEY_LIMIT,
+    MONEY_SCALE,
     ZERO,
     csv_text,
     finite,
@@ -157,7 +159,8 @@ class ScenarioConfig:
         if not 1 <= self.failure_year < self.exit_year <= TERM_CAP_YEARS:
             raise InvalidParameterError(
                 f"need 1 <= failure_year < exit_year <= {TERM_CAP_YEARS}")
-        if money(self.initial_capital) <= 0:
+        # money(initial_capital) <= 0: it rounds half-even to 9 places.
+        if self.initial_capital <= MONEY_SCALE / 2:
             raise InvalidParameterError(
                 f"initial_capital must be > 0 at 9 decimal places, "
                 f"got {self.initial_capital:f}")
@@ -176,7 +179,7 @@ class ScenarioConfig:
                 "true or false, got null")
         self.spread.validate()
         try:
-            book, capital, _, per, last = self.opening_book
+            book, capital, _, per, last, _ = self.opening_book
             limit = capital.lending_limit
         except InvalidParameterError as exc:
             raise InvalidParameterError(
@@ -242,7 +245,8 @@ class ScenarioConfig:
         return derived
 
     @functools.cached_property
-    def opening_book(self) -> tuple[Decimal, CapitalAccount, Decimal, Decimal, Decimal]:
+    def opening_book(self) -> tuple[Decimal, CapitalAccount, Decimal, Decimal, Decimal,
+                                    Decimal]:
         """_opening_book(self): built once, by __post_init__, and kept off
         the fields, so ==, hash, repr and replace do not see it.  A config
         from _at_target keeps the one its source built."""
@@ -336,12 +340,18 @@ class Event(NamedTuple):
     detail: EventDetail | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class EventLog(Sequence):
-    """A log as (year, rows) blocks, a row an event's last four fields, as
-    render and events_from_csv return it: the tuple of its Events to len,
-    iteration, indexing, slicing, == and hash, each built as it is read.
-    events_to_csv writes the blocks and funds_of folds them."""
+# The declared type of each field of an Event and of its detail record.
+_DECLARED = {name: hint for record in (Event, *EVENT_DETAILS.values())
+             for name, hint in get_type_hints(record).items() if name != "detail"}
+
+
+@dataclass(frozen=True)
+class EventLog:
+    """A log as (year, rows) blocks, a row an event's last four fields, and
+    a block a maximal run of rows that share one year and one "is
+    premium_paid", never empty.  render, events_from_csv and from_events
+    all build this shape, so equal events are equal blocks.  Iteration
+    builds each Event, its seq its position, as it is read."""
 
     blocks: tuple[tuple[int, tuple], ...]
 
@@ -353,21 +363,36 @@ class EventLog(Sequence):
         return (tuple.__new__(Event, (next(seq), year, *row))
                 for year, rows in self.blocks for row in rows)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        seq = at = range(len(self))[index]  # IndexError past either end
-        for year, rows in self.blocks:
-            if at < len(rows):
-                return tuple.__new__(Event, (seq, year, *rows[at]))
-            at -= len(rows)
-
-    def __eq__(self, other) -> bool:
-        same = isinstance(other, (tuple, EventLog))
-        return tuple(self) == tuple(other) if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
+    @classmethod
+    def from_events(cls, events) -> "EventLog":
+        """The log of a sequence of Events, checked: every field and detail
+        field of its declared type, a Decimal finite, each seq its
+        position, each kind one of EVENT_KINDS and each detail its kind's
+        record, or None for a kind with none.  The first field that is not
+        is refused as InvalidParameterError naming its seq and the field."""
+        events = tuple(events)
+        for seq, event in enumerate(events):
+            if not isinstance(event, Event):
+                raise InvalidParameterError(f"event {seq}: {event!r} is not an Event")
+            kind, detail = event.kind, event.detail
+            fields = [*zip(EVENT_COLUMNS[:5], event)]
+            record = EVENT_DETAILS.get(kind, NoneType) if type(kind) is str else NoneType
+            if record is not NoneType and type(detail) is record:
+                fields += zip(record._fields, detail)
+            for name, value in fields:
+                hint = _DECLARED[name]
+                if type(value) is not hint or hint is Decimal and not value.is_finite():
+                    what = {int: "an int", str: "a str", Decimal: "a finite Decimal"}[hint]
+                    raise InvalidParameterError(f"event {seq}: {name} {value!r} is not {what}")
+            for name, value, right, what in (
+                    ("seq", event.seq, event.seq == seq, f"its position, {seq}"),
+                    ("kind", kind, kind in EVENT_KINDS, "an event kind"),
+                    ("detail", detail, type(detail) is record,
+                     f"{'None' if record is NoneType else record.__name__}, as {kind} logs")):
+                if not right:
+                    raise InvalidParameterError(f"event {seq}: {name} {value!r} is not {what}")
+        runs = groupby(events, lambda event: (event.year, event.kind == "premium_paid"))
+        return cls(tuple((year, tuple(event[2:] for event in run)) for (year, _), run in runs))
 
 
 # Every year a log may hold, by the one cell that writes it.
@@ -405,8 +430,8 @@ _DETAIL_FORMATS = {
 }
 _DETAIL_READERS = {
     kind: (record, tuple(f"{name}=" for name in record._fields),
-           tuple((len(name) + 1, name, _year if hint is int else _decimal)
-                 for name, hint in get_type_hints(record).items()))
+           tuple((len(name) + 1, name, _year if _DECLARED[name] is int else _decimal)
+                 for name in record._fields))
     for kind, record in EVENT_DETAILS.items()
 }
 
@@ -421,46 +446,36 @@ MAX_LINE = 131072
 
 
 @in_money_context
-def events_to_csv(events) -> str:
+def events_to_csv(log: EventLog) -> str:
     """events.csv: one row per event, each cell its str() and a detail its
-    name=value pairs in field order, joined by "|", in f-strings; an EventLog's
-    cells after the year are formatted once per rows tuple.  The text stands
-    when it has 5 commas and 1 newline per row and no '"', '\\r', NUL or 'None'.
-    Otherwise the first event outside the grammar, a detail that is no detail
-    record included, raises InvalidParameterError naming its seq and field; a
-    log with none (a fund id 'None') stands."""
-    formats, lines = _DETAIL_FORMATS, []
+    name=value pairs in field order, joined by "|", in f-strings; the cells
+    after the year are formatted once per rows tuple.  The text stands when
+    it has 5 commas and 1 newline per row and no '"', '\\r', NUL or 'None'.
+    Otherwise EventLog.from_events refuses a field of the wrong type, and
+    the first fund id that holds a character outside the grammar is refused
+    as InvalidParameterError naming its seq; a log with neither (a fund id
+    'None') stands."""
+    formats, lines, shared = _DETAIL_FORMATS, [], None
     try:
-        if isinstance(events, EventLog):
-            shared = None
-            for year, block in events.blocks:
-                if block is not shared:
-                    shared, tails = block, [
-                        f",{kind!s},{fund_id!s},{amount!s},"
-                        f"{'' if detail is None else formats[type(detail)].format(*detail)}"
-                        for kind, fund_id, amount, detail in block]
-                year = f",{year}"
-                lines += [f"{seq}{year}{tail}" for seq, tail in zip(count(len(lines)), tails)]
-        else:
-            events = tuple(events)
-            lines += [f"{seq!s},{year!s},{kind!s},{fund_id!s},{amount!s},"
-                      f"{'' if detail is None else formats[type(detail)].format(*detail)}"
-                      for seq, year, kind, fund_id, amount, detail in events]
+        for year, block in log.blocks:
+            if block is not shared:
+                shared, tails = block, [
+                    f",{kind!s},{fund_id!s},{amount!s},"
+                    f"{'' if detail is None else formats[type(detail)].format(*detail)}"
+                    for kind, fund_id, amount, detail in block]
+            year = f",{year}"
+            lines += [f"{seq}{year}{tail}" for seq, tail in zip(count(len(lines)), tails)]
         text = "\n".join([_EVENT_HEADER, *lines, ""])
     except KeyError:  # a detail that is not a detail record
         text = None
-    rows = len(events) + 1
+    rows = len(log) + 1
     if (text is None or text.count(",") != 5 * rows or text.count("\n") != rows
             or '"' in text or "\r" in text or "\0" in text or "None" in text):
-        for e in events:
-            if e.detail is not None and type(e.detail) not in formats:
+        # Typed, only a fund id can hold a character outside the grammar.
+        for e in EventLog.from_events(log):
+            if _OUTSIDE_GRAMMAR.search(e.fund_id):
                 raise InvalidParameterError(
-                    f"event {e.seq}: detail {e.detail!r} is outside the event-log grammar")
-            detail = () if e.detail is None else zip(e.detail._fields, e.detail)
-            for name, value in (*zip(EVENT_COLUMNS, e[:5]), *detail):
-                if value is None or _OUTSIDE_GRAMMAR.search(str(value)):
-                    raise InvalidParameterError(
-                        f"event {e.seq}: {name} {value!r} is outside the event-log grammar")
+                    f"event {e.seq}: fund_id {e.fund_id!r} is outside the event-log grammar")
     return text
 
 
@@ -478,13 +493,13 @@ def _parse_detail(kind: str, text: str) -> EventDetail:
 @in_money_context
 def events_from_csv(text: str) -> EventLog:
     """Parse events.csv into an EventLog, in one pass that builds no Event:
-    a block per run of rows with one year cell.  Text that events_to_csv
-    could not have written raises InvalidParameterError naming its line: no
-    newline at the end, a '"', '\\r' or NUL anywhere, a line longer than
-    MAX_LINE, or a malformed row.  Row i is line i + 2 split on ','; it is
-    malformed unless seq is its position, year and a lien's origin plain
-    integers in [0, TERM_CAP_YEARS], and every decimal cell spelled as its
-    str()."""
+    a block per run of rows with one year cell and one "is premium_paid",
+    the blocks render writes.  Text that events_to_csv could not have
+    written raises InvalidParameterError naming its line: no newline at the
+    end, a '"', '\\r' or NUL anywhere, a line longer than MAX_LINE, or a
+    malformed row.  Row i is line i + 2 split on ','; it is malformed unless
+    seq is its position, year and a lien's origin plain integers in
+    [0, TERM_CAP_YEARS], and every decimal cell spelled as its str()."""
     lines = text.split("\n")
     if lines.pop():  # the last row's terminator
         raise InvalidParameterError(f"event log line {len(lines) + 1}: no final newline")
@@ -499,7 +514,7 @@ def events_from_csv(text: str) -> EventLog:
     if lines[:1] != [_EVENT_HEADER]:
         raise InvalidParameterError("not an event-log CSV")
     blocks: list[tuple[int, list]] = []
-    block_year = None
+    block_year = block_premium = None
     # A log repeats a few amounts (each fund's premium, the loan face) and
     # details (each failure class's payout, lien and settlement) many
     # times; each distinct cell is read once, a detail into its kind's
@@ -518,9 +533,10 @@ def events_from_csv(text: str) -> EventLog:
                 value = amounts[amount] = _decimal(amount, "amount")
             if seq != position:
                 raise ValueError(f"seq must be {position}, the row's position, got {seq!r}")
-            if year != block_year:
+            premium = kind == "premium_paid"
+            if year != block_year or premium is not block_premium:
                 blocks.append((_year(year, "year"), rows := []))
-                block_year = year
+                block_year, block_premium = year, premium
             try:
                 parsed = read[detail]
             except KeyError:
@@ -547,7 +563,7 @@ class SimulationReport:
     din_10y_return: float
     din_yearly_return: float
     bank_10y_return: float
-    events: Sequence[Event]  # an EventLog from run_scenario or events_from_csv
+    events: EventLog
     # Nothing in the package sets these; perfbench's worker still passes
     # None for both.
     bank_ledger: Ledger | None = None
@@ -567,14 +583,15 @@ class SimulationReport:
 
 
 def _opening_book(config: ScenarioConfig
-                  ) -> tuple[Decimal, CapitalAccount, Decimal, Decimal, Decimal]:
+                  ) -> tuple[Decimal, CapitalAccount, Decimal, Decimal, Decimal, Decimal]:
     """Year 0 before any loan: the loan book moc * initial_capital, the
     capital stack once the insured-note value on that book is booked as
     capital (widening the lending limit the book must fit), the amount
-    booked, and the loan faces: every fund's but the last, and the last,
-    which takes the remainder so that they sum to the book.  Config
-    validation and the engine both take it from here, so a config that
-    validates is a book the engine can write."""
+    booked, the loan faces: every fund's but the last, and the last,
+    which takes the remainder so that they sum to the book, and the
+    investors' drawdown of half the book.  Config validation and the
+    engine both take it from here, so a config that validates is a book
+    the engine can write."""
     book = money(config.moc * config.initial_capital)
     capital, booked, _ = book_din_to_capital(
         CapitalAccount(tier1_core=config.initial_capital,
@@ -582,7 +599,8 @@ def _opening_book(config: ScenarioConfig
         money(book * config.coverage),
     )
     per = money(book / config.n_funds)
-    return book, capital, booked, per, book - per * (config.n_funds - 1)
+    return (book, capital, booked, per, book - per * (config.n_funds - 1),
+            money(book * Decimal("0.5")))
 
 
 class Funds(NamedTuple):
@@ -628,7 +646,7 @@ def _fund_columns(config: ScenarioConfig, dist: ReturnDistribution) -> Funds:
     # config was checked when built, which also refused a loan face <= 0
     # and any amount past the money scale.  A note or a detail is built by
     # tuple.__new__ itself.
-    _, _, _, per, last = config.opening_book
+    _, _, _, per, last, _ = config.opening_book
     coverage, equity_fraction = config.coverage, config.equity_fraction
     terms = (coverage, equity_fraction, DinState.ACTIVE, ())
     policy, rate, zero = config.clawback_policy(), config.bank_rate, config.salvage_mode == "zero"
@@ -704,14 +722,14 @@ def render(funds: Funds, config: ScenarioConfig) -> EventLog:
     active note pays its premium; then, in distribution order, the failures
     settle at failure_year.  Closeout at exit_year logs the exits, then
     the liens settled and the payouts' carrying costs in note order, and
-    releases the capital booking."""
-    book, capital, booked, _, _ = config.opening_book
-    rows = [("capital_injection", "", money(config.initial_capital), None)]
+    releases the capital booking.  Every amount but the opening book's is
+    the Funds' own, and a block with no row is left out."""
+    _, capital, booked, _, _, drawdown = config.opening_book
+    rows = [("capital_injection", "", capital.tier1_core, None)]
     if booked > 0:
         rows.append(("din_booked", "", booked,
                      DinBooked(capital.tier1_insured, capital.tier2_insured)))
     rows += zip(repeat("loan_issued"), funds.fund_id, funds.face, repeat(None))
-    drawdown = money(book * Decimal("0.5"))
     if drawdown > 0:
         rows.append(("deposit_drawdown", "", drawdown, None))
     blocks = [(0, tuple(rows))]
@@ -743,7 +761,7 @@ def render(funds: Funds, config: ScenarioConfig) -> EventLog:
     if booked > 0:
         rows.append(("din_released", "", booked, None))
     blocks.append((config.exit_year, tuple(rows)))
-    return EventLog(tuple(blocks))
+    return EventLog(tuple(block for block in blocks if block[1]))
 
 
 @in_money_context
@@ -865,24 +883,14 @@ def _rounded(name: str) -> InvalidParameterError:
 
 
 @in_money_context
-def funds_of(events) -> Funds:
-    """Fold a log into its Funds, the inverse of render: an EventLog's
-    blocks, or any other sequence of Events as one-row blocks.  Each row
+def funds_of(log: EventLog) -> Funds:
+    """Fold a log's blocks into its Funds, the inverse of render.  Each row
     fills its fund's latest entry, a list of its fields; one whose field
     that entry holds already (a second payout, which no run logs) opens a
-    new entry for the fund.  Refused: in a sequence of Events, a detail that
-    is not its kind's record; a second loan_issued for a fund, a payout or
-    exit before its loan_issued, and a premium total that rounds."""
-    if isinstance(events, EventLog):
-        blocks = events.blocks
-    else:
-        blocks = []
-        for seq, year, kind, fund, amount, detail in events:
-            record = EVENT_DETAILS.get(kind)
-            if record is not None and type(detail) is not record:
-                raise InvalidParameterError(
-                    f"event {seq}: {kind} detail {detail!r} is not a {record.__name__}")
-            blocks.append((year, ((kind, fund, amount, detail),)))
+    new entry for the fund.  Refused: a second loan_issued for a fund, a
+    payout or exit before its loan_issued, and a premium total that
+    rounds.  The log's types are its constructor's: render writes the
+    engine's, and events_from_csv and EventLog.from_events check each."""
     entries: list[list] = []
     latest: dict[str, list] = {}  # each fund's latest entry; its premiums a list
     faces: dict[str, Decimal] = {}
@@ -890,7 +898,7 @@ def funds_of(events) -> Funds:
     # Each payout's entry and the factors of its worth, taken by one money_products.
     failed, multiples, bases = [], [], []
     try:
-        for year, rows in blocks:
+        for year, rows in log.blocks:
             for kind, fund, amount, detail in rows:
                 if kind == "premium_paid":  # most of a log
                     entry = entry_of(fund)
@@ -991,9 +999,21 @@ def price(funds: Funds, config: ScenarioConfig) -> dict:
 
 
 @in_money_context
-def replay(events, config: ScenarioConfig) -> dict:
-    """The report figures of an event log: the price of its funds_of."""
-    return price(funds_of(events), config)
+def replay(log: EventLog, config: ScenarioConfig) -> dict:
+    """The report figures of an event log under the config that wrote it:
+    the price of its funds_of.  A log that config does not render from its
+    funds_of is refused as InvalidParameterError naming the first event and
+    field that differ; an event missing from either side has seq None."""
+    funds = funds_of(log)
+    if render(funds, config) != log:
+        pairs = zip_longest(log, render(funds, config), fillvalue=(None,) * len(EVENT_COLUMNS))
+        for seq, pair in enumerate(pairs):
+            for name, value, rendered in zip(EVENT_COLUMNS, *pair):
+                if value != rendered:
+                    raise InvalidParameterError(
+                        f"event {seq}: {name} {value!r} where the config renders "
+                        f"{rendered!r}; the log was not written under this config")
+    return price(funds, config)
 
 
 @in_money_context

@@ -374,8 +374,7 @@ class TestSimulate:
         def broken(*args, **kwargs):
             raise RuntimeError("simulate built an Event")
 
-        for name in ("__iter__", "__getitem__"):
-            monkeypatch.setattr(simulation.EventLog, name, broken)
+        monkeypatch.setattr(simulation.EventLog, "__iter__", broken)
         cfg = self.config(tmp_path, salvage_mode="zero", exit_equity_mode="earnings",
                           bank_rate="0.06", moc="47")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0

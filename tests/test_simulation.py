@@ -43,6 +43,11 @@ from test_golden import CASES as GOLDEN_CASES
 TARGETS = ("1.10", "1.31", "1.50")
 
 
+def logged(events):
+    """The log of hand-edited Events, each renumbered to its position."""
+    return simulation.EventLog.from_events([e._replace(seq=seq) for seq, e in enumerate(events)])
+
+
 class TestReportIdentities:
     def test_exact_for_calibration_rows(self):
         for t in TARGETS:
@@ -261,8 +266,10 @@ class TestEventLogParsing:
         # money.csv_text, the package's one use of csv, writes no event log.
         monkeypatch.setattr("venturebank.money.csv", Unusable())
         assert (events_to_csv(events), events_from_csv(text)) == (text, events)
+        first, second, *_ = events
         with pytest.raises(InvalidParameterError, match="event 1: fund_id"):
-            events_to_csv(events[:1] + (events[1]._replace(fund_id="f,0"),))
+            events_to_csv(simulation.EventLog.from_events(
+                (first, second._replace(fund_id="f,0"))))
         with pytest.raises(InvalidParameterError, match="line 2: '\"'"):
             events_from_csv(text.replace("\n", '\n"', 1))
 
@@ -286,8 +293,9 @@ class TestEventLogParsing:
 
     def test_ambient_state_leaves_the_log_unchanged(self):
         # Neither a lowered csv field limit nor the caller's decimal capitals.
-        events = (simulation.Event(0, 0, "din_booked", "", Decimal("0E-9"), simulation.DinBooked(
-            Decimal("0E-9"), Decimal("1E+2"))),)
+        events = simulation.EventLog.from_events((simulation.Event(
+            0, 0, "din_booked", "", Decimal("0E-9"),
+            simulation.DinBooked(Decimal("0E-9"), Decimal("1E+2"))),))
         text, limit = events_to_csv(events), csv.field_size_limit(10)
         try:
             with localcontext() as ctx:
@@ -329,18 +337,18 @@ class TestOpeningBook:
     def test_a_built_config_runs_on_its_kept_book(self, monkeypatch):
         # Under zero salvage the liens of 200 funds of two loan faces have
         # at most two sets of terms: settled at most twice, not per fund.
-        # Nor does the run round the book or a loan face with money().
+        # Nor does the run call money() here: the book, the loan faces, the
+        # capital injected and the drawdown are the kept book's.
         cfg = ScenarioConfig.calibration(n_funds=200, target_classical_return="1.31")
-        faces = {cfg.moc * cfg.initial_capital, cfg.opening_book[0] / cfg.n_funds}
         calls = Counter()
         for name in ("settle_clawback", "_opening_book", "money"):
             def counted(*args, _name=name, _fn=getattr(simulation, name), **kwargs):
-                calls[_name if _name != "money" or args[0] not in faces else "face"] += 1
+                calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(simulation, name, counted)
         events = run_scenario(cfg).events
         assert count_events(events, "lien_settled") > 2
-        assert calls["_opening_book"] == calls["face"] == 0 < calls["money"]
+        assert calls["_opening_book"] == calls["money"] == 0
         assert 1 <= calls["settle_clawback"] <= 2
 
 
@@ -515,9 +523,9 @@ class TestBookKeeper:
     )
     def test_replay_names_a_fund_with_no_loan(self, dropped, year):
         cfg = ScenarioConfig.calibration(target_classical_return="1.31")
-        events = [e for e in run_scenario(cfg).events if e.kind not in dropped]
+        log = logged(e for e in run_scenario(cfg).events if e.kind not in dropped)
         with pytest.raises(SimulationError) as err:
-            replay(events, cfg)
+            replay(log, cfg)
         assert (err.value.year, err.value.account) == (getattr(cfg, year), "loans")
 
     def test_replay_refuses_a_second_loan_for_one_fund(self):
@@ -527,7 +535,7 @@ class TestBookKeeper:
         events.insert(events.index(loan) + 1, loan)
         with pytest.raises(SimulationError,
                            match=f"second loan_issued for '{loan.fund_id}'") as err:
-            replay(events, cfg)
+            replay(logged(events), cfg)
         assert (err.value.year, err.value.account) == (0, "loans")
 
     @pytest.mark.parametrize("kind, detail", [
@@ -535,12 +543,14 @@ class TestBookKeeper:
         ("exit_proceeds", simulation.DinBooked(Decimal(1), Decimal(1))),
     ])
     def test_replay_refuses_a_detail_that_is_not_its_kinds_record(self, kind, detail):
-        # Neither detail has the field that the fold (multiple) or price (uw_share) reads.
-        log = (simulation.Event(0, 0, "loan_issued", "f", Decimal(1)),
-               simulation.Event(1, 5, kind, "f", Decimal(1), detail))
-        with pytest.raises(InvalidParameterError,
-                           match=f"^event 1: {kind} detail {re.escape(repr(detail))} is not a "):
-            replay(log, ScenarioConfig.calibration())
+        # Neither detail has the field that the fold (multiple) or price
+        # (uw_share) reads; the log is refused as it is built.
+        events = (simulation.Event(0, 0, "loan_issued", "f", Decimal(1)),
+                  simulation.Event(1, 5, kind, "f", Decimal(1), detail))
+        record = simulation.EVENT_DETAILS[kind].__name__
+        with pytest.raises(InvalidParameterError, match=(
+                f"^event 1: detail {re.escape(repr(detail))} is not {record}, as {kind} logs$")):
+            replay(simulation.EventLog.from_events(events), ScenarioConfig.calibration())
 
     def test_carrying_cost_posts_nothing(self):
         cfg = ScenarioConfig.calibration(target_classical_return="1.31")
@@ -1128,10 +1138,21 @@ class TestEngineProperty:
             ledger.transactions for ledger in post_books(report.events, cfg)]
 
 
-# The golden configs, the defaults, and a target low enough that rescaling
-# clamps some multiples at zero.
+# The golden configs, the defaults, a target low enough that rescaling
+# clamps some multiples at zero, and one at which every fund fails, so
+# that no premium is paid after failure_year.
 ROW_CASES = dict(GOLDEN_CASES, defaults=ScenarioConfig,
-                 clamped=lambda: ScenarioConfig(target_classical_return="0.3"))
+                 clamped=lambda: ScenarioConfig(target_classical_return="0.3"),
+                 all_fail=lambda: ScenarioConfig.calibration(
+                     n_funds=3, target_classical_return="0.01"))
+
+
+def assert_block_shape(log):
+    """Each block a maximal run of rows of one year and one "is
+    premium_paid", and no block empty."""
+    keys = [(year, {row[0] == "premium_paid" for row in rows}) for year, rows in log.blocks]
+    assert all(len(premium) == 1 for _, premium in keys)
+    assert all(a != b for a, b in zip(keys, keys[1:]))
 
 
 @st.composite
@@ -1171,8 +1192,11 @@ class TestRows:
         assert list(funds.fund_id) == [e.fund_id for e in events if e.kind == "loan_issued"]
         text = events_to_csv(events)
         read = events_from_csv(text)
+        built = simulation.EventLog.from_events(tuple(events))
+        assert_block_shape(events)
+        assert read == built == events and read.blocks == built.blocks == events.blocks
         assert simulation.funds_of(events) == simulation.funds_of(read) == funds
-        assert events_to_csv(read) == text == events_to_csv(tuple(events))
+        assert events_to_csv(read) == text == event_log_csv(tuple(events))
         assert simulation.price(funds, cfg) == replay(events, cfg)
 
     @pytest.mark.parametrize("name", sorted(ROW_CASES))
@@ -1189,22 +1213,54 @@ class TestRows:
     def test_any_log_prices_as_its_event_order_totals(self, edited):
         # The fold refuses what an event-order replay refuses, with its
         # message, and prices every other log as its event-order totals.
+        # replay prices only a log that its config renders back from its
+        # Funds, and refuses any other by its first differing event.
         cfg, events = edited
+        log = logged(events)
         try:
             expected = event_order_replay(events, cfg.initial_capital, cfg.exit_equity_mode)
         except ValueError as exc:
-            with pytest.raises(SimulationError) as err:
-                replay(events, cfg)
-            assert str(err.value) == str(exc)
+            for fold in (simulation.funds_of, lambda log: replay(log, cfg)):
+                with pytest.raises(SimulationError) as err:
+                    fold(log)
+                assert str(err.value) == str(exc)
             return
-        assert replay(events, cfg) == expected
+        funds = simulation.funds_of(log)
+        assert simulation.price(funds, cfg) == expected
+        if simulation.render(funds, cfg) == log:
+            assert replay(log, cfg) == expected
+        else:
+            with pytest.raises(InvalidParameterError, match=(
+                    "^event [0-9]+: .* where the config renders .*; "
+                    "the log was not written under this config$")):
+                replay(log, cfg)
+
+    @pytest.mark.parametrize("overrides, differs", [
+        (dict(initial_capital=2, failure_year=4),
+         "event 0: amount Decimal('1.000000000') where the config renders "
+         "Decimal('2.000000000')"),
+        (dict(failure_year=4), "event 253: year 5 where the config renders 4"),
+        (dict(exit_year=11), "event 507: year 10 where the config renders 11"),
+        (dict(moc=40), "event 52: amount Decimal('23.500000000') where the config renders "
+                       "Decimal('20.000000000')"),
+    ])
+    def test_replay_refuses_a_log_under_another_config(self, overrides, differs):
+        # A log replays to its report under the config that wrote it; a
+        # config that renders its Funds as another log is refused, by the
+        # first event that differs, before anything is priced.
+        cfg = ScenarioConfig.calibration(target_classical_return="1.31")
+        log = run_scenario(cfg).events
+        assert replay(log, cfg)["bank_10y_return"] == pytest.approx(5.220929471, abs=1e-9)
+        with pytest.raises(InvalidParameterError, match=(
+                f"^{re.escape(differs)}; the log was not written under this config$")):
+            replay(log, replace(cfg, **overrides))
 
     def test_a_second_payout_opens_a_second_row(self):
         cfg = ScenarioConfig.calibration(target_classical_return="1.31", n_funds=5)
         events = list(run_scenario(cfg).events)
         payout = next(e for e in events if e.kind == "bankruptcy_payout")
         events.append(payout)
-        funds = simulation.funds_of(events)
+        funds = simulation.funds_of(logged(events))
         assert funds.fund_id == (*[f"f00{i}" for i in range(5)], payout.fund_id)
         assert tuple(column[-1] for column in funds) == (
             payout.fund_id, None, None, None, payout.amount, payout.detail,
@@ -1218,16 +1274,18 @@ class TestRows:
         log = [simulation.Event(0, 0, "loan_issued", "f0", Decimal(1)),
                *[simulation.Event(1 + i, 1, "premium_paid", fund, big)
                  for i, fund in enumerate(funds)]]
+        # Priced alone: replay would refuse the log, which no config renders.
         with pytest.raises(InvalidParameterError,
                            match=f"^the {re.escape(name)} total is past the 28 digits"):
-            replay(log, ScenarioConfig())
+            simulation.price(simulation.funds_of(simulation.EventLog.from_events(log)),
+                             ScenarioConfig())
 
     def test_negative_premium_earnings_are_refused_by_name(self):
         # No run pays a premium below 0, but a hand-edited log may: its
         # earnings' tenth root, the yearly return, would be complex.
         cfg = ScenarioConfig(target_classical_return="1.31", n_funds=4)
-        negated = [e._replace(amount=-e.amount) if e.kind == "premium_paid" else e
-                   for e in run_scenario(cfg).events]
+        negated = logged(e._replace(amount=-e.amount) if e.kind == "premium_paid" else e
+                         for e in run_scenario(cfg).events)
         earnings = sum(e.amount for e in negated if e.kind == "premium_paid")
         assert earnings < 0
         for log in (negated, events_from_csv(events_to_csv(negated))):
@@ -1238,10 +1296,12 @@ class TestRows:
     @pytest.mark.parametrize("scale", ["0", "-1"])
     def test_a_loan_total_not_above_0_is_refused_by_name(self, scale):
         # No run lends 0 or less, but a hand-edited log may: the mean fund
-        # multiple would divide its terminal value by that total.
+        # multiple would divide its terminal value by that total.  Each loan
+        # is written off at its face, so both rows are edited.
         cfg = ScenarioConfig(target_classical_return="1.31", n_funds=4)
-        edited = [e._replace(amount=e.amount * Decimal(scale)) if e.kind == "loan_issued" else e
-                  for e in run_scenario(cfg).events]
+        edited = logged(e._replace(amount=e.amount * Decimal(scale))
+                        if e.kind in ("loan_issued", "loan_written_off") else e
+                        for e in run_scenario(cfg).events)
         loans = sum(e.amount for e in edited if e.kind == "loan_issued")
         assert loans <= 0
         for log in (edited, events_from_csv(events_to_csv(edited))):
@@ -1332,10 +1392,14 @@ class TestColumns:
             assert simulation.price(funds, cfg) == replay(log, cfg)
 
     def test_an_empty_log_prices_as_no_columns(self):
+        # No config renders no columns as an empty log, so replay refuses it.
         cfg = ScenarioConfig()
-        empty = simulation.funds_of(())
+        empty = simulation.funds_of(simulation.EventLog(()))
         assert empty == simulation.Funds(*((),) * len(simulation.Funds._fields))
-        assert replay((), cfg) == simulation.price(empty, cfg)
+        assert simulation.price(empty, cfg)["classical_return"] == 0.0
+        with pytest.raises(InvalidParameterError, match=(
+                "^event 0: seq None where the config renders 0; the log was not written")):
+            replay(simulation.EventLog(()), cfg)
 
 
 @st.composite
@@ -1403,18 +1467,6 @@ def details_of(record, years):
                                for name in record._fields])
 
 
-# Built once: a strategy built per draw costs more than the code under test.
-logged_events = st.builds(
-    simulation.Event,
-    seq=st.integers(0, 10**6),
-    year=st.integers(0, 30),
-    kind=st.sampled_from(sorted(simulation.EVENT_KINDS)) | GRAMMAR_TEXT,
-    fund_id=GRAMMAR_TEXT,
-    amount=DECIMALS | st.sampled_from([Decimal("-0"), Decimal("NaN"), Decimal("-Inf")]),
-    detail=st.one_of(st.none(), *[details_of(record, st.integers(0, 99))
-                                  for record in simulation.EVENT_DETAILS.values()]),
-)
-
 # Logs the reader takes back: seq is the row's position, year and a lien's
 # origin are in [0, TERM_CAP_YEARS], a kind carries its own detail record
 # or none, and every cell is in the grammar.
@@ -1438,7 +1490,9 @@ class TestEventLogReader:
     @settings(max_examples=300, deadline=None)
     @given(readable_logs)
     def test_round_trip(self, events):
-        assert events_from_csv(events_to_csv(events)) == events
+        log = simulation.EventLog.from_events(events)
+        read = events_from_csv(events_to_csv(log))
+        assert read == log and read.blocks == log.blocks and tuple(read) == events
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -1524,11 +1578,9 @@ class TestEventLogWriter:
     refuses an event outside the grammar."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(logged_events, max_size=6))
+    @given(readable_logs)
     def test_equals_csv_writer(self, events):
-        expected = event_log_csv(events)
-        assert events_to_csv(events) == expected
-        assert events_to_csv(iter(events)) == expected
+        assert events_to_csv(simulation.EventLog.from_events(events)) == event_log_csv(events)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_golden_logs_equal_csv_writer(self, name):
@@ -1536,27 +1588,29 @@ class TestEventLogWriter:
         assert events_to_csv(events) == event_log_csv(events)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(logged_events, min_size=1, max_size=4), st.data())
+    @given(readable_logs.filter(len), st.data())
     def test_refuses_a_field_outside_the_grammar(self, events, data):
         # One field of the last event, or of its detail, is set outside the
-        # grammar, or its detail is not a detail record.
-        last = events.pop()
+        # grammar, or its detail is not a detail record: from_events refuses
+        # a value of the wrong type, and events_to_csv text that holds a
+        # character outside the grammar.
+        *events, last = events
         fields = simulation.EVENT_COLUMNS + (last.detail._fields if last.detail else ())
         name = data.draw(st.sampled_from(fields))
         value = data.draw(NOT_A_DETAIL if name == "detail" else OUTSIDE_GRAMMAR)
         if name in last._fields:
-            last = last._replace(**{name: value})
+            edited = last._replace(**{name: value})
         else:
-            last = last._replace(detail=last.detail._replace(**{name: value}))
+            edited = last._replace(detail=last.detail._replace(**{name: value}))
         with pytest.raises(InvalidParameterError, match=re.escape(f"event {last.seq}: {name} ")):
-            events_to_csv(events + [last])
+            events_to_csv(simulation.EventLog.from_events(events + [edited]))
 
     @pytest.mark.parametrize("field", ["kind", "fund_id"])
     def test_nul_cell_is_refused(self, field):
-        event = simulation.Event(0, 0, "din_booked", "f000", Decimal("1"))._replace(
+        event = simulation.Event(0, 0, "capital_injection", "f000", Decimal("1"))._replace(
             **{field: "a\0b"})
         with pytest.raises(InvalidParameterError, match=rf"event 0: {field} 'a\\x00b'"):
-            events_to_csv([event])
+            events_to_csv(simulation.EventLog.from_events([event]))
 
 
 def writer_cases():
@@ -1580,8 +1634,9 @@ WRITER_CASES = writer_cases()
 
 
 class TestEventLog:
-    """render's EventLog acts as the tuple of its Events, and events_to_csv
-    writes its blocks as the row path writes that tuple."""
+    """A log is its Events in blocks of one shape: render, the reader and
+    from_events build equal blocks for equal events, and events_to_csv
+    writes them as a csv.writer loop writes the Events."""
 
     @pytest.mark.parametrize("name", sorted(WRITER_CASES))
     def test_blocks_write_the_rows_text(self, name):
@@ -1590,46 +1645,76 @@ class TestEventLog:
         funds = simulation._fund_columns(cfg, dist)
         log = simulation.render(funds, cfg)
         text = events_to_csv(log)
-        assert text == events_to_csv(tuple(log)) == event_log_csv(tuple(log))
+        assert text == event_log_csv(tuple(log))
         read = events_from_csv(text)
         assert isinstance(read, simulation.EventLog) and read == log
+        assert read.blocks == log.blocks == simulation.EventLog.from_events(tuple(log)).blocks
         assert simulation.funds_of(read) == funds and events_to_csv(read) == text
         kinds = Counter(e.kind for e in log)
         assert kinds["din_booked"] == (0 if name == "coverage-0" else 1)
         assert kinds["bankruptcy_payout"] > 0 and kinds["exit_proceeds"] > 0
 
-    def test_acts_as_the_tuple_of_its_events(self):
+    def test_len_iteration_and_pickle(self):
         cfg, dist = WRITER_CASES["classical_multiple-0.77-None"]
         log = simulation.render(simulation._fund_columns(cfg, dist), cfg)
-        events = tuple(log)
-        assert type(events[0]) is simulation.Event
-        assert [e.seq for e in events] == list(range(len(events)))
-        assert log == events and events == log and not log != events
-        assert log == simulation.render(simulation._fund_columns(cfg, dist), cfg)
-        assert log != events[:-1] and events[:-1] != log and log != list(events)
-        assert (len(log), log[-1], log[3:7], hash(log)) == (
-            len(events), events[-1], events[3:7], hash(events))
-        assert log[::-1] == events[::-1] and list(reversed(log)) == list(reversed(events))
-        assert all(log[i] == events[i] for i in range(-len(events), len(events)))
-        for index in (len(events), -len(events) - 1):
-            with pytest.raises(IndexError):
-                log[index]
-        assert pickle.loads(pickle.dumps(log)) == events
+        events = list(log)
+        assert all(type(e) is simulation.Event for e in events)
+        assert [e.seq for e in events] == list(range(len(log)))
+        assert len(log) == len(events) == sum(len(rows) for _, rows in log.blocks)
+        copy = pickle.loads(pickle.dumps(log))
+        assert copy == log and copy.blocks == log.blocks and hash(copy) == hash(log)
+
+    LOAN = simulation.Event(0, 0, "loan_issued", "f", Decimal(1))
+    PAYOUT = simulation.Event(1, 5, "bankruptcy_payout", "f", Decimal(1),
+                              simulation.BankruptcyPayout(Decimal(0), Decimal(1)))
+
+    @pytest.mark.parametrize("event, message", [
+        (LOAN._replace(amount="1"), "event 0: amount '1' is not a finite Decimal"),
+        (LOAN._replace(amount=Decimal("NaN")),
+         "event 0: amount Decimal('NaN') is not a finite Decimal"),
+        (LOAN._replace(seq=1), "event 0: seq 1 is not its position, 0"),
+        (LOAN._replace(seq="0"), "event 0: seq '0' is not an int"),
+        (LOAN._replace(year=True), "event 0: year True is not an int"),
+        (LOAN._replace(kind="loan"), "event 0: kind 'loan' is not an event kind"),
+        (LOAN._replace(kind=None), "event 0: kind None is not a str"),
+        (LOAN._replace(fund_id=None), "event 0: fund_id None is not a str"),
+        (LOAN._replace(detail=LOAN), f"event 0: detail {LOAN!r} is not None, as loan_issued logs"),
+        ((1, 2), "event 0: (1, 2) is not an Event"),
+    ])
+    def test_from_events_refuses_a_wrong_type_by_seq_and_field(self, event, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            simulation.EventLog.from_events([event])
+
+    @pytest.mark.parametrize("detail, message", [
+        (simulation.BankruptcyPayout(Decimal(0), "x"), "multiple 'x' is not a finite Decimal"),
+        (simulation.BankruptcyPayout(0, Decimal(1)), "equity_valuation 0 is not a finite Decimal"),
+        (simulation.LienCreated(Decimal("0.77"), 5.0), "origin 5.0 is not an int"),
+        ((Decimal(0), Decimal(1)),
+         "detail (Decimal('0'), Decimal('1')) is not BankruptcyPayout, as bankruptcy_payout logs"),
+    ])
+    def test_from_events_refuses_a_detail_field_of_the_wrong_type(self, detail, message):
+        kind = "lien_created" if isinstance(detail, simulation.LienCreated) else self.PAYOUT.kind
+        with pytest.raises(InvalidParameterError, match=f"^event 1: {re.escape(message)}$"):
+            simulation.EventLog.from_events(
+                [self.LOAN, self.PAYOUT._replace(kind=kind, detail=detail)])
 
     @pytest.mark.parametrize("fund_id", ["f,1", "f\n1", 'f"1', None])
-    def test_a_fund_id_outside_the_grammar_is_refused_as_by_rows(self, fund_id):
+    def test_a_fund_id_outside_the_grammar_is_refused(self, fund_id):
         cfg, dist = WRITER_CASES["zero-0.77-None"]
         funds = simulation._fund_columns(cfg, dist)
         at = funds.failure.index(None)  # an exit, which logs no lien
         ids = funds.fund_id[:at] + (fund_id,) + funds.fund_id[at + 1:]
         log = simulation.render(funds._replace(fund_id=ids), cfg)
-        # Its loan_issued, after capital_injection and din_booked.
-        message = re.escape(f"event {at + 2}: fund_id {fund_id!r} is outside")
-        for events in (log, tuple(log)):
-            with pytest.raises(InvalidParameterError, match=message):
-                events_to_csv(events)
+        # Its loan_issued, after capital_injection and din_booked: refused
+        # as no str, or as text outside the grammar.
+        message = re.escape(f"event {at + 2}: fund_id {fund_id!r} is ") + (
+            "not a str" if fund_id is None else "outside the event-log grammar")
+        with pytest.raises(InvalidParameterError, match=message):
+            events_to_csv(log)
+        with pytest.raises(InvalidParameterError, match=message):
+            events_to_csv(simulation.EventLog.from_events(tuple(log)))
 
-    def test_a_detail_that_is_no_record_is_refused_as_by_rows(self):
+    def test_a_detail_that_is_no_record_is_refused(self):
         cfg, dist = WRITER_CASES["zero-0.77-None"]
         funds = simulation._fund_columns(cfg, dist)
         at = next(i for i, failure in enumerate(funds.failure) if failure is not None)
@@ -1637,14 +1722,15 @@ class TestEventLog:
         failures[at] = tuple(failures[at])
         log = simulation.render(funds._replace(failure=tuple(failures)), cfg)
         seq = next(e.seq for e in log if e.kind == "bankruptcy_payout")
-        message = re.escape(f"event {seq}: detail {failures[at]!r} is outside")
-        for events in (log, tuple(log)):
-            with pytest.raises(InvalidParameterError, match=message):
-                events_to_csv(events)
+        message = re.escape(f"event {seq}: detail {failures[at]!r} is not BankruptcyPayout")
+        with pytest.raises(InvalidParameterError, match=message):
+            events_to_csv(log)
+        with pytest.raises(InvalidParameterError, match=message):
+            simulation.EventLog.from_events(tuple(log))
 
     def test_a_fund_id_none_as_text_stands(self):
         cfg, dist = WRITER_CASES["zero-0.77-None"]
         funds = simulation._fund_columns(cfg, dist)
         log = simulation.render(funds._replace(fund_id=("None",) + funds.fund_id[1:]), cfg)
-        assert events_to_csv(log) == events_to_csv(tuple(log))
+        assert events_to_csv(log) == event_log_csv(tuple(log))
         assert ",loan_issued,None," in events_to_csv(log)
