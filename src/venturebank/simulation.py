@@ -753,9 +753,9 @@ def render(funds: Funds, config: ScenarioConfig) -> EventLog:
     rows = [("exit_proceeds", fund, proceeds, exit)
             for fund, proceeds, exit in zip(funds.fund_id, funds.proceeds, funds.exit)
             if exit is not None]
-    rows += [("lien_settled", fund, clawed, settled)
-             for fund, clawed, settled in zip(funds.fund_id, funds.clawed, funds.settled)
-             if settled is not None]
+    rows += [("lien_settled", fund, clawed, settled) for fund, clawed, settled, terms in zip(
+        funds.fund_id, funds.clawed, funds.settled, funds.lien_terms)
+        if settled is not None and terms is not None]  # a settlement needs its lien
     rows += [("carrying_cost", fund, carrying, None)
              for fund, carrying in zip(funds.fund_id, funds.carrying) if carrying is not None]
     if booked > 0:
@@ -764,106 +764,83 @@ def render(funds: Funds, config: ScenarioConfig) -> EventLog:
     return EventLog(tuple(block for block in blocks if block[1]))
 
 
+# The two-leg kinds: the memo, formatted with the fund id; the bank's debit
+# and credit; whether the bank books it and whether the underwriter books its
+# mirror; and whether an amount of 0 posts, as it does for all but a premium.
+_TWO_LEG = {
+    "capital_injection": ("paid-in capital", Account.CASH, Account.TIER1_CORE, True, False, True),
+    "deposit_drawdown": ("investor drawdowns", Account.DEPOSITS, Account.CASH, True, False, True),
+    "premium_paid": ("premium {}", Account.PREMIUMS_PAID, Account.CASH, True, True, False),
+    "bankruptcy_payout": ("note payout {}", Account.CASH, Account.PAYOUTS_RECEIVED,
+                          True, True, True),
+    "loan_written_off": ("write off {}", Account.PAYOUTS_RECEIVED, Account.LOANS,
+                         True, False, True),
+    "equity_accepted": ("salvage equity {}", Account.PAYOUTS_RECEIVED,
+                        Account.EQUITY_HOLDINGS, False, True, True),
+}
+
+
+def _post_flow(books: tuple[Ledger, Ledger], year: int, memo: str, amount: Decimal,
+               debit: Account, credit: Account, banked=True, mirrored=True, zero_posts=False):
+    """Post amount, if above 0 or zero_posts, as the bank's debit and credit
+    if banked, and as the underwriter's mirror of them if mirrored."""
+    if amount > 0 or zero_posts:
+        if banked:
+            books[0].post(year, memo, [dr(debit, amount), cr(credit, amount)])
+        if mirrored:
+            books[1].post(year, memo, [dr(credit, amount), cr(debit, amount)])
+
+
 @in_money_context
-def post_books(events, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
-    """Derive the bank's and the underwriter's books from an event log.
-
-    The log is folded in order with one posting rule per event kind, so
-    a serialized log rebuilds both journals exactly.
-    """
-    bank = Ledger("bank")
-    underwriter = Ledger("underwriter")
-    capital = None
+def post_books(log: EventLog, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
+    """The bank's and the underwriter's books of a log that replay accepts
+    under config, so config's rendering; any other is refused as replay
+    refuses it.  The capital stack is config's opening book, and a loan
+    past its lending limit is refused as SimulationError.  A two-leg kind
+    posts by its _TWO_LEG rule; carrying_cost, foregone interest, posts nothing."""
+    replay(log, config)
+    capital = config.opening_book[1]
+    tiers = [tier for tier in ((Account.TIER1_INSURED, capital.tier1_insured),
+                               (Account.TIER2_INSURED, capital.tier2_insured)) if tier[1] > 0]
+    books = bank, _ = Ledger("bank"), Ledger("underwriter")
     obligations: dict[str, Decimal] = {}  # lien obligation per fund
-
-    def capital_at(e: Event) -> CapitalAccount:
-        if capital is None:
-            raise SimulationError(f"{e.kind} before capital_injection",
-                                  year=e.year, account="tier1_core")
-        return capital
-
-    def post(ledger: Ledger, year: int, memo: str, debit: Account,
-             credit: Account, amount: Decimal) -> None:
-        ledger.post(year, memo, [dr(debit, amount), cr(credit, amount)])
-
-    def mirror(year: int, memo: str, debit: Account, credit: Account,
-               amount: Decimal) -> None:
-        """The bank debits `debit` and credits `credit`; the underwriter
-        books the same amount the other way."""
-        post(bank, year, memo, debit, credit, amount)
-        post(underwriter, year, memo, credit, debit, amount)
-
-    for e in events:
-        year, kind, fund, amount = e.year, e.kind, e.fund_id, e.amount
-        if kind == "premium_paid":
-            if amount > 0:
-                mirror(year, f"premium {fund}", Account.PREMIUMS_PAID, Account.CASH, amount)
-        elif kind == "capital_injection":
-            post(bank, year, "paid-in capital", Account.CASH, Account.TIER1_CORE, amount)
-            capital = CapitalAccount(tier1_core=amount,
-                                     reserve_fraction=config.reserve_fraction)
-        elif kind == "din_booked":
-            t1, t2 = e.detail
-            capital = replace(capital_at(e), tier1_insured=t1, tier2_insured=t2)
-            postings = [dr(Account.TIER1_INSURED, t1)] if t1 > 0 else []
-            if t2 > 0:
-                postings.append(dr(Account.TIER2_INSURED, t2))
-            postings.append(cr(Account.EQUITY_HOLDINGS, amount))
-            bank.post(year, "insured-asset capital recognition", postings)
-        elif kind == "din_released":
-            booking = capital_at(e)
-            postings = [dr(Account.EQUITY_HOLDINGS, amount)]
-            if booking.tier1_insured > 0:
-                postings.append(cr(Account.TIER1_INSURED, booking.tier1_insured))
-            if booking.tier2_insured > 0:
-                postings.append(cr(Account.TIER2_INSURED, booking.tier2_insured))
-            bank.post(year, "capital booking unwound", postings)
-        elif kind == "loan_issued":
-            try:
-                write_investment_loan(bank, capital_at(e), amount, year=year,
-                                      memo=f"loan {fund}")
-            except LoanLimitError as exc:
-                raise SimulationError(str(exc), year=year, account="loans") from exc
-        elif kind == "deposit_drawdown":
-            post(bank, year, "investor drawdowns", Account.DEPOSITS, Account.CASH, amount)
-        elif kind == "bankruptcy_payout":
-            mirror(year, f"note payout {fund}", Account.CASH, Account.PAYOUTS_RECEIVED, amount)
-        elif kind == "loan_written_off":
-            post(bank, year, f"write off {fund}",
-                 Account.PAYOUTS_RECEIVED, Account.LOANS, amount)
-        elif kind == "equity_accepted":
-            post(underwriter, year, f"salvage equity {fund}",
-                 Account.EQUITY_HOLDINGS, Account.PAYOUTS_RECEIVED, amount)
-        elif kind == "lien_created":
-            obligation = obligations[fund] = money(e.detail.fraction * amount)
-            if obligation > 0:
-                mirror(year, f"clawback lien {fund}",
-                       Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS, obligation)
-        elif kind == "exit_proceeds":
-            face, uw_share, bank_share = e.detail
-            postings = [dr(Account.CASH, face + bank_share), cr(Account.LOANS, face)]
-            if bank_share > 0:
-                postings.append(cr(Account.EQUITY_HOLDINGS, bank_share))
-            bank.post(year, f"exit {fund}", postings)
-            if uw_share > 0:
-                post(underwriter, year, f"exit {fund}",
-                     Account.CASH, Account.EQUITY_HOLDINGS, uw_share)
-        elif kind == "lien_settled":
-            if fund not in obligations:
-                raise SimulationError(f"lien_settled for {fund!r} with no lien_created",
-                                      year=year, account="lien_obligations")
-            delta = amount - obligations[fund]
-            if delta > 0:  # accrued interest joins the obligation
-                mirror(year, f"lien interest {fund}",
-                       Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS, delta)
-            elif delta < 0:  # option-B verdict released part of the pending base
-                mirror(year, f"lien release {fund}",
-                       Account.LIEN_OBLIGATIONS, Account.PAYOUTS_RECEIVED, -delta)
-            if amount > 0:
-                mirror(year, f"lien settled {fund}",
-                       Account.LIEN_OBLIGATIONS, Account.CASH, amount)
-        # carrying_cost is the underwriter's foregone interest: it posts nothing.
-    return bank, underwriter
+    for year, rows in log.blocks:
+        for kind, fund, amount, detail in rows:
+            rule = _TWO_LEG.get(kind)
+            if rule is not None:
+                memo, *flow = rule
+                _post_flow(books, year, memo.format(fund), amount, *flow)
+            elif kind == "loan_issued":
+                try:
+                    write_investment_loan(bank, capital, amount, year=year, memo=f"loan {fund}")
+                except LoanLimitError as exc:
+                    raise SimulationError(str(exc), year=year, account="loans") from exc
+            elif kind == "din_booked":
+                bank.post(year, "insured-asset capital recognition",
+                          [*(dr(*tier) for tier in tiers), cr(Account.EQUITY_HOLDINGS, amount)])
+            elif kind == "din_released":
+                bank.post(year, "capital booking unwound",
+                          [dr(Account.EQUITY_HOLDINGS, amount), *(cr(*tier) for tier in tiers)])
+            elif kind == "exit_proceeds":
+                face, uw_share, bank_share = detail
+                bank.post(year, f"exit {fund}", [
+                    dr(Account.CASH, face + bank_share), cr(Account.LOANS, face),
+                    *([cr(Account.EQUITY_HOLDINGS, bank_share)] if bank_share > 0 else [])])
+                _post_flow(books, year, f"exit {fund}", uw_share, Account.EQUITY_HOLDINGS,
+                           Account.CASH, banked=False)
+            elif kind == "lien_created":
+                obligation = obligations[fund] = money(detail.fraction * amount)
+                _post_flow(books, year, f"clawback lien {fund}", obligation,
+                           Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS)
+            elif kind == "lien_settled":
+                delta = amount - obligations[fund]  # interest, or below 0 a verdict's release
+                _post_flow(books, year, f"lien interest {fund}", delta,
+                           Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS)
+                _post_flow(books, year, f"lien release {fund}", -delta,
+                           Account.LIEN_OBLIGATIONS, Account.PAYOUTS_RECEIVED)
+                _post_flow(books, year, f"lien settled {fund}", amount,
+                           Account.LIEN_OBLIGATIONS, Account.CASH)
+    return books
 
 
 # The Funds field each folded kind fills with its amount; a kind that
@@ -890,7 +867,8 @@ def funds_of(log: EventLog) -> Funds:
     new entry for the fund.  Refused: a second loan_issued for a fund, a
     payout or exit before its loan_issued, and a premium total that
     rounds.  The log's types are its constructor's: render writes the
-    engine's, and events_from_csv and EventLog.from_events check each."""
+    engine's, and events_from_csv and EventLog.from_events check each,
+    which also refuses a mistyped field that the fold trips on."""
     entries: list[list] = []
     latest: dict[str, list] = {}  # each fund's latest entry; its premiums a list
     faces: dict[str, Decimal] = {}
@@ -930,18 +908,20 @@ def funds_of(log: EventLog) -> Funds:
                 entry[at] = amount
                 if kind in EVENT_DETAILS:
                     entry[at + 1] = detail
-    except SimulationError:
-        money_products(multiples, bases)  # a worth money() refuses came first
-        raise
-    for entry, worth in zip(failed, money_products(multiples, bases)):
-        entry[6] = worth
-    try:
+        for entry, worth in zip(failed, money_products(multiples, bases)):
+            entry[6] = worth
         with localcontext(_EXACT):
             for entry in entries:  # premium, premiums
                 paid = entry[3]
                 entry[2], entry[3] = (paid[0], sum(paid, ZERO)) if paid else (None, None)
+    except SimulationError:
+        money_products(multiples, bases)  # a worth money() refuses came first
+        raise
     except Inexact:
         raise _rounded(f"premiums of {entry[0]!r}") from None
+    except (TypeError, AttributeError):
+        EventLog.from_events(log)  # a hand-built log: names its first mistyped field
+        raise
     return Funds._make(zip(*entries) if entries else repeat((), len(Funds._fields)))
 
 

@@ -6,9 +6,10 @@ so a refactor of the engine cannot move a single byte unnoticed.  The
 configs together reach every event kind that carries a detail and every
 settlement branch: premium rounding below full coverage, no clawback
 rider, full clawback (the paper's option B) with both verdicts (lien
-interest and lien release), and salvaged failures with investment-offset
-exits.  Both journals must also rebuild exactly from the run's saved
-events.csv through ``post_books``.
+interest and lien release), salvaged failures with investment-offset
+exits, and no insured value, where every premium, payout and lien is 0.
+Both journals must also rebuild exactly from the run's saved events.csv
+through ``post_books``.
 
 Run ``PYTHONPATH=src python tests/test_golden.py`` to print the digests of
 the current code.
@@ -48,6 +49,10 @@ CASES = {
         target_classical_return="1.31", salvage_mode="classical_multiple",
         exit_equity_mode="investment_offset",
     ),
+    # No insured value: every premium, payout, lien and lien settlement is
+    # 0.  A premium or lien of 0 posts nothing; a payout of 0 posts.
+    "uninsured": lambda: ScenarioConfig(
+        target_classical_return="1.31", coverage="0", moc="20"),
 }
 
 SWEEP_GRID = ("0.9", "1.31", "1.8")
@@ -88,6 +93,12 @@ GOLDEN = {
         "events.csv": "7bbfd55e8d47626134094dcd6a204a691ca3fb87e66d1e246ed4e4b43b37a397",
         "bank_journal": "8b6664378e6a266824efd7c41547c1011bc150db4305eafdefa1fc49925f3fe4",
         "underwriter_journal": "37901727c0b80bcc03535615332ac52a16b76dffa7dfeb24c2acdfccadd79cc1",
+    },
+    "uninsured": {
+        "report.csv": "809e4d964e8a417d6c3ef27579d32cdabede725beb00bb12cda0cffb8cc39c75",
+        "events.csv": "e3c2242a90214962195d41d8e83ac53495606b9ddc86e07d227fce41a2476639",
+        "bank_journal": "7bf82f0ec2edaea18e07f05b395d3f9bc1d288d9044dafb1b8c59937e1a8d096",
+        "underwriter_journal": "c68e379d1624e40199cf27c6bb1efae4f6565b61f9d3fc8120d68cbbb2964fb3",
     },
 }
 

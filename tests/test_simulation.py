@@ -487,34 +487,74 @@ class TestCloseout:
         assert bank.balance(Account.LIEN_OBLIGATIONS) == 0
 
 
+def assert_books_refused_as_replayed(log, cfg) -> VentureBankError:
+    """post_books refuses log under cfg with replay's error and message."""
+    with pytest.raises(VentureBankError) as replayed:
+        replay(log, cfg)
+    with pytest.raises(type(replayed.value)) as posted:
+        post_books(log, cfg)
+    assert str(posted.value) == str(replayed.value)
+    return replayed.value
+
+
 class TestBookKeeper:
-    def test_loan_past_the_lending_limit_names_year_and_account(self):
-        log = [
+    def test_a_log_the_config_does_not_render_is_refused_as_replay_refuses_it(self):
+        # Its loan is past the lending limit, but no capital booking
+        # follows the injection as the config renders it.
+        log = logged([
             simulation.Event(0, 0, "capital_injection", "", Decimal("1")),
             simulation.Event(1, 0, "loan_issued", "f0", Decimal("21")),
-        ]
-        with pytest.raises(SimulationError) as err:
-            post_books(log, ScenarioConfig())
-        assert err.value.year == 0 and err.value.account == "loans"
+        ])
+        err = assert_books_refused_as_replayed(log, ScenarioConfig())
+        assert str(err) == ("event 1: kind 'loan_issued' where the config renders "
+                            "'din_booked'; the log was not written under this config")
+
+    def test_loan_past_the_lending_limit_names_year_and_account(self):
+        # replay takes each loan face from the log, so it accepts a face
+        # past the opening book's lending limit; post_books refuses it.
+        cfg = ScenarioConfig.calibration(target_classical_return="1.31")
+        events = list(run_scenario(cfg).events)
+        at = next(i for i, e in enumerate(events) if e.kind == "loan_issued")
+        events[at] = events[at]._replace(amount=Decimal(1000))
+        log = logged(events)
+        replay(log, cfg)
+        with pytest.raises(SimulationError, match=(
+                r"^loan book 1000\.000000000 would exceed limit 47\.058823520 ")) as err:
+            post_books(log, cfg)
+        assert (err.value.year, err.value.account) == (0, "loans")
+
+    def test_a_settlement_with_no_lien_is_refused_as_replay_refuses_it(self):
+        # With a fund's lien_created dropped, the config renders no
+        # settlement for it, so the log is not that rendering.
+        cfg = ScenarioConfig.calibration(target_classical_return="1.31")
+        events = list(run_scenario(cfg).events)
+        lien = next(e for e in events if e.kind == "lien_created")
+        events.remove(lien)
+        err = assert_books_refused_as_replayed(logged(events), cfg)
+        assert isinstance(err, InvalidParameterError)
+        assert str(err).endswith(f"fund_id {lien.fund_id!r} where the config renders "
+                                 f"'f028'; the log was not written under this config")
 
     @pytest.mark.parametrize(
-        "first, account",
+        "first, differs",
         [
-            (simulation.Event(0, 0, "loan_issued", "f0", Decimal("1")), "tier1_core"),
+            (simulation.Event(0, 0, "loan_issued", "f0", Decimal("1")),
+             "kind 'loan_issued' where the config renders 'capital_injection'"),
             (simulation.Event(0, 0, "din_booked", "", Decimal("1"),
                               simulation.DinBooked(Decimal("0"), Decimal("1"))),
-             "tier1_core"),
-            (simulation.Event(0, 10, "din_released", "", Decimal("1")), "tier1_core"),
+             "kind 'din_booked' where the config renders 'capital_injection'"),
+            (simulation.Event(0, 10, "din_released", "", Decimal("1")),
+             "year 10 where the config renders 0"),
             (simulation.Event(0, 10, "lien_settled", "f027", Decimal("1"),
                               simulation.LienSettled(Decimal("0.77"))),
-             "lien_obligations"),
+             "year 10 where the config renders 0"),
         ],
     )
-    def test_out_of_order_log_names_year_and_account(self, first, account):
+    def test_an_out_of_order_log_is_refused_as_replay_refuses_it(self, first, differs):
         later = simulation.Event(1, 0, "capital_injection", "", Decimal("1"))
-        with pytest.raises(SimulationError) as err:
-            post_books([first, later], ScenarioConfig())
-        assert (err.value.year, err.value.account) == (first.year, account)
+        err = assert_books_refused_as_replayed(logged([first, later]), ScenarioConfig())
+        assert isinstance(err, InvalidParameterError)
+        assert str(err) == f"event 0: {differs}; the log was not written under this config"
 
     @pytest.mark.parametrize(
         "dropped, year",
@@ -553,13 +593,15 @@ class TestBookKeeper:
             replay(simulation.EventLog.from_events(events), ScenarioConfig.calibration())
 
     def test_carrying_cost_posts_nothing(self):
-        cfg = ScenarioConfig.calibration(target_classical_return="1.31")
-        events = run_scenario(cfg).events
+        # With no clawback rider, the bank rate moves only the carrying
+        # costs: at 0 the log has none, and the books are the same.
+        cfg = ScenarioConfig.calibration(target_classical_return="1.31", clawback_fraction="0")
+        bare = replace(cfg, bank_rate=Decimal(0))
+        events, kept = run_scenario(cfg).events, run_scenario(bare).events
         assert any(e.kind == "carrying_cost" for e in events)
-        kept = [e for e in events if e.kind != "carrying_cost"]
-        books, without = post_books(events, cfg), post_books(kept, cfg)
-        for ledger, bare in zip(books, without):
-            assert ledger.transactions == bare.transactions
+        assert [e[2:] for e in events if e.kind != "carrying_cost"] == [e[2:] for e in kept]
+        for ledger, without in zip(post_books(events, cfg), post_books(kept, bare)):
+            assert ledger.transactions == without.transactions
 
 
 class TestDecimalContext:
@@ -1137,6 +1179,45 @@ class TestEngineProperty:
         assert [ledger.transactions for ledger in post_books(events, cfg)] == [
             ledger.transactions for ledger in post_books(report.events, cfg)]
 
+    @settings(max_examples=40, deadline=None)
+    @given(small_configs(), st.data())
+    def test_books_post_the_logs_replay_accepts(self, cfg, data):
+        # An unedited log posts balanced books.  A log edited by one row
+        # (moved to another year, dropped, copied or repriced) that replay
+        # refuses, post_books refuses with replay's message; one that
+        # replay accepts posts balanced books if its loans fit.
+        events = list(run_scenario(cfg).events)
+        for ledger in post_books(logged(events), cfg):
+            assert ledger.trial_balance() == 0
+        at = data.draw(st.integers(0, len(events) - 1))
+        edit = data.draw(st.sampled_from(["year", "drop", "copy", "amount"]))
+        if edit == "year":
+            year = (events[at].year + data.draw(st.integers(1, cfg.exit_year))) % (
+                cfg.exit_year + 1)
+            events[at] = events[at]._replace(year=year)
+        elif edit == "drop":
+            del events[at]
+        elif edit == "copy":
+            events.insert(at, events[at])
+        else:
+            events[at] = events[at]._replace(amount=events[at].amount + Decimal(1))
+        log = logged(events)
+        try:
+            replay(log, cfg)
+        except VentureBankError:
+            assert_books_refused_as_replayed(log, cfg)
+            return
+        assert edit != "year"
+        # replay takes loan faces from the log; post_books also holds them
+        # to the opening book's lending limit.
+        lent = sum(e.amount for e in events if e.kind == "loan_issued")
+        if lent > cfg.opening_book[1].lending_limit:
+            with pytest.raises(SimulationError, match="^loan book .* would exceed limit "):
+                post_books(log, cfg)
+        else:
+            for ledger in post_books(log, cfg):
+                assert ledger.trial_balance() == 0
+
 
 # The golden configs, the defaults, a target low enough that rescaling
 # clamps some multiples at zero, and one at which every fund fails, so
@@ -1697,6 +1778,20 @@ class TestEventLog:
         with pytest.raises(InvalidParameterError, match=f"^event 1: {re.escape(message)}$"):
             simulation.EventLog.from_events(
                 [self.LOAN, self.PAYOUT._replace(kind=kind, detail=detail)])
+
+    @pytest.mark.parametrize("row, message", [
+        (("premium_paid", "f", "1", None), "amount '1' is not a finite Decimal"),
+        (("bankruptcy_payout", "f", Decimal(1), None),
+         "detail None is not BankruptcyPayout, as bankruptcy_payout logs"),
+    ])
+    def test_a_hand_built_log_of_the_wrong_type_is_refused_by_seq_and_field(self, row, message):
+        # EventLog's own constructor checks nothing; the fold trips on the
+        # field, and refuses it as from_events does.
+        log = simulation.EventLog(((0, (("loan_issued", "f", Decimal(1), None),)), (1, (row,))))
+        for fold in (simulation.funds_of, lambda log: replay(log, ScenarioConfig.calibration()),
+                     lambda log: post_books(log, ScenarioConfig.calibration())):
+            with pytest.raises(InvalidParameterError, match=f"^event 1: {re.escape(message)}$"):
+                fold(log)
 
     @pytest.mark.parametrize("fund_id", ["f,1", "f\n1", 'f"1', None])
     def test_a_fund_id_outside_the_grammar_is_refused(self, fund_id):
