@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from decimal import Decimal
+from json.decoder import scanstring
 from typing import NamedTuple
 
 from scipy.stats import mannwhitneyu
@@ -147,12 +149,17 @@ class Registry:
             raise DoubleLinkError(f"{primary_id!r} already has a secondary")
         if secondary.counterpart_ref is not None:
             raise DoubleLinkError(f"{secondary_id!r} already references a primary")
-        self._records[primary_id] = primary._replace(counterpart_ref=secondary_id)
-        self._records[secondary_id] = secondary._replace(counterpart_ref=primary_id)
+        # Copies with counterpart_ref (field 11) set, as _replace would make
+        # them at about three times the cost.
+        new = tuple.__new__
+        self._records[primary_id] = new(RegistryRecord, (*primary[:11], secondary_id, primary[12]))
+        self._records[secondary_id] = new(RegistryRecord,
+                                          (*secondary[:11], primary_id, secondary[12]))
 
     def set_status(self, din_id: str, status: DinState) -> None:
         _check_status(status)
-        self._records[din_id] = self.get(din_id)._replace(status=status)
+        record = self.get(din_id)  # status is field 10
+        self._records[din_id] = tuple.__new__(RegistryRecord, (*record[:10], status, *record[11:]))
 
     @in_money_context
     def true_outstanding(self) -> Decimal:
@@ -380,50 +387,68 @@ def import_records(text: str) -> Registry:
     line, lines split on "\n" alone.  A line that is not a JSON object,
     lacks a field or holds a record RegistryRecord refuses raises
     RegistryError naming the line.  Links are installed once every line has
-    been read, so a bad line is reported before any link error."""
+    been read, so a bad line is reported before any link error.
+
+    The export form, each line exactly as export_records writes it
+    (json.dumps with sort_keys: every key, in sorted order, ", " and ": "
+    between them), is read in one pass; any other JSON text, such as keys
+    in another order, a missing optional key or compact separators, is
+    read line by line to the same registry or the same refusal."""
     registry = _read_export_form(text)
     return _read_lines(text) if registry is None else registry
 
 
-_scan_once = json.JSONDecoder().scan_once
+# A JSON string's body, unrolled so that each step consumes a run of plain
+# characters or one escape: a raw control character is not JSON.
+_STRING = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"'
+_NULLABLE = f"(?:null|{_STRING})"
+# One line of the export form; each group is the raw text of one field,
+# and a null string field's group is None.  A year is at most 18 digits,
+# far inside int's limit on digits read; a longer one, or -0, neither of
+# which export_records writes, is left to _read_lines.
+_LINE = re.compile(
+    rf'\{{"attached": (true|false), "bank_id": {_STRING}, '
+    rf'"counterpart_ref": {_NULLABLE}, "din_id": {_STRING}, '
+    rf'"expected_multiple": {_NULLABLE}, "investment_id": {_STRING}, '
+    rf'"kind": "(primary|secondary)", "principal": {_STRING}, '
+    rf'"sector": {_STRING}, "status": {_STRING}, "terms_digest": {_STRING}, '
+    rf'"underwriter_id": {_STRING}, "vintage_year": (0|-?[1-9][0-9]{{0,17}})\}}\n')
+# The groups of _LINE that hold a JSON string's body.
+_STRING_GROUPS = (2, 3, 4, 5, 6, 8, 9, 10, 11, 12)
 
 
 def _read_export_form(text: str) -> Registry | None:
-    """import_records in one scan of the whole text, each record built and
-    checked as its object is scanned and its dict dropped in turn.  The
-    checks are RegistryRecord's, inline.  Anything outside the export form
-    returns None, for _read_lines to read or to refuse by line: a line that
-    is not exactly one object with every field well typed and in range,
-    text around an object or no final newline.  JSON strings hold no raw
-    newline, so an object spanning one leaves fewer records than newlines,
-    as a duplicate din_id does.  Links are installed as _read_lines
-    installs them, so a link error is the same on either path."""
-    scan, decimal, quantize, scale = _scan_once, Decimal, DECIMAL_CONTEXT.quantize, MONEY_SCALE
+    """import_records in one pass over text in the export form: each line
+    matched by _LINE, its record built and checked as it is matched.  The
+    checks are RegistryRecord's, inline; the pattern already fixes every
+    type.  Anything else returns None, for _read_lines to read or to refuse
+    by line: a line _LINE does not match (another key order or spacing, a
+    missing key, a field of another type, whitespace around the object,
+    "\r\n"), a principal or multiple that is not a finite decimal >= 0, an
+    unknown status, no final newline, or a duplicate din_id.  String fields
+    are decoded as json decodes them only when text holds a backslash.
+    Links are installed as _read_lines installs them, so a link error is
+    the same on either path."""
+    match, decimal, quantize, scale = _LINE.match, Decimal, DECIMAL_CONTEXT.quantize, MONEY_SCALE
     new, states = tuple.__new__, _STATES
+    escaped = "\\" in text
     records: dict[str, RegistryRecord] = {}
     links: list[tuple[str, str]] = []
-    at, size = 0, len(text)
+    at, size, lines = 0, len(text), 0
     try:
         while at < size:
-            raw, at = scan(text, at)
-            if text[at] != "\n" or type(raw) is not dict:
+            line = match(text, at)
+            if line is None:
                 return None
-            at += 1
-            din_id, kind, principal = raw["din_id"], raw["kind"], raw["principal"]
-            underwriter_id, bank_id = raw["underwriter_id"], raw["bank_id"]
-            investment_id, sector = raw["investment_id"], raw["sector"]
-            vintage_year, get = raw["vintage_year"], raw.get
-            terms_digest, attached = get("terms_digest", ""), get("attached", True)
-            status, ref = get("status", "active"), get("counterpart_ref")
-            multiple = get("expected_multiple")
-            if not ((kind == PRIMARY or kind == SECONDARY)
-                    and type(din_id) is str and type(underwriter_id) is str
-                    and type(bank_id) is str and type(investment_id) is str
-                    and type(sector) is str and type(terms_digest) is str
-                    and type(principal) is str and type(vintage_year) is int
-                    and type(attached) is bool and type(status) is str
-                    and (multiple is None or type(multiple) is str)):
-                return None
+            at = line.end()
+            lines += 1
+            fields = line.groups()
+            if escaped:
+                fields = [scanstring(text, line.start(group))[0]
+                          if group in _STRING_GROUPS and value is not None else value
+                          for group, value in enumerate(fields, 1)]
+            (attached, bank_id, ref, din_id, multiple, investment_id, kind,
+             principal, sector, status, terms_digest, underwriter_id, year) = fields
             state = states.get(status)
             principal = quantize(decimal(principal), scale)
             if state is None or not principal.is_finite() or principal < 0:
@@ -434,14 +459,13 @@ def _read_export_form(text: str) -> Registry | None:
                     return None
             records[din_id] = new(RegistryRecord, (
                 din_id, kind, underwriter_id, bank_id, investment_id, principal,
-                sector, vintage_year, terms_digest, attached, state, None,
+                sector, int(year), terms_digest, attached == "true", state, None,
                 multiple))
             if ref is not None and kind == PRIMARY:
                 links.append((din_id, ref))
-    except (StopIteration, IndexError, KeyError, ValueError, ArithmeticError,
-            RecursionError):
+    except ArithmeticError:
         return None
-    if len(records) != text.count("\n"):
+    if len(records) != lines:
         return None
     registry = Registry()
     registry._records = records

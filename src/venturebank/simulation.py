@@ -217,11 +217,9 @@ class ScenarioConfig:
         # two float roundings, plus the rescaling shift, itself at most the
         # target; each 1 covers rounding to 9 places.  Below MONEY_LIMIT
         # every sum of them is exact at 28 digits, in any order.
-        largest = (Decimal(self.spread.survivor_max) * _FLOAT_SLACK
-                   + max(target or ZERO, ZERO) + 1)
-        growth = (1 + self.bank_rate) ** (self.exit_year - self.failure_year)
-        reach = self.initial_capital + 1 + self.opening_book[0] * (
-            1 + self.premium_rate * self.exit_year + largest + 2 * growth)
+        capital, book, survivor, premiums, growth = self._reach_terms
+        largest = survivor + max(target or ZERO, ZERO) + 1
+        reach = capital + book * (premiums + largest + growth)
         if reach >= MONEY_LIMIT:
             raise InvalidParameterError(
                 f"initial_capital {self.initial_capital} and moc {self.moc} with "
@@ -232,12 +230,25 @@ class ScenarioConfig:
                 f"{self.failure_year} let a run's amounts reach {reach:.3E}, "
                 f"past the money scale of 19 digits before the point")
 
+    @functools.cached_property
+    def _reach_terms(self) -> tuple[Decimal, Decimal, Decimal, Decimal, Decimal]:
+        """The terms of _check_target's bound that do not read the target,
+        in the order it adds them: the capital plus 1, the opening book, the
+        largest multiple before the shift, 1 plus the premiums over
+        exit_year, and twice the growth at bank_rate to closeout.  Built
+        once, in the money context of __post_init__; a config from
+        _at_target keeps its source's."""
+        growth = (1 + self.bank_rate) ** (self.exit_year - self.failure_year)
+        return (self.initial_capital + 1, self.opening_book[0],
+                Decimal(self.spread.survivor_max) * _FLOAT_SLACK,
+                1 + self.premium_rate * self.exit_year, 2 * growth)
+
     @in_money_context
     def _at_target(self, target) -> "ScenarioConfig":
         """replace(self, target_classical_return=target), for a config that
         validated: every other field was checked when self was built, so
         only _check_target runs again, and the copy keeps self's
-        opening_book."""
+        opening_book and _reach_terms."""
         derived = object.__new__(type(self))
         derived.__dict__.update(self.__dict__)
         object.__setattr__(derived, "target_classical_return", target)
@@ -796,7 +807,8 @@ def post_books(log: EventLog, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
     """The bank's and the underwriter's books of a log that replay accepts
     under config, so config's rendering; any other is refused as replay
     refuses it.  The capital stack is config's opening book, and a loan
-    past its lending limit is refused as SimulationError.  A two-leg kind
+    past its lending limit is refused as SimulationError, and a detail of
+    the wrong type as EventLog.from_events refuses it.  A two-leg kind
     posts by its _TWO_LEG rule; carrying_cost, foregone interest, posts nothing."""
     replay(log, config)
     capital = config.opening_book[1]
@@ -804,42 +816,47 @@ def post_books(log: EventLog, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
                                (Account.TIER2_INSURED, capital.tier2_insured)) if tier[1] > 0]
     books = bank, _ = Ledger("bank"), Ledger("underwriter")
     obligations: dict[str, Decimal] = {}  # lien obligation per fund
-    for year, rows in log.blocks:
-        for kind, fund, amount, detail in rows:
-            rule = _TWO_LEG.get(kind)
-            if rule is not None:
-                memo, *flow = rule
-                _post_flow(books, year, memo.format(fund), amount, *flow)
-            elif kind == "loan_issued":
-                try:
-                    write_investment_loan(bank, capital, amount, year=year, memo=f"loan {fund}")
-                except LoanLimitError as exc:
-                    raise SimulationError(str(exc), year=year, account="loans") from exc
-            elif kind == "din_booked":
-                bank.post(year, "insured-asset capital recognition",
-                          [*(dr(*tier) for tier in tiers), cr(Account.EQUITY_HOLDINGS, amount)])
-            elif kind == "din_released":
-                bank.post(year, "capital booking unwound",
-                          [dr(Account.EQUITY_HOLDINGS, amount), *(cr(*tier) for tier in tiers)])
-            elif kind == "exit_proceeds":
-                face, uw_share, bank_share = detail
-                bank.post(year, f"exit {fund}", [
-                    dr(Account.CASH, face + bank_share), cr(Account.LOANS, face),
-                    *([cr(Account.EQUITY_HOLDINGS, bank_share)] if bank_share > 0 else [])])
-                _post_flow(books, year, f"exit {fund}", uw_share, Account.EQUITY_HOLDINGS,
-                           Account.CASH, banked=False)
-            elif kind == "lien_created":
-                obligation = obligations[fund] = money(detail.fraction * amount)
-                _post_flow(books, year, f"clawback lien {fund}", obligation,
-                           Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS)
-            elif kind == "lien_settled":
-                delta = amount - obligations[fund]  # interest, or below 0 a verdict's release
-                _post_flow(books, year, f"lien interest {fund}", delta,
-                           Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS)
-                _post_flow(books, year, f"lien release {fund}", -delta,
-                           Account.LIEN_OBLIGATIONS, Account.PAYOUTS_RECEIVED)
-                _post_flow(books, year, f"lien settled {fund}", amount,
-                           Account.LIEN_OBLIGATIONS, Account.CASH)
+    try:
+        for year, rows in log.blocks:
+            for kind, fund, amount, detail in rows:
+                rule = _TWO_LEG.get(kind)
+                if rule is not None:
+                    memo, *flow = rule
+                    _post_flow(books, year, memo.format(fund), amount, *flow)
+                elif kind == "loan_issued":
+                    try:
+                        write_investment_loan(bank, capital, amount, year=year,
+                                              memo=f"loan {fund}")
+                    except LoanLimitError as exc:
+                        raise SimulationError(str(exc), year=year, account="loans") from exc
+                elif kind == "din_booked":
+                    bank.post(year, "insured-asset capital recognition", [
+                        *(dr(*tier) for tier in tiers), cr(Account.EQUITY_HOLDINGS, amount)])
+                elif kind == "din_released":
+                    bank.post(year, "capital booking unwound", [
+                        dr(Account.EQUITY_HOLDINGS, amount), *(cr(*tier) for tier in tiers)])
+                elif kind == "exit_proceeds":
+                    face, uw_share, bank_share = detail
+                    bank.post(year, f"exit {fund}", [
+                        dr(Account.CASH, face + bank_share), cr(Account.LOANS, face),
+                        *([cr(Account.EQUITY_HOLDINGS, bank_share)] if bank_share > 0 else [])])
+                    _post_flow(books, year, f"exit {fund}", uw_share, Account.EQUITY_HOLDINGS,
+                               Account.CASH, banked=False)
+                elif kind == "lien_created":
+                    obligation = obligations[fund] = money(detail.fraction * amount)
+                    _post_flow(books, year, f"clawback lien {fund}", obligation,
+                               Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS)
+                elif kind == "lien_settled":
+                    delta = amount - obligations[fund]  # interest, or below 0 a verdict's release
+                    _post_flow(books, year, f"lien interest {fund}", delta,
+                               Account.PAYOUTS_RECEIVED, Account.LIEN_OBLIGATIONS)
+                    _post_flow(books, year, f"lien release {fund}", -delta,
+                               Account.LIEN_OBLIGATIONS, Account.PAYOUTS_RECEIVED)
+                    _post_flow(books, year, f"lien settled {fund}", amount,
+                               Account.LIEN_OBLIGATIONS, Account.CASH)
+    except (TypeError, AttributeError):
+        EventLog.from_events(log)  # a hand-built log: names its first mistyped detail
+        raise
     return books
 
 
@@ -983,7 +1000,9 @@ def replay(log: EventLog, config: ScenarioConfig) -> dict:
     """The report figures of an event log under the config that wrote it:
     the price of its funds_of.  A log that config does not render from its
     funds_of is refused as InvalidParameterError naming the first event and
-    field that differ; an event missing from either side has seq None."""
+    field that differ; an event missing from either side has seq None.  A
+    hand-built log with a detail of the wrong type, which render copies
+    unread, is refused as EventLog.from_events refuses it."""
     funds = funds_of(log)
     if render(funds, config) != log:
         pairs = zip_longest(log, render(funds, config), fillvalue=(None,) * len(EVENT_COLUMNS))
@@ -993,7 +1012,11 @@ def replay(log: EventLog, config: ScenarioConfig) -> dict:
                     raise InvalidParameterError(
                         f"event {seq}: {name} {value!r} where the config renders "
                         f"{rendered!r}; the log was not written under this config")
-    return price(funds, config)
+    try:
+        return price(funds, config)
+    except (TypeError, AttributeError):
+        EventLog.from_events(log)  # a hand-built log: names its first mistyped detail
+        raise
 
 
 @in_money_context

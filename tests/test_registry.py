@@ -4,6 +4,7 @@ import json
 import pickle
 import random
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -671,6 +672,28 @@ def mutated(lines, ops, end="\n", final=True, bom=False) -> str:
 LINES = export_records(linked_registry()).split("\n")[:-1]
 
 
+def export_line(**fields) -> str:
+    """The line export_records writes for one record, without its newline."""
+    registry = Registry()
+    registry.register(rec("x", expected_multiple="1.5", **fields))
+    return export_records(registry)[:-1]
+
+
+EXPORTED = export_line()
+# Lines just outside the export form, which import_records reads line by
+# line: keys in another order, an optional key missing and compact
+# separators (each the record of EXPORTED); a year of -0 or of 19 digits;
+# and an empty counterpart_ref, which names no record.
+OTHER_FORMS = [
+    json.dumps(dict(reversed(json.loads(EXPORTED).items()))),
+    EXPORTED.replace('"attached": true, ', ""),
+    json.dumps(json.loads(EXPORTED), sort_keys=True, separators=(",", ":")),
+    EXPORTED.replace('"vintage_year": 2024}', '"vintage_year": -0}'),
+    EXPORTED.replace('"vintage_year": 2024}', '"vintage_year": 1234567890123456789}'),
+    EXPORTED.replace('"counterpart_ref": null', '"counterpart_ref": ""'),
+]
+
+
 class TestOneScanParity:
     """import_records reads export_records' text in one scan and anything
     else line by line; both readers give the same registry, or the same
@@ -696,6 +719,7 @@ class TestOneScanParity:
               ("insert", 0, record_text(din_id="P\u2029", counterpart_ref="S\u2028"))], {}),
         ]]
         + [mutated(LINES, [("insert", 2, line)]) for line in INSERTED]
+        + [mutated(LINES, [("insert", 2, line)]) for line in OTHER_FORMS]
         + ["", "\n"],
     )
     def test_cases(self, text, prec):
@@ -718,3 +742,52 @@ class TestOneScanParity:
         text = mutated(lines, ops, end, final, bom)
         assert outcome(import_records, text, prec) == outcome(
             registry_module._read_lines, text, prec)
+
+
+class TestExportForm:
+    """The texts import_records reads in use take the one-pass reader: the
+    committed sample registry, a registry written as the benchmark's
+    generator writes one, and export_records' text whatever its strings
+    hold.  Text just outside the export form reads line by line to the
+    same registry."""
+
+    def test_the_committed_registry(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "registry.jsonl"
+        text = path.read_text(encoding="utf-8")
+        assert registry_module._read_export_form(text) is not None
+        assert export_records(import_records(text)) == text
+
+    def test_a_registry_written_by_json_dumps_with_sorted_keys(self):
+        # One json.dumps(row, sort_keys=True) per row, every field given.
+        primary = dict(
+            din_id="din-000001", kind="primary", underwriter_id="uw-3", bank_id="bank-17",
+            investment_id="fund-000001", principal="1234.560000000", sector="fintech",
+            vintage_year=2019, terms_digest="", attached=True, status="triggered",
+            counterpart_ref="din-sec-000001", expected_multiple="1.07")
+        secondary = dict(primary, din_id="din-sec-000001", kind="secondary",
+                         underwriter_id="uw-0", attached=False,
+                         counterpart_ref="din-000001", expected_multiple=None)
+        text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in (primary, secondary))
+        read = registry_module._read_export_form(text)
+        assert read is not None
+        assert read.snapshot() == registry_module._read_lines(text).snapshot()
+
+    @pytest.mark.parametrize("value", ['a"b', "a\\b", "a\x00\x1f\tb", "crème € \U0001f600",
+                                       "\ud800", "\\u0041/"])
+    def test_escaped_strings(self, value):
+        registry = Registry()
+        registry.register(rec(value, sector=value, terms_digest=value,
+                              expected_multiple="0.5"))
+        registry.register(rec(value + "s", kind=SECONDARY, bank_id=value))
+        registry.link_secondary(value, value + "s")
+        text = export_records(registry)
+        read = registry_module._read_export_form(text)
+        assert read is not None
+        assert read.snapshot() == registry.snapshot()
+
+    @pytest.mark.parametrize("line", OTHER_FORMS[:3])
+    def test_another_json_form_reads_line_by_line_to_the_same_record(self, line):
+        assert line != EXPORTED
+        assert registry_module._read_export_form(line + "\n") is None
+        expected = import_records(EXPORTED + "\n").snapshot()
+        assert import_records(line + "\n").snapshot() == expected

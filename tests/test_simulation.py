@@ -956,6 +956,8 @@ class TestSweep:
             assert repr(derived) == repr(expected)
             assert derived.opening_book == expected.opening_book
             assert derived.opening_book is first.opening_book
+            assert derived._reach_terms == expected._reach_terms
+            assert derived._reach_terms is first._reach_terms
             outcomes.append(None)
         assert outcomes == [InvalidParameterError, None, InvalidParameterError, None,
                             InvalidParameterError]
@@ -1792,6 +1794,25 @@ class TestEventLog:
                      lambda log: post_books(log, ScenarioConfig.calibration())):
             with pytest.raises(InvalidParameterError, match=f"^event 1: {re.escape(message)}$"):
                 fold(log)
+
+    @pytest.mark.parametrize("kind, record", [("exit_proceeds", "ExitProceeds"),
+                                              ("lien_created", "LienCreated")])
+    def test_a_plain_tuple_detail_is_refused_by_seq_and_field(self, kind, record):
+        # funds_of and render copy a detail unread, and a plain tuple equals
+        # its record, so replay's check passes; price reads each exit's
+        # shares, and the books each exit's and lien's fields.
+        cfg = ScenarioConfig.calibration(target_classical_return="1.31")
+        log = run_scenario(cfg).events
+        plain = simulation.EventLog(tuple(
+            (year, tuple((k, f, a, tuple(d) if k == kind else d) for k, f, a, d in rows))
+            for year, rows in log.blocks))
+        seq, detail = next((e.seq, e.detail) for e in log if e.kind == kind)
+        message = f"event {seq}: detail {tuple(detail)!r} is not {record}, as {kind} logs"
+        if kind == "lien_created":
+            assert replay(plain, cfg) == replay(log, cfg)
+        for step in (replay, post_books) if kind == "exit_proceeds" else (post_books,):
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+                step(plain, cfg)
 
     @pytest.mark.parametrize("fund_id", ["f,1", "f\n1", 'f"1', None])
     def test_a_fund_id_outside_the_grammar_is_refused(self, fund_id):
