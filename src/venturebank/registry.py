@@ -259,8 +259,8 @@ def build_package(
         and r.status in LIVE_STATES
     ]
     if isinstance(rule, ForwardPeriod):
-        hi = rule.to_year if rule.to_year is not None else 10**9
-        chosen = [r for r in candidates if rule.from_year <= r.vintage_year <= hi]
+        chosen = [r for r in candidates if rule.from_year <= r.vintage_year
+                  and (rule.to_year is None or r.vintage_year <= rule.to_year)]
     else:
         if rule.n < 0:
             raise PackagingError(f"random_n needs n >= 0, got {rule.n}")

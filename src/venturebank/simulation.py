@@ -621,8 +621,7 @@ class Funds(NamedTuple):
 
     fund_id: tuple[str, ...]
     face: tuple[Decimal | None, ...]  # loan_issued
-    premium: tuple[Decimal | None, ...]  # the first premium_paid
-    premiums: tuple[Decimal | None, ...]  # their total
+    premium: tuple[Decimal | None, ...]  # premium_paid, each year to failure or exit
     payout: tuple[Decimal | None, ...]  # bankruptcy_payout and its detail
     failure: tuple[BankruptcyPayout | None, ...]
     worth: tuple[Decimal | None, ...]  # multiple * face at failure
@@ -668,13 +667,9 @@ def _fund_columns(config: ScenarioConfig, dist: ReturnDistribution) -> Funds:
     failing = [not exits for exits in exiting]
     values = money_products(multiples, faces)  # an exit's proceeds, a failure's worth
 
-    # Every note but the last has the same face and terms: one premium,
-    # and one total to each trigger year, indexed by whether the fund exits.
-    premium, paid = {}, {}
-    for face in {per, last}:
-        premium[face] = annual_premium(new(DinContract, ("", face, *terms)), config.premium_rate)
-        paid[face] = (premium[face] * failed, premium[face] * closeout)
-    every, final = paid[per], paid[last]
+    # Every note but the last has the same face and terms, so one premium.
+    premium = {face: annual_premium(new(DinContract, ("", face, *terms)), config.premium_rate)
+               for face in {per, last}}
 
     # Each exit's fields from payout on: None up to its proceeds and their
     # split.  An exit settles nothing a field records: its trigger is not
@@ -723,14 +718,14 @@ def _fund_columns(config: ScenarioConfig, dist: ReturnDistribution) -> Funds:
     # Exits and failures merged back into distribution order.
     merged = [next(exit_fields) if exits else next(failure_fields) for exits in exiting]
     return Funds(funds, faces, (premium[per],) * (len(faces) - 1) + (premium[last],),
-                 (*[every[exits] for exits in exiting[:-1]], final[exiting[-1]]), *zip(*merged))
+                 *zip(*merged))
 
 
 @in_money_context
 def render(funds: Funds, config: ScenarioConfig) -> EventLog:
     """The event log of a run's Funds.  Year 0 injects capital, books the
     insured-note value and writes one loan per fund.  Each year every
-    active note pays its premium; then, in distribution order, the failures
+    active note pays its one premium; then, in distribution order, the failures
     settle at failure_year.  Closeout at exit_year logs the exits, then
     the liens settled and the payouts' carrying costs in note order, and
     releases the capital booking.  Every amount but the opening book's is
@@ -863,10 +858,11 @@ def post_books(log: EventLog, config: ScenarioConfig) -> tuple[Ledger, Ledger]:
 # The Funds field each folded kind fills with its amount; a kind that
 # carries a detail fills the next field with it.
 _FOLDED = {kind: Funds._fields.index(name) for kind, name in (
-    ("loan_issued", "face"), ("bankruptcy_payout", "payout"),
-    ("equity_accepted", "salvage"), ("lien_created", "lien"),
-    ("lien_settled", "clawed"), ("carrying_cost", "carrying"),
-    ("exit_proceeds", "proceeds"))}
+    ("loan_issued", "face"), ("premium_paid", "premium"),
+    ("bankruptcy_payout", "payout"), ("equity_accepted", "salvage"),
+    ("lien_created", "lien"), ("lien_settled", "clawed"),
+    ("carrying_cost", "carrying"), ("exit_proceeds", "proceeds"))}
+_FACE, _FAILURE, _WORTH = (Funds._fields.index(name) for name in ("face", "failure", "worth"))
 
 
 def _rounded(name: str) -> InvalidParameterError:
@@ -878,79 +874,53 @@ def _rounded(name: str) -> InvalidParameterError:
 
 @in_money_context
 def funds_of(log: EventLog) -> Funds:
-    """Fold a log's blocks into its Funds, the inverse of render.  Each row
-    fills its fund's latest entry, a list of its fields; one whose field
-    that entry holds already (a second payout, which no run logs) opens a
-    new entry for the fund.  Refused: a second loan_issued for a fund, a
-    payout or exit before its loan_issued, and a premium total that
-    rounds.  The log's types are its constructor's: render writes the
-    engine's, and events_from_csv and EventLog.from_events check each,
-    which also refuses a mistyped field that the fold trips on."""
-    entries: list[list] = []
-    latest: dict[str, list] = {}  # each fund's latest entry; its premiums a list
-    faces: dict[str, Decimal] = {}
-    entry_of, folded, blank = latest.get, _FOLDED.get, (None,) * 11
-    # Each payout's entry and the factors of its worth, taken by one money_products.
-    failed, multiples, bases = [], [], []
+    """Fold a log's blocks into its Funds, the inverse of render: one
+    entry per fund id, in first-appearance order, whose fields its rows
+    fill, a later row overwriting an earlier one; then one money_products
+    takes the worth of each entry with a face and a failure.  It refuses
+    nothing of its own, but a mistyped field that the fold trips on as
+    EventLog.from_events does; replay refuses a log it does not render."""
+    entries: dict[str, list] = {}
+    entry_of, folded, blank = entries.get, _FOLDED.get, (None,) * (len(Funds._fields) - 1)
     try:
-        for year, rows in log.blocks:
+        for _, rows in log.blocks:
             for kind, fund, amount, detail in rows:
-                if kind == "premium_paid":  # most of a log
+                at = folded(kind)
+                if at is not None:
                     entry = entry_of(fund)
                     if entry is None:
-                        entry = latest[fund] = [fund, None, None, [], *blank]
-                        entries.append(entry)
-                    entry[3].append(amount)
-                    continue
-                at = folded(kind)
-                if at is None:
-                    continue
-                entry = entry_of(fund)
-                if entry is None or entry[at] is not None:
-                    entry = latest[fund] = [fund, None, None, [], *blank]
-                    entries.append(entry)
-                if kind == "loan_issued":
-                    if fund in faces:
-                        raise SimulationError(f"second loan_issued for {fund!r}",
-                                              year=year, account="loans")
-                    faces[fund] = amount
-                elif kind == "bankruptcy_payout" or kind == "exit_proceeds":
-                    if fund not in faces:
-                        raise SimulationError(f"{kind} for {fund!r} with no loan_issued",
-                                              year=year, account="loans")
-                    if kind == "bankruptcy_payout":
-                        failed.append(entry)
-                        multiples.append(detail.multiple)
-                        bases.append(faces[fund])
-                entry[at] = amount
-                if kind in EVENT_DETAILS:
-                    entry[at + 1] = detail
-        for entry, worth in zip(failed, money_products(multiples, bases)):
-            entry[6] = worth
-        with localcontext(_EXACT):
-            for entry in entries:  # premium, premiums
-                paid = entry[3]
-                entry[2], entry[3] = (paid[0], sum(paid, ZERO)) if paid else (None, None)
-    except SimulationError:
-        money_products(multiples, bases)  # a worth money() refuses came first
-        raise
-    except Inexact:
-        raise _rounded(f"premiums of {entry[0]!r}") from None
+                        entry = entries[fund] = [fund, *blank]
+                    entry[at] = amount
+                    if kind in EVENT_DETAILS:
+                        entry[at + 1] = detail
+        failed = [entry for entry in entries.values()
+                  if entry[_FACE] is not None and entry[_FAILURE] is not None]
+        for entry, worth in zip(failed, money_products(
+                [entry[_FAILURE].multiple for entry in failed],
+                [entry[_FACE] for entry in failed])):
+            entry[_WORTH] = worth
     except (TypeError, AttributeError):
         EventLog.from_events(log)  # a hand-built log: names its first mistyped field
         raise
-    return Funds._make(zip(*entries) if entries else repeat((), len(Funds._fields)))
+    return Funds._make(zip(*entries.values()) if entries else repeat((), len(Funds._fields)))
 
 
 @in_money_context
 def price(funds: Funds, config: ScenarioConfig) -> dict:
     """The report figures of a run's Funds: the one pricing routine, which
     run_scenario and the sweep call on the engine's Funds and replay on a
-    log's, so a serialized log reproduces the report exactly."""
+    log's, so a serialized log reproduces the report exactly.  A fund pays
+    its premium to failure_year, or exit_year if it does not fail; a total
+    that would round at 28 digits is refused by name."""
     totals = {}
     try:
         with localcontext(_EXACT):
-            for name in ("premiums", "payout", "salvage", "clawed", "carrying", "worth",
+            name, pairs = "premiums", [*zip(funds.premium, funds.failure)]
+            failing = [p for p, failure in pairs if failure is not None and p is not None]
+            exiting = [p for p, failure in pairs if failure is None and p is not None]
+            totals[name] = (config.failure_year * sum(failing, ZERO)
+                            + config.exit_year * sum(exiting, ZERO))
+            for name in ("payout", "salvage", "clawed", "carrying", "worth",
                          "proceeds", "face"):
                 totals[name] = sum([a for a in getattr(funds, name) if a is not None], ZERO)
             for name in ("uw_share", "bank_share"):
@@ -999,13 +969,16 @@ def price(funds: Funds, config: ScenarioConfig) -> dict:
 def replay(log: EventLog, config: ScenarioConfig) -> dict:
     """The report figures of an event log under the config that wrote it:
     the price of its funds_of.  A log that config does not render from its
-    funds_of is refused as InvalidParameterError naming the first event and
-    field that differ; an event missing from either side has seq None.  A
-    hand-built log with a detail of the wrong type, which render copies
-    unread, is refused as EventLog.from_events refuses it."""
+    funds_of (a loan issued twice or never, a second payout, uneven
+    premiums) is refused as InvalidParameterError naming the first event
+    and field that differ, an event missing from either side with seq
+    None; a hand-built log with a mistyped field, or a detail that render
+    copies unread and price trips on, as EventLog.from_events refuses it."""
     funds = funds_of(log)
-    if render(funds, config) != log:
-        pairs = zip_longest(log, render(funds, config), fillvalue=(None,) * len(EVENT_COLUMNS))
+    rendering = render(funds, config)
+    if rendering != log:
+        EventLog.from_events(log)  # a hand-built log: names its first mistyped field
+        pairs = zip_longest(log, rendering, fillvalue=(None,) * len(EVENT_COLUMNS))
         for seq, pair in enumerate(pairs):
             for name, value, rendered in zip(EVENT_COLUMNS, *pair):
                 if value != rendered:

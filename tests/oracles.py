@@ -222,21 +222,21 @@ def row_event_log(text: str) -> tuple:
 def event_order_replay(events, initial_capital: Decimal, exit_equity_mode: str) -> dict:
     """The report figures of a log by one running total per figure, each
     added in log order at 28 digits.  A log that refers to a fund's loan
-    before it is issued, or issues it twice, raises ValueError with the
-    message the engine's SimulationError carries."""
+    before it is issued, or issues it twice, raises ValueError; no config
+    renders such a log, so replay refuses each one by its first event
+    that differs from the rendering."""
     sums = dict.fromkeys(("premium_paid", "bankruptcy_payout", "equity_accepted",
                           "lien_settled", "carrying_cost", "uw", "bank", "terminal"),
                          Decimal(0))
     faces = {}
     with localcontext(Context(prec=28, rounding=ROUND_HALF_EVEN)):
         for e in events:
-            where = f"(year={e.year}, account=loans)"
             if e.kind == "loan_issued":
                 if e.fund_id in faces:
-                    raise ValueError(f"second loan_issued for {e.fund_id!r} {where}")
+                    raise ValueError(f"second loan_issued for {e.fund_id!r}")
                 faces[e.fund_id] = e.amount
             if e.kind in ("bankruptcy_payout", "exit_proceeds") and e.fund_id not in faces:
-                raise ValueError(f"{e.kind} for {e.fund_id!r} with no loan_issued {where}")
+                raise ValueError(f"{e.kind} for {e.fund_id!r} with no loan_issued")
             if e.kind in sums:
                 sums[e.kind] += e.amount
             if e.kind == "bankruptcy_payout":

@@ -254,6 +254,13 @@ class TestPackaging:
         bounded = build_package(registry, "uw1", ForwardPeriod(2021, 2022), "0.5")
         assert {registry.get(d).vintage_year for d in bounded.din_ids} == {2021, 2022}
 
+    def test_an_open_forward_period_has_no_last_year(self):
+        registry = Registry()
+        for din_id, year in (("p000", 2020), ("p001", 2_000_000_000)):
+            registry.register(rec(din_id, vintage_year=year))
+        pkg = build_package(registry, "uw1", ForwardPeriod(2000), "0.5")
+        assert pkg.din_ids == ("p000", "p001")
+
     def test_hand_picked_membership_rejected(self):
         registry = ramped_registry()
         with pytest.raises(PackagingError):

@@ -556,27 +556,46 @@ class TestBookKeeper:
         assert isinstance(err, InvalidParameterError)
         assert str(err) == f"event 0: {differs}; the log was not written under this config"
 
-    @pytest.mark.parametrize(
-        "dropped, year",
-        [({"loan_issued"}, "failure_year"),
-         ({"loan_issued", "bankruptcy_payout"}, "exit_year")],
-    )
-    def test_replay_names_a_fund_with_no_loan(self, dropped, year):
-        cfg = ScenarioConfig.calibration(target_classical_return="1.31")
-        log = logged(e for e in run_scenario(cfg).events if e.kind not in dropped)
-        with pytest.raises(SimulationError) as err:
-            replay(log, cfg)
-        assert (err.value.year, err.value.account) == (getattr(cfg, year), "loans")
-
-    def test_replay_refuses_a_second_loan_for_one_fund(self):
+    @pytest.mark.parametrize("edit, differs", [
+        ("a duplicated loan_issued", "event 3: fund_id 'f000' where the config renders 'f001'"),
+        # f000 now first appears in year 1, so its Funds entry comes last.
+        ("a dropped loan_issued",
+         "event 51: kind 'deposit_drawdown' where the config renders 'loan_issued'"),
+        ("a second bankruptcy_payout",
+         "event 304: kind 'bankruptcy_payout' where the config renders 'loan_written_off'"),
+        ("a premium of another amount",
+         "event 103: amount Decimal('0.048000000') where the config renders "
+         "Decimal('0.047000000')"),
+        ("a dropped premium", "event 103: fund_id 'f001' where the config renders 'f000'"),
+        # f049 fails in year 5, so it pays no premium in year 6.
+        ("a premium copied into another year",
+         "event 372: fund_id 'f049' where the config renders 'f000'"),
+    ])
+    def test_a_log_that_is_not_its_rendering_is_refused_by_its_first_difference(
+            self, edit, differs):
+        # funds_of folds any log; replay's render check alone refuses a
+        # loan issued twice or never, a second payout and uneven premiums.
         cfg = ScenarioConfig.calibration(target_classical_return="1.31")
         events = list(run_scenario(cfg).events)
-        loan = next(e for e in events if e.kind == "loan_issued")
-        events.insert(events.index(loan) + 1, loan)
-        with pytest.raises(SimulationError,
-                           match=f"second loan_issued for '{loan.fund_id}'") as err:
-            replay(logged(events), cfg)
-        assert (err.value.year, err.value.account) == (0, "loans")
+        loan, payout, premium, later = (
+            next(i for i, e in enumerate(events) if e.kind == kind and e.year == year)
+            for kind, year in (("loan_issued", 0), ("bankruptcy_payout", 5),
+                               ("premium_paid", 2), ("premium_paid", 6)))
+        if edit == "a duplicated loan_issued":
+            events.insert(loan + 1, events[loan])
+        elif edit == "a dropped loan_issued":
+            del events[loan]
+        elif edit == "a second bankruptcy_payout":
+            events.insert(payout + 1, events[payout])
+        elif edit == "a premium of another amount":
+            events[premium] = events[premium]._replace(amount=Decimal("0.048000000"))
+        elif edit == "a dropped premium":
+            del events[premium]
+        else:
+            events.insert(later, events[premium + 49]._replace(year=6))  # f049's
+        err = assert_books_refused_as_replayed(logged(events), cfg)
+        assert isinstance(err, InvalidParameterError)
+        assert str(err) == f"{differs}; the log was not written under this config"
 
     @pytest.mark.parametrize("kind, detail", [
         ("bankruptcy_payout", None),
@@ -1294,29 +1313,22 @@ class TestRows:
     @settings(max_examples=150, deadline=None)
     @given(edited_logs())
     def test_any_log_prices_as_its_event_order_totals(self, edited):
-        # The fold refuses what an event-order replay refuses, with its
-        # message, and prices every other log as its event-order totals.
         # replay prices only a log that its config renders back from its
-        # Funds, and refuses any other by its first differing event.
+        # Funds, and prices it as its event-order totals; it refuses any
+        # other by its first differing event, among them every log that an
+        # event-order replay refuses.
         cfg, events = edited
-        log = logged(events)
         try:
             expected = event_order_replay(events, cfg.initial_capital, cfg.exit_equity_mode)
-        except ValueError as exc:
-            for fold in (simulation.funds_of, lambda log: replay(log, cfg)):
-                with pytest.raises(SimulationError) as err:
-                    fold(log)
-                assert str(err.value) == str(exc)
-            return
-        funds = simulation.funds_of(log)
-        assert simulation.price(funds, cfg) == expected
-        if simulation.render(funds, cfg) == log:
-            assert replay(log, cfg) == expected
+        except ValueError:  # a loan issued twice, or after its payout or exit
+            expected = None
+        try:
+            figures = replay(logged(events), cfg)
+        except InvalidParameterError as exc:
+            assert re.match("^event [0-9]+: .* where the config renders .*; "
+                            "the log was not written under this config$", str(exc))
         else:
-            with pytest.raises(InvalidParameterError, match=(
-                    "^event [0-9]+: .* where the config renders .*; "
-                    "the log was not written under this config$")):
-                replay(log, cfg)
+            assert expected is not None and figures == expected
 
     @pytest.mark.parametrize("overrides, differs", [
         (dict(initial_capital=2, failure_year=4),
@@ -1338,30 +1350,19 @@ class TestRows:
                 f"^{re.escape(differs)}; the log was not written under this config$")):
             replay(log, replace(cfg, **overrides))
 
-    def test_a_second_payout_opens_a_second_row(self):
-        cfg = ScenarioConfig.calibration(target_classical_return="1.31", n_funds=5)
-        events = list(run_scenario(cfg).events)
-        payout = next(e for e in events if e.kind == "bankruptcy_payout")
-        events.append(payout)
-        funds = simulation.funds_of(logged(events))
-        assert funds.fund_id == (*[f"f00{i}" for i in range(5)], payout.fund_id)
-        assert tuple(column[-1] for column in funds) == (
-            payout.fund_id, None, None, None, payout.amount, payout.detail,
-            funds.worth[int(payout.fund_id[1:])], *(None,) * 8)
-
-    @pytest.mark.parametrize("funds, name", [(["f0", "f0"], "premiums of 'f0'"),
-                                             (["f0", "f1"], "premiums")])
-    def test_a_premium_total_that_rounds_is_refused_by_name(self, funds, name):
-        # Each premium fits the money scale; their sum takes 29 digits.
+    @pytest.mark.parametrize("funds", [["f0", "f0"], ["f0", "f1"]])
+    def test_a_premium_total_that_rounds_is_refused_by_name(self, funds):
+        # Each premium fits the money scale; its total over 11 years takes
+        # 29 digits, as does the sum of two.
         big = Decimal("9000000000000000000.000000001")
         log = [simulation.Event(0, 0, "loan_issued", "f0", Decimal(1)),
                *[simulation.Event(1 + i, 1, "premium_paid", fund, big)
                  for i, fund in enumerate(funds)]]
         # Priced alone: replay would refuse the log, which no config renders.
         with pytest.raises(InvalidParameterError,
-                           match=f"^the {re.escape(name)} total is past the 28 digits"):
+                           match="^the premiums total is past the 28 digits"):
             simulation.price(simulation.funds_of(simulation.EventLog.from_events(log)),
-                             ScenarioConfig())
+                             ScenarioConfig(exit_year=11))
 
     def test_negative_premium_earnings_are_refused_by_name(self):
         # No run pays a premium below 0, but a hand-edited log may: its
@@ -1787,10 +1788,10 @@ class TestEventLog:
          "detail None is not BankruptcyPayout, as bankruptcy_payout logs"),
     ])
     def test_a_hand_built_log_of_the_wrong_type_is_refused_by_seq_and_field(self, row, message):
-        # EventLog's own constructor checks nothing; the fold trips on the
-        # field, and refuses it as from_events does.
+        # EventLog's own constructor checks nothing; replay refuses the
+        # field as from_events does, before the first differing event.
         log = simulation.EventLog(((0, (("loan_issued", "f", Decimal(1), None),)), (1, (row,))))
-        for fold in (simulation.funds_of, lambda log: replay(log, ScenarioConfig.calibration()),
+        for fold in (lambda log: replay(log, ScenarioConfig.calibration()),
                      lambda log: post_books(log, ScenarioConfig.calibration())):
             with pytest.raises(InvalidParameterError, match=f"^event 1: {re.escape(message)}$"):
                 fold(log)
