@@ -72,18 +72,3 @@ class PackagingError(VentureBankError):
 class ConfigError(VentureBankError):
     """A config document failed to parse or validate."""
 
-
-class SimulationError(VentureBankError):
-    """A scenario aborted; message names the violating year and account."""
-
-    def __init__(self, message: str, year: int | None = None, account: str | None = None):
-        context = []
-        if year is not None:
-            context.append(f"year={year}")
-        if account is not None:
-            context.append(f"account={account}")
-        if context:
-            message = f"{message} ({', '.join(context)})"
-        super().__init__(message)
-        self.year = year
-        self.account = account

@@ -402,19 +402,24 @@ def import_records(text: str) -> Registry:
 # characters or one escape: a raw control character is not JSON.
 _STRING = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"'
 _NULLABLE = f"(?:null|{_STRING})"
+# An ASCII decimal numeral: an optional sign, digits, an optional point and
+# an optional exponent, with no whitespace or underscore.  Both readers take a principal or an
+# expected multiple written as a string only in this spelling.
+_NUMERAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_IS_NUMERAL = re.compile(_NUMERAL).fullmatch
 # One line of the export form; each group is the raw text of one field,
-# and a null string field's group is None.  A year is at most 18 digits,
-# far inside int's limit on digits read; a longer one, or -0, neither of
+# and a null field's group is None.  A year is at most 18 digits, far
+# inside int's limit on digits read; a longer one, or -0, neither of
 # which export_records writes, is left to _read_lines.
 _LINE = re.compile(
     rf'\{{"attached": (true|false), "bank_id": {_STRING}, '
     rf'"counterpart_ref": {_NULLABLE}, "din_id": {_STRING}, '
-    rf'"expected_multiple": {_NULLABLE}, "investment_id": {_STRING}, '
-    rf'"kind": "(primary|secondary)", "principal": {_STRING}, '
+    rf'"expected_multiple": (?:null|"({_NUMERAL})"), "investment_id": {_STRING}, '
+    rf'"kind": "(primary|secondary)", "principal": "({_NUMERAL})", '
     rf'"sector": {_STRING}, "status": {_STRING}, "terms_digest": {_STRING}, '
     rf'"underwriter_id": {_STRING}, "vintage_year": (0|-?[1-9][0-9]{{0,17}})\}}\n')
 # The groups of _LINE that hold a JSON string's body.
-_STRING_GROUPS = (2, 3, 4, 5, 6, 8, 9, 10, 11, 12)
+_STRING_GROUPS = (2, 3, 4, 6, 9, 10, 11, 12)
 
 
 def _read_export_form(text: str) -> Registry | None:
@@ -423,9 +428,10 @@ def _read_export_form(text: str) -> Registry | None:
     checks are RegistryRecord's, inline; the pattern already fixes every
     type.  Anything else returns None, for _read_lines to read or to refuse
     by line: a line _LINE does not match (another key order or spacing, a
-    missing key, a field of another type, whitespace around the object,
-    "\r\n"), a principal or multiple that is not a finite decimal >= 0, an
-    unknown status, no final newline, or a duplicate din_id.  String fields
+    missing key, a field of another type, a principal or multiple spelled
+    other than as a _NUMERAL, whitespace around the object, "\r\n"), a
+    principal or multiple that is not a finite decimal >= 0, an unknown
+    status, no final newline, or a duplicate din_id.  String fields
     are decoded as json decodes them only when text holds a backslash.
     Links are installed as _read_lines installs them, so a link error is
     the same on either path."""
@@ -496,6 +502,11 @@ def _read_lines(text: str) -> Registry:
                 DinState(status) if state is None else state,
                 None, raw.get("expected_multiple"),
             )
+            for name in ("principal", "expected_multiple"):
+                value = raw.get(name)
+                if isinstance(value, str) and not _IS_NUMERAL(value):
+                    raise ValueError(f"{name} must be written as an ASCII decimal numeral, "
+                                     f"got {value!r}")
         except json.JSONDecodeError as exc:
             raise RegistryError(
                 f"registry line {number}: invalid JSON, {exc.msg} (column {exc.colno})"

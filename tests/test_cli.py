@@ -12,7 +12,7 @@ import pytest
 
 from venturebank import cli, simulation
 from venturebank.cli import MAX_SWEEP_POINTS, SCHEMA, _sweep_grid, main
-from venturebank.errors import ConfigError, SimulationError
+from venturebank.errors import ConfigError, LoanLimitError
 from venturebank.registry import Registry, RegistryRecord, export_records
 from venturebank.returns import SpreadParams
 from venturebank.simulation import ScenarioConfig, sweep_classical_return
@@ -382,16 +382,16 @@ class TestSimulate:
         for name in ("report.csv", "events.csv"):
             assert sha(tmp_path / name) == golden[name]
 
-    def test_domain_error_surfaces_coordinates(self, tmp_path, capsys, monkeypatch):
+    def test_domain_error_surfaces_its_kind_and_message(self, tmp_path, capsys, monkeypatch):
         def failing(config):
-            raise SimulationError("lien cannot settle", year=10, account="lien_obligations")
+            raise LoanLimitError("loan book 48 would exceed limit 47.058823520")
 
         monkeypatch.setattr(cli, "run_scenario", failing)
         cfg = self.config(tmp_path)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["kind"] == "SimulationError"
-        assert "year=10" in err["error"] and "account=lien_obligations" in err["error"]
+        assert err == {"error": "loan book 48 would exceed limit 47.058823520",
+                       "kind": "LoanLimitError"}
         assert not os.path.exists(tmp_path / "report.csv")
 
 

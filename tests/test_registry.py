@@ -554,6 +554,20 @@ class TestImportParity:
              "registry line 2: record kind must be primary/secondary, got 'bad'"),
             ([GOOD, record_line(principal=True)], RegistryError,
              "registry line 2: principal must be a finite decimal, got 'True'"),
+            # A string amount is an ASCII decimal numeral, with no
+            # whitespace or underscore, though Decimal() reads all of these.
+            ([GOOD, record_line(principal="\u0661\u0662")], RegistryError,
+             "registry line 2: principal must be written as an ASCII decimal numeral, "
+             "got '\u0661\u0662'"),
+            ([GOOD, record_line(principal=" 1_0 ")], RegistryError,
+             "registry line 2: principal must be written as an ASCII decimal numeral, "
+             "got ' 1_0 '"),
+            ([GOOD, record_line(expected_multiple="1_0")], RegistryError,
+             "registry line 2: expected_multiple must be written as an ASCII decimal "
+             "numeral, got '1_0'"),
+            ([GOOD, record_line(expected_multiple=" 2")], RegistryError,
+             "registry line 2: expected_multiple must be written as an ASCII decimal "
+             "numeral, got ' 2'"),
         ],
     )
     def test_failure_class(self, lines, error, message):
@@ -647,6 +661,11 @@ INSERTED = [
     record_text(din_id="sep", sector="a\u2028b\u2029c\x85d"),
     record_line(din_id="num", principal=5),
     record_line(din_id="sp", principal=" 1_0 "),
+    record_text(din_id="ar", principal="\u0661\u0662"),
+    record_line(din_id="arm", expected_multiple="\u0661\u0662"),
+    record_line(din_id="um", expected_multiple="1_0"),
+    record_line(din_id="e2", principal="1e2", expected_multiple="1E+2"),
+    record_line(din_id="ten", principal="10", expected_multiple="10"),
     record_line(din_id="neg0", principal="-0", expected_multiple="-0"),
     record_line(din_id="r7", counterpart_ref=7),
     record_line(din_id="rl", counterpart_ref=[1]),
@@ -791,6 +810,31 @@ class TestExportForm:
         read = registry_module._read_export_form(text)
         assert read is not None
         assert read.snapshot() == registry.snapshot()
+
+    @pytest.mark.parametrize("principal, multiple", [("10", "10"), ("1e2", "1E+2"),
+                                                     ("+.5", "2."), ("-0", "0e-3")])
+    def test_an_amount_in_any_numeral_spelling_reads_in_one_pass(self, principal, multiple):
+        line = EXPORTED.replace('"principal": "100.000000000"', f'"principal": "{principal}"')
+        line = line.replace('"expected_multiple": "1.5"', f'"expected_multiple": "{multiple}"')
+        read = registry_module._read_export_form(line + "\n")
+        assert read is not None
+        assert read.snapshot() == registry_module._read_lines(line + "\n").snapshot()
+        assert read.get("x")[5::7] == (money(Decimal(principal)), Decimal(multiple))
+
+    @pytest.mark.parametrize("spelling", ["\u0661\u0662", "\uff11", " 1_0 ", "1_0", " 10",
+                                          "10 ", "1.5\u00a0"])
+    @pytest.mark.parametrize("name", ["principal", "expected_multiple"])
+    def test_an_amount_in_another_spelling_is_refused_by_both_readers(self, name, spelling):
+        # Decimal() reads each of these; neither reader takes it.
+        line = json.dumps(json.loads(EXPORTED) | {name: spelling}, sort_keys=True,
+                          ensure_ascii=False) + "\n"
+        assert registry_module._read_export_form(line) is None
+        message = (f"registry line 1: {name} must be written as an ASCII decimal "
+                   f"numeral, got {spelling!r}")
+        for read in (import_records, registry_module._read_lines):
+            with pytest.raises(RegistryError) as err:
+                read(line)
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("line", OTHER_FORMS[:3])
     def test_another_json_form_reads_line_by_line_to_the_same_record(self, line):
