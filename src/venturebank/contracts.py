@@ -30,7 +30,9 @@ class DinState(enum.Enum):
 TERMINAL_STATES = frozenset(
     {DinState.PAID_OUT, DinState.EXITED, DinState.CLOSED, DinState.VOID}
 )
-LIVE_STATES = frozenset({DinState.ACTIVE, DinState.TRIGGERED})
+# A tuple, not a set: `in` compares members by identity first, where a set
+# would call Enum.__hash__, a Python function, on every test.
+LIVE_STATES = (DinState.ACTIVE, DinState.TRIGGERED)
 
 # Trigger kinds.
 BANKRUPTCY = "bankruptcy"

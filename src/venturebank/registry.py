@@ -386,60 +386,76 @@ def import_records(text: str) -> Registry:
     """Rebuild a registry from export_records' JSONL: one JSON object per
     line, lines split on "\n" alone.  A line that is not a JSON object,
     lacks a field or holds a record RegistryRecord refuses raises
-    RegistryError naming the line.  Links are installed once every line has
-    been read, so a bad line is reported before any link error.
+    RegistryError naming the line.  Links are installed from the primaries'
+    refs once every line has been read, so a bad line is reported before
+    any link error.
 
     The export form, each line exactly as export_records writes it
     (json.dumps with sort_keys: every key, in sorted order, ", " and ": "
-    between them), is read in one pass; any other JSON text, such as keys
-    in another order, a missing optional key or compact separators, is
-    read line by line to the same registry or the same refusal."""
+    between them), is read in one pass, each record's link read from the
+    text and the links then checked to be an involution; any other JSON
+    text, such as keys in another order, a missing optional key or compact
+    separators, or export-form text whose refs do not pair up, is read line
+    by line to the same registry or the same refusal."""
     registry = _read_export_form(text)
     return _read_lines(text) if registry is None else registry
 
 
-# A JSON string's body, unrolled so that each step consumes a run of plain
-# characters or one escape: a raw control character is not JSON.
+# A JSON string's body in text with no backslash: a run of plain
+# characters, since a raw control character is not JSON.
+_PLAIN = r'"([^"\\\x00-\x1f]*)"'
+# A JSON string's body in text with a backslash, unrolled so that each step
+# consumes a run of plain characters or one escape.
 _STRING = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"'
-_NULLABLE = f"(?:null|{_STRING})"
 # An ASCII decimal numeral: an optional sign, digits, an optional point and
 # an optional exponent, with no whitespace or underscore.  Both readers take a principal or an
 # expected multiple written as a string only in this spelling.
 _NUMERAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _IS_NUMERAL = re.compile(_NUMERAL).fullmatch
-# One line of the export form; each group is the raw text of one field,
-# and a null field's group is None.  A year is at most 18 digits, far
-# inside int's limit on digits read; a longer one, or -0, neither of
-# which export_records writes, is left to _read_lines.
-_LINE = re.compile(
-    rf'\{{"attached": (true|false), "bank_id": {_STRING}, '
-    rf'"counterpart_ref": {_NULLABLE}, "din_id": {_STRING}, '
-    rf'"expected_multiple": (?:null|"({_NUMERAL})"), "investment_id": {_STRING}, '
-    rf'"kind": "(primary|secondary)", "principal": "({_NUMERAL})", '
-    rf'"sector": {_STRING}, "status": {_STRING}, "terms_digest": {_STRING}, '
-    rf'"underwriter_id": {_STRING}, "vintage_year": (0|-?[1-9][0-9]{{0,17}})\}}\n')
+# One line of the export form, each string field %(s)s: _PLAIN_LINE reads
+# text with no backslash, _ESCAPED_LINE text with one.  Each group is the
+# raw text of one field, and a null field's group is None.  An amount is a
+# run of [0-9.eE+-], with no whitespace, underscore, other digit or other
+# letter: Decimal() refuses every such run that is not a _NUMERAL.  A year
+# is at most 18 digits, far inside int's limit on digits read; a longer
+# one, or -0, neither of which export_records writes, is left to
+# _read_lines.
+_LINE = (
+    r'\{"attached": (true|false), "bank_id": %(s)s, '
+    r'"counterpart_ref": (?:null|%(s)s), "din_id": %(s)s, '
+    r'"expected_multiple": (?:null|"([0-9.eE+-]+)"), "investment_id": %(s)s, '
+    r'"kind": "(primary|secondary)", "principal": "([0-9.eE+-]+)", '
+    r'"sector": %(s)s, "status": %(s)s, "terms_digest": %(s)s, '
+    r'"underwriter_id": %(s)s, "vintage_year": (0|-?[1-9][0-9]{0,17})\}\n')
+_PLAIN_LINE = re.compile(_LINE % {"s": _PLAIN})
+_ESCAPED_LINE = re.compile(_LINE % {"s": _STRING})
 # The groups of _LINE that hold a JSON string's body.
 _STRING_GROUPS = (2, 3, 4, 6, 9, 10, 11, 12)
 
 
 def _read_export_form(text: str) -> Registry | None:
     """import_records in one pass over text in the export form: each line
-    matched by _LINE, its record built and checked as it is matched.  The
-    checks are RegistryRecord's, inline; the pattern already fixes every
-    type.  Anything else returns None, for _read_lines to read or to refuse
-    by line: a line _LINE does not match (another key order or spacing, a
-    missing key, a field of another type, a principal or multiple spelled
-    other than as a _NUMERAL, whitespace around the object, "\r\n"), a
-    principal or multiple that is not a finite decimal >= 0, an unknown
-    status, no final newline, or a duplicate din_id.  String fields
-    are decoded as json decodes them only when text holds a backslash.
-    Links are installed as _read_lines installs them, so a link error is
-    the same on either path."""
-    match, decimal, quantize, scale = _LINE.match, Decimal, DECIMAL_CONTEXT.quantize, MONEY_SCALE
-    new, states = tuple.__new__, _STATES
+    matched by _LINE, its record built and checked as it is matched, its
+    counterpart_ref as the text gives it.  The checks are RegistryRecord's,
+    inline; the pattern already fixes every type.  Anything else returns
+    None, for _read_lines to read or to refuse by line: a line _LINE does
+    not match (another key order or spacing, a missing key, a field of
+    another type, a principal or multiple spelled other than as a _NUMERAL,
+    whitespace around the object, "\r\n"), a principal or multiple that is
+    not a finite decimal >= 0, an unknown status, no final newline, a
+    duplicate din_id, or refs that do not pair up.  They pair up when the
+    refs are an involution: each names a record of the other kind whose own
+    ref names it back, which is the registry link_secondary builds from the
+    primaries' refs, so a link error is _read_lines' alone.  String fields
+    are decoded as json decodes them only when text holds a backslash, and
+    each distinct multiple cell is read once."""
     escaped = "\\" in text
+    match = (_ESCAPED_LINE if escaped else _PLAIN_LINE).match
+    decimal, quantize, scale = Decimal, DECIMAL_CONTEXT.quantize, MONEY_SCALE
+    new, states = tuple.__new__, _STATES
     records: dict[str, RegistryRecord] = {}
-    links: list[tuple[str, str]] = []
+    linked: list[RegistryRecord] = []
+    multiples: dict[str, Decimal] = {}
     at, size, lines = 0, len(text), 0
     try:
         while at < size:
@@ -460,23 +476,29 @@ def _read_export_form(text: str) -> Registry | None:
             if state is None or not principal.is_finite() or principal < 0:
                 return None
             if multiple is not None:
-                multiple = decimal(multiple)
-                if not multiple.is_finite() or multiple < 0:
-                    return None
-            records[din_id] = new(RegistryRecord, (
+                value = multiples.get(multiple)
+                if value is None:
+                    value = multiples[multiple] = decimal(multiple)
+                    if not value.is_finite() or value < 0:
+                        return None
+                multiple = value
+            record = records[din_id] = new(RegistryRecord, (
                 din_id, kind, underwriter_id, bank_id, investment_id, principal,
-                sector, int(year), terms_digest, attached == "true", state, None,
+                sector, int(year), terms_digest, attached == "true", state, ref,
                 multiple))
-            if ref is not None and kind == PRIMARY:
-                links.append((din_id, ref))
+            if ref is not None:
+                linked.append(record)
     except ArithmeticError:
         return None
     if len(records) != lines:
         return None
+    get = records.get
+    for record in linked:  # din_id is field 0, kind 1, counterpart_ref 11
+        other = get(record[11])
+        if other is None or other[1] == record[1] or other[11] != record[0]:
+            return None
     registry = Registry()
     registry._records = records
-    for primary_id, secondary_id in links:
-        registry.link_secondary(primary_id, secondary_id)
     return registry
 
 

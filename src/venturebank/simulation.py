@@ -357,11 +357,12 @@ class EventLog:
     a block a maximal run of rows that share one year and one "is
     premium_paid", never empty.  Only render and events_from_csv build one,
     through _of: a log is a run's rendering or text the reader checked, so
-    nothing that takes a log checks its types again, and EventLog(blocks)
-    raises TypeError.  Iteration builds each Event, its seq its position,
-    as it is read."""
+    nothing that takes a log checks its types again, and EventLog() and
+    EventLog(blocks) raise TypeError.  Iteration builds each Event, its seq
+    its position, as it is read."""
 
     blocks: tuple[tuple[int, tuple], ...]
+    __init__ = None
 
     @classmethod
     def _of(cls, blocks: tuple[tuple[int, tuple], ...]) -> "EventLog":

@@ -3,9 +3,10 @@ command, or is listed in tests/unreached.txt with the reason it stays.
 
 The map calls `cli.main` in-process for every command on every committed
 config and on the default config, then runs `audit` on a registry with
-one detached live note, recording each function called through
-`sys.setprofile`.  The acceptance suite is not rerun: a function that
-only an acceptance criterion reaches is listed under that criterion.
+one detached live note and one linked pair, recording each function
+called through `sys.setprofile`.  The acceptance suite is not rerun: a
+function that only an acceptance criterion reaches is listed under that
+criterion.
 
 A function is keyed by (file, first line, name): the line of its first
 decorator, else of its `def`, which is the line its code object reports.
@@ -70,13 +71,19 @@ def listed() -> dict[str, str]:
 
 def run_commands(out: Path) -> list[tuple[str, str, int]]:
     """Every command on every committed config and on the default config,
-    then audit on a registry whose one detached live note it voids."""
+    then audit on a registry whose one detached live note it voids.  That
+    registry is outside the export form, so audit reads it line by line and
+    links its primary/secondary pair through Registry.link_secondary."""
     configs = [str(p) for p in sorted((ROOT / "configs").glob("*.json"))] + [None]
     registry = out / "detached.jsonl"
     registry.write_text("".join(json.dumps(dict(
-        din_id=din_id, kind="primary", underwriter_id="uw", bank_id="b",
+        din_id=din_id, kind=kind, underwriter_id="uw", bank_id="b",
         investment_id=f"i-{din_id}", principal="1", sector="s", vintage_year=2024,
-        attached=attached)) + "\n" for din_id, attached in (("a", True), ("d", False))),
+        attached=attached, counterpart_ref=ref)) + "\n"
+        for din_id, kind, attached, ref in (("a", "primary", True, None),
+                                            ("d", "primary", False, None),
+                                            ("p", "primary", True, "s"),
+                                            ("s", "secondary", True, "p"))),
         encoding="utf-8")
     detached = out / "detached.json"
     detached.write_text(json.dumps(

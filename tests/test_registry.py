@@ -720,6 +720,36 @@ OTHER_FORMS = [
 ]
 
 
+def relinked(refs, extra=()) -> str:
+    """LINES with each record named in refs given that counterpart_ref, then
+    each (din_id, kind, ref) in extra as one more record, all in the export
+    form."""
+    rows = [json.loads(line) for line in LINES]
+    rows += [dict(rows[0], din_id=din_id, kind=kind, counterpart_ref=ref)
+             for din_id, kind, ref in extra]
+    return "".join(json.dumps(row | ({"counterpart_ref": refs[row["din_id"]]}
+                                     if row["din_id"] in refs else {}),
+                              sort_keys=True) + "\n" for row in rows)
+
+
+# Export-form texts whose refs do not pair up: a secondary's ref null while
+# its primary names it; a secondary naming a primary that names another
+# secondary; a primary naming a primary, alone or both ways; a record
+# naming itself; and a ref naming no record, from a primary and from a
+# secondary whose primary names it.
+UNPAIRED = {
+    "secondary-null": relinked({"S": None}),
+    "secondary-names-a-primary-of-another": relinked(
+        {"p000": "S2"}, [("S2", "secondary", "p000")]),
+    "primary-names-a-primary": relinked({"p001": "p002"}),
+    "primaries-name-each-other": relinked({"p001": "p002", "p002": "p001"}),
+    "primary-names-itself": relinked({"p001": "p001"}),
+    "secondary-names-itself": relinked({"S": "S"}),
+    "primary-names-no-record": relinked({"p001": "nobody"}),
+    "secondary-names-no-record": relinked({"S": "nobody"}),
+}
+
+
 class TestOneScanParity:
     """import_records reads export_records' text in one scan and anything
     else line by line; both readers give the same registry, or the same
@@ -751,6 +781,12 @@ class TestOneScanParity:
     def test_cases(self, text, prec):
         assert outcome(import_records, text, prec) == outcome(
             registry_module._read_lines, text, prec)
+
+    @pytest.mark.parametrize("text", UNPAIRED.values(), ids=UNPAIRED)
+    def test_refs_that_do_not_pair_up_read_line_by_line(self, text):
+        assert all(map(registry_module._PLAIN_LINE.fullmatch, text.splitlines(True)))
+        assert registry_module._read_export_form(text) is None
+        assert outcome(import_records, text) == outcome(registry_module._read_lines, text)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -811,6 +847,18 @@ class TestExportForm:
         assert read is not None
         assert read.snapshot() == registry.snapshot()
 
+    def test_records_that_read_one_multiple_cell_hold_one_decimal(self):
+        registry = Registry()
+        for din_id in ("a", "b"):
+            registry.register(rec(din_id, expected_multiple="1.50"))
+        text = export_records(registry)
+        read = registry_module._read_export_form(text)
+        assert read is not None
+        assert read.snapshot() == registry_module._read_lines(text).snapshot()
+        a, b = (read.get(din_id).expected_multiple for din_id in ("a", "b"))
+        assert a == b == Decimal("1.50")
+        assert a.as_tuple() == b.as_tuple() == Decimal("1.50").as_tuple()
+
     @pytest.mark.parametrize("principal, multiple", [("10", "10"), ("1e2", "1E+2"),
                                                      ("+.5", "2."), ("-0", "0e-3")])
     def test_an_amount_in_any_numeral_spelling_reads_in_one_pass(self, principal, multiple):
@@ -831,6 +879,19 @@ class TestExportForm:
         assert registry_module._read_export_form(line) is None
         message = (f"registry line 1: {name} must be written as an ASCII decimal "
                    f"numeral, got {spelling!r}")
+        for read in (import_records, registry_module._read_lines):
+            with pytest.raises(RegistryError) as err:
+                read(line)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("spelling", ["e5", "1e", ".", "-", "1-2", "+-1", "1.2.3", "1e+"])
+    @pytest.mark.parametrize("name", ["principal", "expected_multiple"])
+    def test_an_amount_the_line_pattern_takes_is_still_a_numeral(self, name, spelling):
+        # The pattern takes any run of [0-9.eE+-]; Decimal() refuses these.
+        line = json.dumps(json.loads(EXPORTED) | {name: spelling}, sort_keys=True) + "\n"
+        assert registry_module._PLAIN_LINE.fullmatch(line)
+        assert registry_module._read_export_form(line) is None
+        message = f"registry line 1: {name} must be a finite decimal, got {spelling!r}"
         for read in (import_records, registry_module._read_lines):
             with pytest.raises(RegistryError) as err:
                 read(line)

@@ -1718,7 +1718,8 @@ class TestEventLog:
 
     def test_only_render_and_the_reader_build_a_log(self):
         log = run_scenario(ScenarioConfig(n_funds=4)).events
-        for build in (lambda: simulation.EventLog(log.blocks),
+        for build in (lambda: simulation.EventLog(),
+                      lambda: simulation.EventLog(log.blocks),
                       lambda: simulation.EventLog(blocks=log.blocks),
                       lambda: replace(log)):
             with pytest.raises(TypeError):
