@@ -401,34 +401,28 @@ def import_records(text: str) -> Registry:
     return _read_lines(text) if registry is None else registry
 
 
-# A JSON string's body in text with no backslash: a run of plain
-# characters, since a raw control character is not JSON.
-_PLAIN = r'"([^"\\\x00-\x1f]*)"'
-# A JSON string's body in text with a backslash, unrolled so that each step
-# consumes a run of plain characters or one escape.
+# A JSON string's body, unrolled so that each step consumes a run of plain
+# characters or one escape: a raw control character is not JSON.
 _STRING = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"'
+_NULLABLE = f"(?:null|{_STRING})"
 # An ASCII decimal numeral: an optional sign, digits, an optional point and
 # an optional exponent, with no whitespace or underscore.  Both readers take a principal or an
 # expected multiple written as a string only in this spelling.
 _NUMERAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _IS_NUMERAL = re.compile(_NUMERAL).fullmatch
-# One line of the export form, each string field %(s)s: _PLAIN_LINE reads
-# text with no backslash, _ESCAPED_LINE text with one.  Each group is the
-# raw text of one field, and a null field's group is None.  An amount is a
-# run of [0-9.eE+-], with no whitespace, underscore, other digit or other
-# letter: Decimal() refuses every such run that is not a _NUMERAL.  A year
-# is at most 18 digits, far inside int's limit on digits read; a longer
-# one, or -0, neither of which export_records writes, is left to
-# _read_lines.
-_LINE = (
-    r'\{"attached": (true|false), "bank_id": %(s)s, '
-    r'"counterpart_ref": (?:null|%(s)s), "din_id": %(s)s, '
-    r'"expected_multiple": (?:null|"([0-9.eE+-]+)"), "investment_id": %(s)s, '
-    r'"kind": "(primary|secondary)", "principal": "([0-9.eE+-]+)", '
-    r'"sector": %(s)s, "status": %(s)s, "terms_digest": %(s)s, '
-    r'"underwriter_id": %(s)s, "vintage_year": (0|-?[1-9][0-9]{0,17})\}\n')
-_PLAIN_LINE = re.compile(_LINE % {"s": _PLAIN})
-_ESCAPED_LINE = re.compile(_LINE % {"s": _STRING})
+# One line of the export form; each group is the raw text of one field,
+# and a null field's group is None.  An amount is a run of [0-9.eE+-], with
+# no whitespace, underscore, other digit or other letter: Decimal() refuses
+# every such run that is not a _NUMERAL.  A year is at most 18 digits, far
+# inside int's limit on digits read; a longer one, or -0, neither of which
+# export_records writes, is left to _read_lines.
+_LINE = re.compile(
+    rf'\{{"attached": (true|false), "bank_id": {_STRING}, '
+    rf'"counterpart_ref": {_NULLABLE}, "din_id": {_STRING}, '
+    rf'"expected_multiple": (?:null|"([0-9.eE+-]+)"), "investment_id": {_STRING}, '
+    rf'"kind": "(primary|secondary)", "principal": "([0-9.eE+-]+)", '
+    rf'"sector": {_STRING}, "status": {_STRING}, "terms_digest": {_STRING}, '
+    rf'"underwriter_id": {_STRING}, "vintage_year": (0|-?[1-9][0-9]{{0,17}})\}}\n')
 # The groups of _LINE that hold a JSON string's body.
 _STRING_GROUPS = (2, 3, 4, 6, 9, 10, 11, 12)
 
@@ -447,15 +441,12 @@ def _read_export_form(text: str) -> Registry | None:
     refs are an involution: each names a record of the other kind whose own
     ref names it back, which is the registry link_secondary builds from the
     primaries' refs, so a link error is _read_lines' alone.  String fields
-    are decoded as json decodes them only when text holds a backslash, and
-    each distinct multiple cell is read once."""
-    escaped = "\\" in text
-    match = (_ESCAPED_LINE if escaped else _PLAIN_LINE).match
-    decimal, quantize, scale = Decimal, DECIMAL_CONTEXT.quantize, MONEY_SCALE
+    are decoded as json decodes them only when text holds a backslash."""
+    match, decimal, quantize, scale = _LINE.match, Decimal, DECIMAL_CONTEXT.quantize, MONEY_SCALE
     new, states = tuple.__new__, _STATES
+    escaped = "\\" in text
     records: dict[str, RegistryRecord] = {}
     linked: list[RegistryRecord] = []
-    multiples: dict[str, Decimal] = {}
     at, size, lines = 0, len(text), 0
     try:
         while at < size:
@@ -476,12 +467,9 @@ def _read_export_form(text: str) -> Registry | None:
             if state is None or not principal.is_finite() or principal < 0:
                 return None
             if multiple is not None:
-                value = multiples.get(multiple)
-                if value is None:
-                    value = multiples[multiple] = decimal(multiple)
-                    if not value.is_finite() or value < 0:
-                        return None
-                multiple = value
+                multiple = decimal(multiple)
+                if not multiple.is_finite() or multiple < 0:
+                    return None
             record = records[din_id] = new(RegistryRecord, (
                 din_id, kind, underwriter_id, bank_id, investment_id, principal,
                 sector, int(year), terms_digest, attached == "true", state, ref,

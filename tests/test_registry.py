@@ -784,7 +784,7 @@ class TestOneScanParity:
 
     @pytest.mark.parametrize("text", UNPAIRED.values(), ids=UNPAIRED)
     def test_refs_that_do_not_pair_up_read_line_by_line(self, text):
-        assert all(map(registry_module._PLAIN_LINE.fullmatch, text.splitlines(True)))
+        assert all(map(registry_module._LINE.fullmatch, text.splitlines(True)))
         assert registry_module._read_export_form(text) is None
         assert outcome(import_records, text) == outcome(registry_module._read_lines, text)
 
@@ -889,7 +889,7 @@ class TestExportForm:
     def test_an_amount_the_line_pattern_takes_is_still_a_numeral(self, name, spelling):
         # The pattern takes any run of [0-9.eE+-]; Decimal() refuses these.
         line = json.dumps(json.loads(EXPORTED) | {name: spelling}, sort_keys=True) + "\n"
-        assert registry_module._PLAIN_LINE.fullmatch(line)
+        assert registry_module._LINE.fullmatch(line)
         assert registry_module._read_export_form(line) is None
         message = f"registry line 1: {name} must be a finite decimal, got {spelling!r}"
         for read in (import_records, registry_module._read_lines):
